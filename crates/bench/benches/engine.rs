@@ -1,5 +1,5 @@
 //! PDES engine ablation: the same PHOLD workload under the sequential,
-//! conservative, optimistic, and conservative-parallel schedulers — the
+//! optimistic, and conservative-parallel schedulers — the
 //! scheduler trade-off the ROSS substrate exposes (the paper runs CODES
 //! in optimistic mode).
 
@@ -18,12 +18,6 @@ fn bench_schedulers(c: &mut Criterion) {
         })
     });
     for threads in [2usize, 4] {
-        g.bench_function(BenchmarkId::new("conservative", threads), |b| {
-            b.iter(|| {
-                let mut sim = phold(64);
-                sim.run_conservative(threads, SimTime::MAX).committed
-            })
-        });
         g.bench_function(BenchmarkId::new("optimistic", threads), |b| {
             b.iter(|| {
                 let mut sim = phold(64);
@@ -80,17 +74,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                     sim.set_telemetry(Some(Arc::new(telemetry::Recorder::new())));
                 }
                 sim.run_sequential(SimTime::MAX).committed
-            })
-        });
-    }
-    for (label, telemetry) in [("off", false), ("on", true)] {
-        g.bench_function(BenchmarkId::new("conservative-2t", label), |b| {
-            b.iter(|| {
-                let mut sim = phold(64);
-                if telemetry {
-                    sim.set_telemetry(Some(Arc::new(telemetry::Recorder::new())));
-                }
-                sim.run_conservative(2, SimTime::MAX).committed
             })
         });
     }

@@ -19,7 +19,7 @@
 //!   --iters N               iterations per app (default 2)
 //!   --scale N               payload divisor (default 16)
 //!   --seed N
-//!   --sched seq|cons:T|opt:T[:B:I]|par:T:L|async:T:L
+//!   --sched seq|opt:T[:B:I]|par:T:L|async:T:L
 //!                                       (par = conservative-parallel,
 //!                                       async = barrier-free conservative,
 //!                                       T threads, L ns lookahead window;
@@ -65,7 +65,7 @@ fn main() {
             eprintln!(
                 "usage: union-exp <table1|table2|validate|fig7|fig8|fig9|table6|all|skeleton|lint|trace|phold|mix|top> [opts]\n\
                  sweep opts: --profile quick|paper  --iters N  --scale N  --seed N\n\
-                 \x20           --sched seq|cons:T|opt:T[:B:I]|par:T:L|async:T:L  (T threads,\n\
+                 \x20           --sched seq|opt:T[:B:I]|par:T:L|async:T:L  (T threads,\n\
                  \x20           L ns lookahead, B batch, I snapshot interval)\n\
                  \x20           --queue heap|ladder  (pending-event queue, default ladder)\n\
                  \x20           --nets 1d,2d  --placements RN,RR,RG  --routings MIN,ADP\n\
@@ -170,13 +170,14 @@ fn has(rest: &[String], flag: &str) -> bool {
     rest.iter().any(|a| a == flag)
 }
 
-/// Parse a `--sched` spec: `seq`, `cons:T`, `opt:T` or `opt:T:B:I`,
-/// `par:T:L`, or `async:T:L` where `T` is the worker-thread count, `L`
+/// Parse a `--sched` spec: `seq`, `opt:T` or `opt:T:B:I`, `par:T:L`,
+/// or `async:T:L` where `T` is the worker-thread count, `L`
 /// the lookahead in ns (`par:4:500` = 4 workers, 500 ns windows;
 /// `async:4:500` = the barrier-free scheduler with the same lookahead
 /// promise), `B` the optimistic batch size and `I` the snapshot interval
 /// (`opt:4:32:4` = 4 workers, 32-event batches, snapshot every 4 events).
-/// Malformed specs are reported, not silently defaulted.
+/// Malformed specs are reported, not silently defaulted; so is the
+/// retired `cons:T` (YAWNS is `par:T:0`).
 fn parse_sched(s: &str) -> Result<Scheduler, String> {
     fn threads(t: &str, spec: &str) -> Result<usize, String> {
         t.parse::<usize>()
@@ -187,12 +188,17 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
     if s == "seq" {
         Ok(Scheduler::Sequential)
     } else if let Some(t) = s.strip_prefix("cons:") {
-        Ok(Scheduler::Conservative(threads(t, s)?))
+        Err(format!(
+            "`{s}`: the YAWNS scheduler is now the zero-window case of the parallel one — \
+             use par:{t}:0"
+        ))
     } else if let Some(rest) = s.strip_prefix("opt:") {
         let mut parts = rest.split(':');
         let t = threads(parts.next().unwrap_or(""), s)?;
         match (parts.next(), parts.next(), parts.next()) {
-            (None, ..) => Ok(Scheduler::Optimistic(t)),
+            (None, ..) => {
+                Ok(Scheduler::Optimistic { threads: t, config: ross::OptimisticConfig::default() })
+            }
             (Some(b), Some(i), None) => {
                 let batch = b
                     .parse::<usize>()
@@ -203,7 +209,7 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
                     i.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
                         format!("bad snapshot interval `{i}` in scheduler spec `{s}`")
                     })?;
-                Ok(Scheduler::OptimisticWith {
+                Ok(Scheduler::Optimistic {
                     threads: t,
                     config: ross::OptimisticConfig { batch, snapshot_interval },
                 })
@@ -239,8 +245,7 @@ fn parse_sched(s: &str) -> Result<Scheduler, String> {
         ))
     } else {
         Err(format!(
-            "unknown scheduler `{s}` (expected seq, cons:T, opt:T, opt:T:B:I, par:T:L, or \
-             async:T:L)"
+            "unknown scheduler `{s}` (expected seq, opt:T, opt:T:B:I, par:T:L, or async:T:L)"
         ))
     }
 }

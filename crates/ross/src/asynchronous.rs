@@ -76,21 +76,17 @@
 //! instead of spinning is what keeps `--cfg union_check` exploration
 //! finite — a parked thread is simply not enabled until a send lands.
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{RunStats, Simulation};
 use crate::event::Envelope;
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::lp::{Lp, LpMeta};
 use crate::mailbox::Mailbox;
-use crate::parallel::MAILBOX_CHUNK;
-use crate::partition::Partition;
-use crate::queue::{EventQueue, PendingQueue};
+use crate::queue::EventQueue;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{mpsc, thread, Mutex};
+use crate::sync::mpsc;
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{drive, Lane, Run, Step, Worker};
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
 
-/// Retained empty chunk vectors per worker (see [`crate::parallel`]).
-const SPARE_CHUNKS_MAX: usize = 64;
 /// A victim must have at least this many queued events before a steal
 /// request is posted against it.
 const STEAL_MIN_QLEN: u64 = 8;
@@ -120,6 +116,19 @@ struct Migration<L: Lp> {
     events: Vec<Envelope<L::Event>>,
 }
 
+/// What one worker thread starts with: the shared-core worker plus its
+/// end of the wakeup channels (worker t owns `rx`; every worker holds a
+/// clone of every sender).
+struct Seat<'r, L: Lp> {
+    w: Worker<'r, L>,
+    rx: mpsc::Receiver<()>,
+    wake_tx: Vec<mpsc::Sender<()>>,
+}
+
+fn head_of<E>(queue: &mut impl EventQueue<E>) -> u64 {
+    queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX)
+}
+
 impl<L: Lp> Simulation<L> {
     /// Run with the asynchronous conservative scheduler on `n_threads`
     /// workers with protocol lookahead `lookahead` (clamped up to the
@@ -137,48 +146,19 @@ impl<L: Lp> Simulation<L> {
         until: SimTime,
     ) -> RunStats {
         let start = std::time::Instant::now();
-        let n_lps = self.lps.len();
-        let n_threads = n_threads.max(1).min(n_lps.max(1));
-        if n_threads <= 1 {
+        let Some(plan) = self.plan_workers(n_threads) else {
             return self.run_sequential(until);
-        }
-        let la = lookahead.max(self.lookahead).as_ns().max(1);
-        let assignment = match &self.partition {
-            Some(p) => {
-                assert_eq!(
-                    p.n_lps(),
-                    n_lps,
-                    "partition covers {} LPs but the simulation has {}",
-                    p.n_lps(),
-                    n_lps
-                );
-                p.assign(n_threads)
-            }
-            None => Partition::per_lp(n_lps).assign(n_threads),
         };
-        let owner_of = &assignment.owner_of;
-        let local_of = &assignment.local_of;
-
-        // LP state moves into per-thread vectors as in `crate::parallel`,
-        // but in `Option` slots: migration takes an LP out of its home
-        // worker's slot mid-run.
-        let mut lps_by_thread: Vec<Vec<Option<L>>> = (0..n_threads).map(|_| Vec::new()).collect();
-        let mut meta_by_thread: Vec<Vec<LpMeta>> = (0..n_threads).map(|_| Vec::new()).collect();
-        for (gid, lp) in std::mem::take(&mut self.lps).into_iter().enumerate() {
-            lps_by_thread[owner_of[gid] as usize].push(Some(lp));
-        }
-        for (gid, meta) in std::mem::take(&mut self.meta).into_iter().enumerate() {
-            meta_by_thread[owner_of[gid] as usize].push(meta);
-        }
-
-        let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        let mut scratch = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut scratch);
-        for env in scratch.drain(..) {
-            queues[owner_of[env.dst as usize] as usize].push(env);
-        }
+        let n_threads = plan.locals.len();
+        let la = lookahead.max(self.lookahead).as_ns().max(1);
+        let (owner_of, local_of) = (&plan.owner_of, &plan.local_of);
+        // The shared scaffold scatters LP state into per-worker slabs as
+        // for `crate::parallel`; the slots are `Option`s because
+        // migration takes an LP out of its home worker's slab mid-run
+        // (and appends it to the thief's).
+        let run = Run::open(self, "conservative-async", n_threads, SimDuration::from_ns(la), start);
+        let initial = self.take_pending();
+        let (mut workers, home) = run.scatter(self, &plan, initial);
 
         // Initial horizons: every event anywhere sits at or above the
         // global pending minimum, and every send adds at least `la` of
@@ -186,24 +166,16 @@ impl<L: Lp> Simulation<L> {
         // worker, and the fixed point the publish rule grows from. (A
         // per-worker `head + la` would be unsound: a peer's earlier event
         // can arrive below this worker's own head.)
-        let global_min = queues
-            .iter_mut()
-            .filter_map(|q| q.peek_time())
-            .map(|ts| ts.0)
-            .min()
-            .unwrap_or(u64::MAX);
+        let heads: Vec<u64> = workers.iter_mut().map(|w| head_of(&mut w.lane.queue)).collect();
+        let global_min = heads.iter().copied().min().unwrap_or(u64::MAX);
         let init_clock = global_min.saturating_add(la);
 
-        let mailboxes: Vec<Mailbox<Vec<Envelope<L::Event>>>> =
-            (0..n_threads).map(|_| Mailbox::new()).collect();
         let migrations: Vec<Mailbox<Migration<L>>> =
             (0..n_threads).map(|_| Mailbox::new()).collect();
         let clocks: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(init_clock)).collect();
-        let raw_mins: Vec<AtomicU64> = queues
-            .iter_mut()
-            .map(|q| AtomicU64::new(q.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX)))
-            .collect();
-        let qlens: Vec<AtomicU64> = queues.iter().map(|q| AtomicU64::new(q.len() as u64)).collect();
+        let raw_mins: Vec<AtomicU64> = heads.iter().map(|&h| AtomicU64::new(h)).collect();
+        let qlens: Vec<AtomicU64> =
+            workers.iter().map(|w| AtomicU64::new(w.lane.queue.len() as u64)).collect();
         let parked: Vec<AtomicBool> = (0..n_threads).map(|_| AtomicBool::new(false)).collect();
         // steal_req[v] = 0 (none) or thief_id + 1; steal_declines[t]
         // counts refusals addressed to thief t.
@@ -214,906 +186,555 @@ impl<L: Lp> Simulation<L> {
         let received = AtomicU64::new(0);
         let done = AtomicBool::new(false);
 
-        let committed = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
-        let end_clock = AtomicU64::new(0);
-        let steals_total = AtomicU64::new(0);
-        let stall_total = AtomicU64::new(0);
-        let lag_max = AtomicU64::new(0);
-        let queue_ops = AtomicU64::new(0);
-        let queue_max_len = AtomicU64::new(0);
-        let pool_high_water = AtomicU64::new(0);
-        let pool_recycled = AtomicU64::new(0);
-        let engine_lookahead = self.lookahead;
-        // Violation / model-panic protocols as in `crate::parallel`, minus
-        // the round-boundary rendezvous: each worker independently breaks
-        // when it observes a flag, and flag setters wake every parked peer.
-        let violated = AtomicBool::new(false);
-        let violation: Mutex<Option<String>> = Mutex::new(None);
-        let poisoned = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let telem_on = self.telemetry.is_some();
-        let trace_run = self
-            .tracer
-            .as_ref()
-            .map(|tr| (std::sync::Arc::clone(tr), tr.open_run("conservative-async", n_threads)));
-        let timing = telem_on || trace_run.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n_threads).map(|_| mpsc::channel::<()>()).unzip();
+        let seats: Vec<Seat<'_, L>> = workers
+            .into_iter()
+            .zip(rxs)
+            .map(|(w, rx)| Seat { w, rx, wake_tx: txs.clone() })
+            .collect();
 
-        // Wakeup channels: worker t owns rx[t]; every worker holds a clone
-        // of every tx.
-        let mut txs = Vec::with_capacity(n_threads);
-        let mut rxs = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let (tx, rx) = mpsc::channel::<()>();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
+        // The violation / model-panic latch is the shared one, minus the
+        // round-boundary rendezvous: each worker independently breaks when
+        // it observes the latch, and whoever trips it wakes every parked
+        // peer.
+        let body = |seat: &mut Seat<'_, L>| {
+            let Seat { w, rx, wake_tx } = seat;
+            let t = w.t;
+            let leader = t == 0;
+            let n_home = w.lps.len();
+            // Dekker wake: the parker stores its flag and then re-checks;
+            // we make our change, then swap the flag — whichever side
+            // acted second sees the other. The load before the swap keeps
+            // the running-peer case (flag clear) free of an RMW; the
+            // handshake only needs the swap when the flag reads set.
+            let wake = |k: usize| {
+                if parked[k].load(Ordering::SeqCst) && parked[k].swap(false, Ordering::SeqCst) {
+                    let _ = wake_tx[k].send(());
+                }
+            };
+            let wake_all = |me: usize| (0..n_threads).filter(|&k| k != me).for_each(wake);
+            let mut mig_inbox: Vec<Migration<L>> = Vec::new();
+            // Mailbox wakes owed to each peer, delivered at the step-7
+            // flush. A pushed envelope is never processable before this
+            // worker's next horizon raise (its receive time is at or above
+            // the published clock, hence at or above the peer's bound), so
+            // waking mid-burst on every full chunk only preempts the
+            // producer — one deferred wake per iteration carries the same
+            // information. The push-then-wake pairing the Dekker handshake
+            // needs is preserved: the flush runs before this worker can
+            // reach its own park.
+            let mut owed_wake: Vec<bool> = vec![false; n_threads];
+            // Forwards that outran their migration batch wait here until
+            // the block they belong to is installed.
+            let mut stash: Vec<Envelope<L::Event>> = Vec::new();
+            // gid -> thief for blocks migrated away (I relay).
+            let mut away: HashMap<u32, usize> = HashMap::new();
+            // gid -> slab slot for blocks hosted here.
+            let mut hosted: HashMap<u32, usize> = HashMap::new();
+            let mut own_resident = n_home;
+            // Fresh sends accumulate S here and flush to the shared counter
+            // immediately before any mailbox push (and at the end of every
+            // processing burst), so an envelope is never R-countable before
+            // it is S-counted. Flushing early only over-approximates
+            // in-flight mail, which merely delays termination detection —
+            // the safe direction. Flush-time bulk adds of whole chunks
+            // would instead double-count relayed envelopes (chunks mix
+            // both kinds), deadlocking termination.
+            let mut s_pending = 0u64;
+            // Victim side: a granted request freezes the horizon until the
+            // handoff invariants hold. Thief side: `awaiting` caps the
+            // horizon at the victim's clock.
+            let mut migrate_pending = false;
+            let mut awaiting: Option<(usize, u64)> = None;
+            let mut published = init_clock;
+            // Shadow copies of this worker's own raw_mins / qlens slots
+            // (nobody else writes them), so unchanged values skip the
+            // SeqCst store on idle iterations.
+            let mut last_raw = raw_mins[t].load(Ordering::SeqCst);
+            let mut last_qlen = qlens[t].load(Ordering::SeqCst);
+            let mut idle_spins = 0u32;
+            let idle_spins_max = idle_spin_budget();
+            'outer: loop {
+                if done.load(Ordering::SeqCst) || run.latch.tripped() {
+                    break;
+                }
+                w.rounds += 1;
+                let mut progressed = false;
 
-        // Per-thread return slots: every hosted LP tagged with its global
-        // id (migration makes the home assignment insufficient), plus
-        // leftover events.
-        type ThreadResult<L, E> = (Vec<(u32, L, LpMeta)>, Vec<Envelope<E>>);
-        type ThreadSlot<L, E> = Mutex<Option<ThreadResult<L, E>>>;
-        let results: Vec<ThreadSlot<L, L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
+                // (1) Processing bound: min over peer horizons.
+                let mut bound = u64::MAX;
+                let mut peer_max = 0u64;
+                for (k, clock) in clocks.iter().enumerate() {
+                    if k != t {
+                        let c = clock.load(Ordering::SeqCst);
+                        bound = bound.min(c);
+                        peer_max = peer_max.max(c);
+                    }
+                }
 
-        thread::scope(|scope| {
-            for t in 0..n_threads {
-                let mut lps = std::mem::take(&mut lps_by_thread[t]);
-                let mut metas = std::mem::take(&mut meta_by_thread[t]);
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
-                let rx = rxs[t].take().expect("wake receiver");
-                let wake_tx: Vec<mpsc::Sender<()>> = txs.to_vec();
-                let my_locals = &assignment.locals[t];
-                let (mailboxes, migrations) = (&mailboxes, &migrations);
-                let (clocks, raw_mins, qlens, parked) = (&clocks, &raw_mins, &qlens, &parked);
-                let (steal_req, steal_declines, active_victim) =
-                    (&steal_req, &steal_declines, &active_victim);
-                let (sent, received, done) = (&sent, &received, &done);
-                let (committed, remote, rounds, end_clock) =
-                    (&committed, &remote, &rounds, &end_clock);
-                let (steals_total, stall_total, lag_max) = (&steals_total, &stall_total, &lag_max);
-                let (queue_ops, queue_max_len) = (&queue_ops, &queue_max_len);
-                let (pool_high_water, pool_recycled) = (&pool_high_water, &pool_recycled);
-                let (violated, violation) = (&violated, &violation);
-                let (poisoned, panic_payload) = (&poisoned, &panic_payload);
-                let results = &results;
-                let thread_records = &thread_records;
-                let trace_run = &trace_run;
-                let live_handles = &live_handles;
-                scope.spawn(move || {
-                    let leader = t == 0;
-                    let mut tbuf = trace_run.as_ref().map(|(tr, run)| tr.buf(*run, t as u32));
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    let mut live_flushed = (0u64, 0u64); // (committed, remote)
-                                                         // Dekker wake: the parker stores its flag and then
-                                                         // re-checks; we make our change, then swap the flag —
-                                                         // whichever side acted second sees the other.
-                                                         // The load before the swap keeps the running-peer case
-                                                         // (flag clear) free of an RMW; the handshake only needs
-                                                         // the swap when the flag reads set.
-                    let wake = |k: usize| {
-                        if parked[k].load(Ordering::SeqCst)
-                            && parked[k].swap(false, Ordering::SeqCst)
-                        {
-                            let _ = wake_tx[k].send(());
-                        }
-                    };
-                    let wake_all = |me: usize| {
-                        for k in 0..n_threads {
-                            if k != me
-                                && parked[k].load(Ordering::SeqCst)
-                                && parked[k].swap(false, Ordering::SeqCst)
-                            {
-                                let _ = wake_tx[k].send(());
-                            }
-                        }
-                    };
-                    let mut inbox: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-                    let mut mig_inbox: Vec<Migration<L>> = Vec::new();
-                    let mut chunks: Vec<Vec<Envelope<L::Event>>> =
-                        (0..n_threads).map(|_| Vec::new()).collect();
-                    // Mailbox wakes owed to each peer, delivered at the
-                    // step-7 flush. A pushed envelope is never processable
-                    // before this worker's next horizon raise (its receive
-                    // time is at or above the published clock, hence at or
-                    // above the peer's bound), so waking mid-burst on every
-                    // full chunk only preempts the producer — one deferred
-                    // wake per iteration carries the same information. The
-                    // push-then-wake pairing the Dekker handshake needs is
-                    // preserved: the flush runs before this worker can
-                    // reach its own park.
-                    let mut owed_wake: Vec<bool> = vec![false; n_threads];
-                    let mut spare_chunks: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-                    let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-                    // Forwards that outran their migration batch wait here
-                    // until the block they belong to is installed.
-                    let mut stash: Vec<Envelope<L::Event>> = Vec::new();
-                    // gid -> thief for blocks migrated away (I relay).
-                    let mut away: HashMap<u32, usize> = HashMap::new();
-                    // gid -> index into xlps/xmetas for blocks hosted here.
-                    let mut hosted: HashMap<u32, usize> = HashMap::new();
-                    let mut xgids: Vec<u32> = Vec::new();
-                    let mut xlps: Vec<Option<L>> = Vec::new();
-                    let mut xmetas: Vec<LpMeta> = Vec::new();
-                    let mut own_resident = lps.len();
-                    // Fresh sends accumulate S here and flush to the shared
-                    // counter immediately before any mailbox push (and at
-                    // the end of every processing burst), so an envelope is
-                    // never R-countable before it is S-counted. Flushing
-                    // early only over-approximates in-flight mail, which
-                    // merely delays termination detection — the safe
-                    // direction. Flush-time bulk adds of whole chunks would
-                    // instead double-count relayed envelopes (chunks mix
-                    // both kinds), deadlocking termination.
-                    let mut s_pending = 0u64;
-                    // Victim side: a granted request freezes the horizon
-                    // until the handoff invariants hold. Thief side:
-                    // `awaiting` caps the horizon at the victim's clock.
-                    let mut migrate_pending = false;
-                    let mut awaiting: Option<(usize, u64)> = None;
-                    let mut published = init_clock;
-                    // Shadow copies of this worker's own raw_mins / qlens
-                    // slots (nobody else writes them), so unchanged values
-                    // skip the SeqCst store on idle iterations.
-                    let mut last_raw = raw_mins[t].load(Ordering::SeqCst);
-                    let mut last_qlen = qlens[t].load(Ordering::SeqCst);
-                    let mut local_committed = 0u64;
-                    let mut local_remote = 0u64;
-                    let mut local_iters = 0u64;
-                    let mut local_clock = 0u64;
-                    let mut busy_ns = 0u64;
-                    let mut stall_ns = 0u64;
-                    let mut local_lag = 0u64;
-                    let mut mailbox_hw = 0u64;
-                    let mut idle_spins = 0u32;
-                    let idle_spins_max = idle_spin_budget();
-                    'outer: loop {
-                        if done.load(Ordering::SeqCst)
-                            || violated.load(Ordering::SeqCst)
-                            || poisoned.load(Ordering::SeqCst)
-                        {
-                            break;
-                        }
-                        local_iters += 1;
-                        let mut progressed = false;
+                // A pending request of ours that was refused?
+                if let Some((_, snap)) = awaiting {
+                    if steal_declines[t].load(Ordering::SeqCst) != snap {
+                        awaiting = None;
+                    }
+                }
 
-                        // (1) Processing bound: min over peer horizons.
-                        let mut bound = u64::MAX;
-                        let mut peer_max = 0u64;
-                        for (k, clock) in clocks.iter().enumerate() {
-                            if k != t {
-                                let c = clock.load(Ordering::SeqCst);
-                                bound = bound.min(c);
-                                peer_max = peer_max.max(c);
+                // (2) Drain the mailbox. Arrivals for resident LPs lower
+                // the published raw minimum *before* the R count below
+                // (lower-before-count), in one batched fetch_min; arrivals
+                // for migrated LPs are relayed, with the relay's S add also
+                // preceding the R add so `S >= R` never breaks mid-relay.
+                // The `is_empty` guards keep the no-migration common case
+                // free of hash probes.
+                let mut arr_min = u64::MAX;
+                let drained = w.lane.drain(t, |lane, env| {
+                    if !away.is_empty() {
+                        if let Some(&thief) = away.get(&env.dst) {
+                            sent.fetch_add(1, Ordering::SeqCst);
+                            if lane.stage(thief, env) {
+                                lane.ship(thief);
+                                owed_wake[thief] = true;
                             }
+                            return;
                         }
+                    }
+                    arr_min = arr_min.min(env.recv_time.0);
+                    let resident = (owner_of[env.dst as usize] as usize == t)
+                        || (!hosted.is_empty() && hosted.contains_key(&env.dst));
+                    if resident {
+                        lane.queue.push(env);
+                    } else {
+                        stash.push(env);
+                    }
+                });
+                if arr_min != u64::MAX {
+                    raw_mins[t].fetch_min(arr_min, Ordering::SeqCst);
+                    last_raw = last_raw.min(arr_min);
+                }
+                if drained > 0 {
+                    received.fetch_add(drained, Ordering::SeqCst);
+                    progressed = true;
+                }
 
-                        // A pending request of ours that was refused?
-                        if let Some((_, snap)) = awaiting {
-                            if steal_declines[t].load(Ordering::SeqCst) != snap {
-                                awaiting = None;
-                            }
-                        }
+                // (3) Install migrated blocks; merge any stashed forwards
+                // that arrived ahead of their batch.
+                migrations[t].drain_into(&mut mig_inbox);
+                for m in mig_inbox.drain(..) {
+                    let n_ev = m.events.len() as u64;
+                    let mut ev_min = u64::MAX;
+                    for env in m.events {
+                        ev_min = ev_min.min(env.recv_time.0);
+                        w.lane.queue.push(env);
+                    }
+                    if ev_min != u64::MAX {
+                        raw_mins[t].fetch_min(ev_min, Ordering::SeqCst);
+                        last_raw = last_raw.min(ev_min);
+                    }
+                    for ((gid, lp), meta) in m.gids.into_iter().zip(m.lps).zip(m.metas) {
+                        hosted.insert(gid, w.adopt(gid, lp, meta));
+                    }
+                    // raw_min was already lowered at stash time; the move
+                    // is invisible to the termination detector.
+                    let (ready, early): (Vec<_>, Vec<_>) =
+                        stash.drain(..).partition(|env| hosted.contains_key(&env.dst));
+                    stash = early;
+                    for env in ready {
+                        w.lane.queue.push(env);
+                    }
+                    if n_ev > 0 {
+                        received.fetch_add(n_ev, Ordering::SeqCst);
+                    }
+                    awaiting = None;
+                    progressed = true;
+                }
 
-                        // (2) Drain the mailbox. Arrivals for resident LPs
-                        // lower the published raw minimum *before* the R
-                        // count below (lower-before-count); arrivals for
-                        // migrated LPs are relayed, with the relay's S add
-                        // also preceding the R add so `S >= R` never
-                        // breaks mid-relay.
-                        mailboxes[t].drain_into(&mut inbox);
-                        let mut drained = 0u64;
-                        // Arrivals lower the published raw minimum in one
-                        // batched fetch_min (still sequenced before the R
-                        // add below); the `is_empty` guards keep the
-                        // no-migration common case free of hash probes.
-                        let mut arr_min = u64::MAX;
-                        for mut chunk in inbox.drain(..) {
-                            drained += chunk.len() as u64;
-                            for env in chunk.drain(..) {
-                                if !away.is_empty() {
-                                    if let Some(&thief) = away.get(&env.dst) {
-                                        sent.fetch_add(1, Ordering::SeqCst);
-                                        local_remote += 1;
-                                        let c = &mut chunks[thief];
-                                        c.push(env);
-                                        if c.len() >= MAILBOX_CHUNK {
-                                            let full = std::mem::replace(
-                                                c,
-                                                spare_chunks.pop().unwrap_or_default(),
-                                            );
-                                            mailboxes[thief].push(full);
-                                            owed_wake[thief] = true;
-                                        }
-                                        continue;
-                                    }
-                                }
-                                arr_min = arr_min.min(env.recv_time.0);
-                                let resident = (owner_of[env.dst as usize] as usize == t)
-                                    || (!hosted.is_empty() && hosted.contains_key(&env.dst));
-                                if resident {
-                                    queue.push(env);
-                                } else {
-                                    stash.push(env);
-                                }
-                            }
-                            if spare_chunks.len() < SPARE_CHUNKS_MAX {
-                                spare_chunks.push(chunk);
-                            }
-                        }
-                        if arr_min != u64::MAX {
-                            raw_mins[t].fetch_min(arr_min, Ordering::SeqCst);
-                            last_raw = last_raw.min(arr_min);
-                        }
-                        mailbox_hw = mailbox_hw.max(drained);
-                        if drained > 0 {
-                            received.fetch_add(drained, Ordering::SeqCst);
-                            progressed = true;
-                        }
-
-                        // (3) Install migrated blocks; merge any stashed
-                        // forwards that arrived ahead of their batch.
-                        migrations[t].drain_into(&mut mig_inbox);
-                        for m in mig_inbox.drain(..) {
-                            let n_ev = m.events.len() as u64;
-                            let mut ev_min = u64::MAX;
-                            for env in m.events {
-                                ev_min = ev_min.min(env.recv_time.0);
-                                queue.push(env);
-                            }
-                            if ev_min != u64::MAX {
-                                raw_mins[t].fetch_min(ev_min, Ordering::SeqCst);
-                                last_raw = last_raw.min(ev_min);
-                            }
-                            for ((gid, lp), meta) in m.gids.iter().zip(m.lps).zip(m.metas) {
-                                hosted.insert(*gid, xlps.len());
-                                xgids.push(*gid);
-                                xlps.push(Some(lp));
-                                xmetas.push(meta);
-                            }
-                            let mut still_early = Vec::new();
-                            for env in stash.drain(..) {
-                                if hosted.contains_key(&env.dst) {
-                                    // raw_min was already lowered at stash
-                                    // time; the move is invisible to the
-                                    // termination detector.
-                                    queue.push(env);
-                                } else {
-                                    still_early.push(env);
-                                }
-                            }
-                            stash = still_early;
-                            if n_ev > 0 {
-                                received.fetch_add(n_ev, Ordering::SeqCst);
-                            }
-                            awaiting = None;
-                            progressed = true;
-                        }
-
-                        // (4) Victim protocol. Grant at most one pending
-                        // request (freezing the horizon); decline anything
-                        // this worker cannot serve so the thief unfreezes.
-                        if !migrate_pending && steal_req[t].load(Ordering::SeqCst) != 0 {
-                            let eligible = hosted.is_empty()
-                                && stash.is_empty()
-                                && awaiting.is_none()
-                                && own_resident >= 2;
-                            let av = active_victim.load(Ordering::SeqCst);
-                            let granted = eligible
-                                && (av == t as u64 + 1
-                                    || (av == 0
-                                        && active_victim
-                                            .compare_exchange(
-                                                0,
-                                                t as u64 + 1,
-                                                Ordering::SeqCst,
-                                                Ordering::SeqCst,
-                                            )
-                                            .is_ok()));
-                            if granted {
-                                migrate_pending = true;
-                                wake_all(t);
-                            } else {
-                                let req = steal_req[t].swap(0, Ordering::SeqCst);
-                                if req != 0 {
-                                    let thief = (req - 1) as usize;
-                                    steal_declines[thief].fetch_add(1, Ordering::SeqCst);
-                                    wake(thief);
-                                }
-                            }
-                        }
-                        let mut h_eff = queue
-                            .peek_time()
-                            .map(|ts| ts.0)
-                            .unwrap_or(u64::MAX)
-                            .min(stash.iter().map(|e| e.recv_time.0).min().unwrap_or(u64::MAX));
-                        if migrate_pending {
-                            // Handoff invariants (see module docs): peers
-                            // caught up to the frozen publish, and the
-                            // queue head within one lookahead of the
-                            // thief's (capped) clock — so the thief's
-                            // first sends from stolen events cannot
-                            // undercut its own promise.
-                            let req = steal_req[t].load(Ordering::SeqCst);
-                            let thief = (req.max(1) - 1) as usize;
-                            if req == 0 {
-                                migrate_pending = false;
-                            } else if bound >= published
-                                && h_eff.saturating_add(la)
-                                    >= clocks[thief].load(Ordering::SeqCst).max(published)
-                            {
-                                migrate_pending = false;
-                                steal_req[t].store(0, Ordering::SeqCst);
-                                let resident: Vec<u32> = my_locals
-                                    .iter()
-                                    .copied()
-                                    .filter(|g| lps[local_of[*g as usize] as usize].is_some())
-                                    .collect();
-                                let take = (resident.len() / 2).max(1);
-                                let gids: Vec<u32> = resident[resident.len() - take..].to_vec();
-                                let mut mlps = Vec::with_capacity(gids.len());
-                                let mut mmetas = Vec::with_capacity(gids.len());
-                                for &g in &gids {
-                                    let li = local_of[g as usize] as usize;
-                                    mlps.push(lps[li].take().expect("resident LP"));
-                                    mmetas.push(metas[li].clone());
-                                    away.insert(g, thief);
-                                    own_resident -= 1;
-                                }
-                                let mut keep = Vec::with_capacity(queue.len());
-                                queue.drain_to(&mut keep);
-                                let mut events = Vec::new();
-                                for env in keep {
-                                    if away.contains_key(&env.dst) {
-                                        events.push(env);
-                                    } else {
-                                        queue.push(env);
-                                    }
-                                }
-                                let n_ev = events.len() as u64;
-                                if n_ev > 0 {
-                                    sent.fetch_add(n_ev, Ordering::SeqCst);
-                                }
-                                steals_total.fetch_add(gids.len() as u64, Ordering::SeqCst);
-                                if let Some(tp) = tap.as_mut() {
-                                    tp.steal(gids.len() as u64);
-                                }
-                                migrations[thief].push(Migration {
-                                    gids,
-                                    lps: mlps,
-                                    metas: mmetas,
-                                    events,
-                                });
-                                wake(thief);
-                                h_eff = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
-                                progressed = true;
-                            }
-                        }
-
-                        // (5) Publish the raw queue minimum (may raise: the
-                        // S adds for everything that consumed the old
-                        // minimum are sequenced before this store).
-                        if h_eff != last_raw {
-                            raw_mins[t].store(h_eff, Ordering::SeqCst);
-                            last_raw = h_eff;
-                        }
-                        let qlen = queue.len() as u64;
-                        if qlen != last_qlen {
-                            qlens[t].store(qlen, Ordering::SeqCst);
-                            last_qlen = qlen;
-                        }
-
-                        // (6) Process every queued event strictly below the
-                        // bound (ties are unsafe: a peer at `clock == B`
-                        // may still send an event *at* B).
-                        let processable = queue
-                            .peek_time()
-                            .map(|ts| ts.0 < bound && ts <= until)
-                            .unwrap_or(false);
-                        if processable {
-                            let t0 = timing.then(std::time::Instant::now);
-                            // The burst loop, once per specialization: with
-                            // `$mig = false` every hosted/away lookup folds
-                            // away, which is worth ~45 ns/event on PHOLD.
-                            // The maps only change outside the burst (steal
-                            // handoff in step 4, install in step 3), so the
-                            // choice holds for the whole burst.
-                            macro_rules! burst {
-                                ($mig:literal) => {
-                                while let Some(top) = queue.peek() {
-                                    if top.recv_time.0 >= bound || top.recv_time > until {
-                                        break;
-                                    }
-                                    let env = queue.pop().unwrap();
-                                    local_clock = local_clock.max(env.recv_time.0);
-                                    let gid = env.dst as usize;
-                                    let hosted_xi: Option<usize> = if $mig {
-                                        hosted.get(&env.dst).copied()
-                                    } else {
-                                        None
-                                    };
-                                    let (slot, meta) = match hosted_xi {
-                                        Some(xi) => (&mut xlps[xi], &mut xmetas[xi]),
-                                        None => {
-                                            let li = local_of[gid] as usize;
-                                            (&mut lps[li], &mut metas[li])
-                                        }
-                                    };
-                                    // Hard check (not debug): an arrival in
-                                    // this LP's past means the lookahead
-                                    // exceeded the model's true minimum
-                                    // send delay.
-                                    if env.recv_time < meta.now {
-                                        let mut v = violation.lock();
-                                        if v.is_none() {
-                                            *v = Some(format!(
-                                                "lookahead violation: event for LP {} at {} ns \
-                                                 arrived after the LP reached {} ns; lookahead \
-                                                 {} ns exceeds the model's minimum send delay",
-                                                env.dst, env.recv_time.0, meta.now.0, la,
-                                            ));
-                                        }
-                                        violated.store(true, Ordering::SeqCst);
-                                        queue.push(env);
-                                        wake_all(t);
-                                        break;
-                                    }
-                                    meta.now = env.recv_time;
-                                    meta.processed += 1;
-                                    let lp = slot.as_mut().expect("resident LP state");
-                                    let trace = tbuf.as_mut().map(|b| {
-                                        (lp.trace_kind(&env), b.event_start(), meta.uid_seq)
-                                    });
-                                    let mut ctx = Ctx {
-                                        now: env.recv_time,
-                                        me: env.dst,
-                                        lookahead: engine_lookahead,
-                                        out: &mut out,
-                                    };
-                                    lp.handle(&env, &mut ctx);
-                                    local_committed += 1;
-                                    seal_outgoing(env.dst, env.recv_time, meta, &mut out, |new| {
-                                        let o = owner_of[new.dst as usize] as usize;
-                                        let dest = if $mig {
-                                            if o == t {
-                                                match away.get(&new.dst) {
-                                                    None => {
-                                                        queue.push(new);
-                                                        return;
-                                                    }
-                                                    Some(&thief) => thief,
-                                                }
-                                            } else if hosted.contains_key(&new.dst) {
-                                                queue.push(new);
-                                                return;
-                                            } else {
-                                                o
-                                            }
-                                        } else if o == t {
-                                            queue.push(new);
-                                            return;
-                                        } else {
-                                            o
-                                        };
-                                        local_remote += 1;
-                                        s_pending += 1;
-                                        let c = &mut chunks[dest];
-                                        c.push(new);
-                                        if c.len() >= MAILBOX_CHUNK {
-                                            sent.fetch_add(s_pending, Ordering::SeqCst);
-                                            s_pending = 0;
-                                            let full = std::mem::replace(
-                                                c,
-                                                spare_chunks.pop().unwrap_or_default(),
-                                            );
-                                            mailboxes[dest].push(full);
-                                            owed_wake[dest] = true;
-                                        }
-                                    });
-                                    if let (Some(b), Some((kind, t0, uid_lo))) =
-                                        (tbuf.as_mut(), trace)
-                                    {
-                                        let uid_seq = match hosted_xi {
-                                            Some(xi) => xmetas[xi].uid_seq,
-                                            None => metas[local_of[gid] as usize].uid_seq,
-                                        };
-                                        let children = (uid_seq - uid_lo) as u32;
-                                        b.record(&env, uid_lo, children, kind, t0);
-                                    }
-                                }
-                                };
-                            }
-                            let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                if hosted.is_empty() && away.is_empty() {
-                                    burst!(false)
-                                } else {
-                                    burst!(true)
-                                }
-                            }));
-                            if let Err(payload) = step {
-                                let mut slot = panic_payload.lock();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
-                                poisoned.store(true, Ordering::SeqCst);
-                                wake_all(t);
-                            }
-                            // Settle the burst's S before the step-7 flush
-                            // pushes the chunks these sends sit in (and
-                            // before the next iteration raises raw_min).
-                            if s_pending > 0 {
-                                sent.fetch_add(s_pending, Ordering::SeqCst);
-                                s_pending = 0;
-                            }
-                            if let Some(t0) = t0 {
-                                busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
-                            progressed = true;
-                        }
-
-                        // (7) Flush partial chunks — unconditionally, so no
-                        // buffered event is ever stranded locally — and
-                        // settle the wakes owed for chunks pushed mid-burst.
-                        // Every chunked event was S-counted at buffering,
-                        // which precedes this push, so `S >= R` always
-                        // holds.
-                        for (o, c) in chunks.iter_mut().enumerate() {
-                            if !c.is_empty() {
-                                let full =
-                                    std::mem::replace(c, spare_chunks.pop().unwrap_or_default());
-                                mailboxes[o].push(full);
-                                owed_wake[o] = true;
-                            }
-                        }
-
-                        // (8) Publish the safe horizon: min(head, B) + L,
-                        // capped at this iteration's bound while relaying
-                        // (forwards carry no fresh lookahead) and at the
-                        // victim's clock while awaiting a steal. A frozen
-                        // victim skips the raise entirely. Every cap is
-                        // provably at or above the previous publish, which
-                        // the checked build asserts (the monotonicity
-                        // oracle).
-                        if !migrate_pending {
-                            let h2 =
-                                queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX).min(
-                                    stash.iter().map(|e| e.recv_time.0).min().unwrap_or(u64::MAX),
-                                );
-                            let mut val = h2.min(bound).saturating_add(la);
-                            if !away.is_empty() {
-                                val = val.min(bound);
-                            }
-                            if let Some((v, _)) = awaiting {
-                                val = val.min(published.max(clocks[v].load(Ordering::SeqCst)));
-                            }
-                            // Only this worker writes clocks[t], so the
-                            // local shadow is exact and an unchanged value
-                            // can skip the RMW outright.
-                            #[cfg(union_check)]
-                            assert!(
-                                val >= published,
-                                "horizon monotonicity violated: worker {t} computed {val} \
-                                 below its published {published}"
-                            );
-                            if val > published {
-                                clocks[t].fetch_max(val, Ordering::SeqCst);
-                                published = val;
-                                wake_all(t);
-                                owed_wake.iter_mut().for_each(|w| *w = false);
-                            }
-                        }
-                        // Settle wakes owed for mailbox pushes, *after* the
-                        // publish: a peer woken before the raise would find
-                        // its new mail unprocessable, park again, and cost
-                        // a second wake cycle. `wake_all` on a raise covers
-                        // every owed peer (both only fire on a set parked
-                        // flag), so the raise path clears the slate above;
-                        // this loop is the no-raise fallback that keeps the
-                        // push-then-wake pairing the Dekker handshake (and
-                        // the checked build's liveness) depends on.
-                        for (o, owed) in owed_wake.iter_mut().enumerate() {
-                            if *owed {
-                                *owed = false;
-                                wake(o);
-                            }
-                        }
-                        local_lag = local_lag.max(peer_max.saturating_sub(published));
-
-                        // Live flush: barrier-free, so cadence is committed
-                        // volume rather than rounds. One branch per outer
-                        // iteration when detached.
-                        if let Some(tp) = tap.as_mut() {
-                            if local_committed - live_flushed.0 >= crate::live::FLUSH_EVERY {
-                                tp.commit(local_committed - live_flushed.0);
-                                tp.remote(local_remote - live_flushed.1);
-                                live_flushed = (local_committed, local_remote);
-                                if leader {
-                                    tp.gvt(published.min(bound));
-                                }
-                                tp.lag(local_lag);
-                                tp.queue_depth(queue.len() as u64);
-                                tp.flush();
-                            }
-                        }
-
-                        if progressed {
-                            idle_spins = 0;
-                            continue 'outer;
-                        }
-
-                        // (9) Idle. Leader: termination detection in the
-                        // R -> mins -> S read order (see module docs).
-                        if leader {
-                            let r = received.load(Ordering::SeqCst);
-                            let mut all_quiet = true;
-                            for m in raw_mins.iter() {
-                                let v = m.load(Ordering::SeqCst);
-                                if v != u64::MAX && v <= until.0 {
-                                    all_quiet = false;
-                                    break;
-                                }
-                            }
-                            let s = sent.load(Ordering::SeqCst);
-                            if all_quiet && s == r {
-                                done.store(true, Ordering::SeqCst);
-                                wake_all(t);
-                                break 'outer;
-                            }
-                        }
-                        // Thief side: post a request against the most
-                        // backlogged peer. Never while relaying or already
-                        // waiting — and a victim never turns thief, which
-                        // keeps the single-victim wait graph acyclic.
-                        if awaiting.is_none()
-                            && !migrate_pending
-                            && away.is_empty()
-                            && queue.len() == 0
-                            && stash.is_empty()
-                        {
-                            let mut victim = usize::MAX;
-                            let mut best = STEAL_MIN_QLEN;
-                            for (k, qlen) in qlens.iter().enumerate() {
-                                if k != t {
-                                    let l = qlen.load(Ordering::SeqCst);
-                                    if l >= best {
-                                        best = l;
-                                        victim = k;
-                                    }
-                                }
-                            }
-                            if victim != usize::MAX {
-                                let snap = steal_declines[t].load(Ordering::SeqCst);
-                                if steal_req[victim]
+                // (4) Victim protocol. Grant at most one pending request
+                // (freezing the horizon); decline anything this worker
+                // cannot serve so the thief unfreezes.
+                if !migrate_pending && steal_req[t].load(Ordering::SeqCst) != 0 {
+                    let eligible = hosted.is_empty()
+                        && stash.is_empty()
+                        && awaiting.is_none()
+                        && own_resident >= 2;
+                    let av = active_victim.load(Ordering::SeqCst);
+                    let granted = eligible
+                        && (av == t as u64 + 1
+                            || (av == 0
+                                && active_victim
                                     .compare_exchange(
                                         0,
                                         t as u64 + 1,
                                         Ordering::SeqCst,
                                         Ordering::SeqCst,
                                     )
-                                    .is_ok()
+                                    .is_ok()));
+                    if granted {
+                        migrate_pending = true;
+                        wake_all(t);
+                    } else {
+                        let req = steal_req[t].swap(0, Ordering::SeqCst);
+                        if req != 0 {
+                            let thief = (req - 1) as usize;
+                            steal_declines[thief].fetch_add(1, Ordering::SeqCst);
+                            wake(thief);
+                        }
+                    }
+                }
+                let stash_min = |stash: &[Envelope<L::Event>]| {
+                    stash.iter().map(|e| e.recv_time.0).min().unwrap_or(u64::MAX)
+                };
+                let mut h_eff = head_of(&mut w.lane.queue).min(stash_min(&stash));
+                if migrate_pending {
+                    // Handoff invariants (see module docs): peers caught up
+                    // to the frozen publish, and the queue head within one
+                    // lookahead of the thief's (capped) clock — so the
+                    // thief's first sends from stolen events cannot
+                    // undercut its own promise.
+                    let req = steal_req[t].load(Ordering::SeqCst);
+                    let thief = (req.max(1) - 1) as usize;
+                    if req == 0 {
+                        migrate_pending = false;
+                    } else if bound >= published
+                        && h_eff.saturating_add(la)
+                            >= clocks[thief].load(Ordering::SeqCst).max(published)
+                    {
+                        migrate_pending = false;
+                        steal_req[t].store(0, Ordering::SeqCst);
+                        // Hand off the tail half of the resident home LPs
+                        // (a victim hosts nothing, so its slab is all home).
+                        let resident: Vec<usize> =
+                            (0..n_home).filter(|&li| w.lps[li].is_some()).collect();
+                        let take = (resident.len() / 2).max(1);
+                        let mut m = Migration {
+                            gids: Vec::with_capacity(take),
+                            lps: Vec::with_capacity(take),
+                            metas: Vec::with_capacity(take),
+                            events: Vec::new(),
+                        };
+                        for &li in &resident[resident.len() - take..] {
+                            m.gids.push(w.gids[li]);
+                            m.lps.push(w.lps[li].take().expect("resident LP"));
+                            m.metas.push(w.metas[li].clone());
+                            away.insert(w.gids[li], thief);
+                            own_resident -= 1;
+                        }
+                        let mut keep = Vec::with_capacity(w.lane.queue.len());
+                        w.lane.queue.drain_to(&mut keep);
+                        for env in keep {
+                            if away.contains_key(&env.dst) {
+                                m.events.push(env);
+                            } else {
+                                w.lane.queue.push(env);
+                            }
+                        }
+                        if !m.events.is_empty() {
+                            sent.fetch_add(m.events.len() as u64, Ordering::SeqCst);
+                        }
+                        w.steals += take as u64;
+                        if let Some(tp) = w.tap.as_mut() {
+                            tp.steal(take as u64);
+                        }
+                        migrations[thief].push(m);
+                        wake(thief);
+                        h_eff = head_of(&mut w.lane.queue);
+                        progressed = true;
+                    }
+                }
+
+                // (5) Publish the raw queue minimum (may raise: the S adds
+                // for everything that consumed the old minimum are
+                // sequenced before this store).
+                if h_eff != last_raw {
+                    raw_mins[t].store(h_eff, Ordering::SeqCst);
+                    last_raw = h_eff;
+                }
+                let qlen = w.lane.queue.len() as u64;
+                if qlen != last_qlen {
+                    qlens[t].store(qlen, Ordering::SeqCst);
+                    last_qlen = qlen;
+                }
+
+                // (6) Process every queued event strictly below the bound
+                // (ties are unsafe: a peer at `clock == B` may still send
+                // an event *at* B) and at or below `until`.
+                let limit = bound.min(until.0.saturating_add(1));
+                if head_of(&mut w.lane.queue) < limit {
+                    let t0 = run.timing.then(std::time::Instant::now);
+                    // A send that leaves this worker: S-count it, and ship
+                    // its chunk (S first) once full.
+                    let mut post = |lane: &mut Lane<'_, L::Event>, dest: usize, new| {
+                        s_pending += 1;
+                        if lane.stage(dest, new) {
+                            sent.fetch_add(s_pending, Ordering::SeqCst);
+                            s_pending = 0;
+                            lane.ship(dest);
+                            owed_wake[dest] = true;
+                        }
+                    };
+                    let mut last = Step::Ran;
+                    // The burst — the shared per-event step in a loop —
+                    // once per specialization: without migrations every
+                    // hosted/away lookup folds away, which is worth
+                    // ~45 ns/event on PHOLD. The maps only change outside
+                    // the burst (steal handoff in step 4, install in step
+                    // 3), so the choice holds for the whole burst.
+                    let clean = run.latch.guard(|| {
+                        if hosted.is_empty() && away.is_empty() {
+                            let slot = |dst: u32| local_of[dst as usize] as usize;
+                            let mut route =
+                                |lane: &mut Lane<'_, L::Event>, new: Envelope<_>| match owner_of
+                                    [new.dst as usize]
+                                    as usize
                                 {
-                                    awaiting = Some((victim, snap));
-                                    wake(victim);
-                                    continue 'outer;
+                                    o if o == t => lane.queue.push(new),
+                                    o => post(lane, o, new),
+                                };
+                            while last == Step::Ran {
+                                last = w.step(0, limit, &slot, &mut route);
+                            }
+                        } else {
+                            let slot = |dst: u32| match hosted.get(&dst) {
+                                Some(&xi) => xi,
+                                None => local_of[dst as usize] as usize,
+                            };
+                            let mut route = |lane: &mut Lane<'_, L::Event>, new: Envelope<_>| {
+                                let o = owner_of[new.dst as usize] as usize;
+                                let dest = if o == t {
+                                    away.get(&new.dst).copied()
+                                } else if hosted.contains_key(&new.dst) {
+                                    None
+                                } else {
+                                    Some(o)
+                                };
+                                match dest {
+                                    Some(dest) => post(lane, dest, new),
+                                    None => lane.queue.push(new),
                                 }
+                            };
+                            while last == Step::Ran {
+                                last = w.step(0, limit, &slot, &mut route);
                             }
                         }
-                        if idle_spins < idle_spins_max {
-                            idle_spins += 1;
-                            std::hint::spin_loop();
+                    });
+                    if !clean || last == Step::Violation {
+                        wake_all(t);
+                    }
+                    // Settle the burst's S before the step-7 flush pushes
+                    // the chunks these sends sit in (and before the next
+                    // iteration raises raw_min).
+                    if s_pending > 0 {
+                        sent.fetch_add(s_pending, Ordering::SeqCst);
+                        s_pending = 0;
+                    }
+                    if let Some(t0) = t0 {
+                        w.busy_ns += t0.elapsed().as_nanos() as u64;
+                    }
+                    progressed = true;
+                }
+
+                // (7) Flush partial chunks — unconditionally, so no
+                // buffered event is ever stranded locally — and note the
+                // wakes owed for them. Every chunked event was S-counted at
+                // buffering, which precedes this push, so `S >= R` always
+                // holds.
+                w.lane.flush(|o| owed_wake[o] = true);
+
+                // (8) Publish the safe horizon: min(head, B) + L, capped at
+                // this iteration's bound while relaying (forwards carry no
+                // fresh lookahead) and at the victim's clock while awaiting
+                // a steal. A frozen victim skips the raise entirely. Every
+                // cap is provably at or above the previous publish, which
+                // the checked build asserts (the monotonicity oracle).
+                if !migrate_pending {
+                    let h2 = head_of(&mut w.lane.queue).min(stash_min(&stash));
+                    let mut val = h2.min(bound).saturating_add(la);
+                    if !away.is_empty() {
+                        val = val.min(bound);
+                    }
+                    if let Some((v, _)) = awaiting {
+                        val = val.min(published.max(clocks[v].load(Ordering::SeqCst)));
+                    }
+                    // Only this worker writes clocks[t], so the local
+                    // shadow is exact and an unchanged value can skip the
+                    // RMW outright.
+                    #[cfg(union_check)]
+                    assert!(
+                        val >= published,
+                        "horizon monotonicity violated: worker {t} computed {val} \
+                         below its published {published}"
+                    );
+                    if val > published {
+                        clocks[t].fetch_max(val, Ordering::SeqCst);
+                        published = val;
+                        wake_all(t);
+                        owed_wake.iter_mut().for_each(|w| *w = false);
+                    }
+                }
+                // Settle wakes owed for mailbox pushes, *after* the
+                // publish: a peer woken before the raise would find its new
+                // mail unprocessable, park again, and cost a second wake
+                // cycle. `wake_all` on a raise covers every owed peer (both
+                // only fire on a set parked flag), so the raise path clears
+                // the slate above; this loop is the no-raise fallback that
+                // keeps the push-then-wake pairing the Dekker handshake
+                // (and the checked build's liveness) depends on.
+                for (o, owed) in owed_wake.iter_mut().enumerate() {
+                    if std::mem::take(owed) {
+                        wake(o);
+                    }
+                }
+                w.lag_max = w.lag_max.max(peer_max.saturating_sub(published));
+
+                // Live flush: barrier-free, so cadence is committed volume
+                // rather than rounds. One branch per outer iteration when
+                // detached.
+                if w.tap.is_some() && w.live_backlog().0 >= crate::live::FLUSH_EVERY {
+                    w.live_flush(leader.then_some(published.min(bound)));
+                }
+
+                if progressed {
+                    idle_spins = 0;
+                    continue 'outer;
+                }
+
+                // (9) Idle. Leader: termination detection in the
+                // R -> mins -> S read order (see module docs).
+                if leader {
+                    let r = received.load(Ordering::SeqCst);
+                    let all_quiet = raw_mins.iter().all(|m| {
+                        let v = m.load(Ordering::SeqCst);
+                        v == u64::MAX || v > until.0
+                    });
+                    let s = sent.load(Ordering::SeqCst);
+                    if all_quiet && s == r {
+                        done.store(true, Ordering::SeqCst);
+                        wake_all(t);
+                        break 'outer;
+                    }
+                }
+                // Thief side: post a request against the most backlogged
+                // peer. Never while relaying or already waiting — and a
+                // victim never turns thief, which keeps the single-victim
+                // wait graph acyclic.
+                if awaiting.is_none()
+                    && !migrate_pending
+                    && away.is_empty()
+                    && w.lane.queue.len() == 0
+                    && stash.is_empty()
+                {
+                    let mut victim = usize::MAX;
+                    let mut best = STEAL_MIN_QLEN;
+                    for (k, qlen) in qlens.iter().enumerate() {
+                        if k != t {
+                            let l = qlen.load(Ordering::SeqCst);
+                            if l >= best {
+                                best = l;
+                                victim = k;
+                            }
+                        }
+                    }
+                    if victim != usize::MAX {
+                        let snap = steal_declines[t].load(Ordering::SeqCst);
+                        if steal_req[victim]
+                            .compare_exchange(0, t as u64 + 1, Ordering::SeqCst, Ordering::SeqCst)
+                            .is_ok()
+                        {
+                            awaiting = Some((victim, snap));
+                            wake(victim);
                             continue 'outer;
                         }
-                        // About to go quiet: flush whatever the volume
-                        // cadence has not pushed yet, so a parked gang
-                        // still exposes exact cumulative counts.
-                        if let Some(tp) = tap.as_mut() {
-                            if local_committed > live_flushed.0 || local_remote > live_flushed.1 {
-                                tp.commit(local_committed - live_flushed.0);
-                                tp.remote(local_remote - live_flushed.1);
-                                live_flushed = (local_committed, local_remote);
-                                tp.queue_depth(queue.len() as u64);
-                                tp.flush();
-                            }
-                        }
-                        // Park. Flag first, then re-check every wake
-                        // condition (Dekker handshake with the wakers).
-                        // Idle non-leaders nudge the leader so the final
-                        // termination check always runs after the last
-                        // worker goes quiet.
-                        parked[t].store(true, Ordering::SeqCst);
-                        if !leader {
-                            wake(0);
-                        }
-                        let mut b2 = u64::MAX;
-                        for (k, clock) in clocks.iter().enumerate() {
-                            if k != t {
-                                b2 = b2.min(clock.load(Ordering::SeqCst));
-                            }
-                        }
-                        // Note the leader parks even with envelopes in
-                        // flight (S != R): the worker holding them cannot
-                        // park while its mailbox has mail, and whichever
-                        // worker drains them either raises its horizon
-                        // (wake_all) or hits the pre-park wake(0) nudge —
-                        // so the leader always gets another look. Spinning
-                        // here instead would burn a core in production and
-                        // give the model checker an unbounded path.
-                        let wake_now = done.load(Ordering::SeqCst)
-                            || violated.load(Ordering::SeqCst)
-                            || poisoned.load(Ordering::SeqCst)
-                            || mailboxes[t].has_mail()
-                            || migrations[t].has_mail()
-                            || b2 > bound
-                            || steal_req[t].load(Ordering::SeqCst) != 0
-                            || awaiting
-                                .map(|(_, snap)| steal_declines[t].load(Ordering::SeqCst) != snap)
-                                .unwrap_or(false);
-                        if wake_now {
-                            parked[t].store(false, Ordering::SeqCst);
-                            continue 'outer;
-                        }
-                        let t0 = std::time::Instant::now();
-                        #[cfg(union_check)]
-                        {
-                            let _ = rx.recv();
-                        }
-                        #[cfg(not(union_check))]
-                        {
-                            // Purely a safety net — liveness of the wake
-                            // protocol is verified timeout-free under
-                            // `--cfg union_check`. Short timeouts are
-                            // actively harmful on saturated hosts: a peer
-                            // mid-burst gets preempted by every spurious
-                            // timeout wake.
-                            let _ = rx.recv_timeout(std::time::Duration::from_millis(10));
-                        }
-                        stall_ns += t0.elapsed().as_nanos() as u64;
-                        if let Some(b) = tbuf.as_mut() {
-                            b.end_span(crate::trace::SpanKind::Barrier, t0);
-                        }
-                        parked[t].store(false, Ordering::SeqCst);
-                        // Eat stale tokens so one park consumes one token
-                        // in steady state; conditions are re-read at the
-                        // loop top regardless.
-                        while rx.try_recv().is_ok() {}
                     }
-                    if let Some(tp) = tap.as_mut() {
-                        tp.commit(local_committed - live_flushed.0);
-                        tp.remote(local_remote - live_flushed.1);
-                        tp.lag(local_lag);
-                        tp.pool_high_water(queue.pool_stats().high_water);
-                        tp.flush();
+                }
+                if idle_spins < idle_spins_max {
+                    idle_spins += 1;
+                    std::hint::spin_loop();
+                    continue 'outer;
+                }
+                // About to go quiet: flush whatever the volume cadence has
+                // not pushed yet, so a parked gang still exposes exact
+                // cumulative counts.
+                if w.tap.is_some() && w.live_backlog() != (0, 0) {
+                    w.live_flush(None);
+                }
+                // Park. Flag first, then re-check every wake condition
+                // (Dekker handshake with the wakers). Idle non-leaders
+                // nudge the leader so the final termination check always
+                // runs after the last worker goes quiet.
+                parked[t].store(true, Ordering::SeqCst);
+                if !leader {
+                    wake(0);
+                }
+                let mut b2 = u64::MAX;
+                for (k, clock) in clocks.iter().enumerate() {
+                    if k != t {
+                        b2 = b2.min(clock.load(Ordering::SeqCst));
                     }
-                    committed.fetch_add(local_committed, Ordering::SeqCst);
-                    remote.fetch_add(local_remote, Ordering::SeqCst);
-                    rounds.fetch_max(local_iters, Ordering::SeqCst);
-                    end_clock.fetch_max(local_clock, Ordering::SeqCst);
-                    stall_total.fetch_add(stall_ns, Ordering::SeqCst);
-                    lag_max.fetch_max(local_lag, Ordering::SeqCst);
-                    if let (Some((tr, _)), Some(b)) = (trace_run.as_ref(), tbuf) {
-                        tr.submit(b);
-                    }
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: local_committed,
-                            busy_ns,
-                            blocked_ns: stall_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    queue_ops.fetch_add(queue.ops(), Ordering::SeqCst);
-                    queue_max_len.fetch_max(queue.max_len(), Ordering::SeqCst);
-                    let ps = queue.pool_stats();
-                    pool_high_water.fetch_max(ps.high_water, Ordering::SeqCst);
-                    pool_recycled.fetch_add(ps.recycled, Ordering::SeqCst);
-                    let mut returned: Vec<(u32, L, LpMeta)> = Vec::new();
-                    for (li, &gid) in my_locals.iter().enumerate() {
-                        if let Some(lp) = lps[li].take() {
-                            returned.push((gid, lp, metas[li].clone()));
-                        }
-                    }
-                    for ((gid, lp), meta) in xgids.iter().zip(xlps).zip(xmetas) {
-                        if let Some(lp) = lp {
-                            returned.push((*gid, lp, meta));
-                        }
-                    }
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    leftover.append(&mut stash);
-                    *results[t].lock() = Some((returned, leftover));
-                });
+                }
+                // Note the leader parks even with envelopes in flight
+                // (S != R): the worker holding them cannot park while its
+                // mailbox has mail, and whichever worker drains them
+                // either raises its horizon (wake_all) or hits the pre-park
+                // wake(0) nudge — so the leader always gets another look.
+                // Spinning here instead would burn a core in production and
+                // give the model checker an unbounded path.
+                let wake_now = done.load(Ordering::SeqCst)
+                    || run.latch.tripped()
+                    || run.mailboxes[t].has_mail()
+                    || migrations[t].has_mail()
+                    || b2 > bound
+                    || steal_req[t].load(Ordering::SeqCst) != 0
+                    || awaiting
+                        .map(|(_, snap)| steal_declines[t].load(Ordering::SeqCst) != snap)
+                        .unwrap_or(false);
+                if wake_now {
+                    parked[t].store(false, Ordering::SeqCst);
+                    continue 'outer;
+                }
+                let t0 = std::time::Instant::now();
+                #[cfg(union_check)]
+                {
+                    let _ = rx.recv();
+                }
+                #[cfg(not(union_check))]
+                {
+                    // Purely a safety net — liveness of the wake protocol
+                    // is verified timeout-free under `--cfg union_check`.
+                    // Short timeouts are actively harmful on saturated
+                    // hosts: a peer mid-burst gets preempted by every
+                    // spurious timeout wake.
+                    let _ = rx.recv_timeout(std::time::Duration::from_millis(10));
+                }
+                w.stalled(t0);
+                parked[t].store(false, Ordering::SeqCst);
+                // Eat stale tokens so one park consumes one token in steady
+                // state; conditions are re-read at the loop top regardless.
+                while rx.try_recv().is_ok() {}
             }
-        });
+            // Stashed forwards are unprocessed events like any other.
+            for env in stash {
+                w.lane.queue.push(env);
+            }
+            w.lane.retire();
+        };
+        let (seats, ()) = drive(seats, body, || ());
+        let mut workers: Vec<Worker<'_, L>> = seats.into_iter().map(|seat| seat.w).collect();
 
-        if let Some(payload) = panic_payload.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
-
-        // Reassemble LP state by global id (migration means a worker's
-        // return set need not match its home assignment) and reabsorb
-        // unprocessed events for a later run leg.
-        let mut lp_slots: Vec<Option<L>> = (0..n_lps).map(|_| None).collect();
-        let mut meta_slots: Vec<Option<LpMeta>> = (0..n_lps).map(|_| None).collect();
-        for slot in results.iter() {
-            let (returned, leftover) =
-                slot.lock().take().expect("worker thread did not report results");
-            for (gid, lp, meta) in returned {
-                assert!(lp_slots[gid as usize].is_none(), "LP {gid} returned twice");
-                lp_slots[gid as usize] = Some(lp);
-                meta_slots[gid as usize] = Some(meta);
-            }
-            for env in leftover {
-                self.pending.push(env);
-            }
-        }
-        // Undrained chunks / migration batches (violation or panic
-        // shutdown): reabsorb defensively.
-        let mut stray: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-        for mb in &mailboxes {
+        // Migration batches nobody installed (violation or panic
+        // shutdown) still hold LP state: rehome them on worker 0's slab so
+        // the scaffold returns them with everything else.
+        let mut stray: Vec<Migration<L>> = Vec::new();
+        for mb in &migrations {
             mb.drain_into(&mut stray);
         }
-        for chunk in stray {
-            for env in chunk {
-                self.pending.push(env);
-            }
-        }
-        let mut stray_migs: Vec<Migration<L>> = Vec::new();
-        for mb in &migrations {
-            mb.drain_into(&mut stray_migs);
-        }
-        for m in stray_migs {
-            for ((gid, lp), meta) in m.gids.iter().zip(m.lps).zip(m.metas) {
-                lp_slots[*gid as usize] = Some(lp);
-                meta_slots[*gid as usize] = Some(meta);
+        for m in stray {
+            for ((gid, lp), meta) in m.gids.into_iter().zip(m.lps).zip(m.metas) {
+                workers[0].adopt(gid, lp, meta);
             }
             for env in m.events {
-                self.pending.push(env);
+                workers[0].lane.queue.push(env);
             }
         }
-        self.lps = lp_slots.into_iter().map(|s| s.expect("missing LP")).collect();
-        self.meta = meta_slots.into_iter().map(|s| s.expect("missing meta")).collect();
-        if let Some(msg) = violation.lock().take() {
-            panic!("{msg}");
-        }
-
-        let stats = RunStats {
-            committed: committed.load(Ordering::SeqCst),
-            remote_events: remote.load(Ordering::SeqCst),
-            rounds: rounds.load(Ordering::SeqCst),
-            steals: steals_total.load(Ordering::SeqCst),
-            horizon_stall_ns: stall_total.load(Ordering::SeqCst),
-            horizon_lag_max: lag_max.load(Ordering::SeqCst),
-            end_time: SimTime(end_clock.load(Ordering::SeqCst)),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
-        if let Some((tr, run)) = trace_run {
-            tr.close_run(run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
-        }
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "conservative-async",
-            n_threads,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: qkind,
-                ops: queue_ops.load(Ordering::SeqCst),
-                max_len: queue_max_len.load(Ordering::SeqCst),
-                pool: crate::pool::PoolStats {
-                    high_water: pool_high_water.load(Ordering::SeqCst),
-                    recycled: pool_recycled.load(Ordering::SeqCst),
-                },
-            },
-            thread_records.into_inner(),
-        );
-        stats
+        run.gather(self, workers, home)
     }
 }
 
@@ -1124,58 +745,12 @@ impl<L: Lp> Simulation<L> {
 #[cfg(all(test, not(union_check)))]
 mod tests {
     use super::*;
+    use crate::lp::Ctx;
+    // PHOLD with a 50 ns minimum send delay (wide lookaheads are the
+    // point) and the panicking ring, shared with the barrier scheduler.
+    use crate::parallel::tests::{fingerprint, panicky_ring_sim, phold_sim};
     use crate::queue::QueueKind;
-    use crate::Scheduler;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    #[derive(Clone)]
-    struct Phold {
-        rng: SmallRng,
-        n_lps: u32,
-        hits: u64,
-        checksum: u64,
-        horizon: SimTime,
-    }
-
-    impl Lp for Phold {
-        type Event = u64;
-        fn handle(&mut self, ev: &Envelope<u64>, ctx: &mut Ctx<'_, u64>) {
-            self.hits += 1;
-            self.checksum = self
-                .checksum
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(ev.payload ^ ev.recv_time.as_ns());
-            if ctx.now() < self.horizon {
-                let dst = self.rng.gen_range(0..self.n_lps);
-                let delay = SimDuration::from_ns(self.rng.gen_range(50..500));
-                ctx.send(dst, delay, self.checksum);
-            }
-        }
-    }
-
-    /// PHOLD whose minimum send delay (50 ns) is far above the declared
-    /// engine lookahead (1 ns) — wide lookaheads are the point.
-    fn phold_sim(n_lps: u32, seeds: u64) -> Simulation<Phold> {
-        let lps = (0..n_lps)
-            .map(|i| Phold {
-                rng: SmallRng::seed_from_u64(seeds + i as u64),
-                n_lps,
-                hits: 0,
-                checksum: 0,
-                horizon: SimTime::from_us(100),
-            })
-            .collect();
-        let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
-        for i in 0..n_lps {
-            sim.schedule(i, SimTime::from_ns(i as u64 % 7), i as u64);
-        }
-        sim
-    }
-
-    fn fingerprint(sim: &Simulation<Phold>) -> Vec<(u64, u64)> {
-        sim.lps().iter().map(|l| (l.hits, l.checksum)).collect()
-    }
+    use crate::{Partition, Scheduler};
 
     #[test]
     fn matches_sequential_bit_for_bit() {
@@ -1311,45 +886,12 @@ mod tests {
         assert!(sb.steals > 0, "imbalanced run never stole: {sb:?}");
     }
 
-    /// Ring-forwarding LP that panics once simulated time passes `boom_at`.
-    #[derive(Clone)]
-    struct PanickyRing {
-        n_lps: u32,
-        boom_at: SimTime,
-        horizon: SimTime,
-    }
-
-    impl Lp for PanickyRing {
-        type Event = u64;
-        fn handle(&mut self, ev: &Envelope<u64>, ctx: &mut Ctx<'_, u64>) {
-            if ev.recv_time >= self.boom_at {
-                panic!("model LP blew up at {} ns", ev.recv_time.0);
-            }
-            if ctx.now() < self.horizon {
-                let dst = (ev.dst + 1) % self.n_lps;
-                ctx.send(dst, SimDuration::from_ns(50), ev.payload + 1);
-            }
-        }
-    }
-
     /// A panic in model code must resurface on the caller instead of
     /// leaving sibling workers parked forever.
     #[test]
     #[should_panic(expected = "model LP blew up")]
     fn worker_panic_propagates_instead_of_hanging() {
-        let n_lps = 8u32;
-        let lps = (0..n_lps)
-            .map(|_| PanickyRing {
-                n_lps,
-                boom_at: SimTime::from_us(10),
-                horizon: SimTime::from_us(100),
-            })
-            .collect();
-        let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
-        for i in 0..n_lps {
-            sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
-        }
-        sim.run_conservative_async(4, SimDuration::from_ns(50), SimTime::MAX);
+        panicky_ring_sim().run_conservative_async(4, SimDuration::from_ns(50), SimTime::MAX);
     }
 
     #[test]

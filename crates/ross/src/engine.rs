@@ -1,4 +1,4 @@
-//! The `Simulation` container shared by all three schedulers.
+//! The `Simulation` container shared by every scheduler.
 
 use crate::event::{Envelope, EventUid, LpId};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
@@ -71,8 +71,9 @@ impl RunStats {
 ///
 /// Construct with [`Simulation::new`], inject initial events with
 /// [`Simulation::schedule`], then drive it with one of
-/// `run_sequential`, [`crate::conservative::run_conservative`] (via the
-/// inherent method) or [`crate::optimistic::run_optimistic`].
+/// [`Simulation::run_sequential`], [`Simulation::run_conservative_parallel`],
+/// [`Simulation::run_conservative_async`], [`Simulation::run_optimistic`]
+/// or, across processes, [`Simulation::run_sharded`].
 pub struct Simulation<L: Lp> {
     pub(crate) lps: Vec<L>,
     pub(crate) meta: Vec<LpMeta>,
@@ -127,13 +128,19 @@ impl<L: Lp> Simulation<L> {
         if queue == self.queue {
             return;
         }
-        let mut moved = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut moved);
+        let moved = self.take_pending();
         self.queue = queue;
         self.pending = queue.new_queue();
         for env in moved {
             self.pending.push(env);
         }
+    }
+
+    /// Take every pending event out of the simulation.
+    pub(crate) fn take_pending(&mut self) -> Vec<Envelope<L::Event>> {
+        let mut all = Vec::with_capacity(self.pending.len());
+        self.pending.drain_to(&mut all);
+        all
     }
 
     /// The event-queue implementation in use.

@@ -4,17 +4,25 @@
 //! simulation (PDES) engine, built as the substrate for the CODES network
 //! models and the Union workload manager in this workspace.
 //!
-//! Three schedulers over the same model code:
+//! Four schedulers over the same model code:
 //!
 //! * [`Simulation::run_sequential`] — single-threaded reference executor;
-//! * [`Simulation::run_conservative`] — YAWNS-style lookahead windows over
-//!   OS threads (ROSS's conservative mode used MPI ranks; see DESIGN.md
-//!   substitution #1);
+//! * [`Simulation::run_conservative_parallel`] — conservative lookahead
+//!   windows over OS threads, synchronized by barrier rounds (ROSS's
+//!   conservative mode used MPI ranks; see DESIGN.md substitution #1). A
+//!   window of 0 on a simulation with no partition installed is the
+//!   classic YAWNS protocol; [`Simulation::run_sharded`] runs the same
+//!   rounds across OS processes;
+//! * [`Simulation::run_conservative_async`] — the same conservative
+//!   guarantee without barriers: published safe horizons and LP-block
+//!   work stealing;
 //! * [`Simulation::run_optimistic`] — Time Warp with periodic state saving,
 //!   coast-forward rollback, anti-messages, barrier-synchronized GVT and
 //!   fossil collection.
 //!
-//! All three produce **bit-identical** model states: events are totally
+//! The conservative schedulers share one worker core (the private
+//! `worker` module: per-event step, worker state, run scaffold). All four
+//! produce **bit-identical** model states: events are totally
 //! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
 //! counter is part of the rolled-back LP state. The pending-event set
 //! behind every scheduler is pluggable ([`queue`]): a reference binary
@@ -64,7 +72,6 @@
 //! ```
 
 mod asynchronous;
-mod conservative;
 mod engine;
 mod event;
 mod live;
@@ -79,6 +86,7 @@ pub mod shard;
 pub(crate) mod sync;
 mod time;
 pub mod trace;
+mod worker;
 
 pub use engine::{RunStats, Simulation};
 pub use event::{Envelope, EventKey, EventUid, LpId};
@@ -95,17 +103,14 @@ pub use trace::{SpanKind, TraceEvent, Tracer};
 pub enum Scheduler {
     /// Single-threaded reference executor.
     Sequential,
-    /// Conservative YAWNS windows on `n` threads (window = engine
-    /// lookahead, contiguous partitions, mutex mailboxes).
-    Conservative(usize),
-    /// Optimistic Time Warp on `n` threads.
-    Optimistic(usize),
-    /// Optimistic Time Warp on `threads` threads with explicit tuning
-    /// (batch size and snapshot interval).
-    OptimisticWith { threads: usize, config: OptimisticConfig },
+    /// Optimistic Time Warp on `threads` threads; `config` tunes batch
+    /// size and snapshot interval ([`OptimisticConfig::default`] unless
+    /// a sweep says otherwise).
+    Optimistic { threads: usize, config: OptimisticConfig },
     /// Conservative windows of `lookahead` ns on `threads` workers, with
     /// topology-aware partitions and lock-free mailboxes — see
-    /// [`Simulation::run_conservative_parallel`].
+    /// [`Simulation::run_conservative_parallel`]. `lookahead` 0 on a
+    /// simulation with no partition installed is the YAWNS baseline.
     ConservativeParallel { threads: usize, lookahead: SimDuration },
     /// Barrier-free asynchronous conservative scheduler: workers publish
     /// monotone safe horizons and steal LP blocks from backlogged peers —
@@ -118,11 +123,7 @@ impl Scheduler {
     pub fn run<L: Lp + Clone>(self, sim: &mut Simulation<L>, until: SimTime) -> RunStats {
         match self {
             Scheduler::Sequential => sim.run_sequential(until),
-            Scheduler::Conservative(n) => sim.run_conservative(n, until),
-            Scheduler::Optimistic(n) => sim.run_optimistic(n, OptimisticConfig::default(), until),
-            Scheduler::OptimisticWith { threads, config } => {
-                sim.run_optimistic(threads, config, until)
-            }
+            Scheduler::Optimistic { threads, config } => sim.run_optimistic(threads, config, until),
             Scheduler::ConservativeParallel { threads, lookahead } => {
                 sim.run_conservative_parallel(threads, lookahead, until)
             }
@@ -199,20 +200,28 @@ mod tests {
         assert!(sa.committed > 1000, "PHOLD should generate work");
     }
 
+    /// `par:T:0` with no partition installed: per-LP blocks, window =
+    /// the engine lookahead — the YAWNS case.
+    #[cfg(not(union_check))]
+    fn yawns(threads: usize) -> Scheduler {
+        Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
+    }
+
+    // The conservative and optimistic tests below drive real multi-thread
+    // runs; under `union_check` the schedulers sit on the shimmed sync
+    // seam and must run inside `ross_check::model()` — the oracle harness
+    // covers them there (`tests/union_check_oracle.rs`, `par:2`, `opt:2`).
     #[test]
+    #[cfg(not(union_check))]
     fn conservative_matches_sequential() {
         let mut a = phold_sim(16, 7);
         let mut b = phold_sim(16, 7);
         let sa = a.run_sequential(SimTime::MAX);
-        let sb = b.run_conservative(4, SimTime::MAX);
+        let sb = yawns(4).run(&mut b, SimTime::MAX);
         assert_eq!(sa.committed, sb.committed);
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
-    // The optimistic tests below drive real multi-thread runs; under
-    // `union_check` the scheduler sits on the shimmed sync seam and must
-    // run inside `ross_check::model()` — the oracle harness covers it
-    // there (`tests/union_check_oracle.rs`, `opt:2`).
     #[test]
     #[cfg(not(union_check))]
     fn optimistic_matches_sequential() {
@@ -258,12 +267,13 @@ mod tests {
     }
 
     #[test]
+    #[cfg(not(union_check))]
     fn until_bound_pauses_and_resumes() {
         let mut a = phold_sim(8, 5);
         let mut b = phold_sim(8, 5);
         a.run_sequential(SimTime::MAX);
         // Run b in two legs split at 100us, with different schedulers.
-        b.run_conservative(2, SimTime::from_us(100));
+        yawns(2).run(&mut b, SimTime::from_us(100));
         assert!(b.pending_events() > 0);
         b.run_sequential(SimTime::MAX);
         assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -272,7 +282,8 @@ mod tests {
     #[test]
     #[cfg(not(union_check))]
     fn scheduler_enum_dispatches() {
-        for sched in [Scheduler::Sequential, Scheduler::Conservative(2), Scheduler::Optimistic(2)] {
+        let opt = Scheduler::Optimistic { threads: 2, config: OptimisticConfig::default() };
+        for sched in [Scheduler::Sequential, yawns(2), opt] {
             let mut sim = phold_sim(4, 11);
             let stats = sched.run(&mut sim, SimTime::MAX);
             assert!(stats.committed > 0);

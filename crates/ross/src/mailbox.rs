@@ -8,8 +8,8 @@
 //! by the total event order, so processing order (and therefore results)
 //! do not depend on push interleaving.
 //!
-//! The parallel scheduler instantiates `T = Vec<Envelope<_>>` — each node
-//! carries a *chunk* of up to [`crate::parallel::MAILBOX_CHUNK`] events —
+//! The conservative schedulers instantiate `T = Vec<Envelope<_>>` — each node
+//! carries a *chunk* of up to [`crate::worker::MAILBOX_CHUNK`] events —
 //! so the per-event cost of the CAS and node allocation is amortized and
 //! the consumer ingests contiguous runs. The exactly-once delivery
 //! invariant below then counts chunks, which implies it for events

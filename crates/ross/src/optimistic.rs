@@ -16,7 +16,6 @@
 //! regenerate identical event keys and the committed schedule is
 //! bit-identical to the sequential one.
 
-use crate::conservative::{owner, partition};
 use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
 use crate::event::{Envelope, EventKey, EventUid};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
@@ -40,6 +39,39 @@ pub struct OptimisticConfig {
 impl Default for OptimisticConfig {
     fn default() -> Self {
         OptimisticConfig { batch: 512, snapshot_interval: 4 }
+    }
+}
+
+/// Partition LPs into `n` contiguous ranges of near-equal size.
+fn partition(n_lps: usize, n_threads: usize) -> Vec<std::ops::Range<usize>> {
+    let n_threads = n_threads.max(1).min(n_lps.max(1));
+    let base = n_lps / n_threads;
+    let extra = n_lps % n_threads;
+    let mut ranges = Vec::with_capacity(n_threads);
+    let mut start = 0;
+    for t in 0..n_threads {
+        let len = base + usize::from(t < extra);
+        ranges.push(start..start + len);
+        start += len;
+    }
+    ranges
+}
+
+/// Map an LP id to its owning thread given the partition.
+#[inline]
+fn owner(ranges: &[std::ops::Range<usize>], lp: usize) -> usize {
+    // Ranges are contiguous and sorted; binary search on start.
+    match ranges.binary_search_by(|r| {
+        if lp < r.start {
+            std::cmp::Ordering::Greater
+        } else if lp >= r.end {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Equal
+        }
+    }) {
+        Ok(t) => t,
+        Err(_) => unreachable!("LP {lp} outside all partitions"),
     }
 }
 
@@ -744,5 +776,25 @@ impl<L: Lp + Clone> Simulation<L> {
             thread_records.into_inner(),
         );
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partition_covers_everything() {
+        for (n_lps, n_threads) in [(10, 3), (1, 4), (8, 8), (100, 7), (5, 1)] {
+            let ranges = partition(n_lps, n_threads);
+            let mut covered = 0;
+            for (i, r) in ranges.iter().enumerate() {
+                covered += r.len();
+                for lp in r.clone() {
+                    assert_eq!(owner(&ranges, lp), i);
+                }
+            }
+            assert_eq!(covered, n_lps);
+        }
     }
 }

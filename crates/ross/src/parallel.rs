@@ -2,63 +2,209 @@
 //! and lock-free cross-partition mailboxes (the CMB null-message idea
 //! collapsed into a shared-memory barrier protocol).
 //!
-//! Differences from [`crate::conservative`] (the YAWNS baseline):
-//!
 //! * **Topology-aware partitions.** LPs are grouped by a model-supplied
 //!   [`crate::Partition`] (e.g. CODES keeps each router with its attached
 //!   nodes), then packed onto threads by a deterministic greedy
 //!   bin-packer. Partitions need not be contiguous, so LP state is moved
-//!   into per-thread vectors and reassembled after the run.
+//!   into per-thread vectors and reassembled after the run. With no
+//!   partition installed every LP is its own block.
 //! * **Lock-free mailboxes.** Cross-partition events travel through
-//!   Treiber-stack MPSC mailboxes ([`crate::mailbox`]) instead of
-//!   mutex-guarded vectors; a worker drains its mailbox once per round.
+//!   Treiber-stack MPSC mailboxes ([`crate::mailbox`]) in chunks; a
+//!   worker drains its mailbox once per round.
 //! * **Caller-chosen lookahead.** The synchronization window is
-//!   `max(window, engine lookahead)`. A model whose true minimum delay
-//!   exceeds the 1 ns it declared (CODES models: link latency floors)
-//!   can run with wide windows and few barriers. A window wider than the
-//!   model's real minimum delay is caught at run time by a hard
-//!   causality check, never silently accepted.
+//!   `max(window, engine lookahead)` — a window of 0 is the classic YAWNS
+//!   protocol on the lookahead the model declared. A model whose true
+//!   minimum delay exceeds the 1 ns it declared (CODES models: link
+//!   latency floors) can run with wide windows and few barriers. A window
+//!   wider than the model's real minimum delay is caught at run time by a
+//!   hard causality check, never silently accepted.
 //!
 //! ## Protocol
 //!
-//! Per round, every worker: (1) drains its mailbox into its local queue,
-//! (2) publishes its minimum pending timestamp and barriers, (3) computes
-//! the global minimum `gmin` — a shared-memory GVT — and processes every
-//! local event in `[gmin, gmin + window)`, sending remote events through
-//! mailboxes, (4) barriers again so all sends are visible before the
-//! next drain. Determinism: within a partition events are processed in
+//! [`round_loop`] is the whole protocol, shared with the sharded runner
+//! ([`crate::shard`]). Per round, every worker: (1) drains its mailbox
+//! into its local queue, (2) publishes its minimum pending timestamp and
+//! barriers, (3) learns the GVT from the [`Bound`] policy — [`LocalMin`]
+//! reduces the published minima on the spot, the shard runner's token
+//! fence asks the other processes — and processes every local event in
+//! `[gvt, gvt + window)`, routing what they send through the [`Delivery`]
+//! policy, (4) barriers again so all sends are visible before the next
+//! drain. Determinism: within a partition events are processed in
 //! total-key order from its [`crate::queue`]; across partitions every event in
 //! one window is causally independent (window ≤ true minimum delay); and
-//! mailbox arrival order is erased by the heap. For a fixed seed the
+//! mailbox arrival order is erased by the queue. For a fixed seed the
 //! results are bit-identical to [`Simulation::run_sequential`].
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{RunStats, Simulation};
 use crate::event::Envelope;
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
-use crate::mailbox::Mailbox;
-use crate::partition::Partition;
-use crate::queue::{EventQueue, PendingQueue};
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{thread, Barrier, Mutex};
+use crate::lp::Lp;
+use crate::queue::EventQueue;
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Barrier;
 use crate::time::{SimDuration, SimTime};
-use std::panic::AssertUnwindSafe;
+use crate::worker::{drive, Lane, Run, Step, Worker};
 
-/// Cross-partition events are batched into chunks of this many envelopes
-/// before a mailbox push: one allocation + CAS per chunk instead of per
-/// event, and the receiver ingests a cache-line-friendly contiguous run.
-/// Partial chunks are flushed before the round's closing barrier, so
-/// batching never delays delivery across a round boundary.
-pub(crate) const MAILBOX_CHUNK: usize = 8;
-/// Retained empty chunk vectors per worker (senders pull replacements from
-/// here; receivers recycle drained chunks into it), bounding steady-state
-/// chunk allocation.
-const SPARE_CHUNKS_MAX: usize = 64;
+/// Shared state of the round protocol: the barrier every party waits on
+/// and one published queue minimum per worker.
+pub(crate) struct Rounds {
+    pub(crate) barrier: Barrier,
+    pub(crate) mins: Vec<AtomicU64>,
+}
+
+impl Rounds {
+    /// `parties` counts the workers plus whoever else joins the barrier
+    /// (the shard runner's leader).
+    pub(crate) fn new(n_workers: usize, parties: usize) -> Rounds {
+        Rounds {
+            barrier: Barrier::new(parties),
+            mins: (0..n_workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        }
+    }
+
+    pub(crate) fn local_min(&self) -> u64 {
+        self.mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap_or(u64::MAX)
+    }
+}
+
+/// How the workers of a round agree on its GVT.
+pub(crate) trait Bound<L: Lp>: Sync {
+    /// Called by every worker right after the barrier that follows the
+    /// publication of `rounds.mins`; returns the round's GVT (`u64::MAX`
+    /// when nothing is pending anywhere). May wait on `rounds.barrier`,
+    /// the same number of times on every worker.
+    fn gvt(&self, w: &mut Worker<'_, L>, rounds: &Rounds) -> u64;
+
+    /// Hears how many events the worker committed in the window just
+    /// processed, before the round's closing barrier.
+    fn committed(&self, _n: u64) {}
+}
+
+/// The in-process bound: every worker reduces the published minima itself
+/// — a shared-memory GVT, two barrier waits per round in total.
+pub(crate) struct LocalMin;
+
+impl<L: Lp> Bound<L> for LocalMin {
+    #[inline]
+    fn gvt(&self, _w: &mut Worker<'_, L>, rounds: &Rounds) -> u64 {
+        rounds.local_min()
+    }
+}
+
+/// Where a freshly sent event goes.
+pub(crate) trait Delivery<E> {
+    fn route(&mut self, lane: &mut Lane<'_, E>, new: Envelope<E>);
+
+    /// Called once per window, after the lane shipped its partial chunks:
+    /// nothing may linger in policy-private buffers either.
+    fn flush(&mut self) {}
+}
+
+/// In-process delivery: the local queue or a peer's mailbox.
+pub(crate) struct Mailboxes<'a> {
+    pub(crate) owner_of: &'a [u32],
+    pub(crate) t: usize,
+}
+
+impl<E> Delivery<E> for Mailboxes<'_> {
+    #[inline]
+    fn route(&mut self, lane: &mut Lane<'_, E>, new: Envelope<E>) {
+        let o = self.owner_of[new.dst as usize] as usize;
+        if o == self.t {
+            lane.queue.push(new);
+        } else {
+            lane.send(o, new);
+        }
+    }
+}
+
+/// One worker's side of the barrier round protocol (module docs), for the
+/// LPs whose slab slots `local_of` names. Monomorphised per policy pair:
+/// neither policy is consulted through a `dyn`, and the per-event path
+/// holds no branch on which one is in use.
+pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
+    w: &mut Worker<'_, L>,
+    rounds: &Rounds,
+    bound: &B,
+    mut delivery: D,
+    local_of: &[u32],
+    window: SimDuration,
+    until: SimTime,
+) {
+    let run = w.run;
+    let t = w.t;
+    loop {
+        // (1) Ingest cross-partition events from the previous round.
+        w.lane.ingest(t);
+        // Read the latch here, in the quiescent interval between the
+        // round's closing barrier and the next one: it only ever trips
+        // while some thread is processing (between the barriers below), so
+        // every worker reads the same frozen value and they all wind down
+        // together. Reading it after the barrier would race a fast
+        // worker's write against a slow worker's read and desynchronize
+        // the barrier counts (deadlock).
+        let halted = run.latch.tripped();
+        // (2) Publish the local minimum, agree on the GVT. A halted worker
+        // publishes "nothing pending": alone in its process that ends the
+        // run at once; under a shard fence it keeps the rounds turning
+        // (without processing) so the other shards can drain and finish.
+        let local_min = match w.lane.queue.peek_time() {
+            Some(ts) if !halted => ts.0,
+            _ => u64::MAX,
+        };
+        rounds.mins[t].store(local_min, Ordering::Relaxed);
+        w.wait(&rounds.barrier);
+        let gvt = bound.gvt(w, rounds);
+        if gvt == u64::MAX || gvt > until.0 {
+            break;
+        }
+        w.rounds += 1;
+        let wend = gvt.saturating_add(window.0).min(until.0.saturating_add(1));
+
+        // (3) Process local events in [gvt, wend). Model code
+        // (`Lp::handle`) runs in here; the latch catches its panics so
+        // this worker still reaches barrier (4) and the round protocol
+        // stays in lockstep — everyone winds down at the next quiescent
+        // interval and the payload resurfaces on the main thread.
+        if !halted {
+            let t0 = run.timing.then(std::time::Instant::now);
+            let before = w.committed;
+            run.latch.guard(|| {
+                let slot = |dst: u32| local_of[dst as usize] as usize;
+                let mut route = |lane: &mut Lane<'_, L::Event>, new| delivery.route(lane, new);
+                while w.step(gvt, wend, &slot, &mut route) == Step::Ran {}
+            });
+            if let Some(t0) = t0 {
+                w.busy_ns += t0.elapsed().as_nanos() as u64;
+            }
+            bound.committed(w.committed - before);
+        }
+        // Live flush once per window: counter deltas and local queue
+        // depth from everyone, the round count and window floor from
+        // worker 0.
+        if t == 0 {
+            if let Some(tp) = w.tap.as_mut() {
+                tp.round();
+            }
+        }
+        w.live_flush((t == 0).then_some(gvt));
+        // Flush partial chunks — unconditionally, even on a violation or
+        // model panic, so no buffered event is ever stranded in this
+        // worker's locals.
+        w.lane.flush(|_| {});
+        delivery.flush();
+        // (4) All sends of this round must be visible before anyone's
+        // next mailbox drain.
+        w.wait(&rounds.barrier);
+    }
+    w.lane.retire();
+}
 
 impl<L: Lp> Simulation<L> {
     /// Run with the conservative-parallel scheduler on `n_threads`
     /// workers and a synchronization window of `window` (clamped up to
-    /// the engine lookahead), until the queue drains or the next event
-    /// exceeds `until`.
+    /// the engine lookahead, so 0 means "the lookahead the model
+    /// declared"), until the queue drains or the next event exceeds
+    /// `until`.
     ///
     /// Uses the partition installed with [`Simulation::set_partition`],
     /// or a per-LP partition when none was set. Produces results
@@ -72,439 +218,21 @@ impl<L: Lp> Simulation<L> {
         until: SimTime,
     ) -> RunStats {
         let start = std::time::Instant::now();
-        let n_lps = self.lps.len();
-        let n_threads = n_threads.max(1).min(n_lps.max(1));
-        if n_threads <= 1 {
+        let Some(plan) = self.plan_workers(n_threads) else {
             return self.run_sequential(until);
-        }
+        };
+        let n_threads = plan.locals.len();
         let window = window.max(self.lookahead);
-        let assignment = match &self.partition {
-            Some(p) => {
-                assert_eq!(
-                    p.n_lps(),
-                    n_lps,
-                    "partition covers {} LPs but the simulation has {}",
-                    p.n_lps(),
-                    n_lps
-                );
-                p.assign(n_threads)
-            }
-            None => Partition::per_lp(n_lps).assign(n_threads),
+        let run = Run::open(self, "conservative-parallel", n_threads, window, start);
+        let initial = self.take_pending();
+        let (workers, home) = run.scatter(self, &plan, initial);
+        let rounds = Rounds::new(n_threads, n_threads);
+        let body = |w: &mut Worker<'_, L>| {
+            let delivery = Mailboxes { owner_of: &plan.owner_of, t: w.t };
+            round_loop(w, &rounds, &LocalMin, delivery, &plan.local_of, window, until);
         };
-        let owner_of = &assignment.owner_of;
-        let local_of = &assignment.local_of;
-
-        // Partitions are not contiguous in general: move LP state and
-        // meta into per-thread vectors (reassembled below).
-        let mut lps_by_thread: Vec<Vec<L>> = (0..n_threads).map(|_| Vec::new()).collect();
-        let mut meta_by_thread: Vec<Vec<LpMeta>> = (0..n_threads).map(|_| Vec::new()).collect();
-        for (gid, lp) in std::mem::take(&mut self.lps).into_iter().enumerate() {
-            lps_by_thread[owner_of[gid] as usize].push(lp);
-        }
-        for (gid, meta) in std::mem::take(&mut self.meta).into_iter().enumerate() {
-            meta_by_thread[owner_of[gid] as usize].push(meta);
-        }
-
-        let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        let mut scratch = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut scratch);
-        for env in scratch.drain(..) {
-            queues[owner_of[env.dst as usize] as usize].push(env);
-        }
-
-        // Mailboxes carry *chunks* of envelopes (see `MAILBOX_CHUNK`), not
-        // single events: senders batch, the exactly-once invariant checked
-        // under `union_check` then counts chunks.
-        let mailboxes: Vec<Mailbox<Vec<Envelope<L::Event>>>> =
-            (0..n_threads).map(|_| Mailbox::new()).collect();
-        let barrier = Barrier::new(n_threads);
-        let mins: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let committed = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let rounds = AtomicU64::new(0);
-        let end_clock = AtomicU64::new(0);
-        let stall_total = AtomicU64::new(0);
-        let queue_ops = AtomicU64::new(0);
-        let queue_max_len = AtomicU64::new(0);
-        let pool_high_water = AtomicU64::new(0);
-        let pool_recycled = AtomicU64::new(0);
-        let lookahead = self.lookahead;
-        // A worker that detects a causality violation must not panic on
-        // the spot — the others would deadlock on the barrier. It records
-        // the violation, every worker shuts down at the next round
-        // boundary, and the main thread panics with the message.
-        let violated = AtomicBool::new(false);
-        let violation: Mutex<Option<String>> = Mutex::new(None);
-        // Same hazard, harsher trigger: a panic inside an LP's `handle`
-        // (model code we do not control) used to unwind straight out of
-        // the worker closure while its siblings waited on the round
-        // barrier — the run hung forever instead of failing. The panic is
-        // caught at the round boundary, parked here, and re-raised on the
-        // main thread after every worker has shut down cleanly.
-        let poisoned = AtomicBool::new(false);
-        let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        // Telemetry: a few clock reads per round when a recorder or
-        // tracer is attached; nothing at all otherwise.
-        let telem_on = self.telemetry.is_some();
-        let trace_run = self
-            .tracer
-            .as_ref()
-            .map(|tr| (std::sync::Arc::clone(tr), tr.open_run("conservative-parallel", n_threads)));
-        let timing = telem_on || trace_run.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
-
-        // Per-thread return slots (LPs, meta, leftover events).
-        type ThreadResult<L, E> = (Vec<L>, Vec<LpMeta>, Vec<Envelope<E>>);
-        type ThreadSlot<L, E> = Mutex<Option<ThreadResult<L, E>>>;
-        let results: Vec<ThreadSlot<L, L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
-
-        thread::scope(|scope| {
-            for t in 0..n_threads {
-                let mut lps = std::mem::take(&mut lps_by_thread[t]);
-                let mut metas = std::mem::take(&mut meta_by_thread[t]);
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
-                let mailboxes = &mailboxes;
-                let barrier = &barrier;
-                let mins = &mins;
-                let committed = &committed;
-                let remote = &remote;
-                let rounds = &rounds;
-                let end_clock = &end_clock;
-                let stall_total = &stall_total;
-                let queue_ops = &queue_ops;
-                let queue_max_len = &queue_max_len;
-                let pool_high_water = &pool_high_water;
-                let pool_recycled = &pool_recycled;
-                let results = &results;
-                let violated = &violated;
-                let violation = &violation;
-                let poisoned = &poisoned;
-                let panic_payload = &panic_payload;
-                let thread_records = &thread_records;
-                let trace_run = &trace_run;
-                let live_handles = &live_handles;
-                scope.spawn(move || {
-                    let mut tbuf = trace_run.as_ref().map(|(tr, run)| tr.buf(*run, t as u32));
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    let mut live_flushed = (0u64, 0u64); // (committed, remote)
-                    let mut inbox: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-                    // Per-destination outgoing chunk buffers plus a pool of
-                    // spare (empty, capacity-carrying) chunk vectors.
-                    let mut chunks: Vec<Vec<Envelope<L::Event>>> =
-                        (0..n_threads).map(|_| Vec::new()).collect();
-                    let mut spare_chunks: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-                    let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-                    let mut local_committed = 0u64;
-                    let mut local_remote = 0u64;
-                    let mut local_rounds = 0u64;
-                    let mut local_clock = 0u64;
-                    let mut busy_ns = 0u64;
-                    let mut blocked_ns = 0u64;
-                    let mut stall_ns = 0u64;
-                    let mut mailbox_hw = 0u64;
-                    loop {
-                        // (1) Ingest cross-partition events from the
-                        // previous round, one chunk at a time.
-                        mailboxes[t].drain_into(&mut inbox);
-                        let mut drained = 0u64;
-                        for mut chunk in inbox.drain(..) {
-                            drained += chunk.len() as u64;
-                            for env in chunk.drain(..) {
-                                queue.push(env);
-                            }
-                            if spare_chunks.len() < SPARE_CHUNKS_MAX {
-                                spare_chunks.push(chunk);
-                            }
-                        }
-                        mailbox_hw = mailbox_hw.max(drained);
-                        // Check the violation flag here, in the quiescent
-                        // interval between barriers: it is only ever set
-                        // while some thread is processing (between the
-                        // two barriers below), so every worker reads the
-                        // same frozen value and they all stop together.
-                        // Checking after the barrier would race a fast
-                        // worker's write against a slow worker's read and
-                        // desynchronize the barrier counts (deadlock).
-                        if violated.load(Ordering::Acquire) || poisoned.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // (2) Publish the local minimum, agree on gmin.
-                        let local_min = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
-                        mins[t].store(local_min, Ordering::Relaxed);
-                        // Barrier waits are timed unconditionally — the
-                        // engine-bench stall comparison against the async
-                        // scheduler needs them even with telemetry off.
-                        let t0 = std::time::Instant::now();
-                        barrier.wait();
-                        let waited = t0.elapsed().as_nanos() as u64;
-                        stall_ns += waited;
-                        if timing {
-                            blocked_ns += waited;
-                            if let Some(b) = tbuf.as_mut() {
-                                b.end_span(crate::trace::SpanKind::Barrier, t0);
-                            }
-                        }
-                        let gmin = mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap();
-                        if gmin == u64::MAX || gmin > until.0 {
-                            break;
-                        }
-                        local_rounds += 1;
-                        let window_end =
-                            gmin.saturating_add(window.0).min(until.0.saturating_add(1));
-
-                        // (3) Process local events in [gmin, window_end).
-                        // Model code (`Lp::handle`) runs in here; catch
-                        // its panics so this worker still reaches barrier
-                        // (4) and the round protocol stays in lockstep —
-                        // the poison flag shuts everyone down at the next
-                        // quiescent interval and the payload resurfaces on
-                        // the main thread.
-                        let t0 = timing.then(std::time::Instant::now);
-                        let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            while let Some(top) = queue.peek() {
-                                if top.recv_time.0 >= window_end {
-                                    break;
-                                }
-                                let env = queue.pop().unwrap();
-                                // Oracle (checked builds): the shared-memory
-                                // GVT is a true lower bound — no worker may
-                                // ever commit an event from gmin's past.
-                                #[cfg(union_check)]
-                                assert!(
-                                env.recv_time.0 >= gmin,
-                                "GVT oracle violated: processing event at {} ns below gmin {} ns",
-                                env.recv_time.0,
-                                gmin
-                            );
-                                local_clock = local_clock.max(env.recv_time.0);
-                                let li = local_of[env.dst as usize] as usize;
-                                // Hard check (not debug): a cross-partition
-                                // event landing in this LP's past means the
-                                // window exceeded the model's true minimum
-                                // delay.
-                                if env.recv_time < metas[li].now {
-                                    let mut v = violation.lock();
-                                    if v.is_none() {
-                                        *v = Some(format!(
-                                            "lookahead violation: event for LP {} at {} ns \
-                                         arrived after the LP reached {} ns; window {} ns \
-                                         exceeds the model's minimum send delay",
-                                            env.dst, env.recv_time.0, metas[li].now.0, window.0,
-                                        ));
-                                    }
-                                    violated.store(true, Ordering::Release);
-                                    queue.push(env);
-                                    break;
-                                }
-                                metas[li].now = env.recv_time;
-                                metas[li].processed += 1;
-                                let trace = tbuf.as_mut().map(|b| {
-                                    (lps[li].trace_kind(&env), b.event_start(), metas[li].uid_seq)
-                                });
-                                let mut ctx = Ctx {
-                                    now: env.recv_time,
-                                    me: env.dst,
-                                    lookahead,
-                                    out: &mut out,
-                                };
-                                lps[li].handle(&env, &mut ctx);
-                                local_committed += 1;
-                                seal_outgoing(
-                                    env.dst,
-                                    env.recv_time,
-                                    &mut metas[li],
-                                    &mut out,
-                                    |new| {
-                                        let o = owner_of[new.dst as usize] as usize;
-                                        if o == t {
-                                            queue.push(new);
-                                        } else {
-                                            local_remote += 1;
-                                            let c = &mut chunks[o];
-                                            c.push(new);
-                                            if c.len() >= MAILBOX_CHUNK {
-                                                let full = std::mem::replace(
-                                                    c,
-                                                    spare_chunks.pop().unwrap_or_default(),
-                                                );
-                                                mailboxes[o].push(full);
-                                            }
-                                        }
-                                    },
-                                );
-                                if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace)
-                                {
-                                    let children = (metas[li].uid_seq - uid_lo) as u32;
-                                    b.record(&env, uid_lo, children, kind, t0);
-                                }
-                            }
-                        }));
-                        if let Err(payload) = step {
-                            let mut slot = panic_payload.lock();
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
-                            poisoned.store(true, Ordering::Release);
-                        }
-                        if let Some(t0) = t0 {
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        // Live flush once per window: committed/remote
-                        // deltas, window floor (leader), local queue depth.
-                        if let Some(tp) = tap.as_mut() {
-                            tp.commit(local_committed - live_flushed.0);
-                            tp.remote(local_remote - live_flushed.1);
-                            live_flushed = (local_committed, local_remote);
-                            if t == 0 {
-                                tp.round();
-                                tp.gvt(gmin);
-                            }
-                            tp.queue_depth(queue.len() as u64);
-                            tp.flush();
-                        }
-                        // Flush partial chunks — unconditionally, even on a
-                        // violation or model panic, so no buffered event is
-                        // ever stranded in this worker's locals.
-                        for (o, c) in chunks.iter_mut().enumerate() {
-                            if !c.is_empty() {
-                                let full =
-                                    std::mem::replace(c, spare_chunks.pop().unwrap_or_default());
-                                mailboxes[o].push(full);
-                            }
-                        }
-                        // (4) All sends of this round must be visible
-                        // before anyone's next mailbox drain.
-                        let t0 = std::time::Instant::now();
-                        barrier.wait();
-                        let waited = t0.elapsed().as_nanos() as u64;
-                        stall_ns += waited;
-                        if timing {
-                            blocked_ns += waited;
-                            if let Some(b) = tbuf.as_mut() {
-                                b.end_span(crate::trace::SpanKind::Barrier, t0);
-                            }
-                        }
-                    }
-                    if let Some(tp) = tap.as_mut() {
-                        tp.commit(local_committed - live_flushed.0);
-                        tp.remote(local_remote - live_flushed.1);
-                        tp.pool_high_water(queue.pool_stats().high_water);
-                        tp.flush();
-                    }
-                    committed.fetch_add(local_committed, Ordering::Relaxed);
-                    remote.fetch_add(local_remote, Ordering::Relaxed);
-                    rounds.fetch_max(local_rounds, Ordering::Relaxed);
-                    end_clock.fetch_max(local_clock, Ordering::Relaxed);
-                    stall_total.fetch_add(stall_ns, Ordering::Relaxed);
-                    if let (Some((tr, _)), Some(b)) = (trace_run.as_ref(), tbuf) {
-                        tr.submit(b);
-                    }
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: local_committed,
-                            busy_ns,
-                            blocked_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    queue_ops.fetch_add(queue.ops(), Ordering::Relaxed);
-                    queue_max_len.fetch_max(queue.max_len(), Ordering::Relaxed);
-                    let ps = queue.pool_stats();
-                    pool_high_water.fetch_max(ps.high_water, Ordering::Relaxed);
-                    pool_recycled.fetch_add(ps.recycled, Ordering::Relaxed);
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    *results[t].lock() = Some((lps, metas, leftover));
-                });
-            }
-        });
-
-        // A worker caught a model panic: every worker has shut down at a
-        // round boundary (no barrier left hanging), so re-raise the
-        // original payload here. LP state is torn mid-event — do not
-        // bother reassembling it.
-        if let Some(payload) = panic_payload.lock().take() {
-            std::panic::resume_unwind(payload);
-        }
-
-        // Reassemble LP state in original global order and reabsorb
-        // unprocessed events (recv_time > until) for a later run.
-        let mut lp_slots: Vec<Option<L>> = (0..n_lps).map(|_| None).collect();
-        let mut meta_slots: Vec<Option<LpMeta>> = (0..n_lps).map(|_| None).collect();
-        for (t, slot) in results.iter().enumerate() {
-            let (lps, metas, leftover) =
-                slot.lock().take().expect("worker thread did not report results");
-            for ((&gid, lp), meta) in assignment.locals[t].iter().zip(lps).zip(metas) {
-                lp_slots[gid as usize] = Some(lp);
-                meta_slots[gid as usize] = Some(meta);
-            }
-            for env in leftover {
-                self.pending.push(env);
-            }
-        }
-        self.lps = lp_slots.into_iter().map(|s| s.expect("missing LP")).collect();
-        self.meta = meta_slots.into_iter().map(|s| s.expect("missing meta")).collect();
-        // Mailboxes are drained at the top of every round and the final
-        // round performs no sends after its last drain, but be defensive.
-        let mut stray: Vec<Vec<Envelope<L::Event>>> = Vec::new();
-        for mb in &mailboxes {
-            mb.drain_into(&mut stray);
-        }
-        for chunk in stray {
-            for env in chunk {
-                self.pending.push(env);
-            }
-        }
-        if let Some(msg) = violation.lock().take() {
-            panic!("{msg}");
-        }
-
-        let stats = RunStats {
-            committed: committed.load(Ordering::Relaxed),
-            remote_events: remote.load(Ordering::Relaxed),
-            rounds: rounds.load(Ordering::Relaxed),
-            horizon_stall_ns: stall_total.load(Ordering::Relaxed),
-            end_time: SimTime(end_clock.load(Ordering::Relaxed)),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            ..Default::default()
-        };
-        if let Some((tr, run)) = trace_run {
-            tr.close_run(run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
-        }
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "conservative-parallel",
-            n_threads,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: qkind,
-                ops: queue_ops.load(Ordering::Relaxed),
-                max_len: queue_max_len.load(Ordering::Relaxed),
-                pool: crate::pool::PoolStats {
-                    high_water: pool_high_water.load(Ordering::Relaxed),
-                    recycled: pool_recycled.load(Ordering::Relaxed),
-                },
-            },
-            thread_records.into_inner(),
-        );
-        stats
-    }
-
-    /// Like [`run_conservative_parallel`](Self::run_conservative_parallel)
-    /// with the window equal to the engine lookahead (always safe).
-    pub fn run_conservative_parallel_default(
-        &mut self,
-        n_threads: usize,
-        until: SimTime,
-    ) -> RunStats {
-        self.run_conservative_parallel(n_threads, SimDuration::from_ns(0), until)
+        let (workers, ()) = drive(workers, body, || ());
+        run.gather(self, workers, home)
     }
 }
 
@@ -513,14 +241,15 @@ impl<L: Lp> Simulation<L> {
 // build in production cfg (the checked-build twin lives in
 // `tests/union_check_oracle.rs`).
 #[cfg(all(test, not(union_check)))]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::Scheduler;
+    use crate::lp::Ctx;
+    use crate::{Partition, Scheduler};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
     #[derive(Clone)]
-    struct Phold {
+    pub(crate) struct Phold {
         rng: SmallRng,
         n_lps: u32,
         hits: u64,
@@ -546,7 +275,7 @@ mod tests {
 
     /// PHOLD whose minimum send delay (50 ns) is far above the declared
     /// engine lookahead (1 ns) — the case wide windows exist for.
-    fn phold_sim(n_lps: u32, seeds: u64) -> Simulation<Phold> {
+    pub(crate) fn phold_sim(n_lps: u32, seeds: u64) -> Simulation<Phold> {
         let lps = (0..n_lps)
             .map(|i| Phold {
                 rng: SmallRng::seed_from_u64(seeds + i as u64),
@@ -563,7 +292,7 @@ mod tests {
         sim
     }
 
-    fn fingerprint(sim: &Simulation<Phold>) -> Vec<(u64, u64)> {
+    pub(crate) fn fingerprint(sim: &Simulation<Phold>) -> Vec<(u64, u64)> {
         sim.lps().iter().map(|l| (l.hits, l.checksum)).collect()
     }
 
@@ -647,7 +376,7 @@ mod tests {
 
     /// Ring-forwarding LP that panics once simulated time passes `boom_at`.
     #[derive(Clone)]
-    struct PanickyRing {
+    pub(crate) struct PanickyRing {
         n_lps: u32,
         boom_at: SimTime,
         horizon: SimTime,
@@ -673,6 +402,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "model LP blew up")]
     fn worker_panic_propagates_instead_of_deadlocking() {
+        panicky_ring_sim().run_conservative_parallel(4, SimDuration::from_ns(50), SimTime::MAX);
+    }
+
+    /// 8-LP ring of 50 ns hops whose LPs panic from 10 us on.
+    pub(crate) fn panicky_ring_sim() -> Simulation<PanickyRing> {
         let n_lps = 8u32;
         let lps = (0..n_lps)
             .map(|_| PanickyRing {
@@ -685,7 +419,7 @@ mod tests {
         for i in 0..n_lps {
             sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
         }
-        sim.run_conservative_parallel(4, SimDuration::from_ns(50), SimTime::MAX);
+        sim
     }
 
     #[test]

@@ -108,6 +108,17 @@ pub(crate) struct Assignment {
     pub locals: Vec<Vec<u32>>,
 }
 
+impl Assignment {
+    /// Pack `partition` — or, with none installed, every LP as its own
+    /// block — onto `n_threads` workers.
+    pub(crate) fn of(partition: Option<&Partition>, n_lps: usize, n_threads: usize) -> Assignment {
+        match partition {
+            Some(p) => p.assign(n_threads),
+            None => Partition::per_lp(n_lps).assign(n_threads),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

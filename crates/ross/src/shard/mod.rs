@@ -3,12 +3,15 @@
 //! Each *shard* owns a subset of the LPs (chosen by the same
 //! [`Partition`] bin-packer the in-process schedulers use, applied at
 //! the shard level first and then again across each shard's worker
-//! threads). Within a shard, [`Simulation::run_sharded`] runs the
-//! conservative-parallel round protocol of [`crate::parallel`]
-//! unchanged above the transport: workers exchange intra-shard events
-//! through lock-free mailboxes, while cross-shard events are buffered
-//! into per-peer outboxes and flushed by a *leader* (the spawning
-//! thread) through a [`ShardTransport`].
+//! threads). Within a shard, the workers of [`Simulation::run_sharded`]
+//! run `crate::parallel::round_loop` — the very function
+//! [`Simulation::run_conservative_parallel`] runs — unchanged above the
+//! transport, with two policies swapped in: workers exchange intra-shard
+//! events through lock-free mailboxes, while cross-shard events are
+//! buffered into per-peer outboxes (the *delivery* policy) and flushed
+//! by a *leader* (the spawning thread) through a [`ShardTransport`]; and
+//! the round's GVT comes from the leader's token fence (the *bound*
+//! policy) instead of a local reduction.
 //!
 //! ## Distributed GVT
 //!
@@ -34,9 +37,9 @@
 //! exactly as the original launch did, then overwrites its owned LPs
 //! and pending events from its section of the file.
 //!
-//! Determinism: the round/window structure is identical to
-//! [`crate::parallel`] (window ≤ the model's true minimum delay,
-//! enforced by the same hard causality check), so for a fixed seed the
+//! Determinism: the round/window structure *is* `crate::parallel`'s
+//! (window ≤ the model's true minimum delay, enforced by the same hard
+//! causality check in the shared per-event step), so for a fixed seed the
 //! merged LP state is bit-identical to `run_sequential` for any shard
 //! and thread count.
 
@@ -49,15 +52,16 @@ pub use transport::{
     loopback_mesh, EventCodec, Frame, LoopbackTransport, ShardTransport, TcpTransport, Token,
 };
 
-use crate::engine::{seal_outgoing, QueueTelemetry, RunStats, Simulation};
+use crate::engine::{RunStats, Simulation};
 use crate::event::Envelope;
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
-use crate::mailbox::Mailbox;
-use crate::partition::Partition;
-use crate::queue::{EventQueue, PendingQueue};
+use crate::lp::{Lp, LpMeta};
+use crate::parallel::{round_loop, Bound, Delivery, Mailboxes, Rounds};
+use crate::partition::{Assignment, Partition};
+use crate::queue::EventQueue;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{thread, Barrier, Mutex};
+use crate::sync::Mutex;
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{drive, Chunk, Lane, Run, Worker, MAILBOX_CHUNK};
 use checkpoint::LpSnapshot;
 use std::fmt;
 use std::path::PathBuf;
@@ -147,10 +151,7 @@ impl<'a, L: Lp> ShardRun<'a, L> {
 /// partition blocks the in-process parallel scheduler uses, applied at
 /// the shard level. `partition = None` means every LP is its own block.
 pub fn shard_owner_map(partition: Option<&Partition>, n_lps: usize, n_shards: usize) -> Vec<u32> {
-    match partition {
-        Some(p) => p.assign(n_shards).owner_of,
-        None => Partition::per_lp(n_lps).assign(n_shards).owner_of,
-    }
+    Assignment::of(partition, n_lps, n_shards).owner_of
 }
 
 impl<L: Lp> Simulation<L> {
@@ -209,24 +210,26 @@ impl<L: Lp> Simulation<L> {
             })
             .collect();
         let tassign = Partition::from_blocks(sub_blocks).assign(n_threads);
-        // Flat per-gid routing tables (u32::MAX = not ours).
-        let mut worker_of = vec![u32::MAX; n_lps];
-        let mut wlocal_of = vec![u32::MAX; n_lps];
+        // The worker-level plan over global ids (u32::MAX = not ours).
+        let mut plan = Assignment {
+            owner_of: vec![u32::MAX; n_lps],
+            local_of: vec![u32::MAX; n_lps],
+            locals: tassign
+                .locals
+                .iter()
+                .map(|ol| ol.iter().map(|&oi| owned[oi as usize]).collect())
+                .collect(),
+        };
         for (oi, &gid) in owned.iter().enumerate() {
-            worker_of[gid as usize] = tassign.owner_of[oi];
-            wlocal_of[gid as usize] = tassign.local_of[oi];
+            plan.owner_of[gid as usize] = tassign.owner_of[oi];
+            plan.local_of[gid as usize] = tassign.local_of[oi];
         }
-        // Global ids per worker, in worker-local index order.
-        let wgids: Vec<Vec<u32>> = tassign
-            .locals
-            .iter()
-            .map(|ol| ol.iter().map(|&oi| owned[oi as usize]).collect())
-            .collect();
+        let worker_of = &plan.owner_of;
 
         // Restore: overwrite owned LP state/meta and replace pending
         // events with this shard's section of the cut.
         let mut committed_base = 0u64;
-        let mut initial: Vec<Envelope<L::Event>> = Vec::new();
+        let mut initial: Vec<Envelope<L::Event>>;
         if let Some(path) = &opts.restore {
             let codec = opts.codec.unwrap();
             let bytes = checkpoint::read_file(path)?;
@@ -251,9 +254,7 @@ impl<L: Lp> Simulation<L> {
             committed_base = meta.committed;
             // The pre-run initial events are part of the history the
             // checkpoint already includes; drop them.
-            let mut scrap = Vec::new();
-            self.pending.drain_to(&mut scrap);
-            drop(scrap);
+            drop(self.take_pending());
             let mine = raw_sections
                 .iter()
                 .map(|s| checkpoint::decode_section(s, codec.as_event_codec()))
@@ -280,448 +281,119 @@ impl<L: Lp> Simulation<L> {
                 let mut r = wire::ByteReader::new(&snap.state);
                 codec.load_lp(&mut self.lps[gid], &mut r)?;
             }
-            for env in mine.events {
-                if (env.dst as usize) < n_lps && worker_of[env.dst as usize] != u32::MAX {
-                    initial.push(env);
-                }
-            }
+            initial = mine.events;
         } else {
             // Fresh start: every process built the full initial event
-            // set identically; keep only the owned destinations.
-            let mut scrap = Vec::with_capacity(self.pending.len());
-            self.pending.drain_to(&mut scrap);
-            for env in scrap {
-                if worker_of[env.dst as usize] != u32::MAX {
-                    initial.push(env);
-                }
-            }
+            // set identically.
+            initial = self.take_pending();
         }
+        // Keep only the owned destinations (a checkpoint section is
+        // outside input: its ids are not trusted to be in range either).
+        initial.retain(|env| worker_of.get(env.dst as usize).is_some_and(|&w| w != u32::MAX));
 
-        // Move owned LP state into per-worker vectors; foreign LPs stay
-        // in their slots untouched.
-        let mut lp_slots: Vec<Option<L>> =
-            std::mem::take(&mut self.lps).into_iter().map(Some).collect();
-        let mut meta_slots: Vec<Option<LpMeta>> =
-            std::mem::take(&mut self.meta).into_iter().map(Some).collect();
-        let mut lps_by_worker: Vec<Vec<L>> = (0..n_threads).map(|_| Vec::new()).collect();
-        let mut meta_by_worker: Vec<Vec<LpMeta>> = (0..n_threads).map(|_| Vec::new()).collect();
-        for (w, gids) in wgids.iter().enumerate() {
-            for &gid in gids {
-                lps_by_worker[w].push(lp_slots[gid as usize].take().unwrap());
-                meta_by_worker[w].push(meta_slots[gid as usize].take().unwrap());
-            }
-        }
-
-        let qkind = self.queue;
-        let mut queues: Vec<PendingQueue<L::Event>> =
-            (0..n_threads).map(|_| qkind.new_queue()).collect();
-        for env in initial {
-            queues[worker_of[env.dst as usize] as usize].push(env);
-        }
-
-        // Shared round state.
-        let mailboxes: Vec<Mailbox<Envelope<L::Event>>> =
-            (0..n_threads).map(|_| Mailbox::new()).collect();
-        let barrier = Barrier::new(n_threads + 1); // workers + leader
-        let mins: Vec<AtomicU64> = (0..n_threads).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let run = Run::open(self, "sharded-conservative", n_threads, window, start);
+        let (workers, home) = run.scatter(self, &plan, initial);
+        let rounds = Rounds::new(n_threads, n_threads + 1); // workers + leader
         let outboxes: Vec<Mutex<Vec<Envelope<L::Event>>>> =
             (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();
-        let wend_a = AtomicU64::new(0);
-        let done_a = AtomicBool::new(false);
-        let ckpt_a = AtomicBool::new(false);
-        let committed = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let cross = AtomicU64::new(0);
-        let end_clock = AtomicU64::new(0);
-        let queue_ops = AtomicU64::new(0);
-        let queue_max_len = AtomicU64::new(0);
-        let pool_high_water = AtomicU64::new(0);
-        let pool_recycled = AtomicU64::new(0);
-        let violated = AtomicBool::new(false);
-        let violation: Mutex<Option<String>> = Mutex::new(None);
-        // Oracle (checked builds): the leader publishes each fence's GVT
-        // so workers can assert no event from its past is ever processed.
-        // A plain std atomic on purpose — invisible to the controlled
-        // scheduler; barrier (C) provides the ordering.
-        #[cfg(union_check)]
-        let gvt_oracle = std::sync::atomic::AtomicU64::new(0);
-        let lookahead = self.lookahead;
-        let telem_on = self.telemetry.is_some();
-        let thread_records: Mutex<Vec<telemetry::ThreadRecord>> = Mutex::new(Vec::new());
-        let live_handles = crate::live::LiveHandles::from_sim(&self.live, n_threads);
-        let codec = opts.codec;
-        let ckpt_on = opts.checkpoint.is_some();
+        let fence = TokenFence {
+            gvt: AtomicU64::new(0),
+            ckpt: AtomicBool::new(false),
+            committed: AtomicU64::new(0),
+            parts: (0..n_threads).map(|_| Mutex::new(None)).collect(),
+            codec: opts.codec,
+        };
+        let body = |w: &mut Worker<'_, L>| {
+            let delivery = ShardOutbox {
+                shard_of: &shard_of,
+                me,
+                within: Mailboxes { owner_of: worker_of, t: w.t },
+                xchunks: (0..n_shards).map(|_| Vec::new()).collect(),
+                outboxes: &outboxes,
+            };
+            round_loop(w, &rounds, &fence, delivery, &plan.local_of, window, until);
+        };
 
-        // Per-worker return slots and checkpoint staging areas.
-        type WorkerSlot<L, E> = Mutex<Option<(Vec<L>, Vec<LpMeta>, Vec<Envelope<E>>)>>;
-        let results: Vec<WorkerSlot<L, L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
-        let ckpt_parts: Vec<CkptPart<L::Event>> =
-            (0..n_threads).map(|_| Mutex::new(None)).collect();
-
-        let mut rounds = 0u64;
-        let mut fence_err: Option<ShardError> = None;
-        let mut next_ckpt =
-            opts.checkpoint.as_ref().map(|c| c.every.as_ns().max(1)).unwrap_or(u64::MAX);
-        // A restored run resumes its checkpoint cadence from the cut.
-        if opts.restore.is_some() && ckpt_on {
-            // next_ckpt is recomputed from the first fence GVT below.
-            next_ckpt = 0;
-        }
-
-        thread::scope(|scope| {
-            for t in 0..n_threads {
-                let mut lps = std::mem::take(&mut lps_by_worker[t]);
-                let mut metas = std::mem::take(&mut meta_by_worker[t]);
-                let mut queue = std::mem::replace(&mut queues[t], qkind.new_queue());
-                let gids = &wgids[t];
-                let worker_of = &worker_of;
-                let wlocal_of = &wlocal_of;
-                let shard_of = &shard_of;
-                let mailboxes = &mailboxes;
-                let outboxes = &outboxes;
-                let barrier = &barrier;
-                let mins = &mins;
-                let wend_a = &wend_a;
-                let done_a = &done_a;
-                let ckpt_a = &ckpt_a;
-                let committed = &committed;
-                let remote = &remote;
-                let cross = &cross;
-                let end_clock = &end_clock;
-                let queue_ops = &queue_ops;
-                let queue_max_len = &queue_max_len;
-                let pool_high_water = &pool_high_water;
-                let pool_recycled = &pool_recycled;
-                let results = &results;
-                let ckpt_parts = &ckpt_parts;
-                let violated = &violated;
-                let violation = &violation;
-                let thread_records = &thread_records;
-                let live_handles = &live_handles;
-                #[cfg(union_check)]
-                let gvt_oracle = &gvt_oracle;
-                scope.spawn(move || {
-                    let mut tap = live_handles.as_ref().map(|h| h.tap(t));
-                    let mut live_flushed = (0u64, 0u64); // (remote, cross)
-                    let mut inbox: Vec<Envelope<L::Event>> = Vec::new();
-                    // Per-destination-shard chunk buffers: cross-shard
-                    // sends take the outbox lock once per chunk, not once
-                    // per event (`append` leaves the buffer empty with its
-                    // capacity intact, so this allocates nothing in steady
-                    // state).
-                    let mut xchunks: Vec<Vec<Envelope<L::Event>>> =
-                        (0..n_shards).map(|_| Vec::new()).collect();
-                    let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-                    let mut local_committed = 0u64;
-                    let mut local_remote = 0u64;
-                    let mut local_cross = 0u64;
-                    let mut local_clock = 0u64;
-                    let mut busy_ns = 0u64;
-                    let mut blocked_ns = 0u64;
-                    let mut mailbox_hw = 0u64;
-                    loop {
-                        // (A) Round start. The previous window's
-                        // intra-shard sends are all in mailboxes.
-                        barrier.wait();
-                        mailboxes[t].drain_into(&mut inbox);
-                        mailbox_hw = mailbox_hw.max(inbox.len() as u64);
-                        for env in inbox.drain(..) {
-                            queue.push(env);
-                        }
-                        // Quiescent interval: the violation flag is only
-                        // ever written during processing, so every
-                        // worker reads the same frozen value here (see
-                        // crate::parallel for why this placement).
-                        let halted = violated.load(Ordering::Acquire);
-                        let local_min = queue.peek_time().map(|ts| ts.0).unwrap_or(u64::MAX);
-                        mins[t].store(local_min, Ordering::Relaxed);
-                        // (B) Leader flushes outboxes and runs the
-                        // token fence while workers wait.
-                        let t0 = telem_on.then(std::time::Instant::now);
-                        barrier.wait();
-                        // (C) gvt/wend/done/ckpt published.
-                        barrier.wait();
-                        if let Some(t0) = t0 {
-                            blocked_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        // Cross-shard fence arrivals.
-                        mailboxes[t].drain_into(&mut inbox);
-                        mailbox_hw = mailbox_hw.max(inbox.len() as u64);
-                        for env in inbox.drain(..) {
-                            queue.push(env);
-                        }
-                        if ckpt_a.load(Ordering::Acquire) {
-                            // Serialize this worker's slice of the cut.
-                            let codec = codec.unwrap();
-                            let mut lp_snaps = Vec::with_capacity(lps.len());
-                            for (li, lp) in lps.iter().enumerate() {
-                                let mut state = Vec::new();
-                                codec.save_lp(lp, &mut state);
-                                let m = &metas[li];
-                                lp_snaps.push(LpSnapshot {
-                                    gid: gids[li],
-                                    tiebreak: m.tiebreak,
-                                    uid_seq: m.uid_seq,
-                                    now_ns: m.now.0,
-                                    processed: m.processed,
-                                    state,
-                                });
-                            }
-                            let mut evs: Vec<Envelope<L::Event>> = Vec::new();
-                            queue.drain_to(&mut evs);
-                            for env in &evs {
-                                queue.push(env.clone());
-                            }
-                            *ckpt_parts[t].lock() = Some((lp_snaps, evs));
-                            barrier.wait(); // (C2) parts staged
-                            barrier.wait(); // (C3) leader wrote/acked
-                        }
-                        if done_a.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if halted {
-                            continue; // wind down without processing
-                        }
-                        let wend = wend_a.load(Ordering::Acquire);
-
-                        // Process local events in [gvt, wend).
-                        let t0 = telem_on.then(std::time::Instant::now);
-                        let mut window_committed = 0u64;
-                        while let Some(top) = queue.peek() {
-                            if top.recv_time.0 >= wend {
-                                break;
-                            }
-                            let env = queue.pop().unwrap();
-                            // Oracle (checked builds): the distributed
-                            // GVT is a true lower bound on every
-                            // processed event.
-                            #[cfg(union_check)]
-                            assert!(
-                                env.recv_time.0
-                                    >= gvt_oracle.load(std::sync::atomic::Ordering::Relaxed),
-                                "GVT oracle violated: processing event at {} ns below the \
-                                 fence GVT {} ns",
-                                env.recv_time.0,
-                                gvt_oracle.load(std::sync::atomic::Ordering::Relaxed)
-                            );
-                            local_clock = local_clock.max(env.recv_time.0);
-                            let li = wlocal_of[env.dst as usize] as usize;
-                            // Same hard causality check as the
-                            // in-process parallel scheduler.
-                            if env.recv_time < metas[li].now {
-                                let mut v = violation.lock();
-                                if v.is_none() {
-                                    *v = Some(format!(
-                                        "lookahead violation: event for LP {} at {} ns \
-                                         arrived after the LP reached {} ns; window {} ns \
-                                         exceeds the model's minimum send delay",
-                                        env.dst, env.recv_time.0, metas[li].now.0, window.0,
-                                    ));
-                                }
-                                violated.store(true, Ordering::Release);
-                                queue.push(env);
-                                break;
-                            }
-                            metas[li].now = env.recv_time;
-                            metas[li].processed += 1;
-                            let mut ctx =
-                                Ctx { now: env.recv_time, me: env.dst, lookahead, out: &mut out };
-                            lps[li].handle(&env, &mut ctx);
-                            local_committed += 1;
-                            window_committed += 1;
-                            seal_outgoing(
-                                env.dst,
-                                env.recv_time,
-                                &mut metas[li],
-                                &mut out,
-                                |new| {
-                                    let s = shard_of[new.dst as usize] as usize;
-                                    if s != me {
-                                        local_cross += 1;
-                                        let c = &mut xchunks[s];
-                                        c.push(new);
-                                        if c.len() >= crate::parallel::MAILBOX_CHUNK {
-                                            outboxes[s].lock().append(c);
-                                        }
-                                    } else {
-                                        let w = worker_of[new.dst as usize] as usize;
-                                        if w == t {
-                                            queue.push(new);
-                                        } else {
-                                            local_remote += 1;
-                                            mailboxes[w].push(new);
-                                        }
-                                    }
-                                },
-                            );
-                        }
-                        if let Some(t0) = t0 {
-                            busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        // Flush partial cross-shard chunks: the leader
-                        // reads the outboxes after barrier (B) of the next
-                        // round, so nothing may linger in worker locals.
-                        for (s, c) in xchunks.iter_mut().enumerate() {
-                            if !c.is_empty() {
-                                outboxes[s].lock().append(c);
-                            }
-                        }
-                        // Visible to the leader before the next fence
-                        // (barrier A orders it); the checkpoint metadata
-                        // needs the committed count at the cut.
-                        committed.fetch_add(window_committed, Ordering::Relaxed);
-                        if let Some(tp) = tap.as_mut() {
-                            tp.commit(window_committed);
-                            tp.remote(local_remote - live_flushed.0);
-                            tp.cross_shard(local_cross - live_flushed.1);
-                            live_flushed = (local_remote, local_cross);
-                            tp.queue_depth(queue.len() as u64);
-                            tp.flush();
-                        }
-                    }
-                    remote.fetch_add(local_remote, Ordering::Relaxed);
-                    cross.fetch_add(local_cross, Ordering::Relaxed);
-                    end_clock.fetch_max(local_clock, Ordering::Relaxed);
-                    if telem_on {
-                        thread_records.lock().push(telemetry::ThreadRecord {
-                            thread: t,
-                            events: local_committed,
-                            busy_ns,
-                            blocked_ns,
-                            idle_ns: 0,
-                            mailbox_high_water: mailbox_hw,
-                        });
-                    }
-                    queue_ops.fetch_add(queue.ops(), Ordering::Relaxed);
-                    queue_max_len.fetch_max(queue.max_len(), Ordering::Relaxed);
-                    let ps = queue.pool_stats();
-                    if let Some(tp) = tap.as_mut() {
-                        tp.remote(local_remote - live_flushed.0);
-                        tp.cross_shard(local_cross - live_flushed.1);
-                        tp.pool_high_water(ps.high_water);
-                        tp.flush();
-                    }
-                    pool_high_water.fetch_max(ps.high_water, Ordering::Relaxed);
-                    pool_recycled.fetch_add(ps.recycled, Ordering::Relaxed);
-                    let mut leftover: Vec<Envelope<L::Event>> = Vec::new();
-                    queue.drain_to(&mut leftover);
-                    *results[t].lock() = Some((lps, metas, leftover));
-                });
-            }
-
-            // ------------------------------------------------------- leader
-            let mut leader_tap = live_handles.as_ref().map(|h| h.tap(0));
+        // The leader's side of each round, between the workers' barriers:
+        // (B) mins published -> flush outboxes, token fence, publish
+        // gvt/ckpt -> (C) -> checkpoint if due -> (A) window processed.
+        // Returns the first transport/checkpoint error, if any.
+        let leader = || -> Option<ShardError> {
+            let ckpt_every = opts.checkpoint.as_ref().map(|c| c.every.as_ns().max(1));
+            // A restored run resumes its checkpoint cadence from the cut:
+            // 0 means "recompute from the first fence GVT".
+            let mut next_ckpt = match ckpt_every {
+                Some(_) if opts.restore.is_some() => 0,
+                Some(every) => every,
+                None => u64::MAX,
+            };
+            let mut fence_err: Option<ShardError> = None;
             let mut epoch = 0u64;
             let mut sent_total = 0u64;
             let mut recv_total = 0u64;
             // Next-epoch frames that raced ahead of a fence conclusion;
             // replayed by the next fence (see `token_fence`).
             let mut stash: Vec<(usize, Frame<L::Event>)> = Vec::new();
-            'rounds: loop {
-                barrier.wait(); // (A)
-                barrier.wait(); // (B) worker mins published
-                                // Flush cross-shard outboxes from the previous window.
-                for (s, ob) in outboxes.iter().enumerate() {
-                    if s == me {
-                        continue;
-                    }
-                    let mut batch = std::mem::take(&mut *ob.lock());
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    sent_total += batch.len() as u64;
-                    // Bound frame size: a burst window ships as several
-                    // `Events` frames instead of one giant serialization —
-                    // the fence stashes and classifies each individually,
-                    // so multiple frames per epoch are already handled.
-                    while !batch.is_empty() {
-                        let rest = if batch.len() > MAX_FRAME_EVENTS {
-                            batch.split_off(MAX_FRAME_EVENTS)
-                        } else {
-                            Vec::new()
-                        };
-                        let chunk = std::mem::replace(&mut batch, rest);
-                        if let Err(e) = transport.send(s, Frame::Events { epoch, batch: chunk }) {
-                            fence_err = Some(e);
-                            ckpt_a.store(false, Ordering::Release);
-                            done_a.store(true, Ordering::Release);
-                            barrier.wait(); // (C)
-                            break 'rounds;
-                        }
-                    }
-                }
-                let halted = violated.load(Ordering::Acquire);
-                let local_min = if halted {
-                    u64::MAX
-                } else {
-                    mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap_or(u64::MAX)
-                };
-                let local_committed = committed.load(Ordering::Relaxed) + committed_base;
-                let fence = token_fence(
-                    transport,
-                    epoch,
-                    local_min,
-                    sent_total,
-                    &mut recv_total,
-                    local_committed,
-                    &mut stash,
-                    |env| {
-                        let w = worker_of[env.dst as usize];
-                        debug_assert_ne!(w, u32::MAX, "fence delivery for foreign LP {}", env.dst);
-                        mailboxes[w as usize].push(env);
-                    },
-                );
-                let (gvt, global_committed) = match fence {
+            // Fence arrivals, batched into one mailbox chunk per worker.
+            let mut arrivals: Vec<Chunk<L::Event>> = (0..n_threads).map(|_| Vec::new()).collect();
+            loop {
+                rounds.barrier.wait(); // (B) worker mins published
+                let fenced =
+                    flush_outboxes(transport, &outboxes, epoch, &mut sent_total).and_then(|()| {
+                        token_fence(
+                            transport,
+                            epoch,
+                            // A halted (causality-violated or poisoned)
+                            // shard's workers publish MAX, so it keeps
+                            // fencing with min = MAX: the other shards can
+                            // drain and terminate, and it re-raises the
+                            // cause after the run winds down.
+                            rounds.local_min(),
+                            sent_total,
+                            &mut recv_total,
+                            fence.committed.load(Ordering::Relaxed) + committed_base,
+                            &mut stash,
+                            |env| {
+                                let w = worker_of[env.dst as usize];
+                                debug_assert_ne!(w, u32::MAX, "fence delivery for foreign LP");
+                                arrivals[w as usize].push(env);
+                            },
+                        )
+                    });
+                let (gvt, global_committed) = match fenced {
                     Ok(v) => v,
                     Err(e) => {
-                        fence_err = Some(e);
-                        ckpt_a.store(false, Ordering::Release);
-                        done_a.store(true, Ordering::Release);
-                        barrier.wait(); // (C)
-                        break 'rounds;
+                        // "Nothing pending anywhere" ends every worker's
+                        // loop right after barrier (C).
+                        fence.ckpt.store(false, Ordering::Release);
+                        fence.gvt.store(u64::MAX, Ordering::Release);
+                        rounds.barrier.wait(); // (C)
+                        return Some(e);
                     }
                 };
-                // A halted (causality-violated) shard keeps fencing with
-                // min = MAX so the other shards can drain and terminate;
-                // it panics with the violation after the run winds down.
+                for (w, chunk) in arrivals.iter_mut().enumerate() {
+                    if !chunk.is_empty() {
+                        run.mailboxes[w].push(std::mem::take(chunk));
+                    }
+                }
                 let done = gvt == u64::MAX || gvt > until.0;
-                let wend = gvt.saturating_add(window.0).min(until.0.saturating_add(1));
-                if ckpt_on && next_ckpt == 0 {
+                if next_ckpt == 0 {
                     // First fence of a restored run: resume the cadence
                     // one interval past the restored cut.
-                    next_ckpt =
-                        gvt.saturating_add(opts.checkpoint.as_ref().unwrap().every.as_ns().max(1));
+                    next_ckpt = gvt.saturating_add(ckpt_every.unwrap_or(u64::MAX));
                 }
-                let do_ckpt = !done && ckpt_on && gvt >= next_ckpt;
-                #[cfg(union_check)]
-                if gvt != u64::MAX {
-                    gvt_oracle.store(gvt, std::sync::atomic::Ordering::Relaxed);
-                }
-                wend_a.store(wend, Ordering::Release);
-                done_a.store(done, Ordering::Release);
-                ckpt_a.store(do_ckpt, Ordering::Release);
-                if !done {
-                    rounds += 1;
-                }
-                if let Some(tp) = leader_tap.as_mut() {
-                    if gvt != u64::MAX {
-                        tp.gvt(gvt);
-                    }
-                    if !done {
-                        tp.round();
-                    }
-                    tp.flush();
-                }
-                barrier.wait(); // (C)
+                let do_ckpt = !done && gvt >= next_ckpt;
+                fence.gvt.store(gvt, Ordering::Release);
+                fence.ckpt.store(do_ckpt, Ordering::Release);
+                rounds.barrier.wait(); // (C) gvt/ckpt published
                 if do_ckpt {
-                    barrier.wait(); // (C2) workers staged their parts
-                    let spec = opts.checkpoint.as_ref().unwrap();
+                    rounds.barrier.wait(); // (C2) workers staged their parts
+                    let spec = opts.checkpoint.as_ref().expect("checkpoint round without a spec");
                     let r = write_checkpoint(
                         transport,
                         spec,
-                        codec.unwrap().as_event_codec(),
-                        &ckpt_parts,
+                        opts.codec.expect("checked above").as_event_codec(),
+                        &fence.parts,
                         &mut stash,
                         SnapshotMeta {
                             gvt_ns: gvt,
@@ -732,85 +404,162 @@ impl<L: Lp> Simulation<L> {
                         },
                     );
                     next_ckpt = gvt.saturating_add(spec.every.as_ns().max(1));
-                    barrier.wait(); // (C3)
-                    if r.is_ok() {
-                        if let Some(cb) = opts.on_checkpoint {
-                            cb(gvt);
+                    rounds.barrier.wait(); // (C3)
+                    match r {
+                        Ok(()) => {
+                            if let Some(cb) = opts.on_checkpoint {
+                                cb(gvt);
+                            }
                         }
-                    }
-                    if let Err(e) = r {
                         // Latch the error and let the run finish; the
                         // barrier discipline has already moved past the
                         // point where this round could stop cleanly.
-                        if fence_err.is_none() {
-                            fence_err = Some(e);
-                        }
+                        Err(e) => fence_err = fence_err.or(Some(e)),
                     }
                 }
                 if done {
-                    break;
+                    return fence_err;
                 }
                 epoch += 1;
+                rounds.barrier.wait(); // (A) the window's sends are all buffered
             }
-        });
-
-        // Reassemble owned LP state; foreign slots kept their initial
-        // state. Reabsorb unprocessed events for a later leg.
-        for (w, slot) in results.iter().enumerate() {
-            let (lps, metas, leftover) =
-                slot.lock().take().expect("shard worker did not report results");
-            for ((&gid, lp), meta) in wgids[w].iter().zip(lps).zip(metas) {
-                lp_slots[gid as usize] = Some(lp);
-                meta_slots[gid as usize] = Some(meta);
-            }
-            for env in leftover {
-                self.pending.push(env);
-            }
-        }
-        self.lps = lp_slots.into_iter().map(|s| s.expect("missing LP")).collect();
-        self.meta = meta_slots.into_iter().map(|s| s.expect("missing meta")).collect();
-        let mut stray = Vec::new();
-        for mb in &mailboxes {
-            mb.drain_into(&mut stray);
-        }
-        for env in stray {
-            self.pending.push(env);
-        }
-        if let Some(msg) = violation.lock().take() {
-            panic!("{msg}");
-        }
-        if let Some(e) = fence_err {
-            return Err(e);
-        }
-
-        let stats = RunStats {
-            committed: committed.load(Ordering::Relaxed),
-            remote_events: remote.load(Ordering::Relaxed),
-            cross_shard_events: cross.load(Ordering::Relaxed),
-            rounds,
-            end_time: SimTime(end_clock.load(Ordering::Relaxed)),
-            wall_seconds: start.elapsed().as_secs_f64(),
-            ..Default::default()
         };
-        crate::engine::emit_sched_telemetry(
-            self.telemetry.as_deref(),
-            "sharded-conservative",
-            n_threads,
-            &stats,
-            0,
-            QueueTelemetry {
-                kind: qkind,
-                ops: queue_ops.load(Ordering::Relaxed),
-                max_len: queue_max_len.load(Ordering::Relaxed),
-                pool: crate::pool::PoolStats {
-                    high_water: pool_high_water.load(Ordering::Relaxed),
-                    recycled: pool_recycled.load(Ordering::Relaxed),
-                },
-            },
-            thread_records.into_inner(),
-        );
-        Ok(stats)
+        let (workers, fence_err) = drive(workers, body, leader);
+
+        // Owned LP state goes back to its slots (foreign slots kept their
+        // initial state), unprocessed events are reabsorbed for a later
+        // leg, and a latched violation or model panic is re-raised.
+        let stats = run.gather(self, workers, home);
+        match fence_err {
+            Some(e) => Err(e),
+            None => Ok(stats),
+        }
     }
+}
+
+/// The cross-process bound policy: the leader runs the token fence
+/// between barriers (B) and (C) and publishes its outcome here.
+struct TokenFence<'a, L: Lp> {
+    /// The fence's GVT; `u64::MAX` doubles as "stop" (drained, or the
+    /// fence failed).
+    gvt: AtomicU64,
+    /// This round is a checkpoint cut.
+    ckpt: AtomicBool,
+    /// Events committed by this shard's workers so far. Added to before
+    /// a round's closing barrier, so it is exact at the next fence — the
+    /// checkpoint metadata needs the committed count at the cut.
+    committed: AtomicU64,
+    parts: Vec<CkptPart<L::Event>>,
+    codec: Option<&'a dyn ShardCodec<L>>,
+}
+
+impl<L: Lp> Bound<L> for TokenFence<'_, L> {
+    fn gvt(&self, w: &mut Worker<'_, L>, rounds: &Rounds) -> u64 {
+        w.wait(&rounds.barrier); // (C) gvt/ckpt published
+        w.lane.ingest(w.t); // cross-shard fence arrivals
+        if self.ckpt.load(Ordering::Acquire) {
+            // The cut hook: serialize this worker's slice of the cut.
+            let codec = self.codec.expect("checkpoint round without a codec");
+            let snaps = (w.gids.iter().zip(&w.lps).zip(&w.metas))
+                .map(|((&gid, lp), m)| {
+                    let mut state = Vec::new();
+                    codec.save_lp(lp.as_ref().expect("resident LP state"), &mut state);
+                    LpSnapshot {
+                        gid,
+                        tiebreak: m.tiebreak,
+                        uid_seq: m.uid_seq,
+                        now_ns: m.now.0,
+                        processed: m.processed,
+                        state,
+                    }
+                })
+                .collect();
+            let mut evs: Vec<Envelope<L::Event>> = Vec::new();
+            w.lane.queue.drain_to(&mut evs);
+            for env in &evs {
+                w.lane.queue.push(env.clone());
+            }
+            *self.parts[w.t].lock() = Some((snaps, evs));
+            w.wait(&rounds.barrier); // (C2) parts staged
+            w.wait(&rounds.barrier); // (C3) leader wrote/acked
+        }
+        self.gvt.load(Ordering::Acquire)
+    }
+
+    fn committed(&self, n: u64) {
+        self.committed.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// The cross-process delivery policy: events for another shard go to that
+/// shard's outbox, everything else through the in-process policy.
+struct ShardOutbox<'a, E> {
+    shard_of: &'a [u32],
+    me: usize,
+    within: Mailboxes<'a>,
+    /// Per-destination-shard chunk buffers: cross-shard sends take the
+    /// outbox lock once per chunk, not once per event (`append` leaves
+    /// the buffer empty with its capacity intact, so this allocates
+    /// nothing in steady state).
+    xchunks: Vec<Vec<Envelope<E>>>,
+    outboxes: &'a [Mutex<Vec<Envelope<E>>>],
+}
+
+impl<E> Delivery<E> for ShardOutbox<'_, E> {
+    #[inline]
+    fn route(&mut self, lane: &mut Lane<'_, E>, new: Envelope<E>) {
+        let s = self.shard_of[new.dst as usize] as usize;
+        if s != self.me {
+            lane.cross += 1;
+            let c = &mut self.xchunks[s];
+            c.push(new);
+            if c.len() >= MAILBOX_CHUNK {
+                self.outboxes[s].lock().append(c);
+            }
+        } else {
+            self.within.route(lane, new);
+        }
+    }
+
+    /// The leader reads the outboxes after barrier (B) of the next round,
+    /// so nothing may linger in worker locals.
+    fn flush(&mut self) {
+        for (s, c) in self.xchunks.iter_mut().enumerate() {
+            if !c.is_empty() {
+                self.outboxes[s].lock().append(c);
+            }
+        }
+    }
+}
+
+/// Ship the previous window's cross-shard sends. A burst window goes out
+/// as several bounded `Events` frames instead of one giant serialization
+/// — the fence stashes and classifies each individually, so multiple
+/// frames per epoch are already handled.
+fn flush_outboxes<E: Clone + Send>(
+    transport: &mut dyn ShardTransport<E>,
+    outboxes: &[Mutex<Vec<Envelope<E>>>],
+    epoch: u64,
+    sent_total: &mut u64,
+) -> Result<(), ShardError> {
+    let me = transport.me();
+    for (s, ob) in outboxes.iter().enumerate() {
+        if s == me {
+            continue;
+        }
+        let mut batch = std::mem::take(&mut *ob.lock());
+        *sent_total += batch.len() as u64;
+        while !batch.is_empty() {
+            let rest = if batch.len() > MAX_FRAME_EVENTS {
+                batch.split_off(MAX_FRAME_EVENTS)
+            } else {
+                Vec::new()
+            };
+            let chunk = std::mem::replace(&mut batch, rest);
+            transport.send(s, Frame::Events { epoch, batch: chunk })?;
+        }
+    }
+    Ok(())
 }
 
 /// One worker's staged checkpoint contribution: snapshots of its owned

@@ -289,3 +289,105 @@ fn checkpoint_without_codec_is_refused() {
         Some(CheckpointSpec { path: temp_path("nocodec.ckpt"), every: SimDuration::from_ns(1) });
     assert!(sim.run_sharded(&mut t, opts, SimTime::MAX).is_err());
 }
+
+/// Ring-forwarding LP that panics on its `boom_on`-th event.
+#[derive(Clone)]
+struct PanickyRing {
+    hits: u64,
+    boom_on: u64,
+}
+
+impl Lp for PanickyRing {
+    type Event = u64;
+    fn handle(&mut self, ev: &Envelope<u64>, ctx: &mut Ctx<'_, u64>) {
+        self.hits += 1;
+        if self.hits == self.boom_on {
+            panic!("model LP blew up on event {}", self.hits);
+        }
+        ctx.send((ev.dst + 1) % N_LPS, SimDuration::from_ns(WINDOW_NS), ev.payload + 1);
+    }
+}
+
+// `PholdCodec` already carries the `u64` payload.
+impl ShardCodec<PanickyRing> for PholdCodec {
+    fn save_lp(&self, lp: &PanickyRing, out: &mut Vec<u8>) {
+        put_u64(out, lp.hits);
+    }
+    fn load_lp(&self, lp: &mut PanickyRing, r: &mut ByteReader<'_>) -> Result<(), ShardError> {
+        lp.hits = r.u64()?;
+        Ok(())
+    }
+}
+
+/// A panic in `Lp::handle` under the shard round loop used to unwind one
+/// worker while the leader and its siblings sat in `barrier.wait()`
+/// forever (`std::sync::Barrier` does not poison). The shared latch now
+/// parks the payload, winds the rounds down and re-raises it on the
+/// caller. The `CheckpointSpec` + codec force the round loop (a plain
+/// 1-shard run delegates to the async scheduler). This covers the
+/// panicking shard only: notifying *peer* shards of the abort stays with
+/// ROADMAP item 4 — loopback endpoints hold a sender to themselves, so a
+/// peer cannot observe a hang-up yet.
+#[test]
+fn shard_worker_panic_propagates_instead_of_deadlocking() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let lps = (0..N_LPS).map(|_| PanickyRing { hits: 0, boom_on: 40 }).collect();
+        let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
+        for i in 0..N_LPS {
+            sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
+        }
+        let mut t = loopback_mesh::<u64>(1).pop().unwrap();
+        let opts = ShardRun {
+            threads: 2,
+            window: SimDuration::from_ns(WINDOW_NS),
+            checkpoint: Some(CheckpointSpec {
+                path: temp_path("panic.ckpt"),
+                every: SimDuration::from_ns(1_000_000),
+            }),
+            restore: None,
+            codec: Some(&PholdCodec),
+            on_checkpoint: None,
+        };
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_sharded(&mut t, opts, SimTime::MAX)
+        }));
+        tx.send(raised.map(|r| r.map(|s| s.committed).map_err(|e| e.to_string()))).ok();
+    });
+    let raised = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("run_sharded hung on a panicking LP");
+    let payload = raised.expect_err("run_sharded swallowed the LP panic");
+    let msg = payload.downcast_ref::<String>().expect("original String payload");
+    assert!(msg.contains("model LP blew up on event 40"), "wrong payload: {msg}");
+}
+
+/// The shard runner gets its tracer wiring and stall accounting from the
+/// shared `Worker`, like every other conservative scheduler: each
+/// shard's tracer records exactly the events that shard committed, and
+/// the barrier waits show up as stall time.
+#[test]
+fn sharded_run_feeds_the_tracer_and_reports_stall_time() {
+    let handles: Vec<_> = loopback_mesh::<u64>(2)
+        .into_iter()
+        .map(|mut t| {
+            std::thread::spawn(move || {
+                let mut sim = phold_sim(11, QueueKind::Ladder);
+                let tracer = Arc::new(crate::Tracer::new(1));
+                sim.set_tracer(Some(tracer.clone()));
+                let opts = ShardRun::new(2, SimDuration::from_ns(WINDOW_NS));
+                let stats = sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap();
+                (stats, tracer.event_count() as u64)
+            })
+        })
+        .collect();
+    let (mut committed, mut traced) = (0, 0);
+    for h in handles {
+        let (stats, events) = h.join().unwrap();
+        assert!(stats.horizon_stall_ns > 0, "no stall time reported: {stats:?}");
+        committed += stats.committed;
+        traced += events;
+    }
+    assert!(committed > 0);
+    assert_eq!(traced, committed, "tracers must record every executed event exactly once");
+}

@@ -9,9 +9,10 @@
 //! Under `RUSTFLAGS="--cfg union_check"` every alias switches to the
 //! `ross-check` shim layer, which routes each operation through a
 //! controlled scheduler with vector-clock race detection (see
-//! `crates/check` and DESIGN.md §13). `ross::mailbox`, `ross::parallel`,
-//! and the sharded scheduler's loopback transport are written against
-//! these aliases and therefore model-checkable without further changes.
+//! `crates/check` and DESIGN.md §13). `ross::mailbox`, the conservative
+//! worker core and its schedulers, `ross::optimistic` and the sharded
+//! runner's loopback transport are written against these aliases and
+//! therefore model-checkable without further changes.
 
 #[cfg(union_check)]
 pub(crate) use ross_check::cell::UnsafeCell;

@@ -292,7 +292,8 @@ pub struct ManifestRecord {
     /// Full command-line arguments as given.
     pub args: Vec<String>,
     pub seed: u64,
-    /// Scheduler spec string (`seq`, `cons:T`, `opt:T`, `par:T:L`).
+    /// Scheduler spec string (`seq`, `opt:T[:B:I]`, `par:T:L`, `async:T:L`,
+    /// `shard:N:T:L`).
     pub sched: String,
     /// `git describe --always --dirty` of the working tree, or `unknown`.
     pub git: String,

@@ -9,7 +9,7 @@
 use codes::SimulationBuilder;
 use dragonfly::{DragonflyConfig, Routing};
 use placement::Placement;
-use ross::{Scheduler, SimTime};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
 use workloads::{app, AppKind, Profile};
 
 fn main() {
@@ -18,7 +18,11 @@ fn main() {
     println!("|---|---|---|---|---|---|");
 
     let mut reference: Option<u64> = None;
-    for sched in [Scheduler::Sequential, Scheduler::Conservative(4), Scheduler::Optimistic(4)] {
+    // par:4:0 — conservative windows of the engine lookahead (YAWNS).
+    let conservative =
+        Scheduler::ConservativeParallel { threads: 4, lookahead: SimDuration::from_ns(0) };
+    let optimistic = Scheduler::Optimistic { threads: 4, config: OptimisticConfig::default() };
+    for sched in [Scheduler::Sequential, conservative, optimistic] {
         // Rebuild the identical simulation for each scheduler.
         let mut b = SimulationBuilder::new(DragonflyConfig::small_1d())
             .routing(Routing::Adaptive)

@@ -6,7 +6,7 @@ use dragonfly::{DragonflyConfig, Routing};
 use harness::sweep::{self, SweepConfig};
 use metrics::AppLatencySummary;
 use placement::Placement;
-use ross::{Scheduler, SimTime};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
 use union_core::{translate_source, RankVm, SkeletonInstance, Validation};
 use workloads::{app, AppKind, Profile};
 
@@ -132,8 +132,11 @@ fn schedulers_agree_on_hybrid_workload() {
         (fp, r.link_load)
     };
     let seq = fingerprint(Scheduler::Sequential);
-    assert_eq!(seq, fingerprint(Scheduler::Conservative(3)));
-    assert_eq!(seq, fingerprint(Scheduler::Optimistic(3)));
+    // par:3:0 — the window clamps to the engine lookahead (YAWNS).
+    let yawns = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) };
+    assert_eq!(seq, fingerprint(yawns));
+    let opt = Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() };
+    assert_eq!(seq, fingerprint(opt));
 }
 
 /// The sweep machinery produces baselines and mixes with sane structure.

@@ -82,6 +82,16 @@ fn run_q(sched: Scheduler, queue: QueueKind) -> Fingerprint {
     fingerprint(&r)
 }
 
+/// `par:T:0`: the window clamps up to the engine lookahead — the YAWNS
+/// protocol the retired `Scheduler::Conservative` ran.
+fn yawns(threads: usize) -> Scheduler {
+    Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
+}
+
+fn opt(threads: usize) -> Scheduler {
+    Scheduler::Optimistic { threads, config: OptimisticConfig::default() }
+}
+
 fn run(sched: Scheduler) -> Fingerprint {
     run_q(sched, QueueKind::default())
 }
@@ -90,8 +100,8 @@ fn run(sched: Scheduler) -> Fingerprint {
 fn all_schedulers_agree_bit_for_bit() {
     let seq = run(Scheduler::Sequential);
     assert!(seq.committed > 0);
-    assert_eq!(seq, run(Scheduler::Conservative(3)), "conservative != sequential");
-    assert_eq!(seq, run(Scheduler::Optimistic(3)), "optimistic != sequential");
+    assert_eq!(seq, run(yawns(3)), "par:3:0 (YAWNS) != sequential");
+    assert_eq!(seq, run(opt(3)), "optimistic != sequential");
     // 100 ns is the minimum cross-partition delay on the default config
     // (local link latency); wider windows would violate causality, a
     // 1 ns window is always legal. Both must match.
@@ -118,8 +128,8 @@ fn queue_choice_never_changes_results() {
     assert!(reference.committed > 0);
     let scheds = [
         Scheduler::Sequential,
-        Scheduler::Conservative(3),
-        Scheduler::Optimistic(3),
+        yawns(3),
+        opt(3),
         Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) },
         Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) },
     ];
@@ -142,7 +152,7 @@ fn queue_choice_never_changes_results() {
 fn optimistic_small_snapshot_interval_agrees() {
     let seq = run(Scheduler::Sequential);
     for (threads, batch, snapshot_interval) in [(3usize, 32usize, 4u64), (2, 8, 4), (4, 64, 8)] {
-        let opt = run(Scheduler::OptimisticWith {
+        let opt = run(Scheduler::Optimistic {
             threads,
             config: OptimisticConfig { batch, snapshot_interval },
         });

@@ -7,7 +7,7 @@ use codes::SimulationBuilder;
 use dragonfly::{DragonflyConfig, Routing};
 use harness::{analyze, causality_fingerprint, parse_chrome, TraceRun};
 use placement::Placement;
-use ross::{Scheduler, SimDuration, SimTime, Tracer};
+use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime, Tracer};
 use std::sync::Arc;
 use workloads::{app, AppKind, Profile};
 
@@ -37,6 +37,15 @@ fn traced_run(sched: Scheduler, rate: u32) -> (Vec<TraceRun>, String) {
     (runs, json)
 }
 
+/// `par:3:0`: the window clamps to the engine lookahead (YAWNS).
+fn yawns3() -> Scheduler {
+    Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) }
+}
+
+fn opt3() -> Scheduler {
+    Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() }
+}
+
 fn par3() -> Scheduler {
     Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) }
 }
@@ -54,7 +63,7 @@ fn causality_fingerprint_is_deterministic_and_scheduler_independent() {
     let (sampled, _) = traced_run(Scheduler::Sequential, 64);
     assert_eq!(reference, causality_fingerprint(&sampled[0]), "sample rate changed causality");
 
-    for sched in [Scheduler::Conservative(3), par3(), Scheduler::Optimistic(3)] {
+    for sched in [yawns3(), par3(), opt3()] {
         let (runs, _) = traced_run(sched, 1);
         assert_eq!(
             reference,
@@ -100,9 +109,7 @@ fn chrome_export_is_valid_json_with_monotonic_tracks() {
 /// runs the wasted fraction must be a sane [0, 1) ratio.
 #[test]
 fn critical_path_invariants_hold_on_real_traces() {
-    for sched in
-        [Scheduler::Sequential, Scheduler::Conservative(3), par3(), Scheduler::Optimistic(3)]
-    {
+    for sched in [Scheduler::Sequential, yawns3(), par3(), opt3()] {
         let (runs, _) = traced_run(sched, 1);
         let a = analyze(&runs[0]);
         let violations = a.check_invariants();
@@ -112,7 +119,7 @@ fn critical_path_invariants_hold_on_real_traces() {
         assert!(a.speedup_bound >= 1.0, "{sched:?} bound below 1");
         let w = a.wasted_fraction();
         assert!((0.0..1.0).contains(&w), "{sched:?} wasted fraction {w} out of range");
-        if !matches!(sched, Scheduler::Optimistic(_)) {
+        if !matches!(sched, Scheduler::Optimistic { .. }) {
             assert_eq!(a.wasted_events, 0, "{sched:?} cannot roll back");
         }
     }
@@ -137,4 +144,17 @@ fn malformed_numeric_flag_exits_two() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("union-exp"), "{args:?} stderr lacks context: {err}");
     }
+}
+
+/// The retired YAWNS spelling is a usage error that names its
+/// replacement, not a silently accepted alias.
+#[test]
+fn retired_cons_sched_exits_two_naming_par() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_union-exp"))
+        .args(["fig7", "--profile", "quick", "--sched", "cons:4"])
+        .output()
+        .expect("spawn union-exp");
+    assert_eq!(out.status.code(), Some(2), "cons:4 should exit 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("union-exp") && err.contains("par:4:0"), "unhelpful message: {err}");
 }
