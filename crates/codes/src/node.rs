@@ -73,6 +73,9 @@ pub struct NodeLp {
     pub proc: Option<Proc>,
     /// Partial message reassembly: (src_node, msg_id) → bytes received.
     assembly: HashMap<(u32, u64), u64>,
+    /// Scratch for the actions one rank call produces; empty between
+    /// events, kept for its capacity.
+    actions: Vec<Action>,
     /// Packets fully received at this node (telemetry).
     pub delivered_packets: u64,
 }
@@ -85,6 +88,7 @@ impl NodeLp {
             nic: Nic::default(),
             proc,
             assembly: HashMap::new(),
+            actions: Vec::new(),
             delivered_packets: 0,
         }
     }
@@ -115,18 +119,16 @@ impl NodeLp {
     pub fn handle_event(&mut self, now: SimTime, ev: &Event, ctx: &mut Ctx<'_, Event>) {
         match ev {
             Event::Start => {
-                let mut actions = Vec::new();
                 if let Some(p) = &mut self.proc {
-                    p.mpi.start(now.as_ns(), &mut actions);
+                    p.mpi.start(now.as_ns(), &mut self.actions);
                 }
-                self.apply(now, ctx, actions);
+                self.apply(now, ctx);
             }
             Event::ComputeDone => {
-                let mut actions = Vec::new();
                 if let Some(p) = &mut self.proc {
-                    p.mpi.on_compute_done(now.as_ns(), &mut actions);
+                    p.mpi.on_compute_done(now.as_ns(), &mut self.actions);
                 }
-                self.apply(now, ctx, actions);
+                self.apply(now, ctx);
             }
             Event::NicPulse => self.pulse(now, ctx),
             Event::NodePkt(pkt) => self.receive_packet(now, ctx, pkt),
@@ -137,9 +139,10 @@ impl NodeLp {
         }
     }
 
-    /// Process the actions a rank produced.
-    fn apply(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>, actions: Vec<Action>) {
-        for a in actions {
+    /// Process the actions a rank call left in `self.actions`.
+    fn apply(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for a in actions.drain(..) {
             match a {
                 Action::Compute { ns } => {
                     ctx.send_self(SimDuration::from_ns(ns.max(1)), Event::ComputeDone);
@@ -147,6 +150,7 @@ impl NodeLp {
                 Action::Send(msg) => self.enqueue_send(now, ctx, msg),
             }
         }
+        self.actions = actions;
     }
 
     fn enqueue_send(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>, msg: MpiMsg) {
@@ -219,11 +223,10 @@ impl NodeLp {
             if cur.emitted >= cur.wire {
                 let seq = cur.mpi_seq;
                 self.nic.sending = None;
-                let mut actions = Vec::new();
                 if let Some(p) = &mut self.proc {
-                    p.mpi.on_injected(now.as_ns(), seq, &mut actions);
+                    p.mpi.on_injected(now.as_ns(), seq, &mut self.actions);
                 }
-                self.apply(now, ctx, actions);
+                self.apply(now, ctx);
             }
         }
         // `apply` may already have restarted the NIC (a resumed rank
@@ -235,13 +238,16 @@ impl NodeLp {
 
     fn receive_packet(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>, pkt: &Packet) {
         self.delivered_packets += 1;
-        let key = (pkt.src_node, pkt.msg_id);
-        let acc = self.assembly.entry(key).or_insert(0);
-        *acc += pkt.bytes as u64;
-        if *acc < pkt.msg_bytes {
-            return;
+        // A one-packet message has nothing to reassemble.
+        if (pkt.bytes as u64) < pkt.msg_bytes {
+            let key = (pkt.src_node, pkt.msg_id);
+            let acc = self.assembly.entry(key).or_insert(0);
+            *acc += pkt.bytes as u64;
+            if *acc < pkt.msg_bytes {
+                return;
+            }
+            self.assembly.remove(&key);
         }
-        self.assembly.remove(&key);
         // Whole message arrived: hand it to the rank process.
         let Some((src_app, src_rank)) = self.shared.owner(pkt.src_node) else {
             panic!("message from unowned node {}", pkt.src_node)
@@ -259,8 +265,7 @@ impl NodeLp {
             wire: pkt.msg_bytes,
             created_ns: pkt.created.as_ns(),
         };
-        let mut actions = Vec::new();
-        p.mpi.on_delivery(now.as_ns(), &msg, &mut actions);
-        self.apply(now, ctx, actions);
+        p.mpi.on_delivery(now.as_ns(), &msg, &mut self.actions);
+        self.apply(now, ctx);
     }
 }

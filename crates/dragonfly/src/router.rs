@@ -244,8 +244,7 @@ impl RouterState {
         if let Some(p) = topo.local_port_to(self.id, target) {
             return p;
         }
-        let corners = topo.corners(self.id, target);
-        debug_assert!(!corners.is_empty(), "unreachable local target {target}");
+        let corners = topo.corners(self.id, target).expect("unreachable local target");
         let c = corners[rng.gen_range(0..corners.len())];
         topo.local_port_to(self.id, c).expect("corner must be adjacent")
     }
@@ -264,8 +263,7 @@ impl RouterState {
         if let Some(p) = topo.local_port_to(self.id, dst_router) {
             return p;
         }
-        let corners = topo.corners(self.id, dst_router);
-        debug_assert!(!corners.is_empty());
+        let corners = topo.corners(self.id, dst_router).expect("unreachable local target");
         let chosen = match routing {
             // Row-first: corners[0] is (my_row, dst_col).
             Routing::Minimal => corners[0],

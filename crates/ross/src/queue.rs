@@ -34,6 +34,22 @@
 //! touched exactly twice per queue residency (park, reclaim) no matter how
 //! many rung spills, era conversions or heap sifts the entry goes through.
 //!
+//! ## Bucket storage: one chunk arena per ladder
+//!
+//! A rung bucket (and the top tier) is not a vector but `{ head, len }`,
+//! eight bytes, naming a chain of 512-byte chunks — 21 hot entries and a
+//! `next` index — in a per-queue arena of 64 KiB slabs with a LIFO free
+//! list. Pushing writes into the head chunk and links a fresh one in front
+//! when it is full; scattering a bucket into a child rung, or copying it
+//! into `bottom` to be sorted, walks the chain and frees each chunk as it
+//! empties it. Timestamps in a network model are skewed — packets parked
+//! far ahead behind busy ports stretch an era, so the near band lands in
+//! a few buckets of 10^5 entries beside thousands of near-empty ones —
+//! and with the arena that costs nothing: a bucket never reallocates or
+//! copies as it grows, no capacity outlives the entries that needed it,
+//! and the ladder's hot storage is its live entries plus at most one
+//! partial chunk per non-empty bucket.
+//!
 //! Determinism: bucketing partitions events by `recv_time` only, which is
 //! the major key of the envelope order, and every bucket is sorted with a
 //! comparator equivalent to the full `Envelope` `Ord` before it is drained —
@@ -309,11 +325,18 @@ const SPAWN_THRESHOLD: usize = 96;
 /// Bounds on the number of buckets created per rung or top conversion.
 const MIN_BUCKETS: usize = 4;
 const MAX_BUCKETS: usize = 4096;
-/// Retained spare bucket allocations.
-const POOL_MAX: usize = 2 * MAX_BUCKETS;
-/// Retained rung bucket-vector shells (rung depth is logarithmic in the
+/// Retained rung bucket-array shells (rung depth is logarithmic in the
 /// era width, so a handful covers every real ladder).
 const SHELL_MAX: usize = 16;
+/// Hot entries per arena chunk: 21 x 24 B + the `next` index = 512 B,
+/// eight cache lines. The one tuning constant of the bucket storage —
+/// smaller chunks waste less per sparse bucket, larger ones chase fewer
+/// links per dense bucket.
+const CHUNK: usize = 21;
+/// Chunks per arena slab (64 KiB): the unit the arena grows by.
+const SLAB: usize = 128;
+/// "No chunk": end of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Hot half of a queued ladder event: the leading ordering keys
 /// (`recv_time`, `send_time`, `src`) plus the pool slot of the full
@@ -346,6 +369,125 @@ fn cmp_hot<E>(pool: &EventPool<E>, a: &HotEntry, b: &HotEntry) -> Ordering {
     })
 }
 
+/// An unsorted bag of hot entries: a chain of arena chunks. Every chunk
+/// behind `head` is full; `head` holds the remaining `len mod CHUNK`
+/// entries (a full `CHUNK` when that is 0 and `len > 0`). 8 bytes, so a
+/// 4,096-bucket rung is one dense 32 KiB array.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    len: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
+}
+
+/// `CHUNK` hot entries and the link to the next chunk of the same bucket
+/// (or of the free list).
+#[repr(C, align(64))]
+struct Chunk {
+    entries: [HotEntry; CHUNK],
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Chunk>() == 512);
+
+/// Per-queue chunk arena: the storage behind every rung bucket and the
+/// top tier. Chunks live in fixed 64 KiB slabs that are never moved,
+/// resized or released while the queue lives; a chunk id is
+/// `slab * SLAB + index`, and every chunk is either linked into a bucket
+/// or on the LIFO free list. A bucket grows by linking a chunk in front of
+/// its chain (nothing is copied), and draining a bucket hands its chunks
+/// back one by one, so a scatter reuses the chunk it just emptied. Slack
+/// is one partial chunk per non-empty bucket; the arena's size is the
+/// chunk high-water mark, rounded up to a slab.
+struct Arena {
+    slabs: Vec<Box<[Chunk; SLAB]>>,
+    /// Head of the free list, linked through `Chunk::next`.
+    free: u32,
+    /// Chunks currently linked into a bucket.
+    in_use: u32,
+}
+
+impl Arena {
+    fn new() -> Self {
+        Arena { slabs: Vec::new(), free: NIL, in_use: 0 }
+    }
+
+    #[inline]
+    fn chunk(&mut self, c: u32) -> &mut Chunk {
+        &mut self.slabs[c as usize / SLAB][c as usize % SLAB]
+    }
+
+    /// Take a chunk off the free list and set its link to `next`.
+    #[inline]
+    fn alloc(&mut self, next: u32) -> u32 {
+        if self.free == NIL {
+            self.grow();
+        }
+        let c = self.free;
+        self.free = std::mem::replace(&mut self.chunk(c).next, next);
+        self.in_use += 1;
+        c
+    }
+
+    /// Add one slab, its chunks chained onto the (empty) free list.
+    #[cold]
+    fn grow(&mut self) {
+        let base = self.slabs.len() * SLAB;
+        assert!(base + SLAB < NIL as usize, "ladder arena exceeds u32 chunks");
+        let empty = HotEntry { recv: 0, send: 0, src: 0, slot: 0 };
+        let slab: Box<[Chunk]> = (1..=SLAB)
+            .map(|i| Chunk {
+                entries: [empty; CHUNK],
+                next: if i < SLAB { (base + i) as u32 } else { NIL },
+            })
+            .collect();
+        self.slabs.push(slab.try_into().ok().expect("a slab is SLAB chunks"));
+        self.free = base as u32;
+    }
+
+    #[inline]
+    fn push(&mut self, b: &mut Bucket, entry: HotEntry) {
+        let at = b.len as usize % CHUNK;
+        if at == 0 {
+            b.head = self.alloc(b.head);
+        }
+        self.chunk(b.head).entries[at] = entry;
+        b.len += 1;
+    }
+
+    /// Unlink the head chunk of `b` and put it on the free list. Returns
+    /// its entries, the first `n` of them live; they stay readable until
+    /// the next `alloc`, which the borrow rules out.
+    #[inline]
+    fn pop_chunk(&mut self, b: &mut Bucket) -> Option<(&[HotEntry; CHUNK], usize)> {
+        if b.len == 0 {
+            return None;
+        }
+        let n = (b.len as usize - 1) % CHUNK + 1;
+        let (c, free) = (b.head, self.free);
+        self.free = c;
+        self.in_use -= 1;
+        let chunk = self.chunk(c);
+        b.head = std::mem::replace(&mut chunk.next, free);
+        b.len -= n as u32;
+        Some((&chunk.entries, n))
+    }
+
+    /// Move every entry of `from` into `to[(recv - start) >> shift]`. Each
+    /// chunk is copied out before its entries are pushed, so the pushes
+    /// can reuse that very chunk.
+    fn scatter(&mut self, mut from: Bucket, to: &mut [Bucket], start: u64, shift: u32) {
+        while let Some((&entries, n)) = self.pop_chunk(&mut from) {
+            for e in &entries[..n] {
+                self.push(&mut to[((e.recv - start) >> shift) as usize], *e);
+            }
+        }
+    }
+}
+
 /// One ladder tier: `buckets[i]` holds events with
 /// `recv_time ∈ [start + i·width, start + (i+1)·width)`, unsorted.
 ///
@@ -361,7 +503,7 @@ struct Rung {
     /// Dequeue frontier: events with `recv_time < cur_ts` live in deeper
     /// rungs or the bottom tier, never in this rung.
     cur_ts: u64,
-    buckets: Vec<Vec<HotEntry>>,
+    buckets: Vec<Bucket>,
 }
 
 /// Timestamp-bucketed pending-event queue with lazy per-bucket sorting.
@@ -381,10 +523,17 @@ struct Rung {
 ///   (`recv_time > era_end`). When the ladder drains, top collapses into a
 ///   fresh rung 0 and a new era begins.
 ///
-/// Every allocation is recycled: envelopes through the slot pool, bucket
-/// vectors through `spare`, rung shells through `shells`, and the `rungs` /
-/// `top` / `bottom` vectors keep their capacity across eras — after warmup
-/// the steady state allocates nothing per event (asserted by
+/// Every rung bucket and the top tier are chains of 512-byte chunks in one
+/// per-queue arena (see `Arena`): hot storage is the live entries plus at
+/// most one partial chunk per non-empty bucket, however skewed the
+/// timestamps, and a bucket that grows to 10^5 entries never reallocates
+/// or copies. Only `bottom` is a plain vector, and it only ever holds one
+/// sortable bucket.
+///
+/// Every allocation is recycled: envelopes through the slot pool, chunks
+/// through the arena's free list, rung bucket arrays through `shells`, and
+/// the `rungs` / `bottom` vectors keep their capacity across eras — after
+/// warmup the steady state allocates nothing per event (asserted by
 /// `tests/alloc_discipline.rs`).
 ///
 /// The one degenerate corner: events at `recv_time == u64::MAX` mixed into
@@ -394,7 +543,7 @@ struct Rung {
 pub struct LadderQueue<E> {
     bottom: Vec<HotEntry>,
     rungs: Vec<Rung>,
-    top: Vec<HotEntry>,
+    top: Bucket,
     /// Events with `recv_time > era_end` belong to `top`.
     era_end: u64,
     /// Min/max timestamps currently in `top` (valid while `top` is
@@ -404,11 +553,10 @@ pub struct LadderQueue<E> {
     len: usize,
     ops: u64,
     max_len: u64,
-    /// Spare bucket allocations, reused across rung spawns so steady-state
-    /// operation stops allocating.
-    spare: Vec<Vec<HotEntry>>,
-    /// Spare rung bucket-vector shells (the outer `Vec` of a rung).
-    shells: Vec<Vec<Vec<HotEntry>>>,
+    /// Chunk storage of every rung bucket and of `top`.
+    arena: Arena,
+    /// Kept rung bucket arrays (the `Vec<Bucket>` of a dead rung).
+    shells: Vec<Vec<Bucket>>,
     /// Cold storage for queued envelopes.
     pool: EventPool<E>,
 }
@@ -424,14 +572,14 @@ impl<E> LadderQueue<E> {
         LadderQueue {
             bottom: Vec::new(),
             rungs: Vec::new(),
-            top: Vec::new(),
+            top: Bucket::EMPTY,
             era_end: 0,
             top_min: u64::MAX,
             top_max: 0,
             len: 0,
             ops: 0,
             max_len: 0,
-            spare: Vec::new(),
+            arena: Arena::new(),
             shells: Vec::new(),
             pool: EventPool::new(),
         }
@@ -439,13 +587,13 @@ impl<E> LadderQueue<E> {
 
     /// Start a fresh era: everything (except `recv_time == 0`) routes to
     /// `top` until the next conversion. Only legal when no events remain —
-    /// exhausted rung shells may still be present (they are collapsed
-    /// lazily by `refill`) and are recycled here. Telemetry (`max_len`,
-    /// `ops`, pool counters) deliberately survives era turnover: the
-    /// high-water mark is a whole-run statistic.
+    /// exhausted rungs may still be present (they are collapsed lazily by
+    /// `refill`) and are retired here. Telemetry (`max_len`, `ops`, pool
+    /// counters) deliberately survives era turnover: the high-water mark
+    /// is a whole-run statistic.
     fn reset_era(&mut self) {
-        debug_assert!(self.bottom.is_empty() && self.top.is_empty());
-        debug_assert!(self.rungs.iter().all(|r| r.buckets.iter().all(|b| b.is_empty())));
+        debug_assert!(self.bottom.is_empty() && self.top.len == 0);
+        debug_assert_eq!(self.arena.in_use, 0, "empty ladder still holds chunks");
         while let Some(rung) = self.rungs.pop() {
             self.retire_rung(rung);
         }
@@ -454,35 +602,19 @@ impl<E> LadderQueue<E> {
         self.top_max = 0;
     }
 
-    /// Recycle a dead rung's buckets and its shell.
+    /// Keep a dead rung's bucket array for the next rung.
     fn retire_rung(&mut self, mut rung: Rung) {
-        while let Some(b) = rung.buckets.pop() {
-            self.recycle(b);
-        }
+        debug_assert!(rung.buckets.iter().all(|b| b.len == 0));
         if self.shells.len() < SHELL_MAX {
+            rung.buckets.clear();
             self.shells.push(rung.buckets);
         }
     }
 
-    fn take_bucket(&mut self) -> Vec<HotEntry> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    fn make_buckets(&mut self, n: usize) -> Vec<Vec<HotEntry>> {
+    fn make_buckets(&mut self, n: usize) -> Vec<Bucket> {
         let mut v = self.shells.pop().unwrap_or_default();
-        debug_assert!(v.is_empty());
-        v.reserve(n);
-        for _ in 0..n {
-            v.push(self.take_bucket());
-        }
+        v.resize(n, Bucket::EMPTY);
         v
-    }
-
-    fn recycle(&mut self, mut bucket: Vec<HotEntry>) {
-        bucket.clear();
-        if bucket.capacity() > 0 && self.spare.len() < POOL_MAX {
-            self.spare.push(bucket);
-        }
     }
 
     /// Insert a straggler into the sorted bottom tier (descending order).
@@ -490,6 +622,16 @@ impl<E> LadderQueue<E> {
         let pool = &self.pool;
         let pos = self.bottom.partition_point(|e| cmp_hot(pool, e, &entry) == Ordering::Greater);
         self.bottom.insert(pos, entry);
+    }
+
+    /// Make `bucket` the new bottom tier: copy it out of the arena and
+    /// sort it descending.
+    fn sort_into_bottom(&mut self, mut bucket: Bucket) {
+        while let Some((entries, n)) = self.arena.pop_chunk(&mut bucket) {
+            self.bottom.extend_from_slice(&entries[..n]);
+        }
+        let pool = &self.pool;
+        self.bottom.sort_unstable_by(|a, b| cmp_hot(pool, b, a));
     }
 
     /// Refill `bottom` from the ladder: advance the deepest rung to its
@@ -500,73 +642,58 @@ impl<E> LadderQueue<E> {
         debug_assert!(self.bottom.is_empty());
         loop {
             let Some(ri) = self.rungs.len().checked_sub(1) else {
-                if self.top.is_empty() {
+                if self.top.len == 0 {
                     return;
                 }
-                if self.top_min == self.top_max {
+                let top = std::mem::replace(&mut self.top, Bucket::EMPTY);
+                let (start, end) = (self.top_min, self.top_max);
+                self.era_end = end;
+                self.top_min = u64::MAX;
+                self.top_max = 0;
+                if start == end {
                     // Single-timestamp era (this also covers the
                     // u64::MAX corner): sort straight into bottom.
-                    self.bottom.append(&mut self.top);
-                    let pool = &self.pool;
-                    self.bottom.sort_unstable_by(|a, b| cmp_hot(pool, b, a));
-                    self.era_end = self.top_max;
-                    self.top_min = u64::MAX;
-                    self.top_max = 0;
+                    self.sort_into_bottom(top);
                     return;
                 }
-                let start = self.top_min;
-                let range = self.top_max - self.top_min; // ≥ 1
-                let n = self.top.len().clamp(MIN_BUCKETS, MAX_BUCKETS) as u64;
+                let range = end - start; // ≥ 1
+                let n = (top.len as usize).clamp(MIN_BUCKETS, MAX_BUCKETS) as u64;
                 // Round the width up to a power of two: bucket indexing
                 // becomes a shift (the per-event division otherwise shows
                 // up in profiles). `n ≥ 4` keeps the rounding overflow-free.
                 let width = (range / n).max(1).next_power_of_two();
                 let shift = width.trailing_zeros();
-                let nb = (range >> shift) as usize + 1;
-                let mut buckets = self.make_buckets(nb);
-                let mut top = std::mem::take(&mut self.top);
-                for entry in top.drain(..) {
-                    buckets[((entry.recv - start) >> shift) as usize].push(entry);
-                }
-                self.top = top; // keep the allocation
+                let mut buckets = self.make_buckets((range >> shift) as usize + 1);
+                self.arena.scatter(top, &mut buckets, start, shift);
                 self.rungs.push(Rung { start, width, shift, cur_ts: start, buckets });
-                self.era_end = self.top_max;
-                self.top_min = u64::MAX;
-                self.top_max = 0;
                 continue;
             };
 
-            let (start, width, shift, cur_ts, nb) = {
-                let r = &self.rungs[ri];
-                (r.start, r.width, r.shift, r.cur_ts, r.buckets.len())
-            };
-            let mut j = ((cur_ts - start) >> shift) as usize;
-            while j < nb && self.rungs[ri].buckets[j].is_empty() {
+            let rung = &mut self.rungs[ri];
+            let (start, width) = (rung.start, rung.width);
+            let mut j = ((rung.cur_ts - start) >> rung.shift) as usize;
+            while j < rung.buckets.len() && rung.buckets[j].len == 0 {
                 j += 1;
             }
-            if j >= nb {
+            if j >= rung.buckets.len() {
                 let dead = self.rungs.pop().unwrap();
                 self.retire_rung(dead);
                 continue;
             }
             let bucket_start = start + j as u64 * width;
-            self.rungs[ri].cur_ts = bucket_start.saturating_add(width);
-            let blen = self.rungs[ri].buckets[j].len();
+            rung.cur_ts = bucket_start.saturating_add(width);
+            let bucket = std::mem::replace(&mut rung.buckets[j], Bucket::EMPTY);
+            let blen = bucket.len as usize;
             if blen > SPAWN_THRESHOLD && width > 1 {
                 // Too big to sort cheaply: subdivide into a child rung.
-                let mut bucket = std::mem::take(&mut self.rungs[ri].buckets[j]);
                 let n = blen.clamp(MIN_BUCKETS, MAX_BUCKETS) as u64;
                 // `width` is a power of two ≥ 2 and `n ≥ 4`, so the child
                 // width rounds to a power of two strictly below `width` —
                 // subdivision always makes progress.
                 let cw = (width / n).max(1).next_power_of_two().min(width / 2);
                 let cshift = cw.trailing_zeros();
-                let cnb = (width >> cshift) as usize;
-                let mut buckets = self.make_buckets(cnb);
-                for entry in bucket.drain(..) {
-                    buckets[((entry.recv - bucket_start) >> cshift) as usize].push(entry);
-                }
-                self.recycle(bucket);
+                let mut buckets = self.make_buckets((width >> cshift) as usize);
+                self.arena.scatter(bucket, &mut buckets, bucket_start, cshift);
                 self.rungs.push(Rung {
                     start: bucket_start,
                     width: cw,
@@ -577,13 +704,32 @@ impl<E> LadderQueue<E> {
                 continue;
             }
             // Small enough: materialize this bucket as the new bottom.
-            let mut bucket = std::mem::take(&mut self.rungs[ri].buckets[j]);
-            std::mem::swap(&mut self.bottom, &mut bucket);
-            self.recycle(bucket);
-            let pool = &self.pool;
-            self.bottom.sort_unstable_by(|a, b| cmp_hot(pool, b, a));
+            self.sort_into_bottom(bucket);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+impl<E> LadderQueue<E> {
+    /// Bytes of hot-entry storage the ladder holds: arena slabs, `bottom`
+    /// and every rung bucket array, in a rung or kept as a shell.
+    fn hot_bytes(&self) -> usize {
+        let arrays = self.rungs.iter().map(|r| &r.buckets).chain(&self.shells);
+        self.arena.slabs.len() * SLAB * std::mem::size_of::<Chunk>()
+            + self.bottom.capacity() * std::mem::size_of::<HotEntry>()
+            + arrays.map(|b| b.capacity() * std::mem::size_of::<Bucket>()).sum::<usize>()
+    }
+
+    /// Whether every chunk the arena ever handed out is on its free list.
+    fn all_chunks_free(&mut self) -> bool {
+        let total = self.arena.slabs.len() * SLAB;
+        let (mut on_list, mut c) = (0, self.arena.free);
+        while c != NIL {
+            on_list += 1;
+            c = self.arena.chunk(c).next;
+        }
+        self.arena.in_use == 0 && on_list == total
     }
 }
 
@@ -606,14 +752,14 @@ impl<E> EventQueue<E> for LadderQueue<E> {
         if ts > self.era_end {
             self.top_min = self.top_min.min(ts);
             self.top_max = self.top_max.max(ts);
-            self.top.push(entry);
+            self.arena.push(&mut self.top, entry);
             return;
         }
         for r in &mut self.rungs {
             if ts >= r.cur_ts {
                 let idx = ((ts - r.start) >> r.shift) as usize;
                 debug_assert!(idx < r.buckets.len(), "event beyond rung range");
-                r.buckets[idx].push(entry);
+                self.arena.push(&mut r.buckets[idx], entry);
                 return;
             }
         }
@@ -669,22 +815,13 @@ impl<E> EventQueue<E> for LadderQueue<E> {
 
     fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
         out.reserve(self.len);
-        for e in self.bottom.drain(..) {
-            out.push(self.pool.take(e.slot));
-        }
-        while let Some(mut rung) = self.rungs.pop() {
-            while let Some(mut b) = rung.buckets.pop() {
-                for e in b.drain(..) {
-                    out.push(self.pool.take(e.slot));
-                }
-                self.recycle(b);
+        let (arena, pool) = (&mut self.arena, &mut self.pool);
+        out.extend(self.bottom.drain(..).map(|e| pool.take(e.slot)));
+        let tiers = self.rungs.iter_mut().flat_map(|r| r.buckets.iter_mut());
+        for bucket in tiers.chain(std::iter::once(&mut self.top)) {
+            while let Some((entries, n)) = arena.pop_chunk(bucket) {
+                out.extend(entries[..n].iter().map(|e| pool.take(e.slot)));
             }
-            if self.shells.len() < SHELL_MAX {
-                self.shells.push(rung.buckets);
-            }
-        }
-        for e in self.top.drain(..) {
-            out.push(self.pool.take(e.slot));
         }
         self.len = 0;
         self.reset_era();
@@ -876,6 +1013,73 @@ mod tests {
         q.push(env(5, 0, 0, 0, 100));
         assert_eq!(q.max_len(), 50, "high-water lost across drain_to");
         assert!(q.pool_stats().recycled > 0);
+    }
+
+    /// Skewed stream: every 10 ms era is a dense band (99 events in 100
+    /// inside its first 200 ns) plus a sparse tail over the whole era. The
+    /// tail stretches the era's rung, so the band arrives in one bucket of
+    /// 10^4 entries that subdivides again and again, next to thousands of
+    /// buckets holding one entry or none. Era `k` is popped while era
+    /// `k + 1` arrives, one for one, so the population stays at `per_era`
+    /// through `eras` turnovers; a few arrivals land just ahead of the
+    /// clock instead, inside the rungs being drained.
+    fn skewed_eras(q: &mut LadderQueue<u64>, eras: u64, per_era: u64) {
+        const ERA: u64 = 10_000_000;
+        let mut seq = 0u64;
+        let mut push = |q: &mut LadderQueue<u64>, era: u64, i: u64, now: u64| {
+            let r = (seq ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 24;
+            let recv = match i % 100 {
+                0 if i == 0 => (era + 1) * ERA - 1,
+                0 => era * ERA + r % ERA,
+                1 if now > 0 => now + r % 1000,
+                _ => era * ERA + r % 200,
+            };
+            q.push(env(recv, now, (seq % 7) as u32, seq, seq));
+            seq += 1;
+        };
+        for i in 0..per_era {
+            push(q, 0, i, 0);
+        }
+        let mut last = 0;
+        for era in 1..=eras {
+            for i in 0..per_era {
+                let now = q.pop().unwrap().recv_time.0;
+                assert!(now >= last, "dequeue order regressed");
+                last = now;
+                push(q, era, i, now);
+            }
+        }
+        assert!(last >= (eras - 1) * ERA);
+    }
+
+    /// The arena's point: hot storage follows the live population, not
+    /// the largest bucket any era ever grew. (With one growable vector per
+    /// bucket, recycled whatever its capacity, this stream held 17 times
+    /// its live size.)
+    #[test]
+    fn skewed_stream_keeps_hot_storage_near_live_size() {
+        let mut q = LadderQueue::new();
+        skewed_eras(&mut q, 5, 40_000);
+        assert_eq!((q.len(), q.max_len()), (40_000, 40_000));
+        let budget = 2 * q.len() * std::mem::size_of::<HotEntry>() + (64 << 10);
+        assert!(q.hot_bytes() <= budget, "{} B hot storage for 40,000 entries", q.hot_bytes());
+    }
+
+    #[test]
+    fn every_chunk_returns_to_the_free_list() {
+        let mut q = LadderQueue::new();
+        skewed_eras(&mut q, 2, 5_000);
+        assert!(!q.all_chunks_free());
+        let mut out = Vec::new();
+        q.drain_to(&mut out);
+        assert_eq!(out.len(), 5_000);
+        assert!(q.all_chunks_free(), "drain_to leaked chunks");
+        // Reload (a fresh era through `top`) and pop to empty.
+        for e in out {
+            q.push(e);
+        }
+        while q.pop().is_some() {}
+        assert!(q.all_chunks_free(), "draining to empty leaked chunks");
     }
 
     #[test]

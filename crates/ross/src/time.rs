@@ -106,8 +106,12 @@ impl SimDuration {
             return SimDuration::ZERO;
         }
         let bytes_per_ns = gib_per_s * (1u64 << 30) as f64 / 1e9;
-        let ns = (bytes as f64 / bytes_per_ns).ceil() as u64;
-        SimDuration(ns.max(1))
+        // Round up without `f64::ceil`, which baseline x86_64 (no SSE4.1)
+        // lowers to a library call: truncate, then add one if that lost a
+        // fraction. Exact, so equal to `.ceil() as u64` for every input.
+        let x = bytes as f64 / bytes_per_ns;
+        let q = x as u64;
+        SimDuration((q + ((q as f64) < x) as u64).max(1))
     }
 }
 
@@ -197,5 +201,19 @@ mod tests {
         // Zero bytes is free, tiny payloads are never free.
         assert_eq!(SimDuration::transfer_time(0, 16.0), SimDuration::ZERO);
         assert!(SimDuration::transfer_time(1, 1000.0).as_ns() >= 1);
+    }
+
+    #[test]
+    fn transfer_time_rounds_up_exactly_like_ceil() {
+        let big = [(1u64 << 32) + 1, (1 << 33) + 12_345, (1 << 40) + 7, 1 << 52, u64::MAX >> 8];
+        // The dragonfly configs' terminal, local and global links.
+        for gib_s in [16.0, 4.69, 5.25] {
+            let bytes_per_ns = gib_s * (1u64 << 30) as f64 / 1e9;
+            for bytes in (1..=8192).chain(big) {
+                let want = ((bytes as f64 / bytes_per_ns).ceil() as u64).max(1);
+                let got = SimDuration::transfer_time(bytes, gib_s).as_ns();
+                assert_eq!(got, want, "{bytes} B at {gib_s} GiB/s");
+            }
+        }
     }
 }

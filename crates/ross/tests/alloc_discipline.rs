@@ -1,14 +1,14 @@
 //! Steady-state allocation discipline for the sequential hot path.
 //!
 //! The event-pooling rework (DESIGN.md §14) promises that once the pool,
-//! rung shells and bucket spares have warmed up, processing an event
+//! rung shells and chunk arena have warmed up, processing an event
 //! allocates nothing: envelopes are recycled through `EventPool`, ladder
-//! buckets through the spare pool, and the scheduler's scratch buffers
-//! keep their capacity across events. This test pins that promise with a
-//! counting `#[global_allocator]`: warm up a constant-population PHOLD,
-//! then process a couple hundred thousand more events and assert the
-//! allocator was hit at most a handful of times *per run call* — i.e.
-//! zero times per event.
+//! bucket chunks through the arena's free list, and the scheduler's
+//! scratch buffers keep their capacity across events. This test pins that
+//! promise with a counting `#[global_allocator]`: warm up a
+//! constant-population PHOLD, then process a couple hundred thousand more
+//! events and assert the allocator was hit at most a handful of times *per
+//! run call* — i.e. zero times per event.
 //!
 //! Deliberately a single `#[test]` in its own binary: the allocator
 //! counter is process-global, and a concurrent sibling test would
@@ -102,7 +102,7 @@ fn sequential_steady_state_allocates_nothing_per_event() {
         sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
     }
 
-    // Warm up: pool slots, ladder rung shells, bucket spares and scratch
+    // Warm up: pool slots, ladder rung shells, arena slabs and scratch
     // buffers all reach their steady-state capacity here.
     let warm = sim.run_sequential(SimTime::from_ns(2_000_000));
     assert!(warm.committed > 50_000, "warmup ran dry: {warm:?}");
@@ -121,7 +121,7 @@ fn sequential_steady_state_allocates_nothing_per_event() {
     assert!(
         allocs <= 8,
         "sequential hot path allocated {} times over {} events — \
-         event pooling or bucket recycling has regressed",
+         event pooling or chunk recycling has regressed",
         allocs,
         run.committed
     );

@@ -28,9 +28,15 @@ impl Mix {
 
 /// A random envelope. `time_span` controls recv-time density: small spans
 /// force many equal-`recv_time` collisions so the ordering decision falls
-/// to `(send_time, src, tiebreak)` and, transiently, to `uid`.
-fn env(rng: &mut Mix, seq: u64, base: u64, time_span: u64) -> Envelope<u64> {
-    let recv = base + rng.below(time_span);
+/// to `(send_time, src, tiebreak)` and, transiently, to `uid`. A non-zero
+/// `far_one_in` skews the stream: one event in that many lands up to
+/// 2^20 spans ahead, so an era is a dense band in a few multi-chunk
+/// buckets plus a sparse tail of near-empty ones.
+fn env(rng: &mut Mix, seq: u64, base: u64, time_span: u64, far_one_in: u64) -> Envelope<u64> {
+    let mut recv = base + rng.below(time_span);
+    if far_one_in > 0 && rng.below(far_one_in) == 0 {
+        recv += time_span * rng.below(1 << 20);
+    }
     let src = (rng.below(8)) as u32;
     Envelope {
         recv_time: SimTime(recv),
@@ -62,7 +68,10 @@ proptest! {
         seed in 0u64..u64::MAX,
         n_ops in 50usize..400,
         time_span in 1u64..2000,
+        skew in 0u64..64,
     ) {
+        // Half the cases keep the uniform shape, half are skewed.
+        let far_one_in = if skew % 2 == 0 { 0 } else { skew };
         let mut rng = Mix(seed);
         let mut heap = BinaryHeapQueue::new();
         let mut ladder = LadderQueue::new();
@@ -73,7 +82,7 @@ proptest! {
                 // Bulk push: a batch lands at once (window seal pattern).
                 0..=4 => {
                     for _ in 0..rng.below(20) + 1 {
-                        let e = env(&mut rng, seq, base, time_span);
+                        let e = env(&mut rng, seq, base, time_span, far_one_in);
                         seq += 1;
                         heap.push(e.clone());
                         ladder.push(e);
@@ -139,7 +148,7 @@ proptest! {
             match rng.below(10) {
                 0..=4 => {
                     for _ in 0..rng.below(20) + 1 {
-                        let mut e = env(&mut rng, seq, base, time_span);
+                        let mut e = env(&mut rng, seq, base, time_span, 0);
                         e.payload = stamp(e.uid);
                         seq += 1;
                         live += 1;
@@ -196,7 +205,7 @@ proptest! {
         let mut heap = BinaryHeapQueue::new();
         let mut ladder = LadderQueue::new();
         for seq in 0..200u64 {
-            let mut e = env(&mut rng, seq, 0, 1);
+            let mut e = env(&mut rng, seq, 0, 1, 0);
             e.recv_time = SimTime(ts);
             e.send_time = SimTime(ts.saturating_sub(rng.below(3)));
             heap.push(e.clone());
