@@ -84,7 +84,7 @@ fn bench_queues(c: &mut Criterion) {
     // Pending-event queue ablation: binary heap (O(log n) per op) vs
     // ladder (O(1) amortized). The gap only shows once the pending set
     // is large, so this group sweeps the PHOLD population; the committed
-    // baseline lives in BENCH_queue.json (see the `queue-bench` bin).
+    // numbers are BENCHMARK.json's `ross.queue.*_ns_per_op` probes.
     let mut g = c.benchmark_group("engine/queue");
     g.sample_size(10);
     for n_lps in [64u32, 4096] {

@@ -8,9 +8,11 @@
 pub mod lint;
 pub mod live;
 pub mod report;
+pub mod run;
 pub mod shard;
 pub mod sweep;
 pub mod trace_analysis;
 
+pub use run::{run, RunError, RunReport, RunSpec, UsageError};
 pub use sweep::{Net, RunKey, RunRecord, SweepConfig, Workload};
 pub use trace_analysis::{analyze, causality_fingerprint, parse_chrome, RunAnalysis, TraceRun};

@@ -1,8 +1,9 @@
 //! Glue between `union-lint` and the assembled experiment: install the
 //! skeleton analysis as the registry's pre-instantiation hook, extract
-//! the LP delay graph from a built topology, and validate `par:T:L`
-//! schedules against it before a sweep starts (DESIGN.md §7).
+//! the LP delay graph from a built topology, and validate a schedule's
+//! lookahead window against it before a run starts (DESIGN.md §7).
 
+use crate::run::Sched;
 use crate::sweep::SweepConfig;
 use dragonfly::Topology;
 use ross::Scheduler;
@@ -41,51 +42,33 @@ pub fn model_graph(topo: &Topology) -> ModelGraph {
     ModelGraph::new(codes::partition_blocks(topo), edges).with_names(codes::lp_names(topo))
 }
 
-/// Tier-B validation of a sweep configuration: for a conservative-parallel
-/// or asynchronous-conservative schedule, check the lookahead window
-/// against the minimum cross-partition delay of every selected network —
-/// both schedulers make the same per-partition lookahead promise, so one
-/// bound covers them. Empty report = safe (or neither `par` nor `async`).
-pub fn check_sched_lookahead(cfg: &SweepConfig) -> Report {
-    let lookahead = match cfg.sched {
-        Scheduler::ConservativeParallel { lookahead, .. }
-        | Scheduler::ConservativeAsync { lookahead, .. } => lookahead,
-        _ => return Report::new(),
+/// Tier-B validation of a schedule against every network `cfg` selects —
+/// the one lookahead gate behind every command. `par:T:L` and `async:T:L`
+/// make the same per-partition promise, so their window is checked
+/// against the minimum cross-partition delay. `shard:N:T:L` mirrors
+/// `run_sharded` exactly: shards own whole partition blocks (dealt by the
+/// same deterministic bin-packer), so only cross-shard edges bind the
+/// window, plus intra-shard cross-block edges when `T > 1` — a flat
+/// par-style check would reject windows `shard:N:1:L` handles fine.
+/// Empty report = safe (or a schedule that promises no lookahead).
+pub fn check_lookahead(cfg: &SweepConfig, sched: &Sched) -> Report {
+    let check: Box<dyn Fn(&ModelGraph) -> Report> = match *sched {
+        Sched::InProcess(
+            Scheduler::ConservativeParallel { lookahead, .. }
+            | Scheduler::ConservativeAsync { lookahead, .. },
+        ) => Box::new(move |g| g.check_lookahead(lookahead.as_ns())),
+        Sched::Shard(s) => Box::new(move |g| {
+            let part = ross::Partition::from_blocks(g.block_of.clone());
+            let shard_of = ross::shard::shard_owner_map(Some(&part), g.block_of.len(), s.shards);
+            g.check_shard_lookahead(&shard_of, s.threads, s.lookahead_ns)
+        }),
+        Sched::InProcess(_) => return Report::new(),
     };
     let mut out = Report::new();
     for &net in &cfg.nets {
         let mut net_cfg = net.config(cfg.profile);
         net_cfg.flow = cfg.flow;
-        let graph = model_graph(&Topology::build(net_cfg));
-        for d in graph.check_lookahead(lookahead.as_ns()).iter() {
-            let mut d = d.clone();
-            d.message = format!("{} network: {}", net.label(), d.message);
-            out.push(d);
-        }
-    }
-    out
-}
-
-/// Tier-B validation of a `shard:N:T:L` schedule: compute the shard-level
-/// owner map exactly as `run_sharded` will (whole partition blocks through
-/// the same deterministic bin-packer) and check the lookahead window
-/// against every edge the sharded protocol synchronizes — cross-shard
-/// edges always, intra-shard cross-block edges when `threads > 1`.
-/// Ignores `cfg.sched`; the shard spec is passed explicitly.
-pub fn check_shard_lookahead(
-    cfg: &SweepConfig,
-    shards: usize,
-    threads: usize,
-    window_ns: u64,
-) -> Report {
-    let mut out = Report::new();
-    for &net in &cfg.nets {
-        let mut net_cfg = net.config(cfg.profile);
-        net_cfg.flow = cfg.flow;
-        let graph = model_graph(&Topology::build(net_cfg));
-        let part = ross::Partition::from_blocks(graph.block_of.clone());
-        let shard_of = ross::shard::shard_owner_map(Some(&part), graph.block_of.len(), shards);
-        for d in graph.check_shard_lookahead(&shard_of, threads, window_ns).iter() {
+        for d in check(&model_graph(&Topology::build(net_cfg))).iter() {
             let mut d = d.clone();
             d.message = format!("{} network: {}", net.label(), d.message);
             out.push(d);
@@ -97,8 +80,18 @@ pub fn check_shard_lookahead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardSpec;
     use crate::sweep::SweepConfig;
     use ross::SimDuration;
+
+    fn par(lookahead: u64) -> Sched {
+        let lookahead = SimDuration::from_ns(lookahead);
+        Sched::InProcess(Scheduler::ConservativeParallel { threads: 2, lookahead })
+    }
+
+    fn shard(shards: usize, threads: usize, lookahead_ns: u64) -> Sched {
+        Sched::Shard(ShardSpec { shards, threads, lookahead_ns })
+    }
 
     #[test]
     fn tiny_model_accepts_min_delay_and_rejects_above() {
@@ -114,30 +107,24 @@ mod tests {
 
     #[test]
     fn sweep_par_lookahead_is_validated_per_net() {
-        let mut cfg = SweepConfig::smoke();
-        cfg.sched =
-            Scheduler::ConservativeParallel { threads: 2, lookahead: SimDuration::from_ns(1) };
-        assert!(check_sched_lookahead(&cfg).is_empty());
-        cfg.sched = Scheduler::ConservativeParallel {
-            threads: 2,
-            lookahead: SimDuration::from_ns(u64::MAX),
-        };
-        let r = check_sched_lookahead(&cfg);
+        let cfg = SweepConfig::smoke();
+        assert!(check_lookahead(&cfg, &par(1)).is_empty());
+        let r = check_lookahead(&cfg, &par(u64::MAX));
         assert!(r.has_errors(), "{r}");
         // The diagnostic must name the offending LP pair.
         assert!(r.iter().any(|d| d.message.contains(" -> ")), "{r}");
-        cfg.sched = Scheduler::Sequential;
-        assert!(check_sched_lookahead(&cfg).is_empty());
+        assert!(check_lookahead(&cfg, &Sched::InProcess(Scheduler::Sequential)).is_empty());
     }
 
     #[test]
     fn sweep_async_lookahead_shares_the_par_bound() {
-        let mut cfg = SweepConfig::smoke();
-        cfg.sched = Scheduler::ConservativeAsync { threads: 2, lookahead: SimDuration::from_ns(1) };
-        assert!(check_sched_lookahead(&cfg).is_empty());
-        cfg.sched =
-            Scheduler::ConservativeAsync { threads: 2, lookahead: SimDuration::from_ns(u64::MAX) };
-        let r = check_sched_lookahead(&cfg);
+        let cfg = SweepConfig::smoke();
+        let asynch = |ns| {
+            let lookahead = SimDuration::from_ns(ns);
+            Sched::InProcess(Scheduler::ConservativeAsync { threads: 2, lookahead })
+        };
+        assert!(check_lookahead(&cfg, &asynch(1)).is_empty());
+        let r = check_lookahead(&cfg, &asynch(u64::MAX));
         assert!(r.has_errors(), "{r}");
         assert!(r.iter().any(|d| d.message.contains(" -> ")), "{r}");
     }
@@ -145,18 +132,18 @@ mod tests {
     #[test]
     fn sweep_shard_lookahead_is_validated_per_net() {
         let cfg = SweepConfig::smoke();
-        assert!(check_shard_lookahead(&cfg, 2, 1, 1).is_empty());
-        let r = check_shard_lookahead(&cfg, 2, 1, u64::MAX);
+        assert!(check_lookahead(&cfg, &shard(2, 1, 1)).is_empty());
+        let r = check_lookahead(&cfg, &shard(2, 1, u64::MAX));
         assert!(r.has_errors(), "{r}");
         // The diagnostic must name the offending LP pair and the shards.
         assert!(r.iter().any(|d| d.message.contains(" -> ")), "{r}");
         assert!(r.iter().any(|d| d.message.contains("crosses shards")), "{r}");
         // One shard, one thread: nothing crosses a synchronization
         // boundary, so even an absurd window is accepted.
-        assert!(check_shard_lookahead(&cfg, 1, 1, u64::MAX).is_empty());
+        assert!(check_lookahead(&cfg, &shard(1, 1, u64::MAX)).is_empty());
         // One shard, many threads: the in-process conservative rounds
         // still bind the window to the block-level minimum.
-        assert!(check_shard_lookahead(&cfg, 1, 4, u64::MAX).has_errors());
+        assert!(check_lookahead(&cfg, &shard(1, 4, u64::MAX)).has_errors());
     }
 
     #[test]

@@ -24,19 +24,19 @@
 //! control connection; the parent then kills the rest of the gang and
 //! reports which shard was lost.
 
+use crate::run::RunSpec;
 use ross::shard::wire::{fnv1a, put_u64, ByteReader};
 use ross::shard::{
-    shard_owner_map, CheckpointSpec, EventCodec, ShardCodec, ShardError, ShardRun, TcpTransport,
+    shard_owner_map, EventCodec, ShardCodec, ShardError, ShardRun, ShardTransport, TcpTransport,
 };
 use ross::{Ctx, Envelope, Lp, QueueKind, RunStats, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::live::{GangAggregator, SnapshotRecord, SnapshotSink};
+use telemetry::live::{GangAggregator, MetricsRegistry, SnapshotRecord, SnapshotSink};
 
 /// Environment of a spawned worker process.
 pub const ENV_ROLE: &str = "UNION_SHARD_ROLE";
@@ -47,39 +47,12 @@ pub const ENV_CONTROL: &str = "UNION_SHARD_CONTROL";
 /// itself (SIGKILL) right after its first completed checkpoint round.
 pub const ENV_FAULT: &str = "UNION_SHARD_FAULT";
 
-/// A parsed `shard:N:T:L` scheduler spec.
+/// A parsed `shard:N:T:L` scheduler spec (grammar: [`crate::run::Sched::parse`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     pub shards: usize,
     pub threads: usize,
     pub lookahead_ns: u64,
-}
-
-impl ShardSpec {
-    /// `None` when `s` is not a `shard:` spec at all; `Some(Err)` when it
-    /// is one but malformed.
-    pub fn parse(s: &str) -> Option<Result<ShardSpec, String>> {
-        let rest = s.strip_prefix("shard:")?;
-        let parts: Vec<&str> = rest.split(':').collect();
-        let bad =
-            || format!("scheduler spec `{s}` must be shard:<shards>:<threads>:<lookahead-ns>");
-        if parts.len() != 3 {
-            return Some(Err(bad()));
-        }
-        let shards = match parts[0].parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        let threads = match parts[1].parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        let lookahead_ns = match parts[2].parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Some(Err(bad())),
-        };
-        Some(Ok(ShardSpec { shards, threads, lookahead_ns }))
-    }
 }
 
 /// The worker role of this process, if the launcher spawned it:
@@ -110,7 +83,7 @@ pub fn die_hard() -> ! {
 }
 
 /// What each worker sends back on its control connection.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct WorkerReport {
     pub shard: u64,
     pub ok: bool,
@@ -214,6 +187,54 @@ impl WorkerLink {
             }
         })
     }
+}
+
+/// The worker role: join the gang at `control`, form the data mesh, let
+/// `run` execute shard `me` of its model over it — every worker rebuilds
+/// the identical simulation from the same argv, reporting into the
+/// recorder and live registry it is handed — and send the launcher one
+/// report carrying `run`'s shard fingerprint and engine counters. `Err`
+/// is what ended the run (also in the report, if the launcher was there).
+pub(crate) fn run_worker<E: Clone + Send + 'static>(
+    (me, n, control): (usize, usize, String),
+    spec: &RunSpec,
+    codec: Arc<dyn EventCodec<E>>,
+    run: impl FnOnce(
+        Arc<telemetry::Recorder>,
+        Option<Arc<MetricsRegistry>>,
+        &mut dyn ShardTransport<E>,
+    ) -> Result<(u64, RunStats), ShardError>,
+) -> Result<(), String> {
+    let (mut link, listener) = WorkerLink::connect(me, n, &control)?;
+    let peers = link.peers()?;
+    let rec = Arc::new(telemetry::Recorder::new());
+    // Workers never bind an endpoint: they stream snapshots to the
+    // launcher over the control socket instead.
+    let registry = spec.out.live.as_ref().map(|_| Arc::new(MetricsRegistry::new()));
+    let sampler = spec.out.live.as_ref().zip(registry.clone()).map(|(opts, registry)| {
+        crate::live::start_sampler(opts, registry, Some(link.snapshot_sink()))
+    });
+    let outcome = TcpTransport::mesh(me, listener, &peers, codec)
+        .and_then(|mut transport| run(rec.clone(), registry, &mut transport));
+    // Stop before reporting: the stop tick streams the exact end-of-run
+    // snapshot ahead of the report line.
+    if let Some(s) = sampler {
+        s.stop();
+    }
+    let mut report =
+        WorkerReport { shard: me as u64, telemetry: rec.lines(), ..WorkerReport::default() };
+    match outcome {
+        Ok((fingerprint, stats)) => {
+            report.ok = true;
+            report.fingerprint = fingerprint;
+            report.committed = stats.committed;
+            report.cross_shard_events = stats.cross_shard_events;
+            report.rounds = stats.rounds;
+        }
+        Err(e) => report.error = Some(e.to_string()),
+    }
+    link.report(&report);
+    report.error.map_or(Ok(()), Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -541,56 +562,31 @@ pub fn phold_fingerprint(sim: &Simulation<PholdLp>, me: usize, n_shards: usize) 
     )
 }
 
-/// Run one PHOLD shard inside a worker process: form the TCP mesh, run,
-/// fingerprint the owned slice.
-#[allow(clippy::too_many_arguments)]
-pub fn phold_worker_run(
-    me: usize,
-    n: usize,
-    listener: TcpListener,
-    peers: &[SocketAddr],
-    params: &PholdParams,
-    spec: &ShardSpec,
-    checkpoint: Option<CheckpointSpec>,
-    restore: Option<PathBuf>,
-    until: SimTime,
-    telemetry: Option<Arc<telemetry::Recorder>>,
-    live: Option<Arc<telemetry::live::MetricsRegistry>>,
-) -> Result<(u64, RunStats), ShardError> {
-    let mut transport = TcpTransport::mesh(me, listener, peers, Arc::new(PholdCodec))?;
-    let mut sim = build_phold(params);
-    sim.set_telemetry(telemetry);
-    sim.set_live(live);
-    let fault = fault_kill_after_ckpt().filter(|&f| f == me);
+/// Run PHOLD's shard of a gang over `transport` — or, over a 1-shard
+/// loopback mesh, a single process that checkpoints or restores: cuts
+/// ride on the sharded runner's GVT fence.
+pub(crate) fn phold_run_sharded(
+    sim: &mut Simulation<PholdLp>,
+    transport: &mut dyn ShardTransport<u64>,
+    shard: &ShardSpec,
+    spec: &RunSpec,
+) -> Result<RunStats, ShardError> {
+    let fault = fault_kill_after_ckpt().filter(|&f| f == transport.me());
     let die = |_gvt: u64| die_hard();
     let opts = ShardRun {
-        threads: spec.threads,
-        window: SimDuration::from_ns(spec.lookahead_ns),
-        checkpoint,
-        restore,
+        threads: shard.threads,
+        window: SimDuration::from_ns(shard.lookahead_ns),
+        checkpoint: spec.checkpoint.clone(),
+        restore: spec.restore.clone(),
         codec: Some(&PholdCodec),
         on_checkpoint: if fault.is_some() { Some(&die) } else { None },
     };
-    let stats = sim.run_sharded(&mut transport, opts, until)?;
-    Ok((phold_fingerprint(&sim, me, n), stats))
+    sim.run_sharded(transport, opts, spec.model.until())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_spec_parses_and_rejects() {
-        assert_eq!(
-            ShardSpec::parse("shard:2:4:500"),
-            Some(Ok(ShardSpec { shards: 2, threads: 4, lookahead_ns: 500 }))
-        );
-        assert!(ShardSpec::parse("par:2:500").is_none());
-        assert!(ShardSpec::parse("seq").is_none());
-        for bad in ["shard:2:4", "shard:0:1:50", "shard:2:0:50", "shard:2:2:0", "shard:a:b:c"] {
-            assert!(matches!(ShardSpec::parse(bad), Some(Err(_))), "{bad} accepted");
-        }
-    }
 
     #[test]
     fn worker_report_round_trips_through_json() {

@@ -4,7 +4,7 @@
 //! communication-time distributions, link loads, and (optionally)
 //! windowed router counters.
 
-use codes::{SimResults, SimulationBuilder};
+use codes::{CodesSim, SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, FlowControl, Routing};
 use metrics::{AppLatencySummary, Boxplot, LinkLoad};
 use placement::Placement;
@@ -72,6 +72,15 @@ impl RunKey {
             self.placement.label(),
             self.routing.label()
         )
+    }
+
+    /// The label a sweep announces a run with: baselines share one
+    /// workload label, so they also name their application.
+    pub(crate) fn progress_label(&self) -> String {
+        match self.workload {
+            Workload::Baseline(k) => format!("{} [{}]", self.label(), k.label()),
+            Workload::Mix(_) => self.label(),
+        }
     }
 }
 
@@ -192,8 +201,13 @@ fn apps_of(workload: u8) -> Vec<AppKind> {
     workloads::workload(workload, Profile::Quick, 1, 64).into_iter().map(|a| a.kind).collect()
 }
 
-/// Run one configuration and summarize it.
-pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
+/// Build the simulation of one sweep cell: the model every run of `key`
+/// (in-process, shard worker, verification reference) starts from.
+pub(crate) fn build(
+    cfg: &SweepConfig,
+    key: RunKey,
+    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
+) -> Result<CodesSim, String> {
     let apps: Vec<AppConfig> = match key.workload {
         Workload::Mix(w) => workloads::workload(w, cfg.profile, cfg.iters, cfg.scale),
         Workload::Baseline(kind) => {
@@ -215,10 +229,28 @@ pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
         tr.label_next_run(&key.label());
         b = b.tracer(tr.clone());
     }
+    if let Some(reg) = live {
+        b = b.live(reg);
+    }
     for a in &apps {
         b = b.job(a.name(), a.vms(cfg.seed)?);
     }
-    let mut sim = b.build()?;
+    b.build()
+}
+
+/// Run one configuration and summarize it.
+pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
+    run_cell(cfg, key, None).map(|(record, _)| record)
+}
+
+/// [`run_one`] that also hands back the finished simulation, so a
+/// single-cell run (`union-exp mix`) can fingerprint its final state.
+pub(crate) fn run_cell(
+    cfg: &SweepConfig,
+    key: RunKey,
+    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
+) -> Result<(RunRecord, CodesSim), String> {
+    let mut sim = build(cfg, key, live)?;
     let t0 = std::time::Instant::now();
     let results = sim.run(cfg.sched, cfg.until);
     // A wire-protocol violation is a simulation failure, not a result.
@@ -247,54 +279,65 @@ pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
             }
         })
         .collect();
-    Ok(RunRecord {
+    let record = RunRecord {
         key,
         apps: outcomes,
         link_load: results.link_load,
         n_lps: sim.n_lps(),
         stats: results.stats.clone(),
         results: if cfg.keep_results { Some(results) } else { None },
-    })
+    };
+    Ok((record, sim))
 }
 
-/// Run the full sweep: for every (net, placement, routing): each selected
-/// workload mix, plus (once per involved app) its baseline.
-pub fn run_sweep(cfg: &SweepConfig, mut progress: impl FnMut(&str)) -> Vec<RunRecord> {
-    let mut records = Vec::new();
-    // Which baselines to run: the union of apps over selected workloads.
-    let mut baseline_kinds: Vec<AppKind> = Vec::new();
+/// Expand a sweep into its run keys: for every (net, placement, routing),
+/// each involved application alone (once, when baselines are on), then
+/// each selected workload mix.
+pub(crate) fn keys(cfg: &SweepConfig) -> Vec<RunKey> {
+    let mut workloads: Vec<Workload> = Vec::new();
     if cfg.baselines {
-        for &w in &cfg.workloads {
-            for k in apps_of(w) {
-                if !baseline_kinds.contains(&k) {
-                    baseline_kinds.push(k);
-                }
+        for kind in cfg.workloads.iter().flat_map(|&w| apps_of(w)) {
+            if !workloads.contains(&Workload::Baseline(kind)) {
+                workloads.push(Workload::Baseline(kind));
             }
         }
     }
+    workloads.extend(cfg.workloads.iter().map(|&w| Workload::Mix(w)));
+    let mut keys = Vec::new();
     for &net in &cfg.nets {
         for &placement in &cfg.placements {
             for &routing in &cfg.routings {
-                for &k in &baseline_kinds {
-                    let key = RunKey { net, workload: Workload::Baseline(k), placement, routing };
-                    progress(&format!("{} [{}]", key.label(), k.label()));
-                    match run_one(cfg, key) {
-                        Ok(r) => records.push(r),
-                        Err(e) => panic!("{}: {e}", key.label()),
-                    }
-                }
-                for &w in &cfg.workloads {
-                    let key = RunKey { net, workload: Workload::Mix(w), placement, routing };
-                    progress(&key.label());
-                    match run_one(cfg, key) {
-                        Ok(r) => records.push(r),
-                        Err(e) => panic!("{}: {e}", key.label()),
-                    }
-                }
+                let cell = |&workload| RunKey { net, workload, placement, routing };
+                keys.extend(workloads.iter().map(cell));
             }
         }
     }
-    records
+    keys
+}
+
+/// Run every cell of the sweep in [`keys`] order, announcing each to
+/// `progress` and handing each finished run to `visit`; the first failed
+/// run ends the sweep with `<key>: <error>`.
+pub(crate) fn for_each_cell(
+    cfg: &SweepConfig,
+    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
+    mut progress: impl FnMut(&str),
+    mut visit: impl FnMut(RunRecord, CodesSim),
+) -> Result<(), String> {
+    for key in keys(cfg) {
+        progress(&key.progress_label());
+        let (record, sim) =
+            run_cell(cfg, key, live.clone()).map_err(|e| format!("{}: {e}", key.label()))?;
+        visit(record, sim);
+    }
+    Ok(())
+}
+
+/// Run the full sweep and collect its records.
+pub fn run_sweep(cfg: &SweepConfig, progress: impl FnMut(&str)) -> Result<Vec<RunRecord>, String> {
+    let mut records = Vec::new();
+    for_each_cell(cfg, None, progress, |record, _| records.push(record))?;
+    Ok(records)
 }
 
 /// Find the baseline record for (net, app, placement, routing).

@@ -303,8 +303,9 @@ impl<L: Lp> Worker<'_, L> {
     }
 
     /// Account a blocking wait that began at `t0`. Waits are timed
-    /// unconditionally — the engine-bench stall comparison between the
-    /// barrier and async protocols needs them even with telemetry off.
+    /// unconditionally — the benchmark's stall comparison between the
+    /// barrier and async protocols (`BENCHMARK.json`, `ross.par.*` vs
+    /// `ross.async.*`) needs them even with telemetry off.
     pub(crate) fn stalled(&mut self, t0: Instant) {
         self.stall_ns += t0.elapsed().as_nanos() as u64;
         if let Some(b) = self.tbuf.as_mut() {

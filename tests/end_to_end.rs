@@ -144,7 +144,7 @@ fn schedulers_agree_on_hybrid_workload() {
 fn smoke_sweep_has_expected_records() {
     let mut cfg = SweepConfig::smoke();
     cfg.baselines = true;
-    let records = sweep::run_sweep(&cfg, |_| {});
+    let records = sweep::run_sweep(&cfg, |_| {}).expect("every smoke run completes");
     // 5 baselines (W3 apps) + 1 mix.
     assert_eq!(records.len(), 6);
     let mix = records.iter().find(|r| matches!(r.key.workload, sweep::Workload::Mix(3))).unwrap();

@@ -176,6 +176,59 @@ fn restore_with_mismatched_shard_count_exits_2_naming_both_counts() {
     std::fs::remove_file(&ck).ok();
 }
 
+/// Every bad command line of `tests/bad_input.txt` ends in its expected
+/// exit code with a one-line `union-exp: …` message naming the problem —
+/// never 0, never a panic backtrace (exit 101).
+#[test]
+fn bad_input_is_a_message_and_an_exit_code_never_a_panic() {
+    let table = include_str!("bad_input.txt");
+    let rows: Vec<&str> = table.lines().filter(|l| !l.starts_with('#')).collect();
+    assert!(rows.len() >= 25, "bad-input table went missing");
+    for row in rows {
+        let cols: Vec<&str> = row.splitn(3, " | ").collect();
+        let (code, needle, args) = (cols[0].parse::<i32>().unwrap(), cols[1], cols[2]);
+        let out = Command::new(exe()).args(args.split_whitespace()).output().expect("spawn");
+        let msg = stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "`{args}`: {msg}");
+        assert!(!msg.contains("panicked"), "`{args}` panicked: {msg}");
+        assert!(msg.contains("union-exp: "), "`{args}` message lacks the prefix: {msg}");
+        assert!(msg.to_lowercase().contains(needle), "`{args}` does not mention {needle:?}: {msg}");
+    }
+}
+
+/// `mix` runs under every in-process scheduler the sweeps accept, with
+/// the sequential result.
+#[test]
+fn mix_under_par_matches_sequential() {
+    let mix = |sched: &str| {
+        let args = ["mix", "--workload", "3", "--iters", "1", "--scale", "64", "--sched", sched];
+        let out = Command::new(exe()).args(args).output().expect("spawn union-exp");
+        assert!(out.status.success(), "mix --sched {sched} failed: {}", stderr(&out));
+        let lines: Vec<String> = stdout(&out).lines().map(str::to_string).collect();
+        assert!(lines[0].starts_with("mix fingerprint "), "{lines:?}");
+        assert!(lines[1].starts_with("mix committed "), "{lines:?}");
+        lines
+    };
+    assert_eq!(mix("par:2:100"), mix("seq"));
+}
+
+/// Single-process `phold --telemetry` writes the manifest (whose config
+/// is the serialized spec), the scheduler record and the total phase.
+#[test]
+fn single_process_phold_writes_telemetry() {
+    let tf = temp_path("phold.jsonl");
+    std::fs::remove_file(&tf).ok();
+    let out = phold(&["--telemetry", tf.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = std::fs::read_to_string(&tf).expect("telemetry file written");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines[0].contains("\"record\":\"manifest\""), "{text}");
+    assert!(lines[0].contains("\"model\":\"phold\"") && lines[0].contains("\"lps\":16"), "{text}");
+    assert!(lines.iter().any(|l| l.contains("\"record\":\"scheduler\"")), "{text}");
+    assert!(lines.last().unwrap().contains("\"phase\":\"total\""), "{text}");
+    std::fs::remove_file(&tf).ok();
+}
+
 #[test]
 fn bad_shard_specs_are_usage_errors() {
     for (args, needle) in [
