@@ -209,10 +209,6 @@ fn bench_scheduler_sweep(c: &mut Criterion) {
     let mut scheds = vec![("seq".to_string(), Scheduler::Sequential)];
     for threads in [2usize, 4] {
         scheds.push((
-            format!("opt:{threads}"),
-            Scheduler::Optimistic { threads, config: ross::OptimisticConfig::default() },
-        ));
-        scheds.push((
             format!("par:{threads}:100"),
             Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(100) },
         ));

@@ -5,7 +5,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ross::{Ctx, Envelope, Lp, QueueKind, SimDuration, SimTime, Simulation};
+use ross::{Ctx, Envelope, Lp, SimDuration, SimTime, Simulation};
 
 /// The classic PHOLD stress model: every event reschedules one event to a
 /// uniformly random LP after a random delay, until a virtual-time horizon.
@@ -30,24 +30,15 @@ impl Lp for Phold {
 }
 
 /// A fresh PHOLD simulation with one initial event per LP and a 500 us
-/// horizon (the configuration the engine benches use).
+/// horizon (the configuration the engine benches and overhead guards use).
 pub fn phold(n_lps: u32) -> Simulation<Phold> {
-    phold_sized(n_lps, SimTime::from_us(500), QueueKind::default())
-}
-
-/// PHOLD with explicit population, horizon, and pending-event queue —
-/// the queue benches use large `n_lps` so the pending set is big enough
-/// for queue asymptotics to dominate (one event circulates per LP, so
-/// the queue holds ~`n_lps` events throughout).
-pub fn phold_sized(n_lps: u32, horizon: SimTime, queue: QueueKind) -> Simulation<Phold> {
+    let horizon = SimTime::from_us(500);
     let lps = (0..n_lps)
         .map(|i| Phold { rng: SmallRng::seed_from_u64(i as u64), n_lps, horizon, hits: 0 })
         .collect();
-    let mut sim = Simulation::with_queue(lps, SimDuration::from_ns(100), queue);
+    let mut sim = Simulation::new(lps, SimDuration::from_ns(100));
     for i in 0..n_lps {
-        // Spread starts over at most 1 us so every ball circulates even
-        // when `n_lps` is much larger than the horizon in ns.
-        sim.schedule(i, SimTime::from_ns(i as u64 % 1000), 0);
+        sim.schedule(i, SimTime::from_ns(i as u64), 0);
     }
     sim
 }

@@ -51,16 +51,12 @@ mod tests {
     use super::*;
     use dragonfly::{DragonflyConfig, Routing};
     use placement::Placement;
-    use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
+    use ross::{Scheduler, SimDuration, SimTime};
     use union_core::{translate_source, RankVm, SkeletonInstance};
 
     /// `par:T:0`: the window clamps to the engine lookahead (YAWNS).
     fn yawns(threads: usize) -> Scheduler {
         Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
-    }
-
-    fn opt(threads: usize) -> Scheduler {
-        Scheduler::Optimistic { threads, config: OptimisticConfig::default() }
     }
 
     fn vms(src: &str, n: u32) -> Vec<RankVm> {
@@ -105,7 +101,7 @@ mod tests {
                    message to task (t+1) mod num_tasks then all tasks await completions } \
                    then all tasks reduce a 100000 byte message to all tasks.";
         let mut fingerprints = Vec::new();
-        for sched in [Scheduler::Sequential, yawns(4), opt(4)] {
+        for sched in [Scheduler::Sequential, yawns(4)] {
             let mut sim = SimulationBuilder::new(DragonflyConfig::tiny_1d())
                 .routing(Routing::Adaptive)
                 .placement(Placement::RandomNodes)
@@ -124,7 +120,6 @@ mod tests {
             fingerprints.push((fp, r.link_load));
         }
         assert_eq!(fingerprints[0], fingerprints[1], "conservative != sequential");
-        assert_eq!(fingerprints[0], fingerprints[2], "optimistic != sequential");
     }
 
     #[test]
@@ -273,7 +268,6 @@ mod tests {
         };
         let seq = fp(Scheduler::Sequential);
         assert_eq!(seq, fp(yawns(4)));
-        assert_eq!(seq, fp(opt(4)));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use ross::{Ctx, SimTime};
 use std::sync::Arc;
 
-/// Router LP: congestion state plus a rollback-safe RNG for routing
+/// Router LP: congestion state plus its own deterministic RNG for routing
 /// decisions (gateway selection, Valiant intermediate groups). In
 /// credit-VC mode it additionally tracks downstream buffer credits and
 /// queued packets.

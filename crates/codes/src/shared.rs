@@ -6,7 +6,7 @@ use placement::Layout;
 use ross::SimDuration;
 
 /// Read-only simulation-wide state. Cheap to clone (behind `Arc` in each
-/// LP), safe under Time Warp because it never mutates.
+/// LP), safe to share across worker threads because it never mutates.
 pub struct Shared {
     pub topo: Topology,
     pub layout: Layout,

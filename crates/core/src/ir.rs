@@ -8,8 +8,8 @@
 //!
 //! The IR is a flat bytecode with structured-jump instructions so that the
 //! per-rank interpreter ([`crate::vm::RankVm`]) is a small, cloneable
-//! state machine — a requirement for optimistic (Time Warp) simulation,
-//! where rank state must be snapshotted and rolled back.
+//! state machine that lives entirely inside its LP, so a rank behaves the
+//! same whichever scheduler or worker thread runs it.
 
 use conceptual::{Cond, Expr, ParamDecl};
 use serde::{Deserialize, Serialize};
@@ -26,7 +26,7 @@ pub enum Sel {
     /// Everyone except the subject of the sentence (multicast targets).
     AllOthers,
     /// A uniformly random rank other than the sender, drawn from the
-    /// interpreter's rollback-safe RNG (used by synthetic workloads; not
+    /// interpreter's per-rank RNG (used by synthetic workloads; not
     /// reachable from the DSL).
     RandomOther,
 }

@@ -3,8 +3,9 @@
 //! The paper runs each skeleton rank as an Argobots user-level thread that
 //! yields to CODES whenever it issues a communication call. Here each rank
 //! is an explicit state machine — [`RankVm`] — that yields one [`MpiOp`]
-//! at a time. The machine is `Clone`, so the optimistic (Time Warp)
-//! scheduler can snapshot and roll it back; its RNG is part of that state.
+//! at a time. The machine is `Clone` and its RNG is part of its state, so
+//! a rank's draws depend only on the ops it has executed — never on which
+//! scheduler or worker thread ran it.
 //!
 //! The executor contract: call [`RankVm::next_op`] to obtain the next
 //! operation. For a blocking op, do not call `next_op` again until the op
@@ -326,7 +327,7 @@ const _: () = {
 };
 
 impl RankVm {
-    /// Create the VM for `rank`. `seed` feeds the rollback-safe RNG used
+    /// Create the VM for `rank`. `seed` feeds the per-rank RNG used
     /// by synthetic (random-destination) traffic.
     pub fn new(inst: Arc<SkeletonInstance>, rank: u32, seed: u64) -> RankVm {
         assert!(rank < inst.num_tasks, "rank {rank} out of range");

@@ -73,8 +73,8 @@ pub enum Forward {
     ToNode { node: u32, arrive: SimTime },
 }
 
-/// Mutable per-router simulation state. Embedded in a router LP; `Clone`
-/// for Time Warp state saving.
+/// Mutable per-router simulation state. Embedded in a router LP, so it
+/// travels with that LP between worker threads.
 #[derive(Clone, Debug)]
 pub struct RouterState {
     pub id: RouterId,

@@ -181,7 +181,6 @@ pub fn fig8(label: &str, window_ns: u64, series: &metrics::TimeSeries, names: &[
     out
 }
 
-/// Engine run statistics summary (events, rollbacks, rates).
 /// End-of-run telemetry summary: one row per scheduler record, network
 /// totals, and phase timings — parsed back out of the recorder's JSONL
 /// buffer so this renders exactly what the file will contain.
@@ -207,10 +206,10 @@ pub fn telemetry_summary(rec: &telemetry::Recorder) -> String {
     }
     let _ = writeln!(
         out,
-        "| Scheduler | Thr | Queue | Committed | Rolled back | Anti | Annihilated | Rounds | \
-         Q-ops | Q-max | Steals | Stall ms | Lag ns | Wall ms |"
+        "| Scheduler | Thr | Queue | Committed | Rounds | Q-ops | Q-max | Steals | Stall ms | \
+         Lag ns | Wall ms |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|");
     let mut nets = (0u64, 0u64, 0u64, 0u64);
     let mut phases: Vec<(String, u64)> = Vec::new();
     for line in rec.lines() {
@@ -220,14 +219,11 @@ pub fn telemetry_summary(rec: &telemetry::Recorder) -> String {
             Some("scheduler") => {
                 let _ = writeln!(
                     out,
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {} | {:.1} |",
+                    "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {} | {:.1} |",
                     v.get("scheduler").and_then(|s| s.as_str()).unwrap_or("?"),
                     g("threads"),
                     v.get("queue").and_then(|s| s.as_str()).unwrap_or("?"),
                     g("committed"),
-                    g("rolled_back"),
-                    g("anti_messages"),
-                    g("annihilated"),
                     g("rounds"),
                     g("queue_ops"),
                     g("queue_max_len"),
@@ -305,22 +301,17 @@ pub fn critical_path_block(analyses: &[RunAnalysis], measured: &[Option<f64>]) -
     let _ = writeln!(out, "Critical path — achievable vs achieved parallelism");
     let _ = writeln!(
         out,
-        "| Run | Label | Sched | Thr | Committed | Path | Path time | Bound | Measured | Wasted |"
+        "| Run | Label | Sched | Thr | Committed | Path | Path time | Bound | Measured |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|");
     for (i, a) in analyses.iter().enumerate() {
         let m = match measured.get(i) {
             Some(Some(s)) => format!("{s:.2}x"),
             _ => "-".to_string(),
         };
-        let wasted = if a.wasted_events > 0 {
-            format!("{:.1}%", 100.0 * a.wasted_fraction())
-        } else {
-            "-".to_string()
-        };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} | {:.2}x | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {:.2}x | {} |",
             a.run,
             if a.label.is_empty() { "-" } else { &a.label },
             a.sched,
@@ -330,7 +321,6 @@ pub fn critical_path_block(analyses: &[RunAnalysis], measured: &[Option<f64>]) -
             fmt_ns(a.critical_path_ns),
             a.speedup_bound,
             m,
-            wasted,
         );
     }
     out
@@ -347,19 +337,19 @@ pub fn telemetry_summary_with_trace(rec: &telemetry::Recorder, analyses: &[RunAn
     out
 }
 
+/// Engine run statistics summary (events, wall time, rates).
 pub fn engine_stats(records: &[RunRecord]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "| Run | events | wall(s) | ev/s | rollbacks |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
+    let _ = writeln!(out, "| Run | events | wall(s) | ev/s |");
+    let _ = writeln!(out, "|---|---|---|---|");
     for r in records {
         let _ = writeln!(
             out,
-            "| {} | {} | {:.2} | {:.0} | {} |",
+            "| {} | {} | {:.2} | {:.0} |",
             r.key.label(),
             r.stats.committed,
             r.stats.wall_seconds,
             r.stats.event_rate(),
-            r.stats.rollbacks,
         );
     }
     out

@@ -18,7 +18,7 @@ use crate::trace_analysis::RunAnalysis;
 use dragonfly::{FlowControl, Routing};
 use placement::Placement;
 use ross::shard::{CheckpointSpec, ShardError};
-use ross::{OptimisticConfig, QueueKind, Scheduler, SimDuration, SimTime};
+use ross::{QueueKind, Scheduler, SimDuration, SimTime};
 use serde::Value;
 use std::fmt;
 use std::path::PathBuf;
@@ -41,7 +41,7 @@ struct Flag {
 const SWEEP_CMDS: [&str; 6] = ["fig7", "fig8", "fig9", "table6", "all", "lint"];
 
 /// The `--sched` grammar of the in-process schedulers, as documented.
-const SCHED_GRAMMAR: &str = "seq|opt:T[:B:I]|par:T:L|async:T:L";
+const SCHED_GRAMMAR: &str = "seq|par:T:L|async:T:L";
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
@@ -49,7 +49,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--iters", value: "N", cmds: "sweep mix table1", help: "iterations per application (default 2; table1: 5)" },
     Flag { name: "--scale", value: "N", cmds: "sweep mix", help: "payload divisor (default 16; 1 under --profile paper)" },
     Flag { name: "--seed", value: "N", cmds: "sweep mix phold", help: "placement/model seed (default 42)" },
-    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|opt:T[:B:I]|par:T:L|async:T:L (not phold) or shard:N:T:L (mix, phold; default seq): T threads, L ns lookahead, B batch, I snapshot interval, N processes" },
+    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T:L|async:T:L (not phold) or shard:N:T:L (mix, phold; default seq): T threads, L ns lookahead, N processes" },
     Flag { name: "--queue", value: "heap|ladder", cmds: "sweep mix phold", help: "pending-event queue (default ladder)" },
     Flag { name: "--flow", value: "busy|credit", cmds: "sweep", help: "router flow control (default busy)" },
     Flag { name: "--nets", value: "1d,2d", cmds: "sweep", help: "networks to sweep (default both)" },
@@ -77,7 +77,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--ranks", value: "N", cmds: "table1 validate lint", help: "rank count (table1: 64, validate: 512, lint --file: 4)" },
     Flag { name: "--fixture", value: "NAME", cmds: "lint", help: "lint a seeded-bug fixture instead of the bundled workloads" },
     Flag { name: "--file", value: "PROG.ncptl", cmds: "lint", help: "lint a DSL program instead of the bundled workloads" },
-    Flag { name: "--analyze", value: "FILE.json", cmds: "trace", help: "critical path, speedup bound and wasted work of an exported trace" },
+    Flag { name: "--analyze", value: "FILE.json", cmds: "trace", help: "critical path and speedup bound of an exported trace" },
 ];
 
 impl Flag {
@@ -215,11 +215,10 @@ pub enum Sched {
 }
 
 impl Sched {
-    /// Parse a `--sched` spec: `seq`, `opt:T` or `opt:T:B:I`, `par:T:L`,
-    /// `async:T:L` or `shard:N:T:L` — `T` worker threads, `L` the
-    /// lookahead in ns (`par:4:500` = 4 workers, 500 ns windows; `async`
-    /// makes the same promise without barriers; `par:T:0` is YAWNS), `B`
-    /// the optimistic batch size, `I` its snapshot interval, `N` shard
+    /// Parse a `--sched` spec: `seq`, `par:T:L`, `async:T:L` or
+    /// `shard:N:T:L` — `T` worker threads, `L` the lookahead in ns
+    /// (`par:4:500` = 4 workers, 500 ns windows; `async` makes the same
+    /// promise without barriers; `par:T:0` is YAWNS), `N` shard
     /// processes. Malformed specs are reported, not defaulted; so is the
     /// retired `cons:T`.
     pub fn parse(s: &str) -> Result<Sched, String> {
@@ -241,17 +240,6 @@ impl Sched {
                  use par:{}:0",
                 fields.first().unwrap_or(&"T")
             )),
-            ("opt", 1) => in_process(Scheduler::Optimistic {
-                threads: threads(0)?,
-                config: OptimisticConfig::default(),
-            }),
-            ("opt", 3) => in_process(Scheduler::Optimistic {
-                threads: threads(0)?,
-                config: OptimisticConfig {
-                    batch: field(1, "batch", 1)? as usize,
-                    snapshot_interval: field(2, "snapshot interval", 1)?,
-                },
-            }),
             ("par", 2) => in_process(Scheduler::ConservativeParallel {
                 threads: threads(0)?,
                 lookahead: lookahead(1)?,
@@ -265,9 +253,6 @@ impl Sched {
                 threads: threads(1)?,
                 lookahead_ns: field(2, "lookahead", 1)?,
             })),
-            ("opt", _) => Err(format!(
-                "scheduler spec `{s}` must be opt:<threads> or opt:<threads>:<batch>:<interval>"
-            )),
             ("par" | "async", _) => {
                 Err(format!("scheduler spec `{s}` must be {kind}:<threads>:<lookahead-ns>"))
             }
@@ -294,9 +279,6 @@ impl fmt::Display for Sched {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Sched::InProcess(Scheduler::Sequential) => f.write_str("seq"),
-            Sched::InProcess(Scheduler::Optimistic { threads, config }) => {
-                write!(f, "opt:{threads}:{}:{}", config.batch, config.snapshot_interval)
-            }
             Sched::InProcess(Scheduler::ConservativeParallel { threads, lookahead }) => {
                 write!(f, "par:{threads}:{}", lookahead.as_ns())
             }
@@ -908,16 +890,16 @@ mod tests {
         for bad in ["shard:2:4", "shard:0:1:50", "shard:2:0:50", "shard:2:2:0", "shard:a:b:c"] {
             assert!(Sched::parse(bad).is_err(), "{bad} accepted");
         }
-        for bad in ["par:4:", "par:0:100", "opt:x", "opt:2:0:4", "async:2", "seq:1", "", "bogus"] {
+        for bad in ["par:4:", "par:0:100", "async:2", "seq:1", ""] {
             assert!(Sched::parse(bad).is_err(), "{bad} accepted");
         }
         assert!(Sched::parse("cons:4").unwrap_err().contains("par:4:0"));
-        for s in ["seq", "opt:2:64:4", "par:4:100", "par:2:0", "async:2:100", "shard:2:2:50"] {
+        for bad in ["bogus", "opt:x", "opt:2", "opt:2:64:4"] {
+            assert_eq!(Sched::parse(bad), Err(format!("unknown scheduler `{bad}`")));
+        }
+        for s in ["seq", "par:4:100", "par:2:0", "async:2:100", "shard:2:2:50"] {
             assert_eq!(Sched::parse(s).unwrap().to_string(), s);
         }
-        let default = OptimisticConfig::default();
-        let full = format!("opt:3:{}:{}", default.batch, default.snapshot_interval);
-        assert_eq!(Sched::parse("opt:3"), Sched::parse(&full));
     }
 
     #[test]
@@ -957,6 +939,10 @@ mod tests {
             ("phold --nets 1d", ["phold", "--nets"]),
             ("table6 --live 127.0.0.1:0", ["table6", "--live"]),
             ("mix stray", ["mix", "`stray`"]),
+            (
+                "mix --sched opt:2",
+                ["`opt:2`", "mix supports --sched seq|par:T:L|async:T:L or shard"],
+            ),
         ] {
             let e = spec(line).expect_err(line).0;
             assert!(needles.iter().all(|n| e.contains(n)), "`{line}`: {e}");
@@ -982,7 +968,6 @@ mod tests {
         for line in [
             "phold --sched shard:2:2:50 --checkpoint ck.bin",
             "mix --sched par:2:100",
-            "mix --sched opt:2",
             "mix --sched shard:2:2:100",
             "fig7 --sched par:2:1000000 --allow-lint",
         ] {

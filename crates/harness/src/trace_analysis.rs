@@ -7,8 +7,8 @@
 //! event dependency DAG — an event depends on the execution that sent it
 //! (uid-range linkage) and on the previous committed event of its LP —
 //! and reports the longest weighted causal chain, the resulting upper
-//! bound on parallel speedup, per-LP / per-kind critical-path residency,
-//! and (for optimistic runs) how much executed work was rolled back.
+//! bound on parallel speedup, and per-LP / per-kind critical-path
+//! residency.
 
 use serde::Value;
 use std::collections::HashMap;
@@ -35,15 +35,13 @@ pub struct TracedEvent {
     pub children: u64,
     /// Sampled handler wall time.
     pub dur_ns: u64,
-    /// Rolled back or annihilated after executing (optimistic only).
-    pub wasted: bool,
 }
 
 /// One scheduler-phase span rebuilt from a Chrome export.
 #[derive(Clone, Debug)]
 pub struct TracedSpan {
     pub worker: u32,
-    /// `gvt`, `fossil`, `rollback` or `barrier`.
+    /// The phase label, e.g. `barrier`.
     pub kind: String,
     pub start_ns: u64,
     pub dur_ns: u64,
@@ -141,7 +139,6 @@ pub fn parse_chrome(json: &str) -> Result<Vec<TraceRun>, String> {
                         child_lo: req_u64(a, "lo", &what)?,
                         children: req_u64(a, "nc", &what)?,
                         dur_ns: to_ns(dur),
-                        wasted: req_u64(a, "w", &what)? != 0,
                     });
                 } else {
                     run.spans.push(TracedSpan {
@@ -160,7 +157,7 @@ pub fn parse_chrome(json: &str) -> Result<Vec<TraceRun>, String> {
     Ok(out)
 }
 
-/// Name + how much of the critical path (or wasted work) it accounts for.
+/// Name + how much of the critical path it accounts for.
 #[derive(Clone, Debug)]
 pub struct Residency {
     pub name: String,
@@ -179,10 +176,8 @@ pub struct RunAnalysis {
     pub end_ns: u64,
     pub sample_rate: u64,
     pub committed_events: u64,
-    pub wasted_events: u64,
-    /// Σ sampled handler time over committed / wasted executions.
+    /// Σ sampled handler time over committed executions.
     pub committed_work_ns: u64,
-    pub wasted_work_ns: u64,
     /// Longest weighted chain through the committed dependency DAG.
     pub critical_path_len: u64,
     pub critical_path_ns: u64,
@@ -191,23 +186,11 @@ pub struct RunAnalysis {
     /// Critical-path residency, descending by time.
     pub lp_residency: Vec<Residency>,
     pub kind_residency: Vec<Residency>,
-    /// Wasted (rolled-back) work per kind, descending by time.
-    pub wasted_by_kind: Vec<Residency>,
     /// Scheduler-phase totals: (kind, count, Σ ns).
     pub span_totals: Vec<(String, u64, u64)>,
 }
 
 impl RunAnalysis {
-    /// Fraction of all executed handler time that was rolled back.
-    pub fn wasted_fraction(&self) -> f64 {
-        let total = self.committed_work_ns + self.wasted_work_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.wasted_work_ns as f64 / total as f64
-        }
-    }
-
     /// Structural invariants every well-formed analysis satisfies;
     /// returns human-readable violations (empty = sound). Used by the CI
     /// smoke step and the observability tests.
@@ -261,13 +244,13 @@ pub fn analyze(run: &TraceRun) -> RunAnalysis {
     // Committed events in deterministic execution order: recv time first,
     // then the same tiebreak coordinates the engine orders equal-time
     // events by.
-    let mut committed: Vec<&TracedEvent> = run.events.iter().filter(|e| !e.wasted).collect();
+    let mut committed: Vec<&TracedEvent> = run.events.iter().collect();
     committed.sort_by_key(|e| (e.recv_ns, e.send_ns, e.uid_src, e.uid_seq, e.lp));
     let n = committed.len();
 
     // Parent lookup: an event with uid (s, q) was sent by the committed
     // execution on LP s whose child range covers q. Ranges on one LP are
-    // disjoint (the uid counter never rolls back), so binary search works.
+    // disjoint (the uid counter only grows), so binary search works.
     let mut ranges: HashMap<u32, Vec<(u64, u64, usize)>> = HashMap::new();
     for (i, e) in committed.iter().enumerate() {
         if e.children > 0 {
@@ -334,7 +317,6 @@ pub fn analyze(run: &TraceRun) -> RunAnalysis {
 
     let committed_work_ns: u64 = committed.iter().map(|e| e.dur_ns).sum();
     let critical_path_ns: u64 = path.iter().map(|&i| committed[i].dur_ns).sum();
-    let wasted: Vec<&TracedEvent> = run.events.iter().filter(|e| e.wasted).collect();
     let lp_name = |lp: u32| run.lp_names.get(&lp).cloned().unwrap_or_else(|| format!("lp {lp}"));
     let speedup_bound = if critical_path_ns == 0 {
         1.0
@@ -347,18 +329,10 @@ pub fn analyze(run: &TraceRun) -> RunAnalysis {
         sched: run.sched.clone(),
         threads: run.threads,
         wall_ns: run.wall_ns,
-        // Completed optimistic runs report their final GVT (u64::MAX) as
-        // the end time; the last committed event is the honest horizon.
-        end_ns: if run.end_ns == u64::MAX {
-            committed.last().map_or(0, |e| e.recv_ns)
-        } else {
-            run.end_ns
-        },
+        end_ns: run.end_ns,
         sample_rate: run.sample_rate,
         committed_events: n as u64,
-        wasted_events: wasted.len() as u64,
         committed_work_ns,
-        wasted_work_ns: wasted.iter().map(|e| e.dur_ns).sum(),
         critical_path_len: path.len() as u64,
         critical_path_ns,
         speedup_bound,
@@ -368,7 +342,6 @@ pub fn analyze(run: &TraceRun) -> RunAnalysis {
         kind_residency: residency_table(
             path.iter().map(|&i| (committed[i].kind_name.clone(), committed[i].dur_ns)),
         ),
-        wasted_by_kind: residency_table(wasted.iter().map(|e| (e.kind_name.clone(), e.dur_ns))),
         span_totals: {
             let t = residency_table(run.spans.iter().map(|s| (s.kind.clone(), s.dur_ns)));
             t.into_iter().map(|r| (r.name, r.events, r.ns)).collect()
@@ -380,7 +353,7 @@ pub fn analyze(run: &TraceRun) -> RunAnalysis {
 /// seeds and schedulers must produce equal fingerprints regardless of
 /// thread interleaving or wall-clock noise (durations are excluded).
 pub fn causality_fingerprint(run: &TraceRun) -> u64 {
-    let mut committed: Vec<&TracedEvent> = run.events.iter().filter(|e| !e.wasted).collect();
+    let mut committed: Vec<&TracedEvent> = run.events.iter().collect();
     committed.sort_by_key(|e| (e.recv_ns, e.send_ns, e.uid_src, e.uid_seq, e.lp));
     // FNV-1a over the causal coordinates of every committed event.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -451,15 +424,6 @@ pub fn render(analyses: &[RunAnalysis]) -> String {
             fmt_ns(a.wall_ns),
             fmt_ns(a.end_ns),
         );
-        if a.wasted_events > 0 {
-            let _ = writeln!(
-                out,
-                "  wasted (rolled back): {} events, {} ({:.1}% of executed time)",
-                a.wasted_events,
-                fmt_ns(a.wasted_work_ns),
-                100.0 * a.wasted_fraction(),
-            );
-        }
         let _ = writeln!(
             out,
             "  critical path: {} events, {}",
@@ -481,7 +445,6 @@ pub fn render(analyses: &[RunAnalysis]) -> String {
             a.critical_path_ns,
             8,
         );
-        write_residency(&mut out, "wasted work by kind", &a.wasted_by_kind, a.wasted_work_ns, 8);
         if !a.span_totals.is_empty() {
             let joined: Vec<String> = a
                 .span_totals
@@ -509,7 +472,6 @@ mod tests {
         lo: u64,
         nc: u64,
         dur: u64,
-        wasted: bool,
     ) -> TracedEvent {
         TracedEvent {
             lp,
@@ -523,7 +485,6 @@ mod tests {
             child_lo: lo,
             children: nc,
             dur_ns: dur,
-            wasted,
         }
     }
 
@@ -533,9 +494,9 @@ mod tests {
     fn chain_beats_independent_work() {
         let run = TraceRun {
             events: vec![
-                ev(0, 0, 10, 0, (0, 0), 0, 1, 100, false),
-                ev(1, 0, 20, 10, (0, 0), 0, 0, 50, false),
-                ev(0, 0, 15, 0, (9, 7), 5, 0, 60, false),
+                ev(0, 0, 10, 0, (0, 0), 0, 1, 100),
+                ev(1, 0, 20, 10, (0, 0), 0, 0, 50),
+                ev(0, 0, 15, 0, (9, 7), 5, 0, 60),
             ],
             ..TraceRun::default()
         };
@@ -557,9 +518,9 @@ mod tests {
         // LP-order serializes nothing extra here.
         let run = TraceRun {
             events: vec![
-                ev(0, 0, 10, 0, (0, 0), 0, 2, 90, false),
-                ev(1, 0, 30, 10, (0, 0), 0, 0, 10, false),
-                ev(2, 0, 30, 10, (0, 1), 0, 0, 10, false),
+                ev(0, 0, 10, 0, (0, 0), 0, 2, 90),
+                ev(1, 0, 30, 10, (0, 0), 0, 0, 10),
+                ev(2, 0, 30, 10, (0, 1), 0, 0, 10),
             ],
             ..TraceRun::default()
         };
@@ -570,31 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn wasted_events_are_excluded_from_the_dag_but_counted() {
-        let run = TraceRun {
-            events: vec![
-                ev(0, 0, 10, 0, (0, 0), 0, 0, 40, false),
-                ev(0, 1, 5, 0, (1, 3), 0, 0, 70, true),
-            ],
-            ..TraceRun::default()
-        };
-        let a = analyze(&run);
-        assert_eq!(a.committed_events, 1);
-        assert_eq!(a.wasted_events, 1);
-        assert_eq!(a.critical_path_ns, 40);
-        assert_eq!(a.wasted_work_ns, 70);
-        assert!(a.wasted_fraction() > 0.6 && a.wasted_fraction() < 0.7);
-        assert_eq!(a.wasted_by_kind.len(), 1);
-        assert!(a.check_invariants().is_empty());
-    }
-
-    #[test]
     fn fingerprint_ignores_durations_and_order() {
         let mut run = TraceRun {
-            events: vec![
-                ev(0, 0, 10, 0, (0, 0), 0, 1, 100, false),
-                ev(1, 0, 20, 10, (0, 0), 0, 0, 50, false),
-            ],
+            events: vec![ev(0, 0, 10, 0, (0, 0), 0, 1, 100), ev(1, 0, 20, 10, (0, 0), 0, 0, 50)],
             ..TraceRun::default()
         };
         let f1 = causality_fingerprint(&run);

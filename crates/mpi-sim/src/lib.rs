@@ -16,7 +16,9 @@
 //!
 //! The host (crate `codes`) owns time and the network: it feeds arriving
 //! messages and NIC/compute completions in, and carries [`Action`]s out.
-//! `MpiRank` is `Clone`, so the optimistic scheduler can snapshot it.
+//! `MpiRank` is plain owned state (`Clone`, no shared handles), so its
+//! behaviour depends only on the events it has been fed — the determinism
+//! every scheduler relies on.
 
 pub mod collectives;
 

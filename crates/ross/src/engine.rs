@@ -10,26 +10,13 @@ use crate::time::{SimDuration, SimTime};
 pub struct RunStats {
     /// Events processed and committed.
     pub committed: u64,
-    /// Events that were processed speculatively and later rolled back
-    /// (optimistic scheduler only).
-    pub rolled_back: u64,
-    /// Rollback episodes (optimistic scheduler only).
-    pub rollbacks: u64,
-    /// Anti-messages sent (optimistic scheduler only).
-    pub anti_messages: u64,
-    /// Anti-messages that met their target before it executed and
-    /// cancelled it without a rollback (optimistic scheduler only).
-    pub annihilated: u64,
-    /// Rollbacks that restored from the GVT-fence snapshot because every
-    /// younger snapshot had been undone (optimistic scheduler only).
-    pub fence_restores: u64,
     /// Events delivered across partitions through mailboxes
     /// (conservative-parallel scheduler only).
     pub remote_events: u64,
     /// Events delivered across OS-process shards through a transport
     /// ([`crate::shard`] runs only).
     pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or GVT epochs).
+    /// Synchronization rounds (conservative windows or shard fences).
     pub rounds: u64,
     /// LP blocks migrated between workers by work stealing
     /// (conservative-async scheduler only).
@@ -42,7 +29,8 @@ pub struct RunStats {
     pub horizon_lag_max: u64,
     /// Wall-clock seconds spent inside the scheduler.
     pub wall_seconds: f64,
-    /// Final GVT / global clock when the run stopped.
+    /// Virtual time of the last committed event: the global clock when
+    /// the run stopped.
     pub end_time: SimTime,
 }
 
@@ -55,16 +43,6 @@ impl RunStats {
             0.0
         }
     }
-
-    /// Fraction of processed events that were wasted on rollbacks.
-    pub fn rollback_efficiency(&self) -> f64 {
-        let total = self.committed + self.rolled_back;
-        if total == 0 {
-            1.0
-        } else {
-            self.committed as f64 / total as f64
-        }
-    }
 }
 
 /// A discrete-event simulation: a set of LPs plus pending events.
@@ -72,8 +50,8 @@ impl RunStats {
 /// Construct with [`Simulation::new`], inject initial events with
 /// [`Simulation::schedule`], then drive it with one of
 /// [`Simulation::run_sequential`], [`Simulation::run_conservative_parallel`],
-/// [`Simulation::run_conservative_async`], [`Simulation::run_optimistic`]
-/// or, across processes, [`Simulation::run_sharded`].
+/// [`Simulation::run_conservative_async`] or, across processes,
+/// [`Simulation::run_sharded`].
 pub struct Simulation<L: Lp> {
     pub(crate) lps: Vec<L>,
     pub(crate) meta: Vec<LpMeta>,
@@ -159,9 +137,9 @@ impl<L: Lp> Simulation<L> {
 
     /// Attach (or detach) a causal tracer ([`crate::trace`]). When set,
     /// every scheduler run opens a trace run, records each executed
-    /// event (plus rolled-back work and phase spans on the parallel
-    /// schedulers) and closes the run with its wall time. With `None`
-    /// (the default) the per-event cost is a single branch.
+    /// event (plus barrier spans on the parallel schedulers) and closes
+    /// the run with its wall time. With `None` (the default) the
+    /// per-event cost is a single branch.
     pub fn set_tracer(&mut self, tracer: Option<std::sync::Arc<crate::trace::Tracer>>) {
         self.tracer = tracer;
     }
@@ -174,9 +152,9 @@ impl<L: Lp> Simulation<L> {
     /// Attach (or detach) a live metrics registry
     /// ([`telemetry::live::MetricsRegistry`]). When set, every scheduler
     /// streams its counters/gauges/histograms into the registry at its
-    /// synchronization cadence (windows, rounds, GVT epochs, or every few
-    /// thousand events on the sequential path) so an exposition endpoint
-    /// can observe the run in flight. With `None` (the default) the cost
+    /// synchronization cadence (windows, rounds, shard fences, or every
+    /// few thousand events on the sequential path) so an exposition
+    /// endpoint can observe the run in flight. With `None` (the default) the cost
     /// is a single branch at those same coarse points.
     pub fn set_live(&mut self, live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>) {
         self.live = live;
@@ -388,7 +366,6 @@ impl<L: Lp> Simulation<L> {
             "sequential",
             1,
             &stats,
-            0,
             QueueTelemetry {
                 kind: self.queue,
                 ops: self.pending.ops(),
@@ -431,7 +408,6 @@ pub(crate) fn emit_sched_telemetry(
     name: &str,
     threads: usize,
     stats: &RunStats,
-    max_gvt_lag_ns: u64,
     queue: QueueTelemetry,
     mut per_thread: Vec<telemetry::ThreadRecord>,
 ) {
@@ -448,17 +424,12 @@ pub(crate) fn emit_sched_telemetry(
     r.pool_high_water = queue.pool.high_water;
     r.pool_recycled = queue.pool.recycled;
     r.committed = stats.committed;
-    r.rolled_back = stats.rolled_back;
-    r.rollbacks = stats.rollbacks;
-    r.anti_messages = stats.anti_messages;
-    r.annihilated = stats.annihilated;
     r.remote_events = stats.remote_events;
     r.cross_shard_events = stats.cross_shard_events;
     r.rounds = stats.rounds;
     r.steals = stats.steals;
     r.horizon_stall_ns = stats.horizon_stall_ns;
     r.horizon_lag_max = stats.horizon_lag_max;
-    r.max_gvt_lag_ns = max_gvt_lag_ns;
     r.end_time_ns = stats.end_time.as_ns();
     r.wall_ns = wall_ns;
     r.per_thread = per_thread;

@@ -2,12 +2,12 @@
 //!
 //! Every event carries two identifiers:
 //!
-//! * a **tiebreak** counter that is part of the sending LP's rolled-back
-//!   state. After an optimistic rollback the re-executed LP produces the same
-//!   tiebreak values, so the (recv, send, src, tiebreak) sort key — and hence
-//!   the committed event order — is identical across all three schedulers;
-//! * a **uid** drawn from a never-rolled-back per-LP counter, used only to
-//!   pair anti-messages with the exact in-flight event they cancel.
+//! * a **tiebreak** counter that is part of the sending LP's engine state
+//!   (and of its checkpoint). Every scheduler advances it identically, so the
+//!   (recv, send, src, tiebreak) sort key — and hence the committed event
+//!   order — is identical across all schedulers;
+//! * a **uid** drawn from a per-LP counter, which the causal tracer uses to
+//!   link an event to the execution that sent it.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -16,12 +16,12 @@ use std::cmp::Ordering;
 /// indices `0..n_lps`.
 pub type LpId = u32;
 
-/// Globally unique event identity (for anti-message matching).
+/// Globally unique event identity (for causal tracing).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventUid {
     /// Sending LP.
     pub src: LpId,
-    /// Value of the sender's non-rolled-back uid counter.
+    /// Value of the sender's uid counter.
     pub seq: u64,
 }
 
@@ -36,9 +36,9 @@ pub struct Envelope<E> {
     pub src: LpId,
     /// Destination LP.
     pub dst: LpId,
-    /// Deterministic per-sender counter (rolled back with LP state).
+    /// Deterministic per-sender counter (checkpointed with LP state).
     pub tiebreak: u64,
-    /// Unique identity for cancellation.
+    /// Unique identity for causal tracing.
     pub uid: EventUid,
     /// Model-defined payload.
     pub payload: E,
@@ -84,8 +84,8 @@ impl<E> Ord for Envelope<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key()
             .cmp(&other.key())
-            // uid only disambiguates transient duplicates during rollback;
-            // committed schedules never depend on it.
+            // Two committed events never share a key, so committed
+            // schedules never depend on the uid.
             .then_with(|| self.uid.seq.cmp(&other.uid.seq))
             .then_with(|| self.uid.src.cmp(&other.uid.src))
     }

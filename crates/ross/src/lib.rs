@@ -4,7 +4,7 @@
 //! simulation (PDES) engine, built as the substrate for the CODES network
 //! models and the Union workload manager in this workspace.
 //!
-//! Four schedulers over the same model code:
+//! Three schedulers over the same model code:
 //!
 //! * [`Simulation::run_sequential`] — single-threaded reference executor;
 //! * [`Simulation::run_conservative_parallel`] — conservative lookahead
@@ -15,16 +15,14 @@
 //!   rounds across OS processes;
 //! * [`Simulation::run_conservative_async`] — the same conservative
 //!   guarantee without barriers: published safe horizons and LP-block
-//!   work stealing;
-//! * [`Simulation::run_optimistic`] — Time Warp with periodic state saving,
-//!   coast-forward rollback, anti-messages, barrier-synchronized GVT and
-//!   fossil collection.
+//!   work stealing.
 //!
-//! The conservative schedulers share one worker core (the private
-//! `worker` module: per-event step, worker state, run scaffold). All four
+//! The parallel schedulers share one worker core (the private `worker`
+//! module: per-event step, worker state, run scaffold). All three
 //! produce **bit-identical** model states: events are totally
 //! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
-//! counter is part of the rolled-back LP state. The pending-event set
+//! counter is per-LP engine state that travels with the LP (and into
+//! checkpoints). The pending-event set
 //! behind every scheduler is pluggable ([`queue`]): a reference binary
 //! heap or the default O(1)-amortized ladder queue, selected with
 //! [`Simulation::with_queue`] / [`Simulation::set_queue`] — the choice
@@ -35,18 +33,10 @@
 //! * An LP mutates only itself and communicates only via [`Ctx::send`].
 //! * Every send delay is at least the engine lookahead (≥ 1 ns).
 //! * Any randomness lives inside LP state (e.g. a seeded
-//!   `rand::rngs::SmallRng`) so rollbacks restore the RNG stream.
+//!   `rand::rngs::SmallRng`) so every scheduler draws the same stream and
+//!   a checkpoint captures it.
 //! * Metrics live inside LP state and are harvested after the run — never
 //!   write to shared sinks from `handle`.
-//!
-//! ## Snapshot retention invariant (optimistic scheduler)
-//!
-//! Fossil collection never discards restore capability: retired snapshots
-//! fold into a per-LP **GVT fence** (the newest snapshot at or below the
-//! commit point), and every legal rollback target lies at or above the
-//! fence. A rollback that undoes every snapshot younger than the straggler
-//! therefore restores from the fence and coast-forwards instead of
-//! failing — see [`RunStats::fence_restores`].
 //!
 //! ```
 //! use ross::{Ctx, Envelope, Lp, SimDuration, SimTime, Simulation};
@@ -77,7 +67,6 @@ mod event;
 mod live;
 mod lp;
 mod mailbox;
-mod optimistic;
 mod parallel;
 mod partition;
 mod pool;
@@ -91,7 +80,6 @@ mod worker;
 pub use engine::{RunStats, Simulation};
 pub use event::{Envelope, EventKey, EventUid, LpId};
 pub use lp::{Ctx, Lp};
-pub use optimistic::OptimisticConfig;
 pub use partition::Partition;
 pub use pool::PoolStats;
 pub use queue::{EventQueue, QueueKind};
@@ -103,10 +91,6 @@ pub use trace::{SpanKind, TraceEvent, Tracer};
 pub enum Scheduler {
     /// Single-threaded reference executor.
     Sequential,
-    /// Optimistic Time Warp on `threads` threads; `config` tunes batch
-    /// size and snapshot interval ([`OptimisticConfig::default`] unless
-    /// a sweep says otherwise).
-    Optimistic { threads: usize, config: OptimisticConfig },
     /// Conservative windows of `lookahead` ns on `threads` workers, with
     /// topology-aware partitions and lock-free mailboxes — see
     /// [`Simulation::run_conservative_parallel`]. `lookahead` 0 on a
@@ -120,10 +104,9 @@ pub enum Scheduler {
 
 impl Scheduler {
     /// Run `sim` to `until` with this scheduler.
-    pub fn run<L: Lp + Clone>(self, sim: &mut Simulation<L>, until: SimTime) -> RunStats {
+    pub fn run<L: Lp>(self, sim: &mut Simulation<L>, until: SimTime) -> RunStats {
         match self {
             Scheduler::Sequential => sim.run_sequential(until),
-            Scheduler::Optimistic { threads, config } => sim.run_optimistic(threads, config, until),
             Scheduler::ConservativeParallel { threads, lookahead } => {
                 sim.run_conservative_parallel(threads, lookahead, until)
             }
@@ -141,8 +124,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// PHOLD: every event forwards to a random LP after a random delay.
-    /// Classic PDES stress test: dense cross-LP traffic, rollback-heavy
-    /// under optimistic execution.
+    /// Classic PDES stress test: dense cross-LP traffic.
     #[derive(Clone)]
     struct Phold {
         rng: SmallRng,
@@ -207,10 +189,10 @@ mod tests {
         Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
     }
 
-    // The conservative and optimistic tests below drive real multi-thread
-    // runs; under `union_check` the schedulers sit on the shimmed sync
-    // seam and must run inside `ross_check::model()` — the oracle harness
-    // covers them there (`tests/union_check_oracle.rs`, `par:2`, `opt:2`).
+    // The conservative tests below drive real multi-thread runs; under
+    // `union_check` the schedulers sit on the shimmed sync seam and must
+    // run inside `ross_check::model()` — the oracle harness covers them
+    // there (`tests/union_check_oracle.rs`, `par:2`, `async:2`).
     #[test]
     #[cfg(not(union_check))]
     fn conservative_matches_sequential() {
@@ -220,50 +202,6 @@ mod tests {
         let sb = yawns(4).run(&mut b, SimTime::MAX);
         assert_eq!(sa.committed, sb.committed);
         assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    #[cfg(not(union_check))]
-    fn optimistic_matches_sequential() {
-        let mut a = phold_sim(16, 99);
-        let mut b = phold_sim(16, 99);
-        let sa = a.run_sequential(SimTime::MAX);
-        let sb =
-            b.run_optimistic(4, OptimisticConfig { batch: 64, snapshot_interval: 3 }, SimTime::MAX);
-        assert_eq!(sa.committed, sb.committed, "stats: {sb:?}");
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    #[cfg(not(union_check))]
-    fn optimistic_snapshot_every_event() {
-        let mut a = phold_sim(8, 3);
-        let mut b = phold_sim(8, 3);
-        a.run_sequential(SimTime::MAX);
-        b.run_optimistic(3, OptimisticConfig { batch: 16, snapshot_interval: 1 }, SimTime::MAX);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-    }
-
-    #[test]
-    #[cfg(not(union_check))]
-    fn deep_rollback_restores_from_gvt_fence() {
-        // Tiny batches force a GVT/fossil epoch every few events, and
-        // interval-4 snapshots leave the first events after each fossil
-        // covered only by the fence. Cross-thread stragglers then roll
-        // back past every deque snapshot — a pattern that used to panic
-        // with "rollback target below oldest snapshot".
-        let mut a = phold_sim(16, 1234);
-        let mut b = phold_sim(16, 1234);
-        let sa = a.run_sequential(SimTime::MAX);
-        let sb =
-            b.run_optimistic(4, OptimisticConfig { batch: 4, snapshot_interval: 4 }, SimTime::MAX);
-        assert_eq!(sa.committed, sb.committed, "stats: {sb:?}");
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        assert!(sb.rollbacks > 0, "pattern produced no rollbacks: {sb:?}");
-        assert!(
-            sb.fence_restores > 0,
-            "adversarial pattern never exercised the fence-restore path: {sb:?}"
-        );
     }
 
     #[test]
@@ -282,8 +220,9 @@ mod tests {
     #[test]
     #[cfg(not(union_check))]
     fn scheduler_enum_dispatches() {
-        let opt = Scheduler::Optimistic { threads: 2, config: OptimisticConfig::default() };
-        for sched in [Scheduler::Sequential, yawns(2), opt] {
+        let asynchronous =
+            Scheduler::ConservativeAsync { threads: 2, lookahead: SimDuration::from_ns(1) };
+        for sched in [Scheduler::Sequential, yawns(2), asynchronous] {
             let mut sim = phold_sim(4, 11);
             let stats = sched.run(&mut sim, SimTime::MAX);
             assert!(stats.committed > 0);

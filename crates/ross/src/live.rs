@@ -4,7 +4,7 @@
 //! Schedulers never touch the registry on per-event hot paths: each worker
 //! thread owns a [`LiveTap`] — plain local counters plus shard-private
 //! handles — and flushes it at the scheduler's natural synchronization
-//! cadence (per window/round/GVT epoch, or every
+//! cadence (per window/round/shard fence, or every
 //! [`FLUSH_EVERY`] committed events on the sequential path). A detached
 //! registry costs one `Option` branch at those same coarse points, which
 //! is what keeps the <2% overhead guard honest.
@@ -20,9 +20,6 @@ pub(crate) const FLUSH_EVERY: u64 = 8192;
 /// run; [`LiveHandles::tap`] clones it onto a worker's shard.
 pub(crate) struct LiveHandles {
     committed: CounterHandle,
-    rolled_back: CounterHandle,
-    rollbacks: CounterHandle,
-    anti_messages: CounterHandle,
     remote_events: CounterHandle,
     cross_shard_events: CounterHandle,
     rounds: CounterHandle,
@@ -40,9 +37,6 @@ impl LiveHandles {
     pub(crate) fn new(reg: &MetricsRegistry, threads: usize) -> Arc<LiveHandles> {
         let h = LiveHandles {
             committed: reg.counter("events_committed"),
-            rolled_back: reg.counter("events_rolled_back"),
-            rollbacks: reg.counter("rollbacks"),
-            anti_messages: reg.counter("anti_messages"),
             remote_events: reg.counter("remote_events"),
             cross_shard_events: reg.counter("cross_shard_events"),
             rounds: reg.counter("rounds"),
@@ -72,9 +66,6 @@ impl LiveHandles {
     pub(crate) fn tap(self: &Arc<LiveHandles>, shard: usize) -> LiveTap {
         LiveTap {
             committed: self.committed.for_shard(shard),
-            rolled_back: self.rolled_back.for_shard(shard),
-            rollbacks: self.rollbacks.for_shard(shard),
-            anti_messages: self.anti_messages.for_shard(shard),
             remote_events: self.remote_events.for_shard(shard),
             cross_shard_events: self.cross_shard_events.for_shard(shard),
             rounds: self.rounds.for_shard(shard),
@@ -94,9 +85,6 @@ impl LiveHandles {
 #[derive(Default)]
 struct PendingDeltas {
     committed: u64,
-    rolled_back: u64,
-    rollbacks: u64,
-    anti_messages: u64,
     remote_events: u64,
     cross_shard_events: u64,
     rounds: u64,
@@ -108,9 +96,6 @@ struct PendingDeltas {
 /// shard-private wait-free handles.
 pub(crate) struct LiveTap {
     committed: CounterHandle,
-    rolled_back: CounterHandle,
-    rollbacks: CounterHandle,
-    anti_messages: CounterHandle,
     remote_events: CounterHandle,
     cross_shard_events: CounterHandle,
     rounds: CounterHandle,
@@ -137,15 +122,6 @@ impl LiveTap {
         self.d.committed
     }
 
-    pub(crate) fn roll_back(&mut self, events: u64, episodes: u64) {
-        self.d.rolled_back += events;
-        self.d.rollbacks += episodes;
-    }
-
-    pub(crate) fn anti_message(&mut self, n: u64) {
-        self.d.anti_messages += n;
-    }
-
     pub(crate) fn remote(&mut self, n: u64) {
         self.d.remote_events += n;
     }
@@ -162,13 +138,12 @@ impl LiveTap {
         self.d.steals += n;
     }
 
-    /// Latest global clock (GVT / window floor / horizon) — leader only.
+    /// Latest global clock (window floor / horizon) — leader only.
     pub(crate) fn gvt(&self, ns: u64) {
         self.gvt_ns.set(ns);
     }
 
-    /// High-water of (max published horizon − min published horizon) or
-    /// (local min − GVT) lag.
+    /// High-water of (max published horizon − min published horizon).
     pub(crate) fn lag(&self, ns: u64) {
         self.horizon_lag_ns.observe_max(ns);
     }
@@ -191,15 +166,6 @@ impl LiveTap {
         if d.committed > 0 {
             self.committed.add(d.committed);
             self.commit_batch.record(d.committed);
-        }
-        if d.rolled_back > 0 {
-            self.rolled_back.add(d.rolled_back);
-        }
-        if d.rollbacks > 0 {
-            self.rollbacks.add(d.rollbacks);
-        }
-        if d.anti_messages > 0 {
-            self.anti_messages.add(d.anti_messages);
         }
         if d.remote_events > 0 {
             self.remote_events.add(d.remote_events);

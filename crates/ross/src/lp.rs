@@ -8,16 +8,13 @@ use crate::time::{SimDuration, SimTime};
 /// All LPs in one simulation share a single concrete type — models compose
 /// heterogeneous LPs with an enum. `handle` is the only entry point; an LP
 /// must never touch state outside itself except through [`Ctx::send`].
-///
-/// For optimistic execution the LP type must also be `Clone` (state saving)
-/// — see [`crate::optimistic`].
 pub trait Lp: Send + 'static {
     /// Model-defined event payload shared by every LP in the simulation.
     type Event: Clone + Send + 'static;
 
     /// Process one event. Absolutely no side effects outside `self` and
-    /// `ctx` are allowed: the optimistic scheduler may run this
-    /// speculatively and roll it back.
+    /// `ctx` are allowed: the parallel schedulers run LPs on any worker
+    /// thread and only the LP's own state travels with it.
     fn handle(&mut self, ev: &Envelope<Self::Event>, ctx: &mut Ctx<'_, Self::Event>);
 
     /// Classify `ev` for the causal tracer ([`crate::trace`]). Kind tags
@@ -41,8 +38,8 @@ pub(crate) struct Outgoing<E> {
 /// Scheduling context: the LP's window into the engine during one event.
 ///
 /// Sends are buffered and turned into envelopes by the scheduler after the
-/// handler returns, which keeps envelope bookkeeping (tiebreaks, uids,
-/// rollback logs) out of model code.
+/// handler returns, which keeps envelope bookkeeping (tiebreaks, uids)
+/// out of model code.
 pub struct Ctx<'a, E> {
     pub(crate) now: SimTime,
     pub(crate) me: LpId,
@@ -90,14 +87,13 @@ impl<'a, E> Ctx<'a, E> {
 /// Per-LP engine-side bookkeeping common to all schedulers.
 #[derive(Clone)]
 pub(crate) struct LpMeta {
-    /// Deterministic send counter — snapshotted/rolled back with LP state.
+    /// Deterministic send counter — checkpointed with LP state.
     pub tiebreak: u64,
-    /// Unique id counter — never rolled back.
+    /// Unique id counter (causal tracing).
     pub uid_seq: u64,
     /// Last processed event time (causality check).
     pub now: SimTime,
-    /// Number of events this LP has processed (committed view for
-    /// sequential/conservative; speculative view for optimistic).
+    /// Number of events this LP has processed.
     pub processed: u64,
 }
 

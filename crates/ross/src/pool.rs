@@ -5,9 +5,8 @@
 //! fields, uid, model payload — parks here until the event is popped.
 //! Slots are recycled through a free list, so once the simulation's event
 //! population has peaked (`high_water`), the steady state performs **zero
-//! heap allocations per event**: push reuses a freed slot, pop frees it
-//! again, and the rollback re-insertions of the optimistic scheduler go
-//! through exactly the same recycle path.
+//! heap allocations per event**: push reuses a freed slot and pop frees it
+//! again.
 //!
 //! Separating hot from cold also makes the queues cache-conscious: rung
 //! buckets and heap nodes sort 24/48-byte keys instead of moving whole

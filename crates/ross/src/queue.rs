@@ -54,8 +54,7 @@
 //! the major key of the envelope order, and every bucket is sorted with a
 //! comparator equivalent to the full `Envelope` `Ord` before it is drained —
 //! so equal-`recv_time` collisions (and even full-key ties, which the uid
-//! breaks during optimistic rollback transients) dequeue in exactly the
-//! order the binary heap produces. The scheduler-equivalence suites assert
+//! breaks) dequeue in exactly the order the binary heap produces. The scheduler-equivalence suites assert
 //! this bit for bit; `tests/queue_equivalence.rs` property-tests it on
 //! adversarial streams, including payload identity through slot recycling.
 //!
@@ -511,9 +510,9 @@ struct Rung {
 /// Tiers, nearest-future first:
 ///
 /// * **bottom** — the events of the bucket currently being drained, sorted
-///   descending so `pop` is a `Vec::pop`. Stragglers pushed behind the
-///   ladder frontier (e.g. optimistic rollback re-insertions) are merged in
-///   by binary-search insertion.
+///   descending so `pop` is a `Vec::pop`. Events pushed behind the ladder
+///   frontier (e.g. a short-delay send that lands inside the bucket being
+///   drained) are merged in by binary-search insertion.
 /// * **rungs** — a stack of tiers; `rungs[0]` spans the whole current era
 ///   and each deeper rung subdivides the one bucket its parent's frontier
 ///   just passed. Pushes walk the stack top-down and drop the event into

@@ -10,8 +10,8 @@
 //! `ross-check` shim layer, which routes each operation through a
 //! controlled scheduler with vector-clock race detection (see
 //! `crates/check` and DESIGN.md §13). `ross::mailbox`, the conservative
-//! worker core and its schedulers, `ross::optimistic` and the sharded
-//! runner's loopback transport are written against these aliases and
+//! worker core and its schedulers and the sharded runner's loopback
+//! transport are written against these aliases and
 //! therefore model-checkable without further changes.
 
 #[cfg(union_check)]

@@ -2,7 +2,7 @@
 //!
 //! ROSS uses `double` virtual time; we use unsigned 64-bit **nanoseconds**
 //! instead so that event ordering is exact and bit-identical across the
-//! sequential, conservative, and optimistic schedulers. At 1 ns resolution a
+//! sequential and parallel schedulers. At 1 ns resolution a
 //! `u64` covers ~584 years of virtual time, far beyond any network simulation.
 
 use std::fmt;

@@ -5,29 +5,17 @@
 //! event's `(recv_time, send_time, src)` coordinates, its uid, the range
 //! of uid sequence numbers handed to the events it sent (its children),
 //! a model-supplied kind tag ([`crate::Lp::trace_kind`]) and a sampled
-//! handler duration. Scheduler phases (GVT, fossil collection, rollback,
-//! barrier waits) are recorded as wall-clock spans per worker thread.
+//! handler duration. Scheduler phases (barrier waits) are recorded as
+//! wall-clock spans per worker thread.
 //!
 //! ## Parent linkage
 //!
 //! Envelopes are not widened for tracing. Instead each execution record
-//! stores `child_lo` — the sender's never-rolled-back `uid_seq` counter
-//! *before* the handler ran — and `children`, the number of sends sealed
-//! by that execution. A child event with uid `(src, seq)` belongs to the
-//! committed execution of `src` whose `[child_lo, child_lo + children)`
-//! range contains `seq`. Coast-forward replays burn fresh `uid_seq`
-//! values with sends suppressed, so a replay's range claims no in-flight
-//! child and the original (still committed) execution record keeps the
-//! linkage.
-//!
-//! ## Wasted work (optimistic scheduler)
-//!
-//! Rollback appends one *mark* per undone execution. At export time an
-//! event uid with `n` execution records and `m` marks is committed iff
-//! `n > m`, and the committed record is the last one in its owning
-//! thread's buffer (an LP lives on exactly one thread for the whole
-//! run). Everything else is wasted work, colour-tagged in the Chrome
-//! export and charged to its kind/app by the critical-path analyzer.
+//! stores `child_lo` — the sender's `uid_seq` counter *before* the
+//! handler ran — and `children`, the number of sends sealed by that
+//! execution. A child event with uid `(src, seq)` belongs to the
+//! execution of `src` whose `[child_lo, child_lo + children)` range
+//! contains `seq`.
 //!
 //! ## Cost model
 //!
@@ -39,9 +27,8 @@
 //! and once the budget is gone records are counted as dropped rather
 //! than allocated.
 
-use crate::event::{Envelope, EventUid};
+use crate::event::Envelope;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,7 +57,7 @@ pub struct TraceEvent {
     pub recv_ns: u64,
     /// Virtual send time.
     pub send_ns: u64,
-    /// Event uid (sender LP, never-rolled-back sequence number).
+    /// Event uid (sender LP, per-sender sequence number).
     pub uid_src: u32,
     pub uid_seq: u64,
     /// Sender-side uid counter before the handler ran: the events this
@@ -86,13 +73,7 @@ pub struct TraceEvent {
 /// Scheduler phases recorded as wall-clock spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// GVT computation (optimistic) including its two barriers.
-    Gvt,
-    /// Fossil collection below GVT.
-    Fossil,
-    /// One rollback episode (restore + coast-forward).
-    Rollback,
-    /// Barrier / quiescence wait (conservative rounds, optimistic drain).
+    /// Barrier wait (conservative rounds, shard fences).
     Barrier,
 }
 
@@ -100,19 +81,13 @@ impl SpanKind {
     /// Stable lowercase label used in the Chrome export.
     pub fn label(self) -> &'static str {
         match self {
-            SpanKind::Gvt => "gvt",
-            SpanKind::Fossil => "fossil",
-            SpanKind::Rollback => "rollback",
             SpanKind::Barrier => "barrier",
         }
     }
 
-    /// Chrome trace-viewer colour name; rollbacks scream red.
+    /// Chrome trace-viewer colour name.
     fn cname(self) -> &'static str {
         match self {
-            SpanKind::Gvt => "good",
-            SpanKind::Fossil => "grey",
-            SpanKind::Rollback => "terrible",
             SpanKind::Barrier => "bad",
         }
     }
@@ -144,7 +119,6 @@ struct SubmittedBuf {
     run: u32,
     thread: u32,
     events: Vec<TraceEvent>,
-    marks: Vec<EventUid>,
     spans: Vec<TraceSpan>,
 }
 
@@ -282,7 +256,6 @@ impl Tracer {
             event_budget: Arc::clone(&self.event_budget),
             span_budget: Arc::clone(&self.span_budget),
             events: Vec::new(),
-            marks: Vec::new(),
             spans: Vec::new(),
         }
     }
@@ -296,7 +269,6 @@ impl Tracer {
             run: buf.run,
             thread: buf.thread,
             events: buf.events,
-            marks: buf.marks,
             spans: buf.spans,
         });
     }
@@ -327,9 +299,7 @@ impl Tracer {
     /// Each run becomes two processes: pid `2*run` holds one track per
     /// LP on the *virtual* timeline (`ts` = recv time), pid `2*run + 1`
     /// holds one track per worker thread on the *wall* timeline with the
-    /// scheduler-phase spans (rollbacks colour-tagged red). Events the
-    /// optimistic scheduler rolled back are tagged `"w":1` and coloured
-    /// red on their LP track. A `union_run` metadata record per run
+    /// scheduler-phase spans. A `union_run` metadata record per run
     /// carries the label, scheduler, thread count, wall time, final
     /// virtual time and sample rate.
     pub fn to_chrome_json(&self) -> String {
@@ -342,7 +312,6 @@ impl Tracer {
             let run = run as u32;
             let mut bufs: Vec<&SubmittedBuf> = inner.bufs.iter().filter(|b| b.run == run).collect();
             bufs.sort_by_key(|b| b.thread);
-            let committed = resolve_committed(&bufs);
             let vpid = 2 * run;
             let spid = 2 * run + 1;
             let label = if meta.label.is_empty() { "run".to_string() } else { meta.label.clone() };
@@ -400,8 +369,7 @@ impl Tracer {
             ));
 
             // LP tracks: sort by (lp, recv, stable index) so `ts` is
-            // monotonic per track even when rolled-back executions were
-            // recorded out of virtual-time order.
+            // monotonic per track whatever order the workers recorded in.
             let mut order: Vec<(usize, usize)> = Vec::new();
             for (bi, b) in bufs.iter().enumerate() {
                 for ei in 0..b.events.len() {
@@ -414,7 +382,6 @@ impl Tracer {
             });
             for (bi, ei) in order {
                 let e = &bufs[bi].events[ei];
-                let is_committed = committed[bi][ei];
                 let name =
                     meta.kind_names.get(e.kind as usize).map(String::as_str).unwrap_or("event");
                 sep(&mut out, &mut first);
@@ -426,20 +393,10 @@ impl Tracer {
                     micros(e.recv_ns),
                     micros(e.dur_ns),
                 ));
-                if !is_committed {
-                    out.push_str(",\"cname\":\"terrible\"");
-                }
                 out.push_str(&format!(
                     ",\"args\":{{\"src\":{},\"st\":{},\"us\":{},\"q\":{},\"lo\":{},\
-                     \"nc\":{},\"k\":{},\"w\":{}}}}}",
-                    e.src,
-                    e.send_ns,
-                    e.uid_src,
-                    e.uid_seq,
-                    e.child_lo,
-                    e.children,
-                    e.kind,
-                    u8::from(!is_committed),
+                     \"nc\":{},\"k\":{}}}}}",
+                    e.src, e.send_ns, e.uid_src, e.uid_seq, e.child_lo, e.children, e.kind,
                 ));
             }
 
@@ -514,37 +471,6 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// Per-buffer committed flags for one run's buffers. An event uid with
-/// `n` execution records and `m` rollback marks is committed iff
-/// `n > m`, and the committed record is the last execution in its
-/// owning thread's buffer.
-fn resolve_committed(bufs: &[&SubmittedBuf]) -> Vec<Vec<bool>> {
-    let any_marks = bufs.iter().any(|b| !b.marks.is_empty());
-    if !any_marks {
-        return bufs.iter().map(|b| vec![true; b.events.len()]).collect();
-    }
-    /// uid → (execution count, rollback-mark count, last exec (buf, idx)).
-    type UidTally = HashMap<(u32, u64), (u32, u32, (usize, usize))>;
-    let mut by_uid: UidTally = HashMap::new();
-    for (bi, b) in bufs.iter().enumerate() {
-        for (ei, e) in b.events.iter().enumerate() {
-            let entry = by_uid.entry((e.uid_src, e.uid_seq)).or_insert((0, 0, (bi, ei)));
-            entry.0 += 1;
-            entry.2 = (bi, ei);
-        }
-        for m in &b.marks {
-            by_uid.entry((m.src, m.seq)).or_insert((0, 0, (0, 0))).1 += 1;
-        }
-    }
-    let mut committed: Vec<Vec<bool>> = bufs.iter().map(|b| vec![false; b.events.len()]).collect();
-    for (execs, marks, (bi, ei)) in by_uid.into_values() {
-        if execs > marks {
-            committed[bi][ei] = true;
-        }
-    }
-    committed
-}
-
 /// Per-worker trace buffer. Created with [`Tracer::buf`], filled on the
 /// scheduler hot path, handed back with [`Tracer::submit`].
 pub struct TraceBuf {
@@ -563,7 +489,6 @@ pub struct TraceBuf {
     event_budget: Arc<AtomicI64>,
     span_budget: Arc<AtomicI64>,
     events: Vec<TraceEvent>,
-    marks: Vec<EventUid>,
     spans: Vec<TraceSpan>,
 }
 
@@ -637,15 +562,6 @@ impl TraceBuf {
         });
     }
 
-    /// Record that the execution of `uid` was undone by a rollback (or
-    /// annihilated by an anti-message after executing).
-    #[inline]
-    pub fn mark_rolled_back(&mut self, uid: EventUid) {
-        // Marks are tiny and bounded by executions, which are themselves
-        // budgeted; no separate cap.
-        self.marks.push(uid);
-    }
-
     /// Record a scheduler-phase span started at `t0` and ending now.
     #[inline]
     pub fn end_span(&mut self, kind: SpanKind, t0: Instant) {
@@ -692,6 +608,7 @@ impl TraceBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventUid;
     use crate::time::SimTime;
 
     fn env(dst: u32, src: u32, recv: u64, send: u64, seq: u64) -> Envelope<()> {
@@ -723,33 +640,8 @@ mod tests {
         assert!(json.contains("\"union_run\""), "{json}");
         assert!(json.contains("\"comm\""), "{json}");
         assert!(json.contains("\"sched\":\"sequential\""), "{json}");
-        assert!(json.contains("\"w\":0"), "{json}");
-        assert!(!json.contains("\"w\":1"), "{json}");
+        assert!(json.contains("\"nc\":1,\"k\":1}"), "{json}");
         assert_eq!(tr.events_dropped(), 0);
-    }
-
-    #[test]
-    fn rollback_marks_flag_wasted_executions() {
-        let tr = Tracer::new(1);
-        let run = tr.open_run("optimistic", 2);
-        let mut buf = tr.buf(run, 0);
-        // Event (src 0, seq 5) executes, is rolled back, re-executes.
-        let t0 = buf.event_start();
-        buf.record(&env(1, 0, 10, 0, 5), 0, 2, 0, t0);
-        buf.mark_rolled_back(EventUid { src: 0, seq: 5 });
-        let t0 = buf.event_start();
-        buf.record(&env(1, 0, 10, 0, 5), 2, 2, 0, t0);
-        // Event (src 0, seq 6) executes and stays rolled back.
-        let t0 = buf.event_start();
-        buf.record(&env(1, 0, 12, 0, 6), 4, 0, 0, t0);
-        buf.mark_rolled_back(EventUid { src: 0, seq: 6 });
-        tr.submit(buf);
-        tr.close_run(run, 500, 12);
-        let json = tr.to_chrome_json();
-        let wasted = json.matches("\"w\":1").count();
-        let kept = json.matches("\"w\":0").count();
-        assert_eq!(wasted, 2, "{json}");
-        assert_eq!(kept, 1, "{json}");
     }
 
     #[test]
@@ -792,12 +684,12 @@ mod tests {
     #[test]
     fn chrome_ts_is_monotonic_per_track_even_when_recorded_out_of_order() {
         let tr = Tracer::new(1);
-        let run = tr.open_run("optimistic", 1);
+        let run = tr.open_run("conservative-async", 1);
         let mut buf = tr.buf(run, 0);
-        // Wasted execution at t=100µs recorded before committed t=50µs.
+        // t=100µs recorded before t=50µs, as when an LP's events are split
+        // across the buffers of the workers it migrated between.
         let t0 = buf.event_start();
         buf.record(&env(0, 1, 100_000, 0, 9), 0, 0, 0, t0);
-        buf.mark_rolled_back(EventUid { src: 1, seq: 9 });
         let t0 = buf.event_start();
         buf.record(&env(0, 1, 50_000, 0, 8), 0, 0, 0, t0);
         tr.submit(buf);

@@ -533,7 +533,6 @@ impl<E: Clone + Send + 'static> Run<E> {
             self.name,
             n_workers,
             &stats,
-            0,
             queue,
             per_thread,
         );

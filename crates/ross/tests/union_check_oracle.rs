@@ -23,7 +23,7 @@
 #![cfg(union_check)]
 
 use ross::shard::{loopback_mesh, shard_owner_map, ShardRun};
-use ross::{Ctx, Envelope, Lp, OptimisticConfig, QueueKind, SimDuration, SimTime, Simulation};
+use ross::{Ctx, Envelope, Lp, QueueKind, SimDuration, SimTime, Simulation};
 
 /// Deterministic mini-PHOLD: every event forwards to the next LP on the
 /// ring after a fixed 60 ns delay, folding a checksum. No RNG — state
@@ -137,40 +137,12 @@ fn check_sharded(qk: QueueKind) {
     assert!(schedules >= 1, "sharded model explored no schedules");
 }
 
-/// 2-thread optimistic (Time Warp) run: rollbacks, anti-messages, the
-/// in-flight/busy-thread quiescence protocol and the GVT epochs all route
-/// through the shimmed seam now that the scheduler is on `crate::sync`.
-/// Full DPOR over the epoch loop's SeqCst atomics is intractable, so this
-/// uses CHESS-style preemption bounding (≤ 1 preemption), the same mode CI
-/// uses for larger models — `max_paths` stays a loud bound, never a silent
-/// truncation. Tiny batches force several GVT epochs (and give stragglers
-/// a chance to roll the other thread back) within the bounded exploration.
-fn check_optimistic(qk: QueueKind) {
-    let expect = sequential_reference(qk);
-    let schedules = ross_check::Builder::new().fringe(1).max_paths(200_000).check(|| {
-        let mut sim = mk_sim(2, qk);
-        let stats = sim.run_optimistic(
-            2,
-            OptimisticConfig { batch: 4, snapshot_interval: 2 },
-            SimTime::MAX,
-        );
-        assert!(stats.committed >= 4);
-        assert_eq!(
-            fingerprint(&sim),
-            expect,
-            "optimistic fingerprint diverged from sequential on this schedule"
-        );
-    });
-    assert!(schedules >= 1, "optimistic model explored no schedules");
-}
-
 /// 2-thread barrier-free asynchronous run: safe-horizon publishes, the
 /// Mattern S/R counters, the park/wake handshake and (when load allows)
 /// the steal handoff all route through the shimmed seam. The checked
 /// build additionally asserts horizon monotonicity at every publish and
-/// exactly-once delivery in `Mailbox::drop`. Like the optimistic model,
-/// full DPOR over the per-iteration SeqCst horizon traffic is
-/// intractable, so this uses CHESS-style preemption bounding
+/// exactly-once delivery in `Mailbox::drop`. Full DPOR over the
+/// per-iteration SeqCst horizon traffic is intractable, so this uses CHESS-style preemption bounding
 /// (≤ 1 preemption) with `max_paths` as a loud bound.
 fn check_async(qk: QueueKind) {
     let expect = sequential_reference(qk);
@@ -268,16 +240,6 @@ fn parallel_two_workers_heap_matches_sequential_on_every_schedule() {
 #[test]
 fn parallel_two_workers_ladder_matches_sequential_on_every_schedule() {
     check_parallel(QueueKind::Ladder);
-}
-
-#[test]
-fn optimistic_two_threads_heap_matches_sequential_on_every_schedule() {
-    check_optimistic(QueueKind::Heap);
-}
-
-#[test]
-fn optimistic_two_threads_ladder_matches_sequential_on_every_schedule() {
-    check_optimistic(QueueKind::Ladder);
 }
 
 #[test]

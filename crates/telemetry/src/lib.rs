@@ -292,8 +292,7 @@ pub struct ManifestRecord {
     /// Full command-line arguments as given.
     pub args: Vec<String>,
     pub seed: u64,
-    /// Scheduler spec string (`seq`, `opt:T[:B:I]`, `par:T:L`, `async:T:L`,
-    /// `shard:N:T:L`).
+    /// Scheduler spec string (`seq`, `par:T:L`, `async:T:L`, `shard:N:T:L`).
     pub sched: String,
     /// `git describe --always --dirty` of the working tree, or `unknown`.
     pub git: String,
@@ -323,11 +322,11 @@ impl ManifestRecord {
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct ThreadRecord {
     pub thread: usize,
-    /// Events this thread executed (speculative executions included).
+    /// Events this thread executed.
     pub events: u64,
     /// Wall time spent executing events.
     pub busy_ns: u64,
-    /// Wall time spent waiting at barriers / for quiescence.
+    /// Wall time spent waiting at barriers / for peer horizons.
     pub blocked_ns: u64,
     /// Wall time not accounted busy or blocked (drains, bookkeeping).
     pub idle_ns: u64,
@@ -336,11 +335,12 @@ pub struct ThreadRecord {
 }
 
 /// One scheduler run: counters every scheduler reports, plus the
-/// optimistic- and parallel-only ones (zero where not applicable).
+/// parallel-only ones (zero where not applicable).
 #[derive(Clone, Debug, Serialize)]
 pub struct SchedulerRecord {
     pub record: String,
-    /// `sequential`, `conservative`, `conservative-parallel`, `optimistic`.
+    /// `sequential`, `conservative-parallel`, `conservative-async`,
+    /// `sharded-conservative`.
     pub scheduler: String,
     pub threads: usize,
     /// Pending-event queue implementation: `heap` or `ladder`.
@@ -357,16 +357,11 @@ pub struct SchedulerRecord {
     /// served from the free list instead of fresh allocation.
     pub pool_recycled: u64,
     pub committed: u64,
-    pub rolled_back: u64,
-    pub rollbacks: u64,
-    pub anti_messages: u64,
-    /// Anti-messages that met their target before it executed.
-    pub annihilated: u64,
     pub remote_events: u64,
     /// Events delivered across OS-process shards through a transport
     /// (sharded runs only).
     pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or GVT epochs).
+    /// Synchronization rounds (conservative windows or shard fences).
     pub rounds: u64,
     /// LP blocks migrated between workers by work stealing
     /// (conservative-async scheduler only).
@@ -377,9 +372,6 @@ pub struct SchedulerRecord {
     /// Max observed gap between the most- and least-advanced published
     /// safe-horizons (conservative-async scheduler only).
     pub horizon_lag_max: u64,
-    /// Max over epochs of (local minimum − GVT): how far ahead the most
-    /// optimistic thread ran (optimistic scheduler only).
-    pub max_gvt_lag_ns: u64,
     pub end_time_ns: u64,
     pub wall_ns: u64,
     pub per_thread: Vec<ThreadRecord>,
@@ -397,17 +389,12 @@ impl SchedulerRecord {
             pool_high_water: 0,
             pool_recycled: 0,
             committed: 0,
-            rolled_back: 0,
-            rollbacks: 0,
-            anti_messages: 0,
-            annihilated: 0,
             remote_events: 0,
             cross_shard_events: 0,
             rounds: 0,
             steals: 0,
             horizon_stall_ns: 0,
             horizon_lag_max: 0,
-            max_gvt_lag_ns: 0,
             end_time_ns: 0,
             wall_ns: 0,
             per_thread: Vec::new(),

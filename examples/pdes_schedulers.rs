@@ -1,6 +1,6 @@
 //! The ROSS-style PDES engine on its own: run the same workload under the
-//! sequential, conservative, and optimistic (Time Warp) schedulers and
-//! compare wall time, event rates, and rollback behaviour.
+//! sequential, barrier-window and barrier-free conservative schedulers and
+//! compare wall time and event rates.
 //!
 //! ```sh
 //! cargo run --release --example pdes_schedulers
@@ -9,20 +9,23 @@
 use codes::SimulationBuilder;
 use dragonfly::{DragonflyConfig, Routing};
 use placement::Placement;
-use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
+use ross::{Scheduler, SimDuration, SimTime};
 use workloads::{app, AppKind, Profile};
 
 fn main() {
-    println!("One Workload3-style mix, three schedulers (the paper used\nCODES/ROSS's optimistic parallel mode on 144 cores):\n");
-    println!("| scheduler | events | wall (s) | events/s | rolled back | efficiency |");
-    println!("|---|---|---|---|---|---|");
+    println!("One Workload3-style mix, three schedulers (the paper ran CODES/ROSS\nin optimistic mode on 144 cores; this engine is conservative):\n");
+    println!("| scheduler | events | wall (s) | events/s |");
+    println!("|---|---|---|---|");
 
     let mut reference: Option<u64> = None;
     // par:4:0 — conservative windows of the engine lookahead (YAWNS).
-    let conservative =
+    let windows =
         Scheduler::ConservativeParallel { threads: 4, lookahead: SimDuration::from_ns(0) };
-    let optimistic = Scheduler::Optimistic { threads: 4, config: OptimisticConfig::default() };
-    for sched in [Scheduler::Sequential, conservative, optimistic] {
+    // async:4:100 — no barriers; 100 ns is the minimum cross-partition
+    // delay of the default dragonfly config (local link latency).
+    let horizons =
+        Scheduler::ConservativeAsync { threads: 4, lookahead: SimDuration::from_ns(100) };
+    for sched in [Scheduler::Sequential, windows, horizons] {
         // Rebuild the identical simulation for each scheduler.
         let mut b = SimulationBuilder::new(DragonflyConfig::small_1d())
             .routing(Routing::Adaptive)
@@ -35,13 +38,11 @@ fn main() {
         let mut sim = b.build().unwrap();
         let r = sim.run(sched, SimTime::MAX);
         println!(
-            "| {:?} | {} | {:.2} | {:.0} | {} | {:.1}% |",
+            "| {:?} | {} | {:.2} | {:.0} |",
             sched,
             r.stats.committed,
             r.stats.wall_seconds,
             r.stats.event_rate(),
-            r.stats.rolled_back,
-            100.0 * r.stats.rollback_efficiency(),
         );
         // All three must commit exactly the same events.
         match reference {

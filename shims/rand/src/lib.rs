@@ -5,8 +5,9 @@
 //! half-open integer ranges, and [`seq::SliceRandom::shuffle`].
 //!
 //! The generator is xorshift64\* with a splitmix64 seed expansion: fast,
-//! `Clone`-able (so LP state snapshots restore the stream under Time Warp
-//! rollbacks), and platform-independent. Streams are **not** compatible
+//! `Clone`-able, small enough to live inside every LP's state (so a stream
+//! follows its LP's event order under every scheduler), and
+//! platform-independent. Streams are **not** compatible
 //! with upstream `rand`; the workspace only relies on determinism for a
 //! fixed seed, never on specific stream values.
 

@@ -4,7 +4,7 @@
 
 use codes::SimulationBuilder;
 use dragonfly::DragonflyConfig;
-use ross::{OptimisticConfig, Scheduler, SimTime};
+use ross::{Scheduler, SimDuration, SimTime};
 use union_core::{translate_source, MpiOp, RankVm, SkeletonInstance, Validation};
 
 fn validation(src: &str, n: u32, args: &[&str]) -> Validation {
@@ -131,8 +131,9 @@ fn rich_program_runs_on_the_network() {
     let skel = translate_source(src, "rich").unwrap();
     let inst = SkeletonInstance::new(&skel, 9, &[]).unwrap();
     let mut fingerprints = Vec::new();
-    let opt = Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() };
-    for sched in [Scheduler::Sequential, opt] {
+    // par:3:0 — the window clamps to the engine lookahead (YAWNS).
+    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) };
+    for sched in [Scheduler::Sequential, par] {
         let vms: Vec<RankVm> = (0..9).map(|r| RankVm::new(inst.clone(), r, 2)).collect();
         let mut sim = SimulationBuilder::new(DragonflyConfig::tiny_1d())
             .seed(5)

@@ -6,7 +6,7 @@ use dragonfly::{DragonflyConfig, Routing};
 use harness::sweep::{self, SweepConfig};
 use metrics::AppLatencySummary;
 use placement::Placement;
-use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime};
+use ross::{Scheduler, SimDuration, SimTime};
 use union_core::{translate_source, RankVm, SkeletonInstance, Validation};
 use workloads::{app, AppKind, Profile};
 
@@ -135,8 +135,6 @@ fn schedulers_agree_on_hybrid_workload() {
     // par:3:0 — the window clamps to the engine lookahead (YAWNS).
     let yawns = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) };
     assert_eq!(seq, fingerprint(yawns));
-    let opt = Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() };
-    assert_eq!(seq, fingerprint(opt));
 }
 
 /// The sweep machinery produces baselines and mixes with sane structure.

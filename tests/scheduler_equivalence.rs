@@ -1,5 +1,6 @@
-//! Cross-scheduler determinism: all five PDES schedulers must produce
-//! bit-identical `SimResults` for the same model and seed, under either
+//! Cross-scheduler determinism: every PDES scheduler — sequential,
+//! barrier windows (YAWNS included), barrier-free horizons and process
+//! shards — must produce bit-identical `SimResults` for the same model and seed, under either
 //! pending-event queue (binary heap or ladder). This is the contract
 //! that lets the harness sweep schedulers and queues freely — a parallel
 //! run is a faster sequential run, never a different experiment.
@@ -7,7 +8,7 @@
 use codes::{SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, Routing};
 use placement::Placement;
-use ross::{OptimisticConfig, QueueKind, Scheduler, SimDuration, SimTime};
+use ross::{QueueKind, Scheduler, SimDuration, SimTime};
 use workloads::{app, AppKind, Profile};
 
 /// Per app: (name, per-rank latency (count, sum, min, max), per-rank comm
@@ -88,10 +89,6 @@ fn yawns(threads: usize) -> Scheduler {
     Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
 }
 
-fn opt(threads: usize) -> Scheduler {
-    Scheduler::Optimistic { threads, config: OptimisticConfig::default() }
-}
-
 fn run(sched: Scheduler) -> Fingerprint {
     run_q(sched, QueueKind::default())
 }
@@ -101,7 +98,6 @@ fn all_schedulers_agree_bit_for_bit() {
     let seq = run(Scheduler::Sequential);
     assert!(seq.committed > 0);
     assert_eq!(seq, run(yawns(3)), "par:3:0 (YAWNS) != sequential");
-    assert_eq!(seq, run(opt(3)), "optimistic != sequential");
     // 100 ns is the minimum cross-partition delay on the default config
     // (local link latency); wider windows would violate causality, a
     // 1 ns window is always legal. Both must match.
@@ -129,7 +125,6 @@ fn queue_choice_never_changes_results() {
     let scheds = [
         Scheduler::Sequential,
         yawns(3),
-        opt(3),
         Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) },
         Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) },
     ];
@@ -141,22 +136,6 @@ fn queue_choice_never_changes_results() {
             }
             assert_eq!(reference, run_q(sched, queue), "{sched:?}/{queue:?} != sequential/heap");
         }
-    }
-}
-
-/// Aggressive optimistic tunings — small batches (frequent GVT epochs,
-/// more fossil collections) with sparse snapshots force deep rollbacks
-/// through the GVT-fence restore path; the results must still be
-/// bit-identical to sequential.
-#[test]
-fn optimistic_small_snapshot_interval_agrees() {
-    let seq = run(Scheduler::Sequential);
-    for (threads, batch, snapshot_interval) in [(3usize, 32usize, 4u64), (2, 8, 4), (4, 64, 8)] {
-        let opt = run(Scheduler::Optimistic {
-            threads,
-            config: OptimisticConfig { batch, snapshot_interval },
-        });
-        assert_eq!(seq, opt, "opt:{threads}:{batch}:{snapshot_interval} != sequential");
     }
 }
 

@@ -7,7 +7,7 @@ use codes::SimulationBuilder;
 use dragonfly::{DragonflyConfig, Routing};
 use harness::{analyze, causality_fingerprint, parse_chrome, TraceRun};
 use placement::Placement;
-use ross::{OptimisticConfig, Scheduler, SimDuration, SimTime, Tracer};
+use ross::{Scheduler, SimDuration, SimTime, Tracer};
 use std::sync::Arc;
 use workloads::{app, AppKind, Profile};
 
@@ -42,12 +42,12 @@ fn yawns3() -> Scheduler {
     Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) }
 }
 
-fn opt3() -> Scheduler {
-    Scheduler::Optimistic { threads: 3, config: OptimisticConfig::default() }
-}
-
 fn par3() -> Scheduler {
     Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) }
+}
+
+fn async3() -> Scheduler {
+    Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) }
 }
 
 /// Same seed + same scheduler ⇒ byte-identical causal structure, and the
@@ -63,7 +63,7 @@ fn causality_fingerprint_is_deterministic_and_scheduler_independent() {
     let (sampled, _) = traced_run(Scheduler::Sequential, 64);
     assert_eq!(reference, causality_fingerprint(&sampled[0]), "sample rate changed causality");
 
-    for sched in [yawns3(), par3(), opt3()] {
+    for sched in [yawns3(), par3(), async3()] {
         let (runs, _) = traced_run(sched, 1);
         assert_eq!(
             reference,
@@ -105,11 +105,10 @@ fn chrome_export_is_valid_json_with_monotonic_tracks() {
 
 /// Critical-path invariants on real traces from every scheduler: the
 /// path is no longer than the committed event count, no heavier than the
-/// committed work, and the speedup bound is at least 1. For optimistic
-/// runs the wasted fraction must be a sane [0, 1) ratio.
+/// committed work, and the speedup bound is at least 1.
 #[test]
 fn critical_path_invariants_hold_on_real_traces() {
-    for sched in [Scheduler::Sequential, yawns3(), par3(), opt3()] {
+    for sched in [Scheduler::Sequential, yawns3(), par3(), async3()] {
         let (runs, _) = traced_run(sched, 1);
         let a = analyze(&runs[0]);
         let violations = a.check_invariants();
@@ -117,11 +116,6 @@ fn critical_path_invariants_hold_on_real_traces() {
         assert!(a.critical_path_len <= a.committed_events, "{sched:?} path too long");
         assert!(a.critical_path_ns <= a.committed_work_ns, "{sched:?} path too heavy");
         assert!(a.speedup_bound >= 1.0, "{sched:?} bound below 1");
-        let w = a.wasted_fraction();
-        assert!((0.0..1.0).contains(&w), "{sched:?} wasted fraction {w} out of range");
-        if !matches!(sched, Scheduler::Optimistic { .. }) {
-            assert_eq!(a.wasted_events, 0, "{sched:?} cannot roll back");
-        }
     }
 }
 
