@@ -5,10 +5,10 @@
 
 use codes::SimulationBuilder;
 use criterion::{criterion_group, criterion_main, Criterion};
-use dragonfly::{DragonflyConfig, Routing, Topology};
+use dragonfly::{DragonflyConfig, Routing};
 use harness::sweep::{run_one, Net, RunKey, SweepConfig, Workload};
 use placement::Placement;
-use ross::{Scheduler, SimDuration, SimTime};
+use ross::{Scheduler, SimTime};
 use union_core::{RankVm, SkeletonInstance, Validation};
 use workloads::{app, AppKind, Profile};
 
@@ -30,17 +30,6 @@ fn micro_mix(routing: Routing, placement: Placement, window_ns: u64) -> codes::S
         b = b.job(cfg.name(), cfg.vms(1).unwrap());
     }
     b.build().unwrap().run(Scheduler::Sequential, SimTime::MAX)
-}
-
-/// Table II: topology construction of both full-scale systems.
-fn bench_table2(c: &mut Criterion) {
-    c.bench_function("table2/build-8448-node-topologies", |b| {
-        b.iter(|| {
-            let t1 = Topology::build(DragonflyConfig::dragonfly_1d());
-            let t2 = Topology::build(DragonflyConfig::dragonfly_2d());
-            (t1.cfg.total_nodes(), t2.cfg.total_nodes())
-        })
-    });
 }
 
 /// Tables IV/V + Fig 6: the AlexNet validation at a reduced rank count.
@@ -192,48 +181,14 @@ fn bench_sweep_smoke(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scheduler comparison on the union-exp sweep path: the same smoke-scale
-/// sweep cell under every scheduler, with the threaded ones at multiple
-/// worker counts. The 100 ns parallel lookahead window is the minimum
-/// cross-partition delay of the default dragonfly config (local link
-/// latency; node↔own-router traffic never crosses partitions).
-fn bench_scheduler_sweep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sweep/schedulers");
-    g.sample_size(10);
-    let key = RunKey {
-        net: Net::OneD,
-        workload: Workload::Mix(3),
-        placement: Placement::RandomGroups,
-        routing: Routing::Adaptive,
-    };
-    let mut scheds = vec![("seq".to_string(), Scheduler::Sequential)];
-    for threads in [2usize, 4] {
-        scheds.push((
-            format!("par:{threads}:100"),
-            Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(100) },
-        ));
-    }
-    for (label, sched) in scheds {
-        g.bench_function(label.as_str(), |b| {
-            let mut cfg = SweepConfig::smoke();
-            cfg.scale = 256;
-            cfg.sched = sched;
-            b.iter(|| run_one(&cfg, key).unwrap().stats.committed)
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
-    bench_table2,
     bench_validation,
     bench_fig7_fig9,
     bench_fig8,
     bench_table6,
     bench_flow_control,
     bench_table1,
-    bench_sweep_smoke,
-    bench_scheduler_sweep
+    bench_sweep_smoke
 );
 criterion_main!(benches);

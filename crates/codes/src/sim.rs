@@ -247,8 +247,8 @@ pub fn trace_kind_names(job_names: &[String]) -> Vec<String> {
 /// with its attached nodes, so terminal-link traffic (node↔router) stays
 /// on one worker thread and only router↔router events cross partitions.
 ///
-/// Exported so `union-lint` can validate a `par:T:L` lookahead window
-/// against the exact partition the run would use.
+/// Exported so `union-lint` can derive a parallel run's lookahead window
+/// from the exact partition the run would use.
 pub fn partition_blocks(topo: &Topology) -> Vec<u32> {
     let n_nodes = topo.cfg.total_nodes();
     let n_routers = topo.cfg.total_routers();

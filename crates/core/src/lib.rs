@@ -46,7 +46,7 @@ pub mod vm;
 
 pub use ir::{Builder, Instr, LeafOp, ReduceTarget, Sel, Skeleton};
 pub use ops::MpiOp;
-pub use registry::{LintHook, SkeletonRegistry};
+pub use registry::SkeletonRegistry;
 pub use trace::{OpSource, Trace, TraceCursor};
 pub use translate::{translate, translate_source};
 pub use validate::Validation;

@@ -8,37 +8,15 @@ use crate::vm::{RankVm, SkeletonInstance};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A pre-instantiation check installed by the embedder (the harness
-/// installs `union-lint`'s skeleton analysis). Returning `Err` rejects
-/// the skeleton with the rendered findings; `union-core` stays free of a
-/// dependency on the linter itself.
-pub type LintHook = Arc<dyn Fn(&Skeleton, u32, &[&str]) -> Result<(), String> + Send + Sync>;
-
 /// A registry of available skeleton programs.
 #[derive(Default)]
 pub struct SkeletonRegistry {
     models: BTreeMap<String, Skeleton>,
-    linter: Option<LintHook>,
-    allow_lint: bool,
 }
 
 impl SkeletonRegistry {
     pub fn new() -> SkeletonRegistry {
         SkeletonRegistry::default()
-    }
-
-    /// Install a lint hook: every `instantiate` (and thus `spawn_job`)
-    /// runs it against the skeleton at the requested configuration and
-    /// fails on Error-severity findings.
-    pub fn set_linter(&mut self, hook: LintHook) {
-        self.linter = Some(hook);
-    }
-
-    /// Downgrade lint rejections to pass-through (the `--allow-lint`
-    /// escape hatch: the findings are still computed, but instantiation
-    /// proceeds).
-    pub fn set_allow_lint(&mut self, allow: bool) {
-        self.allow_lint = allow;
     }
 
     /// Register a skeleton under its program name. Re-registering a name
@@ -68,16 +46,6 @@ impl SkeletonRegistry {
             .models
             .get(name)
             .ok_or_else(|| format!("unknown skeleton `{name}` (registered: {:?})", self.names()))?;
-        if let Some(linter) = &self.linter {
-            if let Err(findings) = linter(skel, num_tasks, args) {
-                if !self.allow_lint {
-                    return Err(format!(
-                        "skeleton `{name}` rejected by lint (use --allow-lint to override):\n\
-                         {findings}"
-                    ));
-                }
-            }
-        }
         SkeletonInstance::new(skel, num_tasks, args)
     }
 
@@ -110,26 +78,6 @@ mod tests {
         assert!(reg.instantiate("nope", 2, &[]).is_err());
         let vms = reg.spawn_job("b", 3, &[], 1).unwrap();
         assert_eq!(vms.len(), 3);
-    }
-
-    #[test]
-    fn lint_hook_rejects_and_allow_lint_overrides() {
-        let mut reg = SkeletonRegistry::new();
-        reg.register(translate_source("task 0 sends a 4 byte message to task 1.", "a").unwrap());
-        // A hook that rejects everything instantiated with > 2 ranks.
-        reg.set_linter(Arc::new(|_skel, n, _args| {
-            if n > 2 {
-                Err("error[fake]: too many ranks".into())
-            } else {
-                Ok(())
-            }
-        }));
-        assert!(reg.instantiate("a", 2, &[]).is_ok());
-        let err = reg.instantiate("a", 3, &[]).err().unwrap();
-        assert!(err.contains("rejected by lint"), "{err}");
-        assert!(err.contains("error[fake]"), "{err}");
-        reg.set_allow_lint(true);
-        assert!(reg.instantiate("a", 3, &[]).is_ok(), "--allow-lint must override");
     }
 
     #[test]

@@ -202,7 +202,7 @@ fn trace_cmd(rest: &[String]) -> Outcome {
 /// one runner; what differs per command is how its report prints.
 fn run_cmd(cmd: &str, rest: &[String]) -> Outcome {
     let spec = RunSpec::parse(cmd, rest)?;
-    eprint!("{}", spec.validate()?);
+    spec.validate()?;
     let report = run(&spec)?;
     match &spec.model {
         Model::Codes(cfg) if cmd != "mix" => {
@@ -321,9 +321,10 @@ fn skeleton(rest: &[String]) -> Outcome {
 
 /// `union-exp lint` — run `union-lint`'s static analysis without
 /// simulating anything. Default: every bundled workload skeleton at the
-/// configuration a sweep would instantiate, plus the model-level
-/// lookahead check of the `--sched` given. `--fixture NAME` lints a
-/// seeded-bug fixture; `--file PROG.ncptl` lints a DSL program.
+/// configuration a sweep would instantiate, plus the lookahead window the
+/// `--sched` given derives on each network (`seq`: the `par` window).
+/// `--fixture NAME` lints a seeded-bug fixture; `--file PROG.ncptl` lints
+/// a DSL program.
 /// Exit codes: 0 = clean (infos allowed), 1 = findings at Warning or
 /// above, 2 = usage error.
 fn lint_cmd(rest: &[String]) -> Outcome {
@@ -352,8 +353,8 @@ fn lint_cmd(rest: &[String]) -> Outcome {
             let r = union_lint::lint_skeleton(&app.skeleton, app.ranks, &args, &opts);
             reports.push((format!("{} ({} ranks)", app.name(), app.ranks), r));
         }
-        let lookahead = harness::lint::check_lookahead(cfg, &spec.sched);
-        reports.push(("model/lookahead".to_string(), lookahead));
+        let windows = harness::lint::window_report(cfg, &spec.sched);
+        reports.push(("model/lookahead".to_string(), windows));
     }
     let mut worst = None;
     for (label, r) in &reports {

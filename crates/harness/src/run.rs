@@ -12,20 +12,19 @@
 //! recorded run carries its own description.
 
 use crate::live::{LiveOpts, LivePlane};
-use crate::shard::{self, PholdParams, ShardSpec, PHOLD_MIN_DELAY_NS};
+use crate::shard::{self, PholdParams, ShardSpec};
 use crate::sweep::{self, Net, RunRecord, SweepConfig};
 use crate::trace_analysis::RunAnalysis;
 use dragonfly::{FlowControl, Routing};
 use placement::Placement;
 use ross::shard::{CheckpointSpec, ShardError};
-use ross::{QueueKind, Scheduler, SimDuration, SimTime};
+use ross::{QueueKind, SimDuration, SimTime};
 use serde::Value;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
 use telemetry::Recorder;
-use union_lint::Report;
 use workloads::Profile;
 
 /// One command-line flag: its spelling, its value placeholder (empty for
@@ -41,7 +40,7 @@ struct Flag {
 const SWEEP_CMDS: [&str; 6] = ["fig7", "fig8", "fig9", "table6", "all", "lint"];
 
 /// The `--sched` grammar of the in-process schedulers, as documented.
-const SCHED_GRAMMAR: &str = "seq|par:T:L|async:T:L";
+const SCHED_GRAMMAR: &str = "seq|par:T|async:T";
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
@@ -49,7 +48,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--iters", value: "N", cmds: "sweep mix table1", help: "iterations per application (default 2; table1: 5)" },
     Flag { name: "--scale", value: "N", cmds: "sweep mix", help: "payload divisor (default 16; 1 under --profile paper)" },
     Flag { name: "--seed", value: "N", cmds: "sweep mix phold", help: "placement/model seed (default 42)" },
-    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T:L|async:T:L (not phold) or shard:N:T:L (mix, phold; default seq): T threads, L ns lookahead, N processes" },
+    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T|async:T (not phold) or shard:N:T (mix, phold; default seq): T threads, N processes; the model sets the lookahead window" },
     Flag { name: "--queue", value: "heap|ladder", cmds: "sweep mix phold", help: "pending-event queue (default ladder)" },
     Flag { name: "--flow", value: "busy|credit", cmds: "sweep", help: "router flow control (default busy)" },
     Flag { name: "--nets", value: "1d,2d", cmds: "sweep", help: "networks to sweep (default both)" },
@@ -66,8 +65,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--until-us", value: "U", cmds: "mix phold", help: "stop at U us of virtual time (default 0 = run to completion)" },
     Flag { name: "--checkpoint", value: "FILE[:EVERY_US]", cmds: "mix phold", help: "phold only: checkpoint at the GVT fence every EVERY_US us (default 5)" },
     Flag { name: "--restore", value: "FILE", cmds: "mix phold", help: "phold only: resume from a checkpoint" },
-    Flag { name: "--shard-no-verify", value: "", cmds: "mix phold", help: "skip the launcher's sequential re-run of a shard:N:T:L gang" },
-    Flag { name: "--allow-lint", value: "", cmds: "sweep mix", help: "run despite a union-lint lookahead error" },
+    Flag { name: "--shard-no-verify", value: "", cmds: "mix phold", help: "skip the launcher's sequential re-run of a shard:N:T gang" },
     Flag { name: "--json", value: "FILE", cmds: "sweep", help: "dump the run records as JSON" },
     Flag { name: "--telemetry", value: "FILE", cmds: "sweep mix phold", help: "write run telemetry as JSONL, the run manifest first; sweeps also print a summary" },
     Flag { name: "--trace", value: "FILE[:RATE]", cmds: "sweep", help: "export a causal trace as Chrome trace-event JSON, timing every RATE-th handler (default 1)" },
@@ -206,59 +204,51 @@ fn profile_label(p: Profile) -> &'static str {
     }
 }
 
-/// How a run is scheduled: inside this process, or as a gang of shard
-/// processes.
+/// How a run is scheduled: sequentially, by in-process worker threads,
+/// or as a gang of shard processes. No variant carries a lookahead
+/// window: the model derives it ([`crate::lint::window`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sched {
-    InProcess(Scheduler),
+    Seq,
+    /// Conservative windows with a barrier per round.
+    Par {
+        threads: usize,
+    },
+    /// The same promise as `Par`, without barriers.
+    Async {
+        threads: usize,
+    },
     Shard(ShardSpec),
 }
 
 impl Sched {
-    /// Parse a `--sched` spec: `seq`, `par:T:L`, `async:T:L` or
-    /// `shard:N:T:L` — `T` worker threads, `L` the lookahead in ns
-    /// (`par:4:500` = 4 workers, 500 ns windows; `async` makes the same
-    /// promise without barriers; `par:T:0` is YAWNS), `N` shard
-    /// processes. Malformed specs are reported, not defaulted; so is the
-    /// retired `cons:T`.
+    /// Parse a `--sched` spec: `seq`, `par:T`, `async:T` or `shard:N:T` —
+    /// `T` worker threads, `N` shard processes. Malformed specs are
+    /// reported, not defaulted; so is the retired `cons:T`.
     pub fn parse(s: &str) -> Result<Sched, String> {
         let mut fields = s.split(':');
         let kind = fields.next().unwrap_or("");
         let fields: Vec<&str> = fields.collect();
-        let field = |i: usize, what: &str, min: u64| -> Result<u64, String> {
-            num::<u64>(fields[i])
-                .filter(|&n| n >= min)
+        let count = |i: usize, what: &str| -> Result<usize, String> {
+            num::<usize>(fields[i])
+                .filter(|&n| n >= 1)
                 .ok_or_else(|| format!("bad {what} `{}` in scheduler spec `{s}`", fields[i]))
         };
-        let threads = |i: usize| field(i, "thread count", 1).map(|n| n as usize);
-        let lookahead = |i: usize| field(i, "lookahead", 0).map(SimDuration::from_ns);
-        let in_process = |sched: Scheduler| Ok(Sched::InProcess(sched));
         match (kind, fields.len()) {
-            ("seq", 0) => in_process(Scheduler::Sequential),
+            ("seq", 0) => Ok(Sched::Seq),
             ("cons", _) => Err(format!(
-                "`{s}`: the YAWNS scheduler is now the zero-window case of the parallel one — \
-                 use par:{}:0",
+                "`{s}`: the YAWNS scheduler is retired; the parallel one derives its window \
+                 from the model — use par:{}",
                 fields.first().unwrap_or(&"T")
             )),
-            ("par", 2) => in_process(Scheduler::ConservativeParallel {
-                threads: threads(0)?,
-                lookahead: lookahead(1)?,
-            }),
-            ("async", 2) => in_process(Scheduler::ConservativeAsync {
-                threads: threads(0)?,
-                lookahead: lookahead(1)?,
-            }),
-            ("shard", 3) => Ok(Sched::Shard(ShardSpec {
-                shards: field(0, "shard count", 1)? as usize,
-                threads: threads(1)?,
-                lookahead_ns: field(2, "lookahead", 1)?,
+            ("par", 1) => Ok(Sched::Par { threads: count(0, "thread count")? }),
+            ("async", 1) => Ok(Sched::Async { threads: count(0, "thread count")? }),
+            ("shard", 2) => Ok(Sched::Shard(ShardSpec {
+                shards: count(0, "shard count")?,
+                threads: count(1, "thread count")?,
             })),
-            ("par" | "async", _) => {
-                Err(format!("scheduler spec `{s}` must be {kind}:<threads>:<lookahead-ns>"))
-            }
-            ("shard", _) => {
-                Err(format!("scheduler spec `{s}` must be shard:<shards>:<threads>:<lookahead-ns>"))
-            }
+            ("par" | "async", _) => Err(format!("scheduler spec `{s}` must be {kind}:<threads>")),
+            ("shard", _) => Err(format!("scheduler spec `{s}` must be shard:<shards>:<threads>")),
             _ => Err(format!("unknown scheduler `{s}`")),
         }
     }
@@ -268,8 +258,8 @@ impl Sched {
 /// and only the single-model commands shard across processes.
 fn supported_scheds(cmd: &str) -> String {
     match cmd {
-        "phold" => "seq or shard:N:T:L".to_string(),
-        "mix" => format!("{SCHED_GRAMMAR} or shard:N:T:L"),
+        "phold" => "seq or shard:N:T".to_string(),
+        "mix" => format!("{SCHED_GRAMMAR} or shard:N:T"),
         _ => SCHED_GRAMMAR.to_string(),
     }
 }
@@ -278,14 +268,10 @@ fn supported_scheds(cmd: &str) -> String {
 impl fmt::Display for Sched {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            Sched::InProcess(Scheduler::Sequential) => f.write_str("seq"),
-            Sched::InProcess(Scheduler::ConservativeParallel { threads, lookahead }) => {
-                write!(f, "par:{threads}:{}", lookahead.as_ns())
-            }
-            Sched::InProcess(Scheduler::ConservativeAsync { threads, lookahead }) => {
-                write!(f, "async:{threads}:{}", lookahead.as_ns())
-            }
-            Sched::Shard(s) => write!(f, "shard:{}:{}:{}", s.shards, s.threads, s.lookahead_ns),
+            Sched::Seq => f.write_str("seq"),
+            Sched::Par { threads } => write!(f, "par:{threads}"),
+            Sched::Async { threads } => write!(f, "async:{threads}"),
+            Sched::Shard(s) => write!(f, "shard:{}:{}", s.shards, s.threads),
         }
     }
 }
@@ -340,8 +326,6 @@ pub struct RunSpec {
     pub restore: Option<PathBuf>,
     /// A gang launcher re-runs the model sequentially and compares.
     pub verify: bool,
-    /// Run despite a lookahead the lint gate rejects.
-    pub allow_lint: bool,
     pub out: Outputs,
 }
 
@@ -477,7 +461,6 @@ impl RunSpec {
             checkpoint,
             restore: a.get("--restore").map(PathBuf::from),
             verify: !a.has("--shard-no-verify"),
-            allow_lint: a.has("--allow-lint"),
             out: Outputs {
                 telemetry: a.get("--telemetry").map(str::to_string),
                 trace: file_num("--trace", "sample rate", 1)?,
@@ -488,16 +471,13 @@ impl RunSpec {
     }
 
     /// Check the spec against its model before anything is built: the
-    /// scheduler is one the model can run, a PHOLD shard window respects
-    /// the model's minimum delay, checkpoints are PHOLD's, workloads are
-    /// Table III's, and — the `union-lint` gate — a `par`/`async`/`shard`
-    /// lookahead does not exceed the statically computed minimum delay
-    /// across the partition it synchronizes (`allow_lint` overrides).
-    /// Returns the gate's non-fatal findings for the caller to show.
-    pub fn validate(&self) -> Result<Report, UsageError> {
+    /// scheduler is one the model can run, checkpoints are PHOLD's, and
+    /// workloads are Table III's.
+    pub fn validate(&self) -> Result<(), UsageError> {
         let (cmd, sched) = (&self.cmd, &self.sched);
         let supported = match (&self.model, sched) {
-            (Model::Phold { .. }, Sched::InProcess(s)) => *s == Scheduler::Sequential,
+            (Model::Phold { .. }, Sched::Shard(_)) => true,
+            (Model::Phold { .. }, _) => *sched == Sched::Seq,
             (Model::Codes(_), Sched::Shard(_)) => cmd == "mix",
             _ => true,
         };
@@ -505,17 +485,7 @@ impl RunSpec {
             let supported = supported_scheds(cmd);
             return Err(UsageError(format!("{cmd} supports --sched {supported}, not `{sched}`")));
         }
-        let cfg = match (&self.model, sched) {
-            (Model::Phold { .. }, Sched::Shard(s)) if s.lookahead_ns > PHOLD_MIN_DELAY_NS => {
-                return Err(UsageError(format!(
-                    "phold's minimum event delay is {PHOLD_MIN_DELAY_NS} ns; \
-                     a {} ns lookahead window would violate causality",
-                    s.lookahead_ns
-                )));
-            }
-            (Model::Phold { .. }, _) => return Ok(Report::new()),
-            (Model::Codes(cfg), _) => cfg,
-        };
+        let Model::Codes(cfg) = &self.model else { return Ok(()) };
         if self.checkpoint.is_some() || self.restore.is_some() {
             return Err(UsageError(
                 "checkpoint/restart is supported for the phold model only \
@@ -526,14 +496,7 @@ impl RunSpec {
         if let Some(w) = cfg.workloads.iter().find(|w| !(1..=3).contains(*w)) {
             return Err(UsageError(format!("no workload {w}: the paper defines workloads 1..=3")));
         }
-        let report = crate::lint::check_lookahead(cfg, sched);
-        if report.has_errors() && !self.allow_lint {
-            return Err(UsageError(format!(
-                "`{sched}` rejected by union-lint (use --allow-lint to override)\n{}",
-                report.render().trim_end()
-            )));
-        }
-        Ok(report)
+        Ok(())
     }
 
     /// The spec as the telemetry manifest's `config` object.
@@ -549,7 +512,6 @@ impl RunSpec {
             ("checkpoint", self.checkpoint.as_ref().map_or(Value::Null, |c| path(&c.path))),
             ("restore", self.restore.as_ref().map_or(Value::Null, path)),
             ("verify", Value::Bool(self.verify)),
-            ("allow_lint", Value::Bool(self.allow_lint)),
         ];
         match &self.model {
             Model::Phold { params, .. } => o.extend([
@@ -608,7 +570,7 @@ pub fn run(spec: &RunSpec) -> Result<RunReport, RunError> {
     match (&spec.sched, shard::worker_role()) {
         (Sched::Shard(shards), Some(role)) => worker(spec, shards, role),
         (Sched::Shard(shards), None) => launcher(spec, shards),
-        (Sched::InProcess(sched), _) => local(spec, *sched),
+        (sched, _) => local(spec, *sched),
     }
 }
 
@@ -710,7 +672,7 @@ impl RunReport {
 }
 
 /// Run in this process: sequentially or under an in-process scheduler.
-fn local(spec: &RunSpec, sched: Scheduler) -> Result<RunReport, RunError> {
+fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
     let mut report = RunReport::open(spec, false)?;
     let live = report.live.as_ref().map(|plane| plane.registry.clone());
     match &spec.model {
@@ -720,7 +682,7 @@ fn local(spec: &RunSpec, sched: Scheduler) -> Result<RunReport, RunError> {
             sim.set_live(live);
             let stats = if spec.checkpoint.is_some() || spec.restore.is_some() {
                 let mut mesh = ross::shard::loopback_mesh::<u64>(1);
-                let one = ShardSpec { shards: 1, threads: 1, lookahead_ns: PHOLD_MIN_DELAY_NS };
+                let one = ShardSpec { shards: 1, threads: 1 };
                 shard::phold_run_sharded(&mut sim, &mut mesh[0], &one, spec).map_err(|e| {
                     // A damaged checkpoint is bad input, not a failed run.
                     match e {
@@ -755,9 +717,10 @@ fn local(spec: &RunSpec, sched: Scheduler) -> Result<RunReport, RunError> {
     report.close(spec)
 }
 
-/// One worker process of a `shard:N:T:L` gang: rebuild the model, run
-/// this process's shard of it, report over the control socket. The
-/// returned report is empty — the results are the launcher's to print.
+/// One worker process of a `shard:N:T` gang: rebuild the model, derive
+/// its window, run this process's shard of it, report over the control
+/// socket. The returned report is empty — the results are the launcher's
+/// to print.
 fn worker(
     spec: &RunSpec,
     shards: &ShardSpec,
@@ -788,7 +751,9 @@ fn worker(
                 let cfg = SweepConfig { telemetry: Some(rec), ..cfg.clone() };
                 let mut sim =
                     sweep::build(&cfg, sweep::keys(&cfg)[0], live).map_err(ShardError::Protocol)?;
-                let window = SimDuration::from_ns(shards.lookahead_ns);
+                let window = crate::lint::window(&sim.shared().topo, &spec.sched)
+                    .map_err(|r| ShardError::Protocol(r.render().trim_end().to_string()))?;
+                let window = SimDuration::from_ns(window.ns);
                 let stats = sim.run_sharded(transport, shards.threads, window, cfg.until)?;
                 Ok((sim.shard_fingerprint(me, n), stats))
             },
@@ -800,7 +765,7 @@ fn worker(
     }
 }
 
-/// The launcher of a `shard:N:T:L` gang: spawn the workers, merge their
+/// The launcher of a `shard:N:T` gang: spawn the workers, merge their
 /// reports and, unless told otherwise, verify the merged result against
 /// a sequential in-process run of the same spec.
 fn launcher(spec: &RunSpec, shards: &ShardSpec) -> Result<RunReport, RunError> {
@@ -818,7 +783,7 @@ fn launcher(spec: &RunSpec, shards: &ShardSpec) -> Result<RunReport, RunError> {
     if spec.verify {
         let reference =
             RunSpec { checkpoint: None, restore: None, out: Outputs::default(), ..spec.clone() };
-        let want = local(&reference, Scheduler::Sequential)?;
+        let want = local(&reference, Sched::Seq)?;
         // A restored run only commits the events after the cut; the cut's
         // metadata records how many the interrupted run had committed.
         let before_cut = match &spec.restore {
@@ -882,22 +847,28 @@ mod tests {
     #[test]
     fn sched_grammar_parses_rejects_and_round_trips() {
         assert_eq!(
-            Sched::parse("shard:2:4:500"),
-            Ok(Sched::Shard(ShardSpec { shards: 2, threads: 4, lookahead_ns: 500 }))
+            Sched::parse("shard:2:4"),
+            Ok(Sched::Shard(ShardSpec { shards: 2, threads: 4 }))
         );
-        assert!(matches!(Sched::parse("par:2:500"), Ok(Sched::InProcess(_))));
-        assert_eq!(Sched::parse("seq"), Ok(Sched::InProcess(Scheduler::Sequential)));
-        for bad in ["shard:2:4", "shard:0:1:50", "shard:2:0:50", "shard:2:2:0", "shard:a:b:c"] {
+        assert_eq!(Sched::parse("par:2"), Ok(Sched::Par { threads: 2 }));
+        assert_eq!(Sched::parse("async:3"), Ok(Sched::Async { threads: 3 }));
+        assert_eq!(Sched::parse("seq"), Ok(Sched::Seq));
+        for bad in ["shard:2", "shard:0:1", "shard:2:0", "shard:a:b", "shard:2:2:50"] {
             assert!(Sched::parse(bad).is_err(), "{bad} accepted");
         }
-        for bad in ["par:4:", "par:0:100", "async:2", "seq:1", ""] {
+        for bad in ["par:", "par:0", "async:x", "par:2:100", "async:2:100", "seq:1", ""] {
             assert!(Sched::parse(bad).is_err(), "{bad} accepted");
         }
-        assert!(Sched::parse("cons:4").unwrap_err().contains("par:4:0"));
+        // The retired window field is named as a malformed spec, with the
+        // shape that replaced it.
+        assert!(Sched::parse("par:2:100").unwrap_err().contains("must be par:<threads>"));
+        assert!(Sched::parse("shard:2:1:50").unwrap_err().contains("shard:<shards>:<threads>"));
+        let cons = Sched::parse("cons:4").unwrap_err();
+        assert!(cons.contains("use par:4") && !cons.contains("par:4:"), "{cons}");
         for bad in ["bogus", "opt:x", "opt:2", "opt:2:64:4"] {
             assert_eq!(Sched::parse(bad), Err(format!("unknown scheduler `{bad}`")));
         }
-        for s in ["seq", "par:4:100", "par:2:0", "async:2:100", "shard:2:2:50"] {
+        for s in ["seq", "par:4", "par:1", "async:2", "shard:2:2", "shard:1:1"] {
             assert_eq!(Sched::parse(s).unwrap().to_string(), s);
         }
     }
@@ -941,7 +912,7 @@ mod tests {
             ("mix stray", ["mix", "`stray`"]),
             (
                 "mix --sched opt:2",
-                ["`opt:2`", "mix supports --sched seq|par:T:L|async:T:L or shard"],
+                ["`opt:2`", "mix supports --sched seq|par:T|async:T or shard:N:T"],
             ),
         ] {
             let e = spec(line).expect_err(line).0;
@@ -952,26 +923,28 @@ mod tests {
     #[test]
     fn validate_refuses_what_the_model_cannot_run() {
         for (line, needle) in [
-            ("phold --sched par:2:50", "phold supports --sched seq or shard:N:T:L, not `par:2:50`"),
-            ("phold --sched shard:2:1:51", "causality"),
-            ("table6 --sched shard:2:1:50", "table6 supports"),
+            ("phold --sched par:2", "phold supports --sched seq or shard:N:T, not `par:2`"),
+            ("phold --sched async:2", "phold supports"),
+            ("table6 --sched shard:2:1", "table6 supports"),
             ("mix --checkpoint ck.bin", "phold model only"),
             ("mix --workload 7", "no workload 7"),
             ("table6 --workloads 1,9", "no workload 9"),
-            ("fig7 --sched par:2:1000000", "error[lookahead]"),
-            ("mix --sched async:2:1000000", "error[lookahead]"),
-            ("mix --sched shard:2:1:1000000", "crosses shards"),
         ] {
             let e = spec(line).unwrap().validate().expect_err(line).0;
             assert!(e.contains(needle), "`{line}`: {e}");
         }
         for line in [
-            "phold --sched shard:2:2:50 --checkpoint ck.bin",
-            "mix --sched par:2:100",
-            "mix --sched shard:2:2:100",
-            "fig7 --sched par:2:1000000 --allow-lint",
+            "phold --sched shard:2:2 --checkpoint ck.bin",
+            "mix --sched par:2",
+            "mix --sched async:2",
+            "mix --sched shard:2:2",
+            "fig7 --sched par:2 --flow credit",
         ] {
             spec(line).unwrap().validate().unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        }
+        // The window is not the user's to give, nor to override.
+        for line in ["mix --sched par:2:100", "mix --sched shard:2:1:50", "mix --allow-lint"] {
+            assert!(spec(line).is_err(), "`{line}` parsed");
         }
         let unknown = spec("phold --sched optimistic").expect_err("unknown scheduler").0;
         assert!(unknown.contains("phold supports"), "{unknown}");
@@ -979,10 +952,10 @@ mod tests {
 
     #[test]
     fn manifest_config_is_the_serialized_spec() {
-        let s = spec("mix --workload 2 --net 2d --sched par:2:100 --until-us 5").unwrap();
+        let s = spec("mix --workload 2 --net 2d --sched par:2 --until-us 5").unwrap();
         let json = serde_json::to_string(&s.to_value()).unwrap();
         for part in [
-            "\"sched\":\"par:2:100\"",
+            "\"sched\":\"par:2\"",
             "\"until_ns\":5000",
             "\"model\":\"codes\"",
             "\"nets\":[\"2D\"]",
@@ -1006,7 +979,7 @@ mod tests {
             "README's flag reference is stale; expected:\n{}",
             RunSpec::usage()
         );
-        for alt in SCHED_GRAMMAR.split('|').chain(["shard:N:T:L"]) {
+        for alt in SCHED_GRAMMAR.split('|').chain(["shard:N:T"]) {
             assert!(
                 readme.contains(&format!("| `{alt}` |")),
                 "README scheduler table lacks `{alt}`"

@@ -1,14 +1,14 @@
 //! Multi-process sharded execution for `union-exp`.
 //!
-//! `--sched shard:N:T:L` turns one `union-exp` invocation into a gang of
-//! `N` OS processes (each running `T` worker threads with lookahead
-//! window `L` ns). The parent re-execs its own argv `N` times with a
-//! hidden worker role in the environment; workers rebuild the identical
-//! simulation from that argv, form a TCP mesh, and run their shard via
-//! [`ross::Simulation::run_sharded`]. The parent merges per-shard
-//! fingerprints, committed-event counts, and telemetry, and (unless told
-//! otherwise) verifies the merged fingerprint against an in-process
-//! sequential run of the same model.
+//! `--sched shard:N:T` turns one `union-exp` invocation into a gang of
+//! `N` OS processes, each running `T` worker threads. The parent re-execs
+//! its own argv `N` times with a hidden worker role in the environment;
+//! workers rebuild the identical simulation from that argv — and so
+//! derive the identical lookahead window from it — form a TCP mesh, and
+//! run their shard via [`ross::Simulation::run_sharded`]. The parent
+//! merges per-shard fingerprints, committed-event counts, and telemetry,
+//! and (unless told otherwise) verifies the merged fingerprint against an
+//! in-process sequential run of the same model.
 //!
 //! Control protocol (JSONL over one TCP connection per worker):
 //!
@@ -47,12 +47,11 @@ pub const ENV_CONTROL: &str = "UNION_SHARD_CONTROL";
 /// itself (SIGKILL) right after its first completed checkpoint round.
 pub const ENV_FAULT: &str = "UNION_SHARD_FAULT";
 
-/// A parsed `shard:N:T:L` scheduler spec (grammar: [`crate::run::Sched::parse`]).
+/// A parsed `shard:N:T` scheduler spec (grammar: [`crate::run::Sched::parse`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     pub shards: usize,
     pub threads: usize,
-    pub lookahead_ns: u64,
 }
 
 /// The worker role of this process, if the launcher spawned it:
@@ -456,8 +455,8 @@ fn broker_and_collect(
 
 /// PHOLD over explicit-state RNG so the LP is checkpointable
 /// byte-for-byte (the workspace `SmallRng` shim keeps its state
-/// private). The minimum event delay is [`PHOLD_MIN_DELAY_NS`]; any
-/// shard lookahead up to that bound is causally safe.
+/// private). The minimum event delay is [`PHOLD_MIN_DELAY_NS`], which is
+/// therefore PHOLD's shard window.
 pub const PHOLD_MIN_DELAY_NS: u64 = 50;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -575,7 +574,7 @@ pub(crate) fn phold_run_sharded(
     let die = |_gvt: u64| die_hard();
     let opts = ShardRun {
         threads: shard.threads,
-        window: SimDuration::from_ns(shard.lookahead_ns),
+        window: SimDuration::from_ns(PHOLD_MIN_DELAY_NS),
         checkpoint: spec.checkpoint.clone(),
         restore: spec.restore.clone(),
         codec: Some(&PholdCodec),

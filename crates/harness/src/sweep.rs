@@ -4,11 +4,12 @@
 //! communication-time distributions, link loads, and (optionally)
 //! windowed router counters.
 
+use crate::run::Sched;
 use codes::{CodesSim, SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, FlowControl, Routing};
 use metrics::{AppLatencySummary, Boxplot, LinkLoad};
 use placement::Placement;
-use ross::{QueueKind, RunStats, Scheduler, SimTime};
+use ross::{QueueKind, RunStats, Scheduler, SimDuration, SimTime};
 use serde::Serialize;
 use workloads::{AppConfig, AppKind, Profile};
 
@@ -137,7 +138,9 @@ pub struct SweepConfig {
     pub workloads: Vec<u8>,
     /// Also run each involved application alone (the paper's baselines).
     pub baselines: bool,
-    pub sched: Scheduler,
+    /// In-process scheduler; each cell derives its window from its own
+    /// model (a `shard:N:T` gang runs its cell in worker processes).
+    pub sched: Sched,
     /// Pending-event queue implementation for the engine.
     pub queue: QueueKind,
     /// Router counter window (0 = off).
@@ -170,7 +173,7 @@ impl SweepConfig {
             routings: vec![Routing::Minimal, Routing::Adaptive],
             workloads: vec![1, 2, 3],
             baselines: true,
-            sched: Scheduler::Sequential,
+            sched: Sched::Seq,
             queue: QueueKind::default(),
             window_ns: 0,
             until: SimTime::MAX,
@@ -194,6 +197,12 @@ impl SweepConfig {
             ..SweepConfig::quick()
         }
     }
+
+    /// The dragonfly configuration of `net` under this sweep's profile
+    /// and flow control.
+    pub fn net_config(&self, net: Net) -> DragonflyConfig {
+        DragonflyConfig { flow: self.flow, ..net.config(self.profile) }
+    }
 }
 
 /// The applications participating in a workload (for baseline selection).
@@ -214,9 +223,7 @@ pub(crate) fn build(
             vec![workloads::app(kind, cfg.profile, cfg.iters, cfg.scale)]
         }
     };
-    let mut net_cfg = key.net.config(cfg.profile);
-    net_cfg.flow = cfg.flow;
-    let mut b = SimulationBuilder::new(net_cfg)
+    let mut b = SimulationBuilder::new(cfg.net_config(key.net))
         .routing(key.routing)
         .placement(key.placement)
         .seed(cfg.seed)
@@ -251,8 +258,18 @@ pub(crate) fn run_cell(
     live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
 ) -> Result<(RunRecord, CodesSim), String> {
     let mut sim = build(cfg, key, live)?;
+    let window = || match crate::lint::window(&sim.shared().topo, &cfg.sched) {
+        Ok(w) => Ok(SimDuration::from_ns(w.ns)),
+        Err(r) => Err(format!("{}: {}", key.label(), r.render().trim_end())),
+    };
+    let sched = match cfg.sched {
+        Sched::Seq => Scheduler::Sequential,
+        Sched::Par { threads } => Scheduler::ConservativeParallel { threads, lookahead: window()? },
+        Sched::Async { threads } => Scheduler::ConservativeAsync { threads, lookahead: window()? },
+        Sched::Shard(_) => return Err("a shard:N:T gang runs in worker processes".to_string()),
+    };
     let t0 = std::time::Instant::now();
-    let results = sim.run(cfg.sched, cfg.until);
+    let results = sim.run(sched, cfg.until);
     // A wire-protocol violation is a simulation failure, not a result.
     for a in &results.apps {
         if a.failed() {

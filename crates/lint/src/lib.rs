@@ -2,8 +2,8 @@
 //!
 //! Static analysis for the Union workload pipeline, run *before* any
 //! simulation time is spent (the paper's workflow burns hours of PDES
-//! time per configuration — a skeleton that deadlocks or a parallel
-//! schedule that violates causality should be rejected up front).
+//! time per configuration — a skeleton that deadlocks should be rejected
+//! up front, and a parallel schedule's window follows from the model).
 //!
 //! Two tiers:
 //!
@@ -16,9 +16,9 @@
 //!   conservatively (truncated expansion is reported as an `info`, not
 //!   guessed at).
 //! * **Model analysis** ([`model::ModelGraph`]): given the LP-level delay
-//!   edges of an assembled CODES model, compute the minimum
-//!   cross-partition send delay and validate a `par:T:L` schedule's
-//!   lookahead window against it before the run starts.
+//!   edges of an assembled CODES model, derive the lookahead window of a
+//!   `par:T`/`async:T`/`shard:N:T` schedule — the minimum delay over the
+//!   edges it synchronizes — before the run starts.
 //!
 //! Findings use [`conceptual::Diagnostic`] / [`conceptual::Report`], the
 //! same types the compiler front end reports through, so parse errors and

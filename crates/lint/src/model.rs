@@ -1,12 +1,12 @@
-//! Model-level analysis: lookahead validation for conservative-parallel
-//! schedules.
+//! Model-level analysis: the lookahead window of a conservative-parallel
+//! schedule, derived from the model.
 //!
 //! The conservative protocol is only correct when every event crossing a
-//! partition boundary is scheduled at least one lookahead window into the
-//! future. The engine enforces this at runtime with a hard panic — hours
-//! into a run. This pass computes, *statically*, the minimum delay of any
-//! LP-to-LP edge that crosses a partition, and rejects a `par:T:L`
-//! schedule whose window exceeds it before the simulation starts.
+//! synchronization boundary is scheduled at least one window into the
+//! future. The largest such window is a property of the model: the
+//! minimum delay of any LP-to-LP edge the schedule synchronizes. This
+//! pass computes it statically, so a parallel run never asks the user
+//! for a number the model already determines.
 //!
 //! The graph is plain data (LP indices, block assignments, delays in
 //! nanoseconds) so this crate stays independent of the network-model
@@ -23,6 +23,19 @@ pub struct DelayEdge {
     pub delay_ns: u64,
     /// Edge class, for diagnostics (e.g. `"packet"`, `"credit"`).
     pub kind: &'static str,
+}
+
+/// The shape of a parallel schedule: which edges it synchronizes.
+#[derive(Clone, Copy, Debug)]
+pub enum Shape<'a> {
+    /// `par:T` and `async:T`: every edge between scheduler blocks.
+    Blocks,
+    /// `shard:N:T`: every edge between shards (`shard_of[lp]` = owning
+    /// shard) — the GVT fence bounds them by the window — plus, when each
+    /// shard runs more than one worker thread, every cross-block edge
+    /// inside a shard, which the in-process rounds bound by the same
+    /// window.
+    Shards { shard_of: &'a [u32], threads: usize },
 }
 
 /// The delay graph of an assembled model, with its partition (scheduler
@@ -53,160 +66,95 @@ impl ModelGraph {
         self.names.get(lp as usize).cloned().unwrap_or_else(|| format!("lp {lp}"))
     }
 
-    fn is_cross(&self, e: &DelayEdge) -> bool {
-        let (s, d) = (e.src_lp as usize, e.dst_lp as usize);
-        match (self.block_of.get(s), self.block_of.get(d)) {
+    /// `<kind> edge <src> -> <dst>`, for findings.
+    pub fn describe(&self, e: &DelayEdge) -> String {
+        format!("{} edge {} -> {}", e.kind, self.name(e.src_lp), self.name(e.dst_lp))
+    }
+
+    /// Do `src` and `dst` of `e` map to different owners? An edge to an
+    /// LP the map doesn't cover crosses by definition — conservative
+    /// rather than silently ignored.
+    fn crosses(e: &DelayEdge, owner: &[u32]) -> bool {
+        match (owner.get(e.src_lp as usize), owner.get(e.dst_lp as usize)) {
             (Some(a), Some(b)) => a != b,
-            // An edge to an unknown LP crosses by definition — be
-            // conservative rather than silently ignoring it.
             _ => true,
         }
+    }
+
+    fn min_edge(&self, keep: impl Fn(&DelayEdge) -> bool) -> Option<(u64, &DelayEdge)> {
+        self.edges.iter().filter(|e| keep(e)).map(|e| (e.delay_ns, e)).min_by_key(|(d, _)| *d)
     }
 
     /// Minimum delay over all cross-partition edges, with the edge that
-    /// attains it. `None` when no edge crosses a partition (single-block
-    /// models can use any window).
+    /// attains it. `None` when no edge crosses a partition.
     pub fn min_cross_partition_delay(&self) -> Option<(u64, &DelayEdge)> {
-        self.edges
-            .iter()
-            .filter(|e| self.is_cross(e))
-            .map(|e| (e.delay_ns, e))
-            .min_by_key(|(d, _)| *d)
+        self.min_edge(|e| Self::crosses(e, &self.block_of))
     }
 
-    fn is_cross_shard(&self, e: &DelayEdge, shard_of: &[u32]) -> bool {
-        let (s, d) = (e.src_lp as usize, e.dst_lp as usize);
-        match (shard_of.get(s), shard_of.get(d)) {
-            (Some(a), Some(b)) => a != b,
-            // Same conservatism as `is_cross`: an edge touching an LP the
-            // owner map doesn't cover is treated as crossing.
-            _ => true,
-        }
-    }
-
-    /// Minimum delay over all cross-shard edges given the shard-level
-    /// owner map (`shard_of[lp]` = owning shard), with the edge that
-    /// attains it. Shards own whole partition blocks, so this is never
-    /// smaller than [`ModelGraph::min_cross_partition_delay`] — a
-    /// `shard:N:1:L` window can legally exceed what `par:T:L` allows.
-    pub fn min_cross_shard_delay(&self, shard_of: &[u32]) -> Option<(u64, &DelayEdge)> {
-        self.edges
-            .iter()
-            .filter(|e| self.is_cross_shard(e, shard_of))
-            .map(|e| (e.delay_ns, e))
-            .min_by_key(|(d, _)| *d)
-    }
-
-    /// Validate a `shard:N:T:L` lookahead window (ns) against the graph.
+    /// The lookahead window a schedule of `shape` runs with:
+    /// the minimum delay over the edges it synchronizes, and the edge
+    /// that sets it. Shards own whole blocks, so a shard window is never
+    /// smaller than the block window. When nothing is synchronized (one
+    /// block, or one shard of one thread) the window is the model's
+    /// minimum edge delay, so it stays finite.
     ///
-    /// The sharded conservative protocol synchronizes on two kinds of
-    /// edges: cross-shard edges always (the Mattern fence bounds them by
-    /// the window), and intra-shard cross-block edges whenever each
-    /// shard runs more than one worker thread (the in-process
-    /// conservative rounds bound those by the same window). Errors name
-    /// the offending LP pair and where the edge crosses.
-    pub fn check_shard_lookahead(
-        &self,
-        shard_of: &[u32],
-        threads_per_shard: usize,
-        window_ns: u64,
-    ) -> Report {
-        let constrains = |e: &DelayEdge| {
-            self.is_cross_shard(e, shard_of) || (threads_per_shard > 1 && self.is_cross(e))
-        };
-        let locus = |e: &DelayEdge| -> String {
-            if self.is_cross_shard(e, shard_of) {
-                let (s, d) = (e.src_lp as usize, e.dst_lp as usize);
-                match (shard_of.get(s), shard_of.get(d)) {
-                    (Some(a), Some(b)) => format!("crosses shards {a} -> {b}"),
-                    _ => "leaves the shard-owner map".to_string(),
+    /// `Err` when no positive window is safe — one `zero-delay` error per
+    /// synchronized zero-delay edge, naming the LP pair and where it
+    /// crosses — or when the model has no edges to derive a window from.
+    pub fn window(&self, shape: Shape<'_>) -> Result<(u64, &DelayEdge), Report> {
+        let locus = |e: &DelayEdge| -> Option<String> {
+            match shape {
+                Shape::Blocks => {
+                    Self::crosses(e, &self.block_of).then(|| "crosses partitions".to_string())
                 }
-            } else {
-                let s = shard_of.get(e.src_lp as usize).copied().unwrap_or(0);
-                format!("crosses worker threads within shard {s}")
+                Shape::Shards { shard_of, threads } => {
+                    let (s, d) = (shard_of.get(e.src_lp as usize), shard_of.get(e.dst_lp as usize));
+                    match (s, d) {
+                        (Some(a), Some(b)) if a != b => Some(format!("crosses shards {a} -> {b}")),
+                        (Some(a), Some(_)) => (threads > 1 && Self::crosses(e, &self.block_of))
+                            .then(|| format!("crosses worker threads within shard {a}")),
+                        _ => Some("leaves the shard-owner map".to_string()),
+                    }
+                }
             }
         };
         let mut report = Report::new();
-        for e in self.edges.iter().filter(|e| constrains(e) && e.delay_ns == 0) {
-            report.push(Diagnostic::error(
-                "zero-delay",
-                format!(
-                    "zero-delay {} edge {} -> {} {}; no positive lookahead window is safe \
-                     for this model under sharded scheduling",
-                    e.kind,
-                    self.name(e.src_lp),
-                    self.name(e.dst_lp),
-                    locus(e)
-                ),
-            ));
-        }
-        let min = self
-            .edges
-            .iter()
-            .filter(|e| constrains(e))
-            .map(|e| (e.delay_ns, e))
-            .min_by_key(|(d, _)| *d);
-        if let Some((min, e)) = min {
-            if min > 0 && window_ns > min {
+        for e in self.edges.iter().filter(|e| e.delay_ns == 0) {
+            if let Some(at) = locus(e) {
                 report.push(Diagnostic::error(
-                    "lookahead",
+                    "zero-delay",
                     format!(
-                        "lookahead window {window_ns} ns exceeds the minimum synchronized \
-                         delay {min} ns ({} edge {} -> {}, {}); the sharded conservative \
-                         protocol would violate causality",
-                        e.kind,
-                        self.name(e.src_lp),
-                        self.name(e.dst_lp),
-                        locus(e)
+                        "zero-delay {} {at}; no positive lookahead window is safe for this model",
+                        self.describe(e)
                     ),
                 ));
             }
         }
-        report
-    }
-
-    /// Validate a conservative-parallel lookahead window (ns) against the
-    /// graph. Errors name the offending LP pair.
-    pub fn check_lookahead(&self, window_ns: u64) -> Report {
-        let mut report = Report::new();
-        for e in self.edges.iter().filter(|e| self.is_cross(e) && e.delay_ns == 0) {
+        if report.has_errors() {
+            return Err(report);
+        }
+        let window = self.min_edge(|e| locus(e).is_some()).or_else(|| self.min_edge(|_| true));
+        window.ok_or_else(|| {
+            let mut report = Report::new();
             report.push(Diagnostic::error(
-                "zero-delay",
-                format!(
-                    "zero-delay {} edge crosses partitions: {} -> {}; no positive lookahead \
-                     window is safe for this model",
-                    e.kind,
-                    self.name(e.src_lp),
-                    self.name(e.dst_lp)
-                ),
+                "no-edges",
+                "the model has no delay edges to derive a lookahead window from",
             ));
-        }
-        if let Some((min, e)) = self.min_cross_partition_delay() {
-            if min > 0 && window_ns > min {
-                report.push(Diagnostic::error(
-                    "lookahead",
-                    format!(
-                        "lookahead window {window_ns} ns exceeds the minimum cross-partition \
-                         delay {min} ns ({} edge {} -> {}); the conservative scheduler would \
-                         violate causality",
-                        e.kind,
-                        self.name(e.src_lp),
-                        self.name(e.dst_lp)
-                    ),
-                ));
-            }
-        }
-        report
+            report
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Severity;
 
     fn edge(src: u32, dst: u32, delay: u64) -> DelayEdge {
         DelayEdge { src_lp: src, dst_lp: dst, delay_ns: delay, kind: "packet" }
+    }
+
+    fn shards(shard_of: &[u32], threads: usize) -> Shape<'_> {
+        Shape::Shards { shard_of, threads }
     }
 
     #[test]
@@ -217,34 +165,40 @@ mod tests {
         let (min, e) = g.min_cross_partition_delay().unwrap();
         assert_eq!(min, 90);
         assert_eq!((e.src_lp, e.dst_lp), (2, 0));
+        assert_eq!(g.window(Shape::Blocks).unwrap(), (90, e));
+    }
+
+    #[test]
+    fn window_names_the_edge_that_sets_it() {
+        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 100), edge(1, 0, 150)])
+            .with_names(vec!["node 0".into(), "router 0".into()]);
+        let (window, e) = g.window(Shape::Blocks).unwrap();
+        assert_eq!(window, 100);
+        assert_eq!(g.describe(e), "packet edge node 0 -> router 0");
     }
 
     #[test]
     fn single_block_has_no_constraint() {
-        let g = ModelGraph::new(vec![0, 0], vec![edge(0, 1, 1)]);
+        // Nothing crosses, so the window falls back to the minimum edge.
+        let g = ModelGraph::new(vec![0, 0], vec![edge(0, 1, 7), edge(1, 0, 3)]);
         assert!(g.min_cross_partition_delay().is_none());
-        assert!(g.check_lookahead(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn oversized_window_is_rejected_with_lp_pair() {
-        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 100)])
-            .with_names(vec!["node 0".into(), "router 0".into()]);
-        let r = g.check_lookahead(150);
-        assert_eq!(r.len(), 1, "{r}");
-        let d = r.iter().next().unwrap();
-        assert_eq!(d.code, "lookahead");
-        assert_eq!(d.severity, Severity::Error);
-        assert!(d.message.contains("node 0 -> router 0"), "{}", d.message);
-        assert!(g.check_lookahead(100).is_empty(), "window == min delay is safe");
-        assert!(g.check_lookahead(1).is_empty());
+        assert_eq!(g.window(Shape::Blocks).unwrap().0, 3);
+        let r = ModelGraph::new(vec![0], vec![]).window(Shape::Blocks).unwrap_err();
+        assert!(r.iter().any(|d| d.code == "no-edges"), "{r}");
     }
 
     #[test]
     fn zero_delay_cross_edge_is_always_an_error() {
-        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 0)]);
-        let r = g.check_lookahead(1);
-        assert!(r.iter().any(|d| d.code == "zero-delay"), "{r}");
+        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 0), edge(1, 0, 40)])
+            .with_names(vec!["router 3".into(), "router 7".into()]);
+        let r = g.window(Shape::Blocks).unwrap_err();
+        assert_eq!(r.len(), 1, "{r}");
+        let d = r.iter().next().unwrap();
+        assert!(d.code == "zero-delay" && r.has_errors(), "{r}");
+        assert!(d.message.contains("router 3 -> router 7"), "{}", d.message);
+        // An internal zero-delay edge synchronizes nothing.
+        let g = ModelGraph::new(vec![0, 0, 1], vec![edge(0, 1, 0), edge(1, 2, 40)]);
+        assert_eq!(g.window(Shape::Blocks).unwrap().0, 40);
     }
 
     #[test]
@@ -254,42 +208,34 @@ mod tests {
         // `shard:2:1`.
         let g = ModelGraph::new(vec![0, 1, 2], vec![edge(0, 1, 10), edge(1, 2, 80)]);
         let shard_of = vec![0, 0, 1];
-        let (min, e) = g.min_cross_shard_delay(&shard_of).unwrap();
-        assert_eq!(min, 80);
+        assert_eq!(g.window(Shape::Blocks).unwrap().0, 10);
+        let (window, e) = g.window(shards(&shard_of, 1)).unwrap();
+        assert_eq!(window, 80);
         assert_eq!((e.src_lp, e.dst_lp), (1, 2));
-        assert!(g.check_lookahead(50).has_errors(), "par rejects the 10 ns edge");
-        assert!(g.check_shard_lookahead(&shard_of, 1, 50).is_empty());
-        assert!(g.check_shard_lookahead(&shard_of, 1, 80).is_empty());
-        let r = g.check_shard_lookahead(&shard_of, 1, 81);
-        assert_eq!(r.len(), 1, "{r}");
-        let d = r.iter().next().unwrap();
-        assert_eq!(d.code, "lookahead");
-        assert!(d.message.contains("lp 1 -> lp 2"), "{}", d.message);
-        assert!(d.message.contains("crosses shards 0 -> 1"), "{}", d.message);
     }
 
     #[test]
     fn shard_check_with_threads_also_binds_intra_shard_block_edges() {
         let g = ModelGraph::new(vec![0, 1, 2], vec![edge(0, 1, 10), edge(1, 2, 80)]);
-        let shard_of = vec![0, 0, 1];
-        let r = g.check_shard_lookahead(&shard_of, 2, 50);
-        assert_eq!(r.len(), 1, "{r}");
-        let d = r.iter().next().unwrap();
-        assert!(d.message.contains("lp 0 -> lp 1"), "{}", d.message);
-        assert!(d.message.contains("within shard 0"), "{}", d.message);
-        assert!(g.check_shard_lookahead(&shard_of, 2, 10).is_empty());
+        let (window, e) = g.window(shards(&[0, 0, 1], 2)).unwrap();
+        assert_eq!(window, 10);
+        assert_eq!((e.src_lp, e.dst_lp), (0, 1));
     }
 
     #[test]
     fn shard_check_zero_delay_and_unknown_lp_are_conservative() {
         let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 0)]);
-        let r = g.check_shard_lookahead(&[0, 1], 1, 1);
-        assert!(r.iter().any(|d| d.code == "zero-delay"), "{r}");
+        let r = g.window(shards(&[0, 1], 1)).unwrap_err();
+        let d = r.iter().next().unwrap();
+        assert!(d.code == "zero-delay" && d.message.contains("crosses shards 0 -> 1"), "{r}");
+        let r = g.window(shards(&[0, 0], 2)).unwrap_err();
+        assert!(r.iter().any(|d| d.message.contains("within shard 0")), "{r}");
         // An edge to an LP the owner map doesn't cover counts as crossing.
-        let g = ModelGraph::new(vec![0, 0], vec![edge(0, 5, 30)]);
-        assert!(g.check_shard_lookahead(&[0, 0], 1, 40).has_errors());
-        // Single shard, single thread: nothing is synchronized at all.
-        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 10)]);
-        assert!(g.check_shard_lookahead(&[0, 0], 1, u64::MAX).is_empty());
+        let g = ModelGraph::new(vec![0, 0], vec![edge(0, 1, 5), edge(0, 5, 30)]);
+        assert_eq!(g.window(shards(&[0, 0], 1)).unwrap().0, 30);
+        // Single shard, single thread: nothing is synchronized, so the
+        // window is the model's minimum edge.
+        let g = ModelGraph::new(vec![0, 1], vec![edge(0, 1, 10), edge(1, 0, 0)]);
+        assert_eq!(g.window(shards(&[0, 0], 1)).unwrap().0, 0);
     }
 }

@@ -238,7 +238,7 @@ impl<L: Lp> Simulation<L> {
                 return Err(ShardError::Format(format!(
                     "checkpoint {} was taken with {} shards, cannot restore into {}: shard \
                      rebalancing from a checkpoint is not implemented yet (ROADMAP item 2) — \
-                     relaunch with the original shard count (--sched shard:{}:T:L)",
+                     relaunch with the original shard count (--sched shard:{}:T)",
                     path.display(),
                     meta.n_shards,
                     n_shards,

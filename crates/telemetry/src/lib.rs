@@ -292,7 +292,7 @@ pub struct ManifestRecord {
     /// Full command-line arguments as given.
     pub args: Vec<String>,
     pub seed: u64,
-    /// Scheduler spec string (`seq`, `par:T:L`, `async:T:L`, `shard:N:T:L`).
+    /// Scheduler spec string (`seq`, `par:T`, `async:T`, `shard:N:T`).
     pub sched: String,
     /// `git describe --always --dirty` of the working tree, or `unknown`.
     pub git: String,
@@ -550,7 +550,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_config() {
-        let mut m = ManifestRecord::new("fig8", vec![], 7, "par:4:100", "abc123");
+        let mut m = ManifestRecord::new("fig8", vec![], 7, "par:4", "abc123");
         m.config = serde::Value::Object(vec![(
             "profile".to_string(),
             serde::Value::Str("quick".to_string()),

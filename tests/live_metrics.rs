@@ -48,7 +48,7 @@ fn gang_endpoint_matches_merged_total_exactly() {
             "--horizon-us",
             "200",
             "--sched",
-            "shard:4:2:50",
+            "shard:4:2",
             "--shard-no-verify",
             "--live",
             "127.0.0.1:0",
@@ -119,7 +119,7 @@ fn top_renders_final_snapshot_from_telemetry_file() {
         "--horizon-us",
         "100",
         "--sched",
-        "shard:2:1:50",
+        "shard:2:1",
         "--shard-no-verify",
         "--live",
         "127.0.0.1:0",

@@ -41,7 +41,7 @@ fn killed_worker_fails_the_gang_and_restart_recovers_the_run() {
     // and fail the run — it cannot produce a result with a dead shard.
     let ckpt_arg = format!("{ck_s}:5");
     let faulted = Command::new(exe())
-        .args(["phold", "--sched", "shard:2:1:50", "--checkpoint", &ckpt_arg])
+        .args(["phold", "--sched", "shard:2:1", "--checkpoint", &ckpt_arg])
         .env("UNION_SHARD_FAULT", "kill-after-ckpt:1")
         .output()
         .unwrap();
@@ -63,7 +63,7 @@ fn killed_worker_fails_the_gang_and_restart_recovers_the_run() {
     // uninterrupted run bit-for-bit (the launcher's verify pass also
     // checks the committed-event count against the cut's metadata).
     let recovered = Command::new(exe())
-        .args(["phold", "--sched", "shard:2:1:50", "--restore", &ck_s])
+        .args(["phold", "--sched", "shard:2:1", "--restore", &ck_s])
         .output()
         .unwrap();
     assert!(recovered.status.success(), "recovery run failed: {}", stderr(&recovered));

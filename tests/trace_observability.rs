@@ -150,5 +150,5 @@ fn retired_cons_sched_exits_two_naming_par() {
         .expect("spawn union-exp");
     assert_eq!(out.status.code(), Some(2), "cons:4 should exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("union-exp") && err.contains("par:4:0"), "unhelpful message: {err}");
+    assert!(err.contains("union-exp") && err.contains("use par:4"), "unhelpful message: {err}");
 }
