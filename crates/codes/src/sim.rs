@@ -440,7 +440,7 @@ impl CodesSim {
         window: SimDuration,
         until: SimTime,
     ) -> Result<RunStats, ross::shard::ShardError> {
-        self.sim.run_sharded(transport, ross::shard::ShardRun::new(threads, window), until)
+        self.sim.run_sharded(transport, threads, window, until)
     }
 
     /// Order-independent digest of the LPs shard `me` of `n_shards`

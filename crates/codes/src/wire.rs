@@ -4,8 +4,7 @@
 //! The encoding is a fixed-layout little-endian format (tag byte, then
 //! the variant's fields in declaration order), so every shard of a run —
 //! always the same binary, re-exec'd by the launcher — agrees on it.
-//! It is a transport format, not an archive format: checkpointing a
-//! CODES model would also need rank-VM state and is not supported.
+//! It is a transport format, not an archive format.
 
 use crate::event::Event;
 use dragonfly::Packet;

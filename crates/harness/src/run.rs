@@ -17,11 +17,10 @@ use crate::sweep::{self, Net, RunRecord, SweepConfig};
 use crate::trace_analysis::RunAnalysis;
 use dragonfly::{FlowControl, Routing};
 use placement::Placement;
-use ross::shard::{CheckpointSpec, ShardError};
+use ross::shard::ShardError;
 use ross::{QueueKind, SimDuration, SimTime};
 use serde::Value;
 use std::fmt;
-use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
 use telemetry::Recorder;
@@ -63,8 +62,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--lps", value: "N", cmds: "phold", help: "PHOLD LP count (default 16)" },
     Flag { name: "--horizon-us", value: "U", cmds: "phold", help: "PHOLD stops sending at U us of virtual time (default 30)" },
     Flag { name: "--until-us", value: "U", cmds: "mix phold", help: "stop at U us of virtual time (default 0 = run to completion)" },
-    Flag { name: "--checkpoint", value: "FILE[:EVERY_US]", cmds: "mix phold", help: "phold only: checkpoint at the GVT fence every EVERY_US us (default 5)" },
-    Flag { name: "--restore", value: "FILE", cmds: "mix phold", help: "phold only: resume from a checkpoint" },
     Flag { name: "--shard-no-verify", value: "", cmds: "mix phold", help: "skip the launcher's sequential re-run of a shard:N:T gang" },
     Flag { name: "--json", value: "FILE", cmds: "sweep", help: "dump the run records as JSON" },
     Flag { name: "--telemetry", value: "FILE", cmds: "sweep mix phold", help: "write run telemetry as JSONL, the run manifest first; sweeps also print a summary" },
@@ -98,8 +95,8 @@ impl fmt::Display for UsageError {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
     /// Something the command line named turned out unusable once the run
-    /// touched it — a damaged `--restore` file, a `--live` address that
-    /// cannot be bound. A usage error in effect (exit code 2).
+    /// touched it — a `--live` address that cannot be bound. A usage
+    /// error in effect (exit code 2).
     Input(String),
     /// The run itself failed (exit code 1).
     Failed(String),
@@ -279,7 +276,7 @@ impl fmt::Display for Sched {
 /// What a run simulates.
 #[derive(Clone, Debug)]
 pub enum Model {
-    /// The checkpointable PHOLD demonstration model.
+    /// The PHOLD demonstration model.
     Phold { params: PholdParams, until: SimTime },
     /// The CODES dragonfly under Union workloads: one run per cell of the
     /// grid `cfg` spans — every cell of a sweep command, the single cell
@@ -321,9 +318,6 @@ pub struct RunSpec {
     pub args: Vec<String>,
     pub model: Model,
     pub sched: Sched,
-    /// PHOLD only: periodic checkpoints, and the cut to resume from.
-    pub checkpoint: Option<CheckpointSpec>,
-    pub restore: Option<PathBuf>,
     /// A gang launcher re-runs the model sequentially and compares.
     pub verify: bool,
     pub out: Outputs,
@@ -425,24 +419,18 @@ impl RunSpec {
             }
             Model::Codes(cfg)
         };
-        // `FILE[:N]`: a trailing `:N` is the number, any other `:` stays in
-        // the path.
-        let file_num = |name: &str, what: &str, default: u32| match a.get(name) {
-            Some(v) => {
-                let (path, n) = match v.rsplit_once(':').and_then(|(p, n)| Some((p, num(n)?))) {
-                    Some((path, n)) if !path.is_empty() => (path, n),
-                    _ => (v, default),
-                };
-                match n {
-                    0 => Err(UsageError(format!("{name} {what} must be >= 1 in `{v}`"))),
-                    n => Ok(Some((path.to_string(), n))),
+        // `--trace FILE[:RATE]`: a trailing `:N` is the rate, any other `:`
+        // stays in the path.
+        let trace = match a.get("--trace") {
+            Some(v) => match v.rsplit_once(':').and_then(|(p, n)| Some((p, num(n)?))) {
+                Some((path, 0)) if !path.is_empty() => {
+                    return Err(UsageError(format!("--trace sample rate must be >= 1 in `{v}`")));
                 }
-            }
-            None => Ok(None),
+                Some((path, rate)) if !path.is_empty() => Some((path.to_string(), rate)),
+                _ => Some((v.to_string(), 1)),
+            },
+            None => None,
         };
-        let checkpoint = file_num("--checkpoint", "interval (µs)", 5)?.map(|(path, every)| {
-            CheckpointSpec { path: path.into(), every: SimDuration::from_us(every as u64) }
-        });
         let live = match a.get("--live") {
             Some(addr) => Some(LiveOpts {
                 addr: addr.to_string(),
@@ -458,12 +446,10 @@ impl RunSpec {
             sched: Sched::parse(a.get("--sched").unwrap_or("seq")).map_err(|e| {
                 UsageError(format!("{e}; {cmd} supports --sched {}", supported_scheds(cmd)))
             })?,
-            checkpoint,
-            restore: a.get("--restore").map(PathBuf::from),
             verify: !a.has("--shard-no-verify"),
             out: Outputs {
                 telemetry: a.get("--telemetry").map(str::to_string),
-                trace: file_num("--trace", "sample rate", 1)?,
+                trace,
                 json: a.get("--json").map(str::to_string),
                 live,
             },
@@ -471,8 +457,7 @@ impl RunSpec {
     }
 
     /// Check the spec against its model before anything is built: the
-    /// scheduler is one the model can run, checkpoints are PHOLD's, and
-    /// workloads are Table III's.
+    /// scheduler is one the model can run, and workloads are Table III's.
     pub fn validate(&self) -> Result<(), UsageError> {
         let (cmd, sched) = (&self.cmd, &self.sched);
         let supported = match (&self.model, sched) {
@@ -486,13 +471,6 @@ impl RunSpec {
             return Err(UsageError(format!("{cmd} supports --sched {supported}, not `{sched}`")));
         }
         let Model::Codes(cfg) = &self.model else { return Ok(()) };
-        if self.checkpoint.is_some() || self.restore.is_some() {
-            return Err(UsageError(
-                "checkpoint/restart is supported for the phold model only \
-                 (CODES rank-VM state has no snapshot codec)"
-                    .to_string(),
-            ));
-        }
         if let Some(w) = cfg.workloads.iter().find(|w| !(1..=3).contains(*w)) {
             return Err(UsageError(format!("no workload {w}: the paper defines workloads 1..=3")));
         }
@@ -503,14 +481,11 @@ impl RunSpec {
     pub fn to_value(&self) -> Value {
         let text = |s: &str| Value::Str(s.to_string());
         let labels = |l: Vec<&str>| Value::Array(l.into_iter().map(text).collect());
-        let path = |p: &PathBuf| text(&p.display().to_string());
         let until = self.model.until();
         let until = if until == SimTime::MAX { Value::Null } else { Value::UInt(until.as_ns()) };
         let mut o = vec![
             ("sched", text(&self.sched.to_string())),
             ("until_ns", until),
-            ("checkpoint", self.checkpoint.as_ref().map_or(Value::Null, |c| path(&c.path))),
-            ("restore", self.restore.as_ref().map_or(Value::Null, path)),
             ("verify", Value::Bool(self.verify)),
         ];
         match &self.model {
@@ -680,19 +655,7 @@ fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
             let mut sim = shard::build_phold(params);
             sim.set_telemetry(report.telemetry.clone());
             sim.set_live(live);
-            let stats = if spec.checkpoint.is_some() || spec.restore.is_some() {
-                let mut mesh = ross::shard::loopback_mesh::<u64>(1);
-                let one = ShardSpec { shards: 1, threads: 1 };
-                shard::phold_run_sharded(&mut sim, &mut mesh[0], &one, spec).map_err(|e| {
-                    // A damaged checkpoint is bad input, not a failed run.
-                    match e {
-                        ShardError::Format(_) => RunError::Input(format!("phold: {e}")),
-                        _ => RunError::Failed(format!("phold: {e}")),
-                    }
-                })?
-            } else {
-                sim.run_sequential(*until)
-            };
+            let stats = sim.run_sequential(*until);
             report.fingerprint = Some(shard::phold_fingerprint(&sim, 0, 1));
             report.committed = stats.committed;
         }
@@ -734,12 +697,13 @@ fn worker(
         )));
     }
     let outcome = match &spec.model {
-        Model::Phold { params, .. } => {
+        Model::Phold { params, until } => {
             shard::run_worker(role, spec, Arc::new(shard::PholdCodec), |rec, live, transport| {
                 let mut sim = shard::build_phold(params);
                 sim.set_telemetry(Some(rec));
                 sim.set_live(live);
-                let stats = shard::phold_run_sharded(&mut sim, transport, shards, spec)?;
+                let window = SimDuration::from_ns(shard::PHOLD_MIN_DELAY_NS);
+                let stats = sim.run_sharded(transport, shards.threads, window, *until)?;
                 Ok((shard::phold_fingerprint(&sim, me, n), stats))
             })
         }
@@ -781,23 +745,12 @@ fn launcher(spec: &RunSpec, shards: &ShardSpec) -> Result<RunReport, RunError> {
     report.committed = gang.committed;
     report.cross_shard_events = Some(gang.cross_shard_events);
     if spec.verify {
-        let reference =
-            RunSpec { checkpoint: None, restore: None, out: Outputs::default(), ..spec.clone() };
+        let reference = RunSpec { out: Outputs::default(), ..spec.clone() };
         let want = local(&reference, Sched::Seq)?;
-        // A restored run only commits the events after the cut; the cut's
-        // metadata records how many the interrupted run had committed.
-        let before_cut = match &spec.restore {
-            Some(path) => ross::shard::checkpoint::read_file(path)
-                .and_then(|b| ross::shard::checkpoint::parse_file(&b).map(|(m, _)| m.committed))
-                .map_err(|e| {
-                    RunError::Failed(format!("cannot re-read restore file for verify: {e}"))
-                })?,
-            None => 0,
-        };
-        if want.fingerprint != report.fingerprint || want.committed != gang.committed + before_cut {
+        if want.fingerprint != report.fingerprint || want.committed != gang.committed {
             return Err(RunError::Failed(format!(
                 "sharded run diverged from sequential (fingerprint {:016x} vs {:016x}, \
-                 committed {}+{before_cut} vs {})",
+                 committed {} vs {})",
                 gang.fingerprint,
                 want.fingerprint.unwrap_or(0),
                 gang.committed,
@@ -888,11 +841,10 @@ mod tests {
             (cfg.nets.clone(), cfg.workloads.clone(), cfg.window_ns),
             (vec![Net::OneD], vec![3], 500_000)
         );
-        let phold = spec("phold --checkpoint a:b.ck:7 --until-us 9").unwrap();
-        assert_eq!(phold.checkpoint.as_ref().unwrap().path, PathBuf::from("a:b.ck"));
-        assert_eq!(phold.checkpoint.unwrap().every, SimDuration::from_us(7));
-        assert_eq!(phold.model.until(), SimTime::from_us(9));
+        assert_eq!(spec("phold --until-us 9").unwrap().model.until(), SimTime::from_us(9));
         assert_eq!(spec("fig7 --trace t.json").unwrap().out.trace, Some(("t.json".to_string(), 1)));
+        let traced = spec("fig7 --trace a:b.json:7").unwrap().out.trace;
+        assert_eq!(traced, Some(("a:b.json".to_string(), 7)));
 
         for (line, needles) in [
             ("fig7 --nets 3d", ["--nets", "`3d`"]),
@@ -904,7 +856,7 @@ mod tests {
             ("mix --net 1d,2d", ["--net", "`1d,2d`"]),
             ("mix --iters x", ["--iters", "`x`"]),
             ("phold --lps 0", ["--lps", ">= 1"]),
-            ("phold --checkpoint x:0", ["--checkpoint", "interval"]),
+            ("mix --restore ck.bin", ["mix", "--restore"]),
             ("fig7 --trace t.json:0", ["--trace", "sample rate"]),
             ("phold --telemetry", ["--telemetry", "needs a value"]),
             ("phold --nets 1d", ["phold", "--nets"]),
@@ -926,7 +878,6 @@ mod tests {
             ("phold --sched par:2", "phold supports --sched seq or shard:N:T, not `par:2`"),
             ("phold --sched async:2", "phold supports"),
             ("table6 --sched shard:2:1", "table6 supports"),
-            ("mix --checkpoint ck.bin", "phold model only"),
             ("mix --workload 7", "no workload 7"),
             ("table6 --workloads 1,9", "no workload 9"),
         ] {
@@ -934,7 +885,7 @@ mod tests {
             assert!(e.contains(needle), "`{line}`: {e}");
         }
         for line in [
-            "phold --sched shard:2:2 --checkpoint ck.bin",
+            "phold --sched shard:2:2",
             "mix --sched par:2",
             "mix --sched async:2",
             "mix --sched shard:2:2",

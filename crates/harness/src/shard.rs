@@ -20,15 +20,13 @@
 //!    metric snapshots (when the gang runs with `--live`), then one
 //!    [`WorkerReport`] line, then exit.
 //!
-//! A worker that dies mid-run (crash, fault injection) closes its
-//! control connection; the parent then kills the rest of the gang and
+//! A worker that dies mid-run (a crash, a kill) closes its control
+//! connection; the parent then kills the rest of the gang and
 //! reports which shard was lost.
 
 use crate::run::RunSpec;
 use ross::shard::wire::{fnv1a, put_u64, ByteReader};
-use ross::shard::{
-    shard_owner_map, EventCodec, ShardCodec, ShardError, ShardRun, ShardTransport, TcpTransport,
-};
+use ross::shard::{shard_owner_map, EventCodec, ShardError, ShardTransport, TcpTransport};
 use ross::{Ctx, Envelope, Lp, QueueKind, RunStats, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
@@ -43,9 +41,6 @@ pub const ENV_ROLE: &str = "UNION_SHARD_ROLE";
 pub const ENV_ID: &str = "UNION_SHARD_ID";
 pub const ENV_N: &str = "UNION_SHARD_N";
 pub const ENV_CONTROL: &str = "UNION_SHARD_CONTROL";
-/// Fault injection: `kill-after-ckpt:<shard>` makes that worker kill
-/// itself (SIGKILL) right after its first completed checkpoint round.
-pub const ENV_FAULT: &str = "UNION_SHARD_FAULT";
 
 /// A parsed `shard:N:T` scheduler spec (grammar: [`crate::run::Sched::parse`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,21 +59,6 @@ pub fn worker_role() -> Option<(usize, usize, String)> {
     let n = std::env::var(ENV_N).ok()?.parse().ok()?;
     let ctrl = std::env::var(ENV_CONTROL).ok()?;
     Some((id, n, ctrl))
-}
-
-/// Which shard (if any) the fault-injection environment tells to die
-/// after its first checkpoint.
-pub fn fault_kill_after_ckpt() -> Option<usize> {
-    let v = std::env::var(ENV_FAULT).ok()?;
-    v.strip_prefix("kill-after-ckpt:")?.parse().ok()
-}
-
-/// Die the way a crashed machine does: no unwinding, no cleanup, no
-/// flushing. SIGKILL via the system `kill`, abort as fallback.
-pub fn die_hard() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = Command::new("kill").args(["-9", &pid]).status();
-    std::process::abort();
 }
 
 /// What each worker sends back on its control connection.
@@ -450,13 +430,12 @@ fn broker_and_collect(
 }
 
 // ---------------------------------------------------------------------------
-// The PHOLD demonstration model (checkpointable)
+// The PHOLD demonstration model
 // ---------------------------------------------------------------------------
 
-/// PHOLD over explicit-state RNG so the LP is checkpointable
-/// byte-for-byte (the workspace `SmallRng` shim keeps its state
-/// private). The minimum event delay is [`PHOLD_MIN_DELAY_NS`], which is
-/// therefore PHOLD's shard window.
+/// PHOLD over an explicit-state xorshift RNG, whose stream the pinned
+/// `phold` fingerprint depends on. The minimum event delay is
+/// [`PHOLD_MIN_DELAY_NS`], which is therefore PHOLD's shard window.
 pub const PHOLD_MIN_DELAY_NS: u64 = 50;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -491,7 +470,7 @@ impl Lp for PholdLp {
     }
 }
 
-/// Wire + snapshot codec for [`PholdLp`].
+/// Wire codec for [`PholdLp`]'s `u64` events.
 pub struct PholdCodec;
 
 impl EventCodec<u64> for PholdCodec {
@@ -500,20 +479,6 @@ impl EventCodec<u64> for PholdCodec {
     }
     fn decode(&self, r: &mut ByteReader<'_>) -> Result<u64, ShardError> {
         r.u64()
-    }
-}
-
-impl ShardCodec<PholdLp> for PholdCodec {
-    fn save_lp(&self, lp: &PholdLp, out: &mut Vec<u8>) {
-        put_u64(out, lp.rng);
-        put_u64(out, lp.hits);
-        put_u64(out, lp.checksum);
-    }
-    fn load_lp(&self, lp: &mut PholdLp, r: &mut ByteReader<'_>) -> Result<(), ShardError> {
-        lp.rng = r.u64()?;
-        lp.hits = r.u64()?;
-        lp.checksum = r.u64()?;
-        Ok(())
     }
 }
 
@@ -559,28 +524,6 @@ pub fn phold_fingerprint(sim: &Simulation<PholdLp>, me: usize, n_shards: usize) 
             acc.wrapping_add(fnv1a(&buf))
         },
     )
-}
-
-/// Run PHOLD's shard of a gang over `transport` — or, over a 1-shard
-/// loopback mesh, a single process that checkpoints or restores: cuts
-/// ride on the sharded runner's GVT fence.
-pub(crate) fn phold_run_sharded(
-    sim: &mut Simulation<PholdLp>,
-    transport: &mut dyn ShardTransport<u64>,
-    shard: &ShardSpec,
-    spec: &RunSpec,
-) -> Result<RunStats, ShardError> {
-    let fault = fault_kill_after_ckpt().filter(|&f| f == transport.me());
-    let die = |_gvt: u64| die_hard();
-    let opts = ShardRun {
-        threads: shard.threads,
-        window: SimDuration::from_ns(PHOLD_MIN_DELAY_NS),
-        checkpoint: spec.checkpoint.clone(),
-        restore: spec.restore.clone(),
-        codec: Some(&PholdCodec),
-        on_checkpoint: if fault.is_some() { Some(&die) } else { None },
-    };
-    sim.run_sharded(transport, opts, spec.model.until())
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! Every event carries two identifiers:
 //!
 //! * a **tiebreak** counter that is part of the sending LP's engine state
-//!   (and of its checkpoint). Every scheduler advances it identically, so the
-//!   (recv, send, src, tiebreak) sort key — and hence the committed event
-//!   order — is identical across all schedulers;
+//!   that travels with the LP. Every scheduler advances it identically, so
+//!   the (recv, send, src, tiebreak) sort key — and hence the committed
+//!   event order — is identical across all schedulers;
 //! * a **uid** drawn from a per-LP counter, which the causal tracer uses to
 //!   link an event to the execution that sent it.
 
@@ -36,7 +36,7 @@ pub struct Envelope<E> {
     pub src: LpId,
     /// Destination LP.
     pub dst: LpId,
-    /// Deterministic per-sender counter (checkpointed with LP state).
+    /// Deterministic per-sender counter (engine state of the sending LP).
     pub tiebreak: u64,
     /// Unique identity for causal tracing.
     pub uid: EventUid,

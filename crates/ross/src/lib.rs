@@ -21,20 +21,18 @@
 //! module: per-event step, worker state, run scaffold). All three
 //! produce **bit-identical** model states: events are totally
 //! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
-//! counter is per-LP engine state that travels with the LP (and into
-//! checkpoints). The pending-event set
-//! behind every scheduler is pluggable ([`queue`]): a reference binary
-//! heap or the default O(1)-amortized ladder queue, selected with
-//! [`Simulation::with_queue`] / [`Simulation::set_queue`] — the choice
-//! never changes results, only throughput.
+//! counter is per-LP engine state that travels with the LP. The
+//! pending-event set behind every scheduler is pluggable ([`queue`]): a
+//! reference binary heap or the default O(1)-amortized ladder queue,
+//! selected with [`Simulation::with_queue`] / [`Simulation::set_queue`] —
+//! the choice never changes results, only throughput.
 //!
 //! ## Model rules
 //!
 //! * An LP mutates only itself and communicates only via [`Ctx::send`].
 //! * Every send delay is at least the engine lookahead (≥ 1 ns).
 //! * Any randomness lives inside LP state (e.g. a seeded
-//!   `rand::rngs::SmallRng`) so every scheduler draws the same stream and
-//!   a checkpoint captures it.
+//!   `rand::rngs::SmallRng`) so every scheduler draws the same stream.
 //! * Metrics live inside LP state and are harvested after the run — never
 //!   write to shared sinks from `handle`.
 //!

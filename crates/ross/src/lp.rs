@@ -87,7 +87,7 @@ impl<'a, E> Ctx<'a, E> {
 /// Per-LP engine-side bookkeeping common to all schedulers.
 #[derive(Clone)]
 pub(crate) struct LpMeta {
-    /// Deterministic send counter — checkpointed with LP state.
+    /// Deterministic send counter — travels with the LP.
     pub tiebreak: u64,
     /// Unique id counter (causal tracing).
     pub uid_seq: u64,

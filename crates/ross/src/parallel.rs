@@ -73,10 +73,6 @@ pub(crate) trait Bound<L: Lp>: Sync {
     /// when nothing is pending anywhere). May wait on `rounds.barrier`,
     /// the same number of times on every worker.
     fn gvt(&self, w: &mut Worker<'_, L>, rounds: &Rounds) -> u64;
-
-    /// Hears how many events the worker committed in the window just
-    /// processed, before the round's closing barrier.
-    fn committed(&self, _n: u64) {}
 }
 
 /// The in-process bound: every worker reduces the published minima itself
@@ -167,7 +163,6 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
         // interval and the payload resurfaces on the main thread.
         if !halted {
             let t0 = run.timing.then(std::time::Instant::now);
-            let before = w.committed;
             run.latch.guard(|| {
                 let slot = |dst: u32| local_of[dst as usize] as usize;
                 let mut route = |lane: &mut Lane<'_, L::Event>, new| delivery.route(lane, new);
@@ -176,7 +171,6 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
             if let Some(t0) = t0 {
                 w.busy_ns += t0.elapsed().as_nanos() as u64;
             }
-            bound.committed(w.committed - before);
         }
         // Live flush once per window: counter deltas and local queue
         // depth from everyone, the round count and window floor from

@@ -1,20 +1,16 @@
 //! Sharded-run integration tests: loopback and TCP meshes must be
 //! bit-identical to the sequential reference for any shard/thread/queue
-//! combination, and a run that checkpoints mid-flight (or restarts from
-//! such a checkpoint) must converge to the same final state.
+//! combination.
 
-use super::checkpoint::ShardCodec;
 use super::transport::{loopback_mesh, EventCodec, TcpTransport};
 use super::wire::{put_u64, ByteReader};
-use super::{shard_owner_map, CheckpointSpec, ShardError, ShardRun};
+use super::{shard_owner_map, ShardError};
 use crate::queue::QueueKind;
 use crate::{Ctx, Envelope, Lp, SimDuration, SimTime, Simulation};
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Explicit-state RNG so the whole LP is checkpointable byte-for-byte
-/// (the workspace `SmallRng` shim keeps its state private).
+/// Explicit-state RNG, so every shard of a run draws the same stream.
 fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s << 13;
     *s ^= *s >> 7;
@@ -59,20 +55,6 @@ impl EventCodec<u64> for PholdCodec {
     }
 }
 
-impl ShardCodec<Phold> for PholdCodec {
-    fn save_lp(&self, lp: &Phold, out: &mut Vec<u8>) {
-        put_u64(out, lp.rng);
-        put_u64(out, lp.hits);
-        put_u64(out, lp.checksum);
-    }
-    fn load_lp(&self, lp: &mut Phold, r: &mut ByteReader<'_>) -> Result<(), ShardError> {
-        lp.rng = r.u64()?;
-        lp.hits = r.u64()?;
-        lp.checksum = r.u64()?;
-        Ok(())
-    }
-}
-
 const N_LPS: u32 = 16;
 const WINDOW_NS: u64 = 50;
 
@@ -113,26 +95,15 @@ fn run_loopback(
     threads: usize,
     seed: u64,
     queue: QueueKind,
-    checkpoint: Option<CheckpointSpec>,
-    restore: Option<PathBuf>,
 ) -> (Vec<(u64, u64)>, u64) {
     let mesh = loopback_mesh::<u64>(n_shards);
     let handles: Vec<_> = mesh
         .into_iter()
         .map(|mut t| {
-            let checkpoint = checkpoint.clone();
-            let restore = restore.clone();
             std::thread::spawn(move || {
                 let mut sim = phold_sim(seed, queue);
-                let opts = ShardRun {
-                    threads,
-                    window: SimDuration::from_ns(WINDOW_NS),
-                    checkpoint,
-                    restore,
-                    codec: Some(&PholdCodec),
-                    on_checkpoint: None,
-                };
-                let stats = sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap();
+                let window = SimDuration::from_ns(WINDOW_NS);
+                let stats = sim.run_sharded(&mut t, threads, window, SimTime::MAX).unwrap();
                 (sim, stats)
             })
         })
@@ -159,17 +130,13 @@ fn merge(
     (merged, committed)
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ross-shard-{}-{name}", std::process::id()))
-}
-
 #[test]
 fn loopback_matches_sequential_across_shards_threads_and_queues() {
     let (want, want_committed) = sequential_reference(2024);
     for n_shards in [1, 2, 4] {
         for threads in [1, 2] {
             for queue in [QueueKind::Heap, QueueKind::Ladder] {
-                let (got, committed) = run_loopback(n_shards, threads, 2024, queue, None, None);
+                let (got, committed) = run_loopback(n_shards, threads, 2024, queue);
                 assert_eq!(
                     got, want,
                     "diverged at {n_shards} shards x {threads} threads ({queue:?})"
@@ -188,8 +155,7 @@ fn sharded_run_reports_cross_shard_traffic() {
         .map(|mut t| {
             std::thread::spawn(move || {
                 let mut sim = phold_sim(7, QueueKind::Ladder);
-                let opts = ShardRun::new(2, SimDuration::from_ns(WINDOW_NS));
-                sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap()
+                sim.run_sharded(&mut t, 2, SimDuration::from_ns(WINDOW_NS), SimTime::MAX).unwrap()
             })
         })
         .collect();
@@ -214,8 +180,8 @@ fn tcp_mesh_matches_sequential() {
             std::thread::spawn(move || {
                 let mut t = TcpTransport::mesh(me, listener, &addrs, Arc::new(PholdCodec)).unwrap();
                 let mut sim = phold_sim(55, QueueKind::Ladder);
-                let opts = ShardRun::new(2, SimDuration::from_ns(WINDOW_NS));
-                let stats = sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap();
+                let window = SimDuration::from_ns(WINDOW_NS);
+                let stats = sim.run_sharded(&mut t, 2, window, SimTime::MAX).unwrap();
                 (sim, stats)
             })
         })
@@ -223,71 +189,6 @@ fn tcp_mesh_matches_sequential() {
     let (got, committed) = merge(handles, n_shards);
     assert_eq!(got, want, "TCP sharded run diverged from sequential");
     assert_eq!(committed, want_committed);
-}
-
-#[test]
-fn checkpointing_run_is_undisturbed_and_restore_reaches_the_same_state() {
-    let (want, _) = sequential_reference(99);
-    let path = temp_path("roundtrip.ckpt");
-    std::fs::remove_file(&path).ok();
-
-    // A run that checkpoints every 5 µs of virtual time must still be
-    // bit-identical to the uninterrupted reference.
-    let spec = CheckpointSpec { path: path.clone(), every: SimDuration::from_ns(5_000) };
-    let (got, _) = run_loopback(2, 2, 99, QueueKind::Ladder, Some(spec), None);
-    assert_eq!(got, want, "checkpointing perturbed the run");
-
-    // The file on disk is from an intermediate GVT, not the end state.
-    let bytes = super::checkpoint::read_file(&path).unwrap();
-    let (meta, sections) = super::checkpoint::parse_file(&bytes).unwrap();
-    assert_eq!(meta.n_shards, 2);
-    assert_eq!(meta.n_lps, N_LPS);
-    assert_eq!(sections.len(), 2);
-    assert!(meta.gvt_ns >= 5_000, "checkpoint taken before the first interval");
-
-    // Fresh processes restored from that cut must converge to the same
-    // final state as the uninterrupted run.
-    let (restored, _) = run_loopback(2, 2, 99, QueueKind::Ladder, None, Some(path.clone()));
-    assert_eq!(restored, want, "restored run diverged from uninterrupted run");
-
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn restore_rejects_mismatched_shard_count() {
-    let path = temp_path("mismatch.ckpt");
-    std::fs::remove_file(&path).ok();
-    let spec = CheckpointSpec { path: path.clone(), every: SimDuration::from_ns(5_000) };
-    run_loopback(2, 1, 42, QueueKind::Ladder, Some(spec), None);
-
-    let mut mesh = loopback_mesh::<u64>(1);
-    let mut t = mesh.pop().unwrap();
-    let mut sim = phold_sim(42, QueueKind::Ladder);
-    let opts = ShardRun {
-        threads: 1,
-        window: SimDuration::from_ns(WINDOW_NS),
-        checkpoint: None,
-        restore: Some(path.clone()),
-        codec: Some(&PholdCodec),
-        on_checkpoint: None,
-    };
-    let err = sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap_err();
-    match err {
-        ShardError::Format(m) => assert!(m.contains("shards"), "unhelpful message: {m}"),
-        other => panic!("expected a format error, got {other}"),
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn checkpoint_without_codec_is_refused() {
-    let mut mesh = loopback_mesh::<u64>(1);
-    let mut t = mesh.pop().unwrap();
-    let mut sim = phold_sim(1, QueueKind::Ladder);
-    let mut opts = ShardRun::new(1, SimDuration::from_ns(WINDOW_NS));
-    opts.checkpoint =
-        Some(CheckpointSpec { path: temp_path("nocodec.ckpt"), every: SimDuration::from_ns(1) });
-    assert!(sim.run_sharded(&mut t, opts, SimTime::MAX).is_err());
 }
 
 /// Ring-forwarding LP that panics on its `boom_on`-th event.
@@ -308,58 +209,49 @@ impl Lp for PanickyRing {
     }
 }
 
-// `PholdCodec` already carries the `u64` payload.
-impl ShardCodec<PanickyRing> for PholdCodec {
-    fn save_lp(&self, lp: &PanickyRing, out: &mut Vec<u8>) {
-        put_u64(out, lp.hits);
-    }
-    fn load_lp(&self, lp: &mut PanickyRing, r: &mut ByteReader<'_>) -> Result<(), ShardError> {
-        lp.hits = r.u64()?;
-        Ok(())
-    }
-}
-
 /// A panic in `Lp::handle` under the shard round loop used to unwind one
 /// worker while the leader and its siblings sat in `barrier.wait()`
 /// forever (`std::sync::Barrier` does not poison). The shared latch now
 /// parks the payload, winds the rounds down and re-raises it on the
-/// caller. The `CheckpointSpec` + codec force the round loop (a plain
-/// 1-shard run delegates to the async scheduler). This covers the
-/// panicking shard only: notifying *peer* shards of the abort stays with
-/// ROADMAP item 4 — loopback endpoints hold a sender to themselves, so a
-/// peer cannot observe a hang-up yet.
+/// caller. Only shard 0's LPs blow up: the halted shard keeps fencing
+/// with `u64::MAX`, so its healthy peer drains and finishes cleanly.
 #[test]
 fn shard_worker_panic_propagates_instead_of_deadlocking() {
+    let shard_of = shard_owner_map(None, N_LPS as usize, 2);
     let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let lps = (0..N_LPS).map(|_| PanickyRing { hits: 0, boom_on: 40 }).collect();
-        let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
-        for i in 0..N_LPS {
-            sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
-        }
-        let mut t = loopback_mesh::<u64>(1).pop().unwrap();
-        let opts = ShardRun {
-            threads: 2,
-            window: SimDuration::from_ns(WINDOW_NS),
-            checkpoint: Some(CheckpointSpec {
-                path: temp_path("panic.ckpt"),
-                every: SimDuration::from_ns(1_000_000),
-            }),
-            restore: None,
-            codec: Some(&PholdCodec),
-            on_checkpoint: None,
-        };
-        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_sharded(&mut t, opts, SimTime::MAX)
+    let mut handles = Vec::new();
+    for (me, mut t) in loopback_mesh::<u64>(2).into_iter().enumerate() {
+        let (tx, shard_of) = (tx.clone(), shard_of.clone());
+        handles.push(std::thread::spawn(move || {
+            let boom_on = |g: usize| if shard_of[g] == 0 { 40 } else { u64::MAX };
+            let lps =
+                (0..N_LPS as usize).map(|g| PanickyRing { hits: 0, boom_on: boom_on(g) }).collect();
+            let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
+            for i in 0..N_LPS {
+                sim.schedule(i, SimTime::from_ns(i as u64), i as u64);
+            }
+            let window = SimDuration::from_ns(WINDOW_NS);
+            let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_sharded(&mut t, 2, window, SimTime::MAX)
+            }));
+            let raised = raised.map(|r| r.map(|s| s.committed).map_err(|e| e.to_string()));
+            tx.send((me, raised)).ok();
         }));
-        tx.send(raised.map(|r| r.map(|s| s.committed).map_err(|e| e.to_string()))).ok();
-    });
-    let raised = rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("run_sharded hung on a panicking LP");
-    let payload = raised.expect_err("run_sharded swallowed the LP panic");
+    }
+    let mut outcomes = [None, None];
+    for _ in 0..2 {
+        let (me, raised) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_sharded hung on a panicking LP");
+        outcomes[me] = Some(raised);
+    }
+    handles.into_iter().for_each(|h| h.join().expect("shard thread ends after reporting"));
+    let [panicked, healthy] = outcomes.map(Option::unwrap);
+    let payload = panicked.expect_err("run_sharded swallowed the LP panic");
     let msg = payload.downcast_ref::<String>().expect("original String payload");
     assert!(msg.contains("model LP blew up on event 40"), "wrong payload: {msg}");
+    let healthy = healthy.unwrap_or_else(|_| panic!("the healthy shard panicked"));
+    assert!(healthy.is_ok(), "the healthy shard failed: {healthy:?}");
 }
 
 /// The shard runner gets its tracer wiring and stall accounting from the
@@ -375,8 +267,8 @@ fn sharded_run_feeds_the_tracer_and_reports_stall_time() {
                 let mut sim = phold_sim(11, QueueKind::Ladder);
                 let tracer = Arc::new(crate::Tracer::new(1));
                 sim.set_tracer(Some(tracer.clone()));
-                let opts = ShardRun::new(2, SimDuration::from_ns(WINDOW_NS));
-                let stats = sim.run_sharded(&mut t, opts, SimTime::MAX).unwrap();
+                let window = SimDuration::from_ns(WINDOW_NS);
+                let stats = sim.run_sharded(&mut t, 2, window, SimTime::MAX).unwrap();
                 (stats, tracer.event_count() as u64)
             })
         })

@@ -1,5 +1,5 @@
-//! Cross-shard transports: how envelopes, GVT tokens and checkpoint
-//! blobs move between the N OS processes of a sharded run.
+//! Cross-shard transports: how envelopes and GVT tokens move between the
+//! N OS processes of a sharded run.
 //!
 //! Two implementations of [`ShardTransport`]:
 //!
@@ -29,9 +29,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc as std_mpsc;
 use std::sync::Arc;
 
-/// Encode/decode one model event payload for the wire and the
-/// checkpoint file. Implementations must be pure: `decode(encode(e))`
-/// reproduces `e` exactly, on any host.
+/// Encode/decode one model event payload for the wire. Implementations
+/// must be pure: `decode(encode(e))` reproduces `e` exactly, on any host.
 pub trait EventCodec<E>: Send + Sync {
     fn encode(&self, ev: &E, out: &mut Vec<u8>);
     fn decode(&self, r: &mut ByteReader<'_>) -> Result<E, ShardError>;
@@ -46,9 +45,6 @@ pub struct Token {
     /// complete ring pass means every cross-shard event has been
     /// absorbed and `min` is the true GVT.
     pub in_flight: i64,
-    /// Σ committed events over the shards visited so far (checkpoint
-    /// metadata needs the global count; only shard 0 reads the total).
-    pub committed: u64,
     /// Wave number within one fence (retries until `in_flight == 0`).
     pub wave: u32,
     /// The synchronization round this fence belongs to.
@@ -68,10 +64,6 @@ pub enum Frame<E> {
     Token(Token),
     /// Fence result broadcast by shard 0.
     Gvt { gvt: u64 },
-    /// An encoded checkpoint section funneled to shard 0.
-    Blob(Vec<u8>),
-    /// Shard 0's acknowledgment that the checkpoint file is on disk.
-    CkptDone { ok: bool },
 }
 
 // Hand-written so protocol errors can describe any frame without an
@@ -86,8 +78,6 @@ impl<E> std::fmt::Debug for Frame<E> {
                 .finish(),
             Frame::Token(t) => f.debug_tuple("Token").field(t).finish(),
             Frame::Gvt { gvt } => f.debug_struct("Gvt").field("gvt", gvt).finish(),
-            Frame::Blob(b) => f.debug_struct("Blob").field("len", &b.len()).finish(),
-            Frame::CkptDone { ok } => f.debug_struct("CkptDone").field("ok", ok).finish(),
         }
     }
 }
@@ -117,7 +107,7 @@ type TaggedFrame<E> = (usize, Frame<E>);
 pub struct LoopbackTransport<E> {
     me: usize,
     n: usize,
-    txs: Vec<Option<mpsc::Sender<TaggedFrame<E>>>>,
+    txs: Vec<mpsc::Sender<TaggedFrame<E>>>,
     rx: mpsc::Receiver<TaggedFrame<E>>,
 }
 
@@ -129,12 +119,7 @@ pub fn loopback_mesh<E: Clone + Send>(n: usize) -> Vec<LoopbackTransport<E>> {
     pairs
         .into_iter()
         .enumerate()
-        .map(|(me, (_, rx))| LoopbackTransport {
-            me,
-            n,
-            txs: txs.iter().map(|t| Some(t.clone())).collect(),
-            rx,
-        })
+        .map(|(me, (_, rx))| LoopbackTransport { me, n, txs: txs.clone(), rx })
         .collect()
 }
 
@@ -148,10 +133,7 @@ impl<E: Clone + Send> ShardTransport<E> for LoopbackTransport<E> {
     }
 
     fn send(&mut self, to: usize, frame: Frame<E>) -> Result<(), ShardError> {
-        let tx = self
-            .txs
-            .get(to)
-            .and_then(|t| t.as_ref())
+        let tx = (self.txs.get(to))
             .ok_or_else(|| ShardError::Protocol(format!("send to unknown shard {to}")))?;
         tx.send((self.me, frame)).map_err(|_| ShardError::Protocol(format!("shard {to} hung up")))
     }
@@ -168,8 +150,6 @@ impl<E: Clone + Send> ShardTransport<E> for LoopbackTransport<E> {
 const TAG_EVENTS: u8 = 0;
 const TAG_TOKEN: u8 = 1;
 const TAG_GVT: u8 = 2;
-const TAG_BLOB: u8 = 3;
-const TAG_CKPT_DONE: u8 = 4;
 
 /// Encode a frame body (everything after the `[u32 len]` prefix).
 pub(super) fn encode_frame<E>(frame: &Frame<E>, codec: &dyn EventCodec<E>, out: &mut Vec<u8>) {
@@ -196,21 +176,12 @@ pub(super) fn encode_frame<E>(frame: &Frame<E>, codec: &dyn EventCodec<E>, out: 
             put_u8(out, TAG_TOKEN);
             put_u64(out, t.min);
             put_u64(out, t.in_flight as u64);
-            put_u64(out, t.committed);
             put_u32(out, t.wave);
             put_u64(out, t.epoch);
         }
         Frame::Gvt { gvt } => {
             put_u8(out, TAG_GVT);
             put_u64(out, *gvt);
-        }
-        Frame::Blob(bytes) => {
-            put_u8(out, TAG_BLOB);
-            put_bytes(out, bytes);
-        }
-        Frame::CkptDone { ok } => {
-            put_u8(out, TAG_CKPT_DONE);
-            put_u8(out, *ok as u8);
         }
     }
 }
@@ -252,13 +223,10 @@ pub(super) fn decode_frame<E>(
         TAG_TOKEN => Frame::Token(Token {
             min: r.u64()?,
             in_flight: r.u64()? as i64,
-            committed: r.u64()?,
             wave: r.u32()?,
             epoch: r.u64()?,
         }),
         TAG_GVT => Frame::Gvt { gvt: r.u64()? },
-        TAG_BLOB => Frame::Blob(r.bytes()?.to_vec()),
-        TAG_CKPT_DONE => Frame::CkptDone { ok: r.u8()? != 0 },
         tag => return Err(ShardError::Format(format!("unknown frame tag {tag}"))),
     };
     if r.remaining() != 0 {
@@ -275,13 +243,15 @@ pub(super) fn decode_frame<E>(
 /// the pair `(i, j)` with `i < j`, shard `j` dials shard `i`'s
 /// listener. One reader thread per peer decodes frames into a shared
 /// channel, so [`ShardTransport::recv`] observes frames in arrival
-/// order while per-peer FIFO order is preserved by TCP itself.
+/// order while per-peer FIFO order is preserved by TCP itself. A frame
+/// that fails to decode reaches `recv` as [`ShardError::Format`] naming
+/// the sending shard.
 pub struct TcpTransport<E> {
     me: usize,
     n: usize,
     /// Write half per peer (`None` at index `me`).
     writers: Vec<Option<TcpStream>>,
-    rx: std_mpsc::Receiver<(usize, Frame<E>)>,
+    rx: std_mpsc::Receiver<Decoded<E>>,
     codec: Arc<dyn EventCodec<E>>,
     scratch: Vec<u8>,
 }
@@ -335,12 +305,18 @@ impl<E: Clone + Send + 'static> TcpTransport<E> {
     }
 }
 
-/// Per-peer reader: length-prefixed frames until EOF.
+/// One peer's next frame, or why its stream could not be decoded.
+type Decoded<E> = (usize, Result<Frame<E>, ShardError>);
+
+/// Per-peer reader: length-prefixed frames until EOF or the first frame
+/// that fails to decode, which is forwarded to `recv` (the stream is out
+/// of step from there on). EOF is silent: a finished peer legitimately
+/// closes its sockets while others still dequeue the final `Gvt`.
 fn read_loop<E: Clone + Send>(
     from: usize,
     mut stream: TcpStream,
     codec: Arc<dyn EventCodec<E>>,
-    tx: std_mpsc::Sender<(usize, Frame<E>)>,
+    tx: std_mpsc::Sender<Decoded<E>>,
 ) {
     let mut len_buf = [0u8; 4];
     let mut body = Vec::new();
@@ -353,13 +329,10 @@ fn read_loop<E: Clone + Send>(
         if stream.read_exact(&mut body).is_err() {
             return;
         }
-        match decode_frame(&body, codec.as_ref()) {
-            Ok(frame) => {
-                if tx.send((from, frame)).is_err() {
-                    return; // transport dropped
-                }
-            }
-            Err(_) => return, // corrupt stream: stop; recv() side times out via hangup
+        let frame = decode_frame(&body, codec.as_ref());
+        let corrupt = frame.is_err();
+        if tx.send((from, frame)).is_err() || corrupt {
+            return; // transport dropped, or the stream is out of step
         }
     }
 }
@@ -387,7 +360,14 @@ impl<E: Clone + Send + 'static> ShardTransport<E> for TcpTransport<E> {
     }
 
     fn recv(&mut self) -> Result<(usize, Frame<E>), ShardError> {
-        self.rx.recv().map_err(|_| ShardError::Protocol("all peer connections closed".to_string()))
+        match self.rx.recv() {
+            Ok((from, Ok(frame))) => Ok((from, frame)),
+            Ok((from, Err(ShardError::Format(m)))) => {
+                Err(ShardError::Format(format!("frame from shard {from}: {m}")))
+            }
+            Ok((_, Err(e))) => Err(e),
+            Err(_) => Err(ShardError::Protocol("all peer connections closed".to_string())),
+        }
     }
 }
 
@@ -424,10 +404,8 @@ mod tests {
     fn frames_round_trip_through_the_wire_format() {
         let frames = vec![
             Frame::Events { epoch: 42, batch: vec![env(10, 77), env(11, 0)] },
-            Frame::Token(Token { min: 5, in_flight: -2, committed: 88, wave: 1, epoch: 42 }),
+            Frame::Token(Token { min: 5, in_flight: -2, wave: 1, epoch: 42 }),
             Frame::Gvt { gvt: u64::MAX },
-            Frame::Blob(vec![1, 2, 3]),
-            Frame::CkptDone { ok: true },
         ];
         for f in frames {
             let mut buf = Vec::new();
@@ -441,8 +419,6 @@ mod tests {
                 }
                 (Frame::Token(a), Frame::Token(b)) => assert_eq!(a, b),
                 (Frame::Gvt { gvt: a }, Frame::Gvt { gvt: b }) => assert_eq!(a, b),
-                (Frame::Blob(a), Frame::Blob(b)) => assert_eq!(a, b),
-                (Frame::CkptDone { ok: a }, Frame::CkptDone { ok: b }) => assert_eq!(a, b),
                 _ => panic!("frame kind changed in round trip"),
             }
         }
@@ -458,6 +434,89 @@ mod tests {
         assert!(decode_frame::<u64>(&buf, &U64Codec).is_err());
     }
 
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// Deterministic frame with arbitrary content derived from `seed`:
+    /// `Events` batches of 0-4 envelopes with extreme field values,
+    /// `Token`s and `Gvt`s all appear over the proptest case budget.
+    fn random_frame(seed: u64, kind: u8, n_events: usize) -> Frame<u64> {
+        let mut s = seed | 1;
+        match kind {
+            0 => Frame::Events {
+                epoch: xorshift(&mut s),
+                batch: (0..n_events)
+                    .map(|_| Envelope {
+                        recv_time: SimTime(xorshift(&mut s)),
+                        send_time: SimTime(xorshift(&mut s)),
+                        src: xorshift(&mut s) as u32,
+                        dst: xorshift(&mut s) as u32,
+                        tiebreak: xorshift(&mut s),
+                        uid: EventUid { src: xorshift(&mut s) as u32, seq: xorshift(&mut s) },
+                        payload: xorshift(&mut s),
+                    })
+                    .collect(),
+            },
+            1 => Frame::Token(Token {
+                min: xorshift(&mut s),
+                in_flight: xorshift(&mut s) as i64,
+                wave: xorshift(&mut s) as u32,
+                epoch: xorshift(&mut s),
+            }),
+            _ => Frame::Gvt { gvt: xorshift(&mut s) },
+        }
+    }
+
+    fn encode(frame: &Frame<u64>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(frame, &U64Codec, &mut buf);
+        buf
+    }
+
+    // Frames are the only untrusted bytes a shard decodes.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The encoding writes every field, so re-encoding the decoded
+        /// frame byte-for-byte is an exact round trip.
+        #[test]
+        fn random_frames_round_trip(
+            seed in 0u64..1_000_000_000,
+            kind in 0u8..3,
+            n_events in 0usize..5,
+        ) {
+            let good = encode(&random_frame(seed, kind, n_events));
+            let back = decode_frame::<u64>(&good, &U64Codec).unwrap();
+            assert_eq!(encode(&back), good);
+        }
+
+        #[test]
+        fn corrupt_or_truncated_frames_error_and_never_panic(
+            seed in 0u64..1_000_000_000,
+            kind in 0u8..3,
+            n_events in 0usize..5,
+        ) {
+            let good = encode(&random_frame(seed, kind, n_events));
+            for cut in 0..good.len() {
+                assert!(
+                    matches!(decode_frame::<u64>(&good[..cut], &U64Codec), Err(ShardError::Format(_))),
+                    "truncation to {cut} bytes went undetected"
+                );
+            }
+            // Frames carry no checksum, so a flipped byte may still decode;
+            // either way it must not panic.
+            let mut s = seed ^ 0xdead_beef;
+            let pos = (xorshift(&mut s) % good.len() as u64) as usize;
+            let mut flipped = good;
+            flipped[pos] ^= 1 + (xorshift(&mut s) % 255) as u8;
+            let _ = decode_frame::<u64>(&flipped, &U64Codec);
+        }
+    }
+
     #[test]
     fn loopback_mesh_routes_and_tags_senders() {
         let mut mesh = loopback_mesh::<u64>(3);
@@ -470,8 +529,6 @@ mod tests {
         got.sort_by_key(|(from, _)| *from);
         assert!(matches!(got[0], (0, Frame::Gvt { gvt: 1 })));
         assert!(matches!(got[1], (1, Frame::Gvt { gvt: 2 })));
-        t2.send(0, Frame::CkptDone { ok: true }).unwrap();
-        assert!(matches!(t0.recv().unwrap(), (2, Frame::CkptDone { ok: true })));
     }
 
     #[test]
@@ -519,5 +576,36 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// A frame that fails to decode surfaces on `recv` as a format error
+    /// naming its sender — with three shards the other peer's reader
+    /// keeps the channel open, so dropping the error would hang `recv`.
+    #[test]
+    fn corrupt_tcp_frame_is_a_format_error_naming_the_sender() {
+        let listeners: Vec<TcpListener> =
+            (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        // Higher shards dial lower ones and the listeners queue the
+        // connections, so building the mesh top-down on one thread never
+        // blocks.
+        let mut mesh: Vec<TcpTransport<u64>> = (listeners.into_iter().enumerate().rev())
+            .map(|(me, l)| TcpTransport::mesh(me, l, &addrs, Arc::new(U64Codec)).unwrap())
+            .collect();
+        let mut t0 = mesh.pop().unwrap();
+        // Shard 2 sends shard 0 `[len=1][tag 99]`; shard 1 stays connected.
+        mesh[0].writers[0].as_mut().unwrap().write_all(&[1, 0, 0, 0, 99]).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || tx.send(t0.recv().map(|(from, _)| from)));
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("recv hung on a corrupt frame");
+        match got {
+            Err(ShardError::Format(m)) => {
+                assert!(m.contains("frame from shard 2") && m.contains("99"), "{m}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        reader.join().expect("shard 0 ends after reporting").ok();
     }
 }

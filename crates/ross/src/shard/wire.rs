@@ -1,6 +1,6 @@
-//! Byte-level encoding helpers shared by the TCP transport framing and
-//! the checkpoint file format: little-endian fixed-width integers and a
-//! bounds-checked cursor. Kept deliberately tiny — the framing must be
+//! Byte-level encoding helpers of the TCP transport framing and the model
+//! event codecs: little-endian fixed-width integers, a bounds-checked
+//! cursor and the digest behind shard fingerprints. Kept deliberately tiny — the framing must be
 //! decodable by a different build of the same binary, so nothing here
 //! depends on layout, endianness of the host, or the serde shims.
 
@@ -29,7 +29,7 @@ pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// A bounds-checked read cursor over a byte slice. Every accessor
 /// returns [`ShardError::Format`] instead of panicking on truncated
-/// input — checkpoint files and network frames are untrusted.
+/// input — network frames are untrusted.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -76,9 +76,9 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// FNV-1a over a byte stream — the checkpoint file checksum. Not
-/// cryptographic; it catches truncation and bit rot, which is all a
-/// restart path needs.
+/// FNV-1a over a byte stream — the per-LP digest that shard fingerprints
+/// sum. Not cryptographic; a fingerprint only has to tell diverged runs
+/// apart.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -373,7 +373,7 @@ impl<E: Clone + Send + 'static> Run<E> {
     /// Open a run of scheduler `name` on `n_workers` threads: mailboxes,
     /// latch, and the trace run / live handles the simulation asks for.
     /// `start` is when the scheduler was entered (wall time includes its
-    /// planning and, for a restoring shard, reading the checkpoint).
+    /// planning).
     pub(crate) fn open<L: Lp<Event = E>>(
         sim: &Simulation<L>,
         name: &'static str,

@@ -168,9 +168,9 @@ proptest! {
                         }
                     }
                 }
-                // Bulk eviction through `drain_to` (the set_queue /
-                // checkpoint migration path) — recycles every slot at
-                // once, then the queues refill into reused storage.
+                // Bulk eviction through `drain_to` (the `set_queue` and
+                // shard hand-off path) — recycles every slot at once,
+                // then the queues refill into reused storage.
                 _ => {
                     let (mut hd, mut ld) = (Vec::new(), Vec::new());
                     heap.drain_to(&mut hd);

@@ -22,7 +22,7 @@
 //! exploration stays exhaustive over trace-equivalence classes.
 #![cfg(union_check)]
 
-use ross::shard::{loopback_mesh, shard_owner_map, ShardRun};
+use ross::shard::{loopback_mesh, shard_owner_map};
 use ross::{Ctx, Envelope, Lp, QueueKind, SimDuration, SimTime, Simulation};
 
 /// Deterministic mini-PHOLD: every event forwards to the next LP on the
@@ -109,21 +109,12 @@ fn check_sharded(qk: QueueKind) {
         let run = move |mut tr: ross::shard::LoopbackTransport<u64>| {
             let mut sim = mk_sim(2, qk);
             let stats = sim
-                .run_sharded(&mut tr, ShardRun::new(1, SimDuration::from_ns(60)), SimTime::MAX)
+                .run_sharded(&mut tr, 1, SimDuration::from_ns(60), SimTime::MAX)
                 .expect("sharded run failed");
             (fingerprint(&sim), stats.committed)
         };
         let h0 = ross_check::thread::spawn(move || run(t0));
-        let h1 = {
-            let run = move |mut tr: ross::shard::LoopbackTransport<u64>| {
-                let mut sim = mk_sim(2, qk);
-                let stats = sim
-                    .run_sharded(&mut tr, ShardRun::new(1, SimDuration::from_ns(60)), SimTime::MAX)
-                    .expect("sharded run failed");
-                (fingerprint(&sim), stats.committed)
-            };
-            ross_check::thread::spawn(move || run(t1))
-        };
+        let h1 = ross_check::thread::spawn(move || run(t1));
         let (f0, c0) = h0.join().unwrap();
         let (f1, c1) = h1.join().unwrap();
         assert!(c0 + c1 >= 4);
