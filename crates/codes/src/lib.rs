@@ -396,6 +396,14 @@ mod tests {
         assert_eq!(names[n_nodes as usize], "router 0");
     }
 
+    /// The engine parks a pending event's tiebreak, destination and
+    /// payload in its pool; at paper scale that slab is most of the
+    /// pending set's memory (136 B a slot when it held whole envelopes).
+    #[test]
+    fn pending_event_pool_slot_is_at_most_104_bytes() {
+        assert!(ross::pool_slot_bytes::<Event>() <= 104, "{}", ross::pool_slot_bytes::<Event>());
+    }
+
     #[test]
     fn adaptive_is_competitive_under_adversarial_traffic() {
         // Every node sends to the diametrically opposite rank: minimal

@@ -89,7 +89,7 @@ impl<L: Lp> Simulation<L> {
         let n = lps.len();
         Simulation {
             lps,
-            meta: (0..n).map(|_| LpMeta::new()).collect(),
+            meta: (0..n).map(|_| LpMeta::default()).collect(),
             pending: queue.new_queue(),
             queue,
             lookahead,
@@ -201,11 +201,10 @@ impl<L: Lp> Simulation<L> {
             src: dst,
             dst,
             tiebreak: meta.tiebreak,
-            uid: EventUid { src: dst, seq: meta.uid_seq },
+            uid: EventUid { src: dst, seq: meta.tiebreak },
             payload,
         };
         meta.tiebreak += 1;
-        meta.uid_seq += 1;
         self.pending.push(env);
     }
 
@@ -263,9 +262,8 @@ impl<L: Lp> Simulation<L> {
                 debug_check_monotonic(&mut clock, env.recv_time);
                 debug_assert!(env.recv_time >= self.meta[dst].now, "causality violation");
                 self.meta[dst].now = env.recv_time;
-                self.meta[dst].processed += 1;
                 let trace = tbuf.as_mut().map(|b| {
-                    (self.lps[dst].trace_kind(&env), b.event_start(), self.meta[dst].uid_seq)
+                    (self.lps[dst].trace_kind(&env), b.event_start(), self.meta[dst].tiebreak)
                 });
 
                 let mut ctx = Ctx {
@@ -285,11 +283,10 @@ impl<L: Lp> Simulation<L> {
                         src: env.dst,
                         dst: o.dst,
                         tiebreak: meta.tiebreak,
-                        uid: EventUid { src: env.dst, seq: meta.uid_seq },
+                        uid: EventUid { src: env.dst, seq: meta.tiebreak },
                         payload: o.payload,
                     };
                     meta.tiebreak += 1;
-                    meta.uid_seq += 1;
                     debug_assert!(
                         (o.dst as usize) < self.lps.len(),
                         "send to unknown LP {}",
@@ -298,7 +295,7 @@ impl<L: Lp> Simulation<L> {
                     self.pending.push(new);
                 }
                 if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace) {
-                    let children = (self.meta[dst].uid_seq - uid_lo) as u32;
+                    let children = (self.meta[dst].tiebreak - uid_lo) as u32;
                     b.record(&env, uid_lo, children, kind, t0);
                 }
                 match self.pending.peek() {
@@ -332,16 +329,6 @@ impl<L: Lp> Simulation<L> {
                     t.flush();
                 }
             }
-            // And one full event of distance: the outer loop pops the next
-            // event immediately, so the event *after* it is the one whose
-            // LP state has a whole handler's worth of time to arrive.
-            if let Some(n2) = self.pending.peek2() {
-                let d2 = n2.dst as usize;
-                if d2 < self.lps.len() {
-                    crate::pool::prefetch_read(&self.meta[d2]);
-                    crate::pool::prefetch_read(&self.lps[d2]);
-                }
-            }
         }
 
         stats.rounds = 1;
@@ -361,7 +348,7 @@ impl<L: Lp> Simulation<L> {
             tr.submit(buf);
             tr.close_run(run, wall_ns, stats.end_time.as_ns());
         }
-        emit_sched_telemetry(
+        emit_sched_telemetry::<L::Event>(
             self.telemetry.as_deref(),
             "sequential",
             1,
@@ -401,9 +388,9 @@ impl QueueTelemetry {
 }
 
 /// Shared tail of every scheduler: fold the run counters and the workers'
-/// thread records into one `scheduler` telemetry record. No-op when no
-/// recorder is attached.
-pub(crate) fn emit_sched_telemetry(
+/// thread records into one `scheduler` telemetry record for events of
+/// type `E`. No-op when no recorder is attached.
+pub(crate) fn emit_sched_telemetry<E>(
     telem: Option<&telemetry::Recorder>,
     name: &str,
     threads: usize,
@@ -423,6 +410,7 @@ pub(crate) fn emit_sched_telemetry(
     r.queue_max_len = queue.max_len;
     r.pool_high_water = queue.pool.high_water;
     r.pool_recycled = queue.pool.recycled;
+    r.pool_slot_bytes = crate::pool::pool_slot_bytes::<E>();
     r.committed = stats.committed;
     r.remote_events = stats.remote_events;
     r.cross_shard_events = stats.cross_shard_events;
@@ -462,11 +450,10 @@ pub(crate) fn seal_outgoing<E>(
             src,
             dst: o.dst,
             tiebreak: meta.tiebreak,
-            uid: EventUid { src, seq: meta.uid_seq },
+            uid: EventUid { src, seq: meta.tiebreak },
             payload: o.payload,
         };
         meta.tiebreak += 1;
-        meta.uid_seq += 1;
         push(env);
     }
 }

@@ -1,13 +1,11 @@
 //! Event envelopes and their total order.
 //!
-//! Every event carries two identifiers:
-//!
-//! * a **tiebreak** counter that is part of the sending LP's engine state
-//!   that travels with the LP. Every scheduler advances it identically, so
-//!   the (recv, send, src, tiebreak) sort key — and hence the committed
-//!   event order — is identical across all schedulers;
-//! * a **uid** drawn from a per-LP counter, which the causal tracer uses to
-//!   link an event to the execution that sent it.
+//! Every event carries a **tiebreak**: a send counter that is part of the
+//! sending LP's engine state and travels with the LP. Every scheduler
+//! advances it identically, so the (recv, send, src, tiebreak) sort key —
+//! and hence the committed event order — is identical across all
+//! schedulers. The event's **uid**, which the causal tracer uses to link
+//! it to the execution that sent it, is derived: `(src, tiebreak)`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -16,12 +14,13 @@ use std::cmp::Ordering;
 /// indices `0..n_lps`.
 pub type LpId = u32;
 
-/// Globally unique event identity (for causal tracing).
+/// Globally unique event identity (for causal tracing): always the
+/// envelope's `(src, tiebreak)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventUid {
     /// Sending LP.
     pub src: LpId,
-    /// Value of the sender's uid counter.
+    /// The sender's tiebreak counter when it sent the event.
     pub seq: u64,
 }
 
@@ -38,7 +37,7 @@ pub struct Envelope<E> {
     pub dst: LpId,
     /// Deterministic per-sender counter (engine state of the sending LP).
     pub tiebreak: u64,
-    /// Unique identity for causal tracing.
+    /// Unique identity for causal tracing: `(src, tiebreak)`.
     pub uid: EventUid,
     /// Model-defined payload.
     pub payload: E,
@@ -69,7 +68,7 @@ pub struct EventKey {
 
 impl<E> PartialEq for Envelope<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key() && self.uid == other.uid
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Envelope<E> {}
@@ -82,12 +81,7 @@ impl<E> PartialOrd for Envelope<E> {
 
 impl<E> Ord for Envelope<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key()
-            .cmp(&other.key())
-            // Two committed events never share a key, so committed
-            // schedules never depend on the uid.
-            .then_with(|| self.uid.seq.cmp(&other.uid.seq))
-            .then_with(|| self.uid.src.cmp(&other.uid.src))
+        self.key().cmp(&other.key())
     }
 }
 

@@ -85,20 +85,13 @@ impl<'a, E> Ctx<'a, E> {
 }
 
 /// Per-LP engine-side bookkeeping common to all schedulers.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct LpMeta {
-    /// Deterministic send counter — travels with the LP.
+    /// Deterministic send counter — travels with the LP. Also the `seq`
+    /// of the next event's uid.
     pub tiebreak: u64,
-    /// Unique id counter (causal tracing).
-    pub uid_seq: u64,
     /// Last processed event time (causality check).
     pub now: SimTime,
-    /// Number of events this LP has processed.
-    pub processed: u64,
 }
 
-impl LpMeta {
-    pub(crate) fn new() -> Self {
-        LpMeta { tiebreak: 0, uid_seq: 0, now: SimTime::ZERO, processed: 0 }
-    }
-}
+const _: () = assert!(std::mem::size_of::<LpMeta>() == 16);

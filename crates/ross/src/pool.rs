@@ -1,19 +1,21 @@
 //! Envelope pool: slab-allocated cold storage for queued events.
 //!
-//! The pending-event queues keep only a small **hot entry** (timestamp +
-//! slot index) in their sorted structures; the full [`Envelope`] — routing
-//! fields, uid, model payload — parks here until the event is popped.
-//! Slots are recycled through a free list, so once the simulation's event
-//! population has peaked (`high_water`), the steady state performs **zero
-//! heap allocations per event**: push reuses a freed slot and pop frees it
-//! again.
+//! The pending-event queues keep only a small **hot entry** (timestamps,
+//! sender, slot index) in their sorted structures; what it lacks — the
+//! tiebreak, destination and payload — parks here as a [`Slot`] until the
+//! event is popped and its envelope rebuilt. Slots are recycled through a
+//! free list, so once the simulation's event population has peaked
+//! (`high_water`), the steady state performs **zero heap allocations per
+//! event**: push reuses a freed slot and pop frees it again.
 //!
 //! Separating hot from cold also makes the queues cache-conscious: rung
-//! buckets and heap nodes sort 24/48-byte keys instead of moving whole
+//! buckets and heap nodes sort 24/32-byte keys instead of moving whole
 //! envelopes (which carry the model payload) through every bucket spill,
 //! rung spawn and sift.
 
-use crate::event::Envelope;
+use crate::event::{Envelope, EventUid, LpId};
+use crate::time::SimTime;
+use std::num::NonZeroU32;
 
 /// Best-effort read prefetch into all cache levels. A scheduling hint
 /// only — never required for correctness; compiles to nothing off
@@ -48,10 +50,33 @@ impl PoolStats {
     }
 }
 
-/// Slab of envelopes with a free list. Indices are dense `u32` slots —
-/// the queues store them beside the hot ordering key.
+/// The cold half of a queued event. `dst` is stored plus one so that
+/// `Option<Slot<E>>` uses its niche: a PHOLD slot is 16 bytes.
+pub(crate) struct Slot<E> {
+    pub(crate) tiebreak: u64,
+    dst: NonZeroU32,
+    payload: E,
+}
+
+impl<E> Slot<E> {
+    #[inline]
+    pub(crate) fn dst(&self) -> LpId {
+        self.dst.get() - 1
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Option<Slot<u32>>>() == 16);
+
+/// Bytes one pool slot occupies for payload type `E`: the slab's size is
+/// the population high-water mark times this.
+pub fn pool_slot_bytes<E>() -> u64 {
+    std::mem::size_of::<Option<Slot<E>>>() as u64
+}
+
+/// Slab of slots with a free list. Indices are dense `u32` slots — the
+/// queues store them beside the hot ordering key.
 pub(crate) struct EventPool<E> {
-    slots: Vec<Option<Envelope<E>>>,
+    slots: Vec<Option<Slot<E>>>,
     free: Vec<u32>,
     live: usize,
     high_water: usize,
@@ -63,9 +88,12 @@ impl<E> EventPool<E> {
         EventPool { slots: Vec::new(), free: Vec::new(), live: 0, high_water: 0, recycled: 0 }
     }
 
-    /// Park an envelope, returning its slot.
+    /// Park what `env`'s hot entry lacks, returning its slot.
     #[inline]
     pub(crate) fn insert(&mut self, env: Envelope<E>) -> u32 {
+        debug_assert_eq!(env.uid, EventUid { src: env.src, seq: env.tiebreak }, "uid is derived");
+        let dst = NonZeroU32::new(env.dst.wrapping_add(1)).expect("LP id below u32::MAX");
+        let cold = Slot { tiebreak: env.tiebreak, dst, payload: env.payload };
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
@@ -74,30 +102,39 @@ impl<E> EventPool<E> {
             Some(i) => {
                 self.recycled += 1;
                 debug_assert!(self.slots[i as usize].is_none(), "free list points at live slot");
-                self.slots[i as usize] = Some(env);
+                self.slots[i as usize] = Some(cold);
                 i
             }
             None => {
                 let i = self.slots.len();
                 assert!(i < u32::MAX as usize, "event pool exceeds u32 slots");
-                self.slots.push(Some(env));
+                self.slots.push(Some(cold));
                 i as u32
             }
         }
     }
 
-    /// Remove and return the envelope in `slot`, recycling the slot.
+    /// Empty `slot` (recycling it) and rebuild its envelope around the
+    /// hot entry's `(recv, send, src)`; the uid is `(src, tiebreak)`.
     #[inline]
-    pub(crate) fn take(&mut self, slot: u32) -> Envelope<E> {
-        let env = self.slots[slot as usize].take().expect("pool slot already empty");
+    pub(crate) fn take(&mut self, slot: u32, recv: u64, send: u64, src: LpId) -> Envelope<E> {
+        let cold = self.slots[slot as usize].take().expect("pool slot already empty");
         self.live -= 1;
         self.free.push(slot);
-        env
+        Envelope {
+            recv_time: SimTime(recv),
+            send_time: SimTime(send),
+            src,
+            dst: cold.dst(),
+            tiebreak: cold.tiebreak,
+            uid: EventUid { src, seq: cold.tiebreak },
+            payload: cold.payload,
+        }
     }
 
-    /// Borrow the envelope in `slot` (peek / tie comparisons).
+    /// Borrow the contents of `slot` (peek / tie comparisons).
     #[inline]
-    pub(crate) fn get(&self, slot: u32) -> &Envelope<E> {
+    pub(crate) fn get(&self, slot: u32) -> &Slot<E> {
         self.slots[slot as usize].as_ref().expect("pool slot empty")
     }
 
@@ -122,34 +159,36 @@ impl<E> EventPool<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventUid;
-    use crate::time::SimTime;
 
-    fn env(seq: u64) -> Envelope<u64> {
+    /// An event from LP 3 (the sender `take` is told in these tests).
+    fn env(tiebreak: u64, dst: LpId, payload: u64) -> Envelope<u64> {
         Envelope {
-            recv_time: SimTime(seq),
-            send_time: SimTime(0),
-            src: 0,
-            dst: 0,
-            tiebreak: seq,
-            uid: EventUid { src: 0, seq },
-            payload: seq * 1000,
+            recv_time: SimTime(10),
+            send_time: SimTime(5),
+            src: 3,
+            dst,
+            tiebreak,
+            uid: EventUid { src: 3, seq: tiebreak },
+            payload,
         }
     }
 
     #[test]
     fn slots_recycle_and_high_water_tracks_peak() {
         let mut p = EventPool::new();
-        let a = p.insert(env(1));
-        let b = p.insert(env(2));
+        let a = p.insert(env(1, 7, 1000));
+        let b = p.insert(env(2, 0, 2000));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.get(a).payload, 1000);
-        assert_eq!(p.take(a).uid.seq, 1);
+        assert_eq!((p.get(a).payload, p.get(a).dst(), p.get(b).dst()), (1000, 7, 0));
+        let back = p.take(a, 10, 5, 3);
+        assert_eq!((back.recv_time.0, back.send_time.0, back.src, back.dst), (10, 5, 3, 7));
+        assert_eq!((back.tiebreak, back.uid, back.payload), (1, EventUid { src: 3, seq: 1 }, 1000));
         // The freed slot is reused; the slab does not grow.
-        let c = p.insert(env(3));
+        let c = p.insert(env(3, u32::MAX - 1, 3000));
+        assert_eq!(p.get(c).dst(), u32::MAX - 1);
         assert_eq!(c, a);
-        assert_eq!(p.take(b).payload, 2000);
-        assert_eq!(p.take(c).payload, 3000);
+        assert_eq!(p.take(b, 0, 0, 3).payload, 2000);
+        assert_eq!(p.take(c, 0, 0, 3).payload, 3000);
         let s = p.stats();
         assert_eq!(s.high_water, 2);
         assert_eq!(s.recycled, 1);
@@ -160,9 +199,9 @@ mod tests {
     #[should_panic(expected = "already empty")]
     fn double_take_is_caught() {
         let mut p = EventPool::new();
-        let a = p.insert(env(1));
-        p.take(a);
-        p.take(a);
+        let a = p.insert(env(1, 0, 0));
+        p.take(a, 0, 0, 3);
+        p.take(a, 0, 0, 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every scheduler keeps its runnable events in an [`EventQueue`]: a
 //! priority queue over [`Envelope`]s whose dequeue order is **exactly** the
 //! total order defined by `Envelope::cmp` — `(recv_time, send_time, src,
-//! tiebreak)` then the uid fields. Two implementations share that contract:
+//! tiebreak)`, unique per event. Two implementations share that contract:
 //!
 //! * [`BinaryHeapQueue`] — `std::collections::BinaryHeap<Reverse<_>>`, the
 //!   original reference implementation. O(log n) push/pop, no bookkeeping.
@@ -18,19 +18,20 @@
 //!
 //! ## Hot/cold split
 //!
-//! Neither structure moves whole envelopes around. On `push` the envelope
-//! parks in a per-queue [`EventPool`] slab (recycled slots, zero
-//! steady-state allocation — see `pool.rs`) and only a small **hot entry**
-//! travels through the tiers:
+//! Neither structure moves whole envelopes around. On `push` what the hot
+//! entry lacks — tiebreak, destination, payload — parks in a per-queue
+//! [`EventPool`] slab (recycled slots, zero steady-state allocation — see
+//! `pool.rs`) and only a small **hot entry** travels through the tiers:
 //!
 //! * the ladder scatters 24-byte `HotEntry { recv, send, src, slot }`
 //!   records through its rungs and sorts those in `bottom` — only full
 //!   `(recv, send, src)` collisions (rare: same sender, same times) fall
-//!   through to the pooled envelope;
-//! * the heap sifts 48-byte self-ordering `HeapEntry` records carrying the
-//!   full [`EventKey`] + uid, ordered exactly like `Envelope::cmp`.
+//!   through to the pooled tiebreak;
+//! * the heap sifts 32-byte self-ordering `HeapEntry` records carrying the
+//!   full key, ordered exactly like `Envelope::cmp`.
 //!
-//! `pop` then reunites hot and cold with one slab lookup. The payload is
+//! `pop` then rebuilds the [`Envelope`] from hot and cold with one slab
+//! lookup; the uid is derived (`(src, tiebreak)`). The payload is
 //! touched exactly twice per queue residency (park, reclaim) no matter how
 //! many rung spills, era conversions or heap sifts the entry goes through.
 //!
@@ -53,8 +54,8 @@
 //! Determinism: bucketing partitions events by `recv_time` only, which is
 //! the major key of the envelope order, and every bucket is sorted with a
 //! comparator equivalent to the full `Envelope` `Ord` before it is drained —
-//! so equal-`recv_time` collisions (and even full-key ties, which the uid
-//! breaks) dequeue in exactly the order the binary heap produces. The scheduler-equivalence suites assert
+//! so equal-`recv_time` collisions dequeue in exactly the order the binary
+//! heap produces. The scheduler-equivalence suites assert
 //! this bit for bit; `tests/queue_equivalence.rs` property-tests it on
 //! adversarial streams, including payload identity through slot recycling.
 //!
@@ -65,11 +66,19 @@
 //! event; the schedulers only read them when a telemetry recorder is
 //! attached.
 
-use crate::event::{Envelope, EventKey};
+use crate::event::{Envelope, LpId};
 use crate::pool::{EventPool, PoolStats};
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+
+/// The least pending event's receive time and destination: what a
+/// scheduler reads to decide whether, and on which LP, to run it next.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Head {
+    pub recv_time: SimTime,
+    pub dst: LpId,
+}
 
 /// The pending-event-set contract shared by all schedulers.
 ///
@@ -80,14 +89,8 @@ pub trait EventQueue<E> {
     fn push(&mut self, env: Envelope<E>);
     /// Remove and return the least event in the full envelope order.
     fn pop(&mut self) -> Option<Envelope<E>>;
-    /// The least event, without removing it.
-    fn peek(&mut self) -> Option<&Envelope<E>>;
-    /// The *second*-least event, when cheaply at hand. Best-effort — a
-    /// prefetch hint for schedulers, never consulted for ordering, and
-    /// `None` is always a correct answer (the default).
-    fn peek2(&mut self) -> Option<&Envelope<E>> {
-        None
-    }
+    /// The least event's head, without removing it.
+    fn peek(&mut self) -> Option<Head>;
     /// Number of queued events.
     fn len(&self) -> usize;
     /// Move every queued event into `out` (order unspecified) and reset.
@@ -105,12 +108,7 @@ pub trait EventQueue<E> {
 
     /// `recv_time` of the least event.
     fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek().map(|e| e.recv_time)
-    }
-
-    /// Full ordering key of the least event.
-    fn peek_key(&mut self) -> Option<EventKey> {
-        self.peek().map(|e| e.key())
+        self.peek().map(|h| h.recv_time)
     }
 }
 
@@ -191,7 +189,7 @@ impl<E> EventQueue<E> for PendingQueue<E> {
     }
 
     #[inline]
-    fn peek(&mut self) -> Option<&Envelope<E>> {
+    fn peek(&mut self) -> Option<Head> {
         dispatch!(self, q => q.peek())
     }
 
@@ -221,20 +219,22 @@ impl<E> EventQueue<E> for PendingQueue<E> {
 // BinaryHeapQueue
 // ---------------------------------------------------------------------------
 
-/// Self-ordering hot entry for the binary heap: the full [`EventKey`] plus
-/// the uid fields, compared in exactly the `Envelope::cmp` field order
-/// (derive on declaration order), with the pool slot riding along last. 48
-/// bytes — heap sifts move these instead of whole envelopes.
+/// Self-ordering hot entry for the binary heap: the full event key,
+/// compared in exactly the `Envelope::cmp` field order (derive on
+/// declaration order), with the pool slot riding along last. 32 bytes —
+/// heap sifts move these instead of whole envelopes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct HeapEntry {
-    key: EventKey,
-    uid_seq: u64,
-    uid_src: u32,
-    /// Never reached by comparisons between distinct events (the uid is
-    /// unique); participates only on exact duplicates, where any order is
-    /// acceptable.
+    recv: u64,
+    send: u64,
+    src: u32,
+    tiebreak: u64,
+    /// Never reached by comparisons between distinct events (the key is
+    /// unique).
     slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<HeapEntry>() == 32);
 
 /// The reference implementation: a min-heap via `Reverse`.
 pub struct BinaryHeapQueue<E> {
@@ -260,10 +260,9 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     #[inline]
     fn push(&mut self, env: Envelope<E>) {
         self.ops += 1;
-        let key = env.key();
-        let uid = env.uid;
+        let (recv, send, src, tiebreak) = (env.recv_time.0, env.send_time.0, env.src, env.tiebreak);
         let slot = self.pool.insert(env);
-        self.heap.push(Reverse(HeapEntry { key, uid_seq: uid.seq, uid_src: uid.src, slot }));
+        self.heap.push(Reverse(HeapEntry { recv, send, src, tiebreak, slot }));
         if self.heap.len() as u64 > self.max_len {
             self.max_len = self.heap.len() as u64;
         }
@@ -277,15 +276,13 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
             self.pool.prefetch(r.0.slot);
         }
         self.ops += 1;
-        Some(self.pool.take(entry.slot))
+        Some(self.pool.take(entry.slot, entry.recv, entry.send, entry.src))
     }
 
     #[inline]
-    fn peek(&mut self) -> Option<&Envelope<E>> {
-        match self.heap.peek() {
-            Some(r) => Some(self.pool.get(r.0.slot)),
-            None => None,
-        }
+    fn peek(&mut self) -> Option<Head> {
+        let e = &self.heap.peek()?.0;
+        Some(Head { recv_time: SimTime(e.recv), dst: self.pool.get(e.slot).dst() })
     }
 
     #[inline]
@@ -295,8 +292,8 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
 
     fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
         out.reserve(self.heap.len());
-        for r in self.heap.drain() {
-            out.push(self.pool.take(r.0.slot));
+        for Reverse(e) in self.heap.drain() {
+            out.push(self.pool.take(e.slot, e.recv, e.send, e.src));
         }
     }
 
@@ -338,8 +335,8 @@ const SLAB: usize = 128;
 const NIL: u32 = u32::MAX;
 
 /// Hot half of a queued ladder event: the leading ordering keys
-/// (`recv_time`, `send_time`, `src`) plus the pool slot of the full
-/// envelope. 24 bytes — rung scatters, bucket spills and bottom sorts move
+/// (`recv_time`, `send_time`, `src`) plus the pool slot of the rest.
+/// 24 bytes — rung scatters, bucket spills and bottom sorts move
 /// these instead of whole envelopes.
 ///
 /// Carrying `send`/`src` inline matters: event rates of hundreds of events
@@ -357,15 +354,13 @@ struct HotEntry {
 
 /// Full envelope order over hot entries: `(recv, send, src)` compares
 /// inline; only full collisions (same sender, same send and receive
-/// times — rare) fall through to the pooled envelope's remaining fields,
-/// matching `Envelope::cmp` exactly.
+/// times — rare) fall through to the pooled tiebreak, matching
+/// `Envelope::cmp` exactly.
 #[inline]
 fn cmp_hot<E>(pool: &EventPool<E>, a: &HotEntry, b: &HotEntry) -> Ordering {
-    (a.recv, a.send, a.src).cmp(&(b.recv, b.send, b.src)).then_with(|| {
-        let ea = pool.get(a.slot);
-        let eb = pool.get(b.slot);
-        (ea.tiebreak, ea.uid.seq, ea.uid.src).cmp(&(eb.tiebreak, eb.uid.seq, eb.uid.src))
-    })
+    (a.recv, a.send, a.src)
+        .cmp(&(b.recv, b.send, b.src))
+        .then_with(|| pool.get(a.slot).tiebreak.cmp(&pool.get(b.slot).tiebreak))
 }
 
 /// An unsorted bag of hot entries: a chain of arena chunks. Every chunk
@@ -529,7 +524,7 @@ struct Rung {
 /// or copies. Only `bottom` is a plain vector, and it only ever holds one
 /// sortable bucket.
 ///
-/// Every allocation is recycled: envelopes through the slot pool, chunks
+/// Every allocation is recycled: cold halves through the slot pool, chunks
 /// through the arena's free list, rung bucket arrays through `shells`, and
 /// the `rungs` / `bottom` vectors keep their capacity across eras — after
 /// warmup the steady state allocates nothing per event (asserted by
@@ -556,7 +551,7 @@ pub struct LadderQueue<E> {
     arena: Arena,
     /// Kept rung bucket arrays (the `Vec<Bucket>` of a dead rung).
     shells: Vec<Vec<Bucket>>,
-    /// Cold storage for queued envelopes.
+    /// Cold storage for queued events.
     pool: EventPool<E>,
 }
 
@@ -772,7 +767,7 @@ impl<E> EventQueue<E> for LadderQueue<E> {
         let entry = self.bottom.pop()?;
         // Hide the slab miss of the next one or two events behind the
         // current event's handler (their hot entries sit at the sorted
-        // tail; their envelopes are scattered through the slab).
+        // tail; their slots are scattered through the slab).
         let n = self.bottom.len();
         if n > 0 {
             self.pool.prefetch(self.bottom[n - 1].slot);
@@ -782,30 +777,15 @@ impl<E> EventQueue<E> for LadderQueue<E> {
         }
         self.ops += 1;
         self.len -= 1;
-        Some(self.pool.take(entry.slot))
+        Some(self.pool.take(entry.slot, entry.recv, entry.send, entry.src))
     }
 
-    fn peek(&mut self) -> Option<&Envelope<E>> {
+    fn peek(&mut self) -> Option<Head> {
         if self.bottom.is_empty() {
             self.refill();
         }
-        match self.bottom.last() {
-            Some(e) => Some(self.pool.get(e.slot)),
-            None => None,
-        }
-    }
-
-    /// Second-least event while the sorted bottom tier holds it. When the
-    /// answer would live in a rung or top (bottom nearly drained) this
-    /// returns `None` rather than forcing a refill — it is a hint, and
-    /// that case is one pop away from being cheap again.
-    fn peek2(&mut self) -> Option<&Envelope<E>> {
-        let n = self.bottom.len();
-        if n >= 2 {
-            Some(self.pool.get(self.bottom[n - 2].slot))
-        } else {
-            None
-        }
+        let e = self.bottom.last()?;
+        Some(Head { recv_time: SimTime(e.recv), dst: self.pool.get(e.slot).dst() })
     }
 
     fn len(&self) -> usize {
@@ -815,11 +795,11 @@ impl<E> EventQueue<E> for LadderQueue<E> {
     fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
         out.reserve(self.len);
         let (arena, pool) = (&mut self.arena, &mut self.pool);
-        out.extend(self.bottom.drain(..).map(|e| pool.take(e.slot)));
+        out.extend(self.bottom.drain(..).map(|e| pool.take(e.slot, e.recv, e.send, e.src)));
         let tiers = self.rungs.iter_mut().flat_map(|r| r.buckets.iter_mut());
         for bucket in tiers.chain(std::iter::once(&mut self.top)) {
             while let Some((entries, n)) = arena.pop_chunk(bucket) {
-                out.extend(entries[..n].iter().map(|e| pool.take(e.slot)));
+                out.extend(entries[..n].iter().map(|e| pool.take(e.slot, e.recv, e.send, e.src)));
             }
         }
         self.len = 0;
@@ -842,17 +822,18 @@ impl<E> EventQueue<E> for LadderQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventUid;
+    use crate::event::{EventKey, EventUid};
 
-    fn env(recv: u64, send: u64, src: u32, tb: u64, seq: u64) -> Envelope<u64> {
+    /// An event whose payload is `id`, so drains can be compared by it.
+    fn env(recv: u64, send: u64, src: u32, tb: u64, id: u64) -> Envelope<u64> {
         Envelope {
             recv_time: SimTime(recv),
             send_time: SimTime(send),
             src,
             dst: 0,
             tiebreak: tb,
-            uid: EventUid { src, seq },
-            payload: seq,
+            uid: EventUid { src, seq: tb },
+            payload: id,
         }
     }
 
@@ -1089,7 +1070,7 @@ mod tests {
                 q.push(env(i, 0, 0, i, i));
             }
             assert_eq!(q.peek_time(), Some(SimTime(2)));
-            assert_eq!(q.peek_key().unwrap().recv_time, SimTime(2));
+            assert_eq!(q.peek(), Some(Head { recv_time: SimTime(2), dst: 0 }));
             assert_eq!(q.len(), 3);
             assert_eq!(q.pop().unwrap().recv_time.0, 2, "{kind:?}");
         }

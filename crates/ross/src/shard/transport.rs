@@ -151,7 +151,13 @@ const TAG_EVENTS: u8 = 0;
 const TAG_TOKEN: u8 = 1;
 const TAG_GVT: u8 = 2;
 
-/// Encode a frame body (everything after the `[u32 len]` prefix).
+/// Largest frame body a reader accepts: 64 MiB, room for a full `Events`
+/// frame of 256 events with payloads of up to about 256 KiB each. A longer
+/// length prefix is a corrupt stream, refused before allocating.
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Encode a frame body (everything after the `[u32 len]` prefix). An
+/// event's uid is not sent: it is `(src, tiebreak)`.
 pub(super) fn encode_frame<E>(frame: &Frame<E>, codec: &dyn EventCodec<E>, out: &mut Vec<u8>) {
     match frame {
         Frame::Events { epoch, batch } => {
@@ -165,8 +171,6 @@ pub(super) fn encode_frame<E>(frame: &Frame<E>, codec: &dyn EventCodec<E>, out: 
                 put_u32(out, env.src);
                 put_u32(out, env.dst);
                 put_u64(out, env.tiebreak);
-                put_u32(out, env.uid.src);
-                put_u64(out, env.uid.seq);
                 payload.clear();
                 codec.encode(&env.payload, &mut payload);
                 put_bytes(out, &payload);
@@ -203,8 +207,6 @@ pub(super) fn decode_frame<E>(
                 let src = r.u32()?;
                 let dst = r.u32()?;
                 let tiebreak = r.u64()?;
-                let uid_src = r.u32()?;
-                let uid_seq = r.u64()?;
                 let payload_bytes = r.bytes()?;
                 let mut pr = ByteReader::new(payload_bytes);
                 let payload = codec.decode(&mut pr)?;
@@ -214,7 +216,7 @@ pub(super) fn decode_frame<E>(
                     src,
                     dst,
                     tiebreak,
-                    uid: EventUid { src: uid_src, seq: uid_seq },
+                    uid: EventUid { src, seq: tiebreak },
                     payload,
                 });
             }
@@ -309,9 +311,10 @@ impl<E: Clone + Send + 'static> TcpTransport<E> {
 type Decoded<E> = (usize, Result<Frame<E>, ShardError>);
 
 /// Per-peer reader: length-prefixed frames until EOF or the first frame
-/// that fails to decode, which is forwarded to `recv` (the stream is out
-/// of step from there on). EOF is silent: a finished peer legitimately
-/// closes its sockets while others still dequeue the final `Gvt`.
+/// that is too long or fails to decode, which is forwarded to `recv` (the
+/// stream is out of step from there on). EOF is silent: a finished peer
+/// legitimately closes its sockets while others still dequeue the final
+/// `Gvt`.
 fn read_loop<E: Clone + Send>(
     from: usize,
     mut stream: TcpStream,
@@ -325,11 +328,15 @@ fn read_loop<E: Clone + Send>(
             return; // peer closed; the process-level launcher notices
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        body.resize(len, 0);
-        if stream.read_exact(&mut body).is_err() {
-            return;
-        }
-        let frame = decode_frame(&body, codec.as_ref());
+        let frame = if len > MAX_FRAME_BYTES {
+            Err(ShardError::Format(format!("length {len} exceeds {MAX_FRAME_BYTES} bytes")))
+        } else {
+            body.resize(len, 0);
+            if stream.read_exact(&mut body).is_err() {
+                return;
+            }
+            decode_frame(&body, codec.as_ref())
+        };
         let corrupt = frame.is_err();
         if tx.send((from, frame)).is_err() || corrupt {
             return; // transport dropped, or the stream is out of step
@@ -395,7 +402,7 @@ mod tests {
             src: 3,
             dst: 9,
             tiebreak: 17,
-            uid: EventUid { src: 3, seq: 4 },
+            uid: EventUid { src: 3, seq: 17 },
             payload,
         }
     }
@@ -413,9 +420,14 @@ mod tests {
             let back = decode_frame(&buf, &U64Codec).unwrap();
             match (&f, &back) {
                 (Frame::Events { epoch: a, batch: ba }, Frame::Events { epoch: b, batch: bb }) => {
+                    // Tag, epoch, count; then per event recv, send, src,
+                    // dst, tiebreak and the length-prefixed payload — no uid.
+                    assert_eq!(buf.len(), 1 + 8 + 4 + 2 * (8 + 8 + 4 + 4 + 8 + 4 + 8));
                     assert_eq!(a, b);
                     assert_eq!(ba, bb);
-                    assert_eq!(ba[0].payload, bb[0].payload);
+                    for (x, y) in ba.iter().zip(bb) {
+                        assert_eq!((x.dst, x.uid, x.payload), (y.dst, y.uid, y.payload));
+                    }
                 }
                 (Frame::Token(a), Frame::Token(b)) => assert_eq!(a, b),
                 (Frame::Gvt { gvt: a }, Frame::Gvt { gvt: b }) => assert_eq!(a, b),
@@ -450,14 +462,17 @@ mod tests {
             0 => Frame::Events {
                 epoch: xorshift(&mut s),
                 batch: (0..n_events)
-                    .map(|_| Envelope {
-                        recv_time: SimTime(xorshift(&mut s)),
-                        send_time: SimTime(xorshift(&mut s)),
-                        src: xorshift(&mut s) as u32,
-                        dst: xorshift(&mut s) as u32,
-                        tiebreak: xorshift(&mut s),
-                        uid: EventUid { src: xorshift(&mut s) as u32, seq: xorshift(&mut s) },
-                        payload: xorshift(&mut s),
+                    .map(|_| {
+                        let (src, tiebreak) = (xorshift(&mut s) as u32, xorshift(&mut s));
+                        Envelope {
+                            recv_time: SimTime(xorshift(&mut s)),
+                            send_time: SimTime(xorshift(&mut s)),
+                            src,
+                            dst: xorshift(&mut s) as u32,
+                            tiebreak,
+                            uid: EventUid { src, seq: tiebreak },
+                            payload: xorshift(&mut s),
+                        }
                     })
                     .collect(),
             },
@@ -578,11 +593,11 @@ mod tests {
         }
     }
 
-    /// A frame that fails to decode surfaces on `recv` as a format error
-    /// naming its sender — with three shards the other peer's reader
-    /// keeps the channel open, so dropping the error would hang `recv`.
-    #[test]
-    fn corrupt_tcp_frame_is_a_format_error_naming_the_sender() {
+    /// Shard 2 writes `raw` to shard 0 over a 3-shard TCP mesh; returns
+    /// what shard 0's `recv` reports within 5 s. With three shards the
+    /// other peer's reader keeps the channel open, so a reader that
+    /// dropped the error (or waited for a body) would hang `recv`.
+    fn recv_after_raw_write(raw: &[u8]) -> Result<usize, ShardError> {
         let listeners: Vec<TcpListener> =
             (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
         let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
@@ -593,19 +608,34 @@ mod tests {
             .map(|(me, l)| TcpTransport::mesh(me, l, &addrs, Arc::new(U64Codec)).unwrap())
             .collect();
         let mut t0 = mesh.pop().unwrap();
-        // Shard 2 sends shard 0 `[len=1][tag 99]`; shard 1 stays connected.
-        mesh[0].writers[0].as_mut().unwrap().write_all(&[1, 0, 0, 0, 99]).unwrap();
+        mesh[0].writers[0].as_mut().unwrap().write_all(raw).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let reader = std::thread::spawn(move || tx.send(t0.recv().map(|(from, _)| from)));
-        let got = rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("recv hung on a corrupt frame");
-        match got {
+        let got = rx.recv_timeout(std::time::Duration::from_secs(5)).expect("recv hung");
+        reader.join().expect("shard 0 ends after reporting").ok();
+        got
+    }
+
+    /// A frame that fails to decode is a format error naming its sender.
+    #[test]
+    fn corrupt_tcp_frame_is_a_format_error_naming_the_sender() {
+        match recv_after_raw_write(&[1, 0, 0, 0, 99]) {
             Err(ShardError::Format(m)) => {
                 assert!(m.contains("frame from shard 2") && m.contains("99"), "{m}")
             }
             other => panic!("expected a format error, got {other:?}"),
         }
-        reader.join().expect("shard 0 ends after reporting").ok();
+    }
+
+    /// A length prefix past the frame limit is refused before the reader
+    /// allocates for it (or waits for 4 GiB that never come).
+    #[test]
+    fn oversized_length_prefix_is_a_format_error_naming_the_sender() {
+        match recv_after_raw_write(&u32::MAX.to_le_bytes()) {
+            Err(ShardError::Format(m)) => {
+                assert!(m.contains("frame from shard 2: length 4294967295 exceeds"), "{m}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! ## Parent linkage
 //!
 //! Envelopes are not widened for tracing. Instead each execution record
-//! stores `child_lo` — the sender's `uid_seq` counter *before* the
+//! stores `child_lo` — the sender's tiebreak counter *before* the
 //! handler ran — and `children`, the number of sends sealed by that
 //! execution. A child event with uid `(src, seq)` belongs to the
 //! execution of `src` whose `[child_lo, child_lo + children)` range
@@ -57,10 +57,10 @@ pub struct TraceEvent {
     pub recv_ns: u64,
     /// Virtual send time.
     pub send_ns: u64,
-    /// Event uid (sender LP, per-sender sequence number).
+    /// Event uid (sender LP, the sender's tiebreak).
     pub uid_src: u32,
     pub uid_seq: u64,
-    /// Sender-side uid counter before the handler ran: the events this
+    /// Sender-side tiebreak counter before the handler ran: the events this
     /// execution sent carry seqs in `[child_lo, child_lo + children)`.
     pub child_lo: u64,
     /// Number of events this execution sent.
@@ -522,7 +522,7 @@ impl TraceBuf {
     }
 
     /// Record one executed event. `uid_lo` is the destination LP's
-    /// `uid_seq` before the handler ran, `children` the number of sends
+    /// tiebreak counter before the handler ran, `children` the number of sends
     /// it sealed, `t0` the instant from [`TraceBuf::event_start`].
     #[inline]
     pub fn record<E>(

@@ -282,10 +282,9 @@ impl<L: Lp> Worker<'_, L> {
             return Step::Violation;
         }
         meta.now = env.recv_time;
-        meta.processed += 1;
         let lp = self.lps[li].as_mut().expect("resident LP state");
         let trace =
-            self.tbuf.as_mut().map(|b| (lp.trace_kind(&env), b.event_start(), meta.uid_seq));
+            self.tbuf.as_mut().map(|b| (lp.trace_kind(&env), b.event_start(), meta.tiebreak));
         let mut ctx = Ctx {
             now: env.recv_time,
             me: env.dst,
@@ -297,7 +296,7 @@ impl<L: Lp> Worker<'_, L> {
         let lane = &mut self.lane;
         seal_outgoing(env.dst, env.recv_time, meta, &mut self.out, |new| route(lane, new));
         if let (Some(b), Some((kind, t0, uid_lo))) = (self.tbuf.as_mut(), trace) {
-            b.record(&env, uid_lo, (meta.uid_seq - uid_lo) as u32, kind, t0);
+            b.record(&env, uid_lo, (meta.tiebreak - uid_lo) as u32, kind, t0);
         }
         Step::Ran
     }
@@ -528,7 +527,7 @@ impl<E: Clone + Send + 'static> Run<E> {
         if let Some((tr, run)) = &self.trace {
             tr.close_run(*run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
         }
-        emit_sched_telemetry(
+        emit_sched_telemetry::<E>(
             sim.telemetry.as_deref(),
             self.name,
             n_workers,

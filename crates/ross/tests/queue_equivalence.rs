@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use ross::queue::{BinaryHeapQueue, LadderQueue};
-use ross::{Envelope, EventQueue, SimTime};
+use ross::{Envelope, EventQueue, QueueKind, SimTime};
 
 /// Deterministic splitmix64 stream for building event batches.
 struct Mix(u64);
@@ -27,25 +27,36 @@ impl Mix {
 }
 
 /// A random envelope. `time_span` controls recv-time density: small spans
-/// force many equal-`recv_time` collisions so the ordering decision falls
-/// to `(send_time, src, tiebreak)` and, transiently, to `uid`. A non-zero
-/// `far_one_in` skews the stream: one event in that many lands up to
-/// 2^20 spans ahead, so an era is a dense band in a few multi-chunk
-/// buckets plus a sparse tail of near-empty ones.
-fn env(rng: &mut Mix, seq: u64, base: u64, time_span: u64, far_one_in: u64) -> Envelope<u64> {
+/// force many equal-`recv_time` collisions, and with eight senders and
+/// send times within 4 ns of receipt many full `(recv_time, send_time,
+/// src)` collisions, so the ordering decision falls to the tiebreak. As in
+/// the engine, each sender draws its tiebreak from its own counter
+/// (`sends[src]`) and the uid is `(src, tiebreak)`: no two events share a
+/// key. A non-zero `far_one_in` skews the stream: one event in that many
+/// lands up to 2^20 spans ahead, so an era is a dense band in a few
+/// multi-chunk buckets plus a sparse tail of near-empty ones.
+fn env(
+    rng: &mut Mix,
+    sends: &mut [u64; 8],
+    base: u64,
+    time_span: u64,
+    far_one_in: u64,
+) -> Envelope<u64> {
     let mut recv = base + rng.below(time_span);
     if far_one_in > 0 && rng.below(far_one_in) == 0 {
         recv += time_span * rng.below(1 << 20);
     }
     let src = (rng.below(8)) as u32;
+    let tiebreak = sends[src as usize];
+    sends[src as usize] += 1;
     Envelope {
         recv_time: SimTime(recv),
         // send_time ≤ recv_time as in a real run; collide often.
         send_time: SimTime(recv.saturating_sub(rng.below(4))),
         src,
         dst: (rng.below(8)) as u32,
-        tiebreak: rng.below(6),
-        uid: ross::EventUid { src, seq },
+        tiebreak,
+        uid: ross::EventUid { src, seq: tiebreak },
         payload: rng.next(),
     }
 }
@@ -55,6 +66,12 @@ fn env(rng: &mut Mix, seq: u64, base: u64, time_span: u64, far_one_in: u64) -> E
 /// equally-keyed one.
 fn print(e: &Envelope<u64>) -> (u64, u64, u32, u64, u32, u64, u64) {
     (e.recv_time.0, e.send_time.0, e.src, e.tiebreak, e.uid.src, e.uid.seq, e.payload)
+}
+
+/// Every field of an envelope, the ones a queue rebuilds (`dst`, `uid`)
+/// included.
+fn fields(e: &Envelope<u64>) -> (u64, u64, u32, u32, u64, u32, u64, u64) {
+    (e.recv_time.0, e.send_time.0, e.src, e.dst, e.tiebreak, e.uid.src, e.uid.seq, e.payload)
 }
 
 proptest! {
@@ -75,15 +92,14 @@ proptest! {
         let mut rng = Mix(seed);
         let mut heap = BinaryHeapQueue::new();
         let mut ladder = LadderQueue::new();
-        let mut seq = 0u64;
+        let mut sends = [0u64; 8];
         let mut base = 0u64; // drifts forward like simulation time
         for _ in 0..n_ops {
             match rng.below(10) {
                 // Bulk push: a batch lands at once (window seal pattern).
                 0..=4 => {
                     for _ in 0..rng.below(20) + 1 {
-                        let e = env(&mut rng, seq, base, time_span, far_one_in);
-                        seq += 1;
+                        let e = env(&mut rng, &mut sends, base, time_span, far_one_in);
                         heap.push(e.clone());
                         ladder.push(e);
                     }
@@ -111,7 +127,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(heap.len(), ladder.len());
-            prop_assert_eq!(heap.peek_key(), ladder.peek_key());
+            prop_assert_eq!(heap.peek(), ladder.peek());
         }
         // Final drain: whatever is left must come out in the same order.
         loop {
@@ -141,16 +157,15 @@ proptest! {
         let mut rng = Mix(seed);
         let mut heap = BinaryHeapQueue::new();
         let mut ladder = LadderQueue::new();
-        let mut seq = 0u64;
+        let mut sends = [0u64; 8];
         let mut base = 0u64;
         let mut live = 0usize;
         for _ in 0..n_ops {
             match rng.below(10) {
                 0..=4 => {
                     for _ in 0..rng.below(20) + 1 {
-                        let mut e = env(&mut rng, seq, base, time_span, 0);
+                        let mut e = env(&mut rng, &mut sends, base, time_span, 0);
                         e.payload = stamp(e.uid);
-                        seq += 1;
                         live += 1;
                         heap.push(e.clone());
                         ladder.push(e);
@@ -204,8 +219,9 @@ proptest! {
         let mut rng = Mix(seed);
         let mut heap = BinaryHeapQueue::new();
         let mut ladder = LadderQueue::new();
-        for seq in 0..200u64 {
-            let mut e = env(&mut rng, seq, 0, 1, 0);
+        let mut sends = [0u64; 8];
+        for _ in 0..200 {
+            let mut e = env(&mut rng, &mut sends, 0, 1, 0);
             e.recv_time = SimTime(ts);
             e.send_time = SimTime(ts.saturating_sub(rng.below(3)));
             heap.push(e.clone());
@@ -215,6 +231,44 @@ proptest! {
             let (h, l) = (heap.pop(), ladder.pop());
             prop_assert_eq!(h.as_ref().map(print), l.as_ref().map(print));
             if h.is_none() { break; }
+        }
+    }
+
+    /// The rebuild contract: a queue keeps only part of an event in its
+    /// pool and rebuilds the envelope at `pop`, so each pop, checked
+    /// against a plain list of what was pushed, must be the least
+    /// remaining envelope in `Envelope::cmp` order, equal field for field.
+    #[test]
+    fn every_pop_rebuilds_the_least_pushed_envelope(
+        seed in 0u64..u64::MAX,
+        n_ops in 50usize..400,
+        time_span in 1u64..500,
+    ) {
+        for kind in [QueueKind::Heap, QueueKind::Ladder] {
+            let mut rng = Mix(seed);
+            let mut q = kind.new_queue();
+            let mut pushed: Vec<Envelope<u64>> = Vec::new();
+            let mut sends = [0u64; 8];
+            let mut base = 0u64;
+            // Random pushes and pops, then pops until both run dry.
+            for op in 0.. {
+                if op < n_ops && rng.below(3) != 0 {
+                    let e = env(&mut rng, &mut sends, base, time_span, 0);
+                    pushed.push(e.clone());
+                    q.push(e);
+                    continue;
+                }
+                let least = (0..pushed.len()).min_by(|&a, &b| pushed[a].cmp(&pushed[b]));
+                let want = least.map(|i| pushed.swap_remove(i));
+                let got = q.pop();
+                prop_assert_eq!(got.as_ref().map(fields), want.as_ref().map(fields));
+                match got {
+                    Some(e) => base = e.recv_time.0.saturating_sub(time_span / 2),
+                    None if op >= n_ops => break,
+                    None => {}
+                }
+            }
+            prop_assert!(pushed.is_empty() && q.is_empty());
         }
     }
 }

@@ -356,6 +356,9 @@ pub struct SchedulerRecord {
     /// Envelope-pool slot reuses (summed over per-thread queues): pushes
     /// served from the free list instead of fresh allocation.
     pub pool_recycled: u64,
+    /// Bytes per envelope-pool slot: `pool_high_water × pool_slot_bytes`
+    /// is the pending set's slab size.
+    pub pool_slot_bytes: u64,
     pub committed: u64,
     pub remote_events: u64,
     /// Events delivered across OS-process shards through a transport
@@ -388,6 +391,7 @@ impl SchedulerRecord {
             queue_max_len: 0,
             pool_high_water: 0,
             pool_recycled: 0,
+            pool_slot_bytes: 0,
             committed: 0,
             remote_events: 0,
             cross_shard_events: 0,
