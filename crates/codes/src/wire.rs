@@ -75,7 +75,11 @@ fn read_packet(r: &mut ByteReader<'_>) -> Result<Packet, ShardError> {
         created: SimTime::from_ns(r.u64()?),
         intermediate: read_opt_u32(r)?,
         gateway: read_opt_u32(r)?,
-        routed: r.u8()? != 0,
+        routed: match r.u8()? {
+            0 => false,
+            1 => true,
+            b => return Err(ShardError::Format(format!("bad bool byte {b}"))),
+        },
         hops: r.u8()?,
         up_router: r.u32()?,
         up_port: {
@@ -198,6 +202,90 @@ mod tests {
         for cut in 0..buf.len() {
             let mut r = ByteReader::new(&buf[..cut]);
             assert!(codec.decode(&mut r).is_err(), "cut at {cut} decoded");
+        }
+    }
+
+    /// xorshift64: the fuzz inputs come from a seed, since the proptest
+    /// strategies available here are integer ranges.
+    fn next(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    fn random_packet(s: &mut u64) -> Packet {
+        let opt = |s: &mut u64| next(s).is_multiple_of(2).then(|| next(s) as u32);
+        Packet {
+            app: next(s) as u8,
+            kind: next(s) as u8,
+            tag: next(s) as u32,
+            aux: next(s),
+            src_node: next(s) as u32,
+            dst_node: next(s) as u32,
+            bytes: next(s) as u32,
+            msg_id: next(s),
+            msg_bytes: next(s),
+            created: SimTime::from_ns(next(s)),
+            intermediate: opt(s),
+            gateway: opt(s),
+            routed: next(s).is_multiple_of(2),
+            hops: next(s) as u8,
+            up_router: next(s) as u32,
+            up_port: next(s) as u16,
+            vc: next(s) as u8,
+        }
+    }
+
+    fn random_event(s: &mut u64) -> Event {
+        match next(s) % 7 {
+            0 => Event::Start,
+            1 => Event::RouterPkt(random_packet(s)),
+            2 => Event::NodePkt(random_packet(s)),
+            3 => Event::NicPulse,
+            4 => Event::ComputeDone,
+            5 => Event::LocalMsg(random_packet(s)),
+            _ => Event::Credit { port: next(s) as u16, vc: next(s) as u8 },
+        }
+    }
+
+    /// Decode `buf`; an `Ok` must re-encode to exactly the bytes it
+    /// consumed (the format has one encoding per event).
+    fn check_decode(buf: &[u8]) {
+        let codec = CodesEventCodec;
+        let mut r = ByteReader::new(buf);
+        if let Ok(ev) = codec.decode(&mut r) {
+            let mut again = Vec::new();
+            codec.encode(&ev, &mut again);
+            assert_eq!(again, buf[..buf.len() - r.remaining()], "{ev:?} from {buf:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Untrusted bytes from a peer shard: a valid encoding with any
+        /// one byte flipped, every prefix of one, and random bytes.
+        /// Decoding returns an error or an event and never panics.
+        #[test]
+        fn decode_never_panics_and_accepts_only_canonical_bytes(seed in 1u64..u64::MAX) {
+            let mut s = seed;
+            let mut good = Vec::new();
+            CodesEventCodec.encode(&random_event(&mut s), &mut good);
+            for at in 0..good.len() {
+                let mut flipped = good.clone();
+                flipped[at] ^= 1 + (next(&mut s) % 255) as u8;
+                check_decode(&flipped);
+            }
+            for cut in 0..=good.len() {
+                check_decode(&good[..cut]);
+            }
+            let mut noise: Vec<u8> = (0..next(&mut s) % 96).map(|_| next(&mut s) as u8).collect();
+            // Most random tags are unknown; keep half on a real one.
+            if !noise.is_empty() && next(&mut s).is_multiple_of(2) {
+                noise[0] %= TAG_CREDIT + 1;
+            }
+            check_decode(&noise);
         }
     }
 }

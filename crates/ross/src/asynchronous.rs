@@ -157,8 +157,7 @@ impl<L: Lp> Simulation<L> {
         // migration takes an LP out of its home worker's slab mid-run
         // (and appends it to the thief's).
         let run = Run::open(self, "conservative-async", n_threads, SimDuration::from_ns(la), start);
-        let initial = self.take_pending();
-        let (mut workers, home) = run.scatter(self, &plan, initial);
+        let (mut workers, home) = run.scatter(self, &plan);
 
         // Initial horizons: every event anywhere sits at or above the
         // global pending minimum, and every send adds at least `la` of
@@ -714,7 +713,6 @@ impl<L: Lp> Simulation<L> {
             for env in stash {
                 w.lane.queue.push(env);
             }
-            w.lane.retire();
         };
         let (seats, ()) = drive(seats, body, || ());
         let mut workers: Vec<Worker<'_, L>> = seats.into_iter().map(|seat| seat.w).collect();

@@ -106,19 +106,9 @@ impl<L: Lp> Simulation<L> {
         if queue == self.queue {
             return;
         }
-        let moved = self.take_pending();
         self.queue = queue;
-        self.pending = queue.new_queue();
-        for env in moved {
-            self.pending.push(env);
-        }
-    }
-
-    /// Take every pending event out of the simulation.
-    pub(crate) fn take_pending(&mut self) -> Vec<Envelope<L::Event>> {
-        let mut all = Vec::with_capacity(self.pending.len());
-        self.pending.drain_to(&mut all);
-        all
+        let mut old = std::mem::replace(&mut self.pending, queue.new_queue());
+        old.drain_each(|env| self.pending.push(env));
     }
 
     /// The event-queue implementation in use.
@@ -224,8 +214,10 @@ impl<L: Lp> Simulation<L> {
     }
 
     /// Envelope-pool counters of the pending-event queue (population
-    /// high-water mark, recycled slots). The parallel schedulers report
-    /// their per-thread queues' counters through telemetry instead.
+    /// high-water mark, recycled slots) over its lifetime. A parallel leg
+    /// hands back its fullest worker queue as the pending set, so after
+    /// one these include that worker's counts; telemetry reports each
+    /// run's own.
     pub fn pending_pool_stats(&self) -> crate::pool::PoolStats {
         self.pending.pool_stats()
     }
@@ -235,6 +227,9 @@ impl<L: Lp> Simulation<L> {
     /// `until` remain pending.
     pub fn run_sequential(&mut self, until: SimTime) -> RunStats {
         let start = std::time::Instant::now();
+        // The queue may have served earlier legs (or a parallel worker):
+        // this run's record counts only its own ops and slot reuses.
+        let (ops0, recycled0) = (self.pending.ops(), self.pending.pool_stats().recycled);
         let mut stats = RunStats::default();
         let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
         let mut clock = SimTime::ZERO;
@@ -343,6 +338,7 @@ impl<L: Lp> Simulation<L> {
             t.flush();
         }
         let wall_ns = start.elapsed().as_nanos() as u64;
+        let pool = self.pending.pool_stats();
         if let (Some(tr), Some(buf)) = (self.tracer.as_ref(), tbuf) {
             let run = buf.run();
             tr.submit(buf);
@@ -355,9 +351,9 @@ impl<L: Lp> Simulation<L> {
             &stats,
             QueueTelemetry {
                 kind: self.queue,
-                ops: self.pending.ops(),
+                ops: self.pending.ops() - ops0,
                 max_len: self.pending.max_len(),
-                pool: self.pending.pool_stats(),
+                pool: crate::pool::PoolStats { recycled: pool.recycled - recycled0, ..pool },
             },
             vec![telemetry::ThreadRecord {
                 thread: 0,
@@ -370,9 +366,11 @@ impl<L: Lp> Simulation<L> {
     }
 }
 
-/// Queue counters folded into a run's scheduler record. The parallel
-/// schedulers sum `ops` (and `pool.recycled`) and take the max of
-/// `max_len` / `pool.high_water` across their per-thread queues.
+/// Queue counters folded into a run's scheduler record. `ops` and
+/// `pool.recycled` count this run only (summed over the parallel
+/// schedulers' per-thread queues); `max_len` and `pool.high_water` are
+/// the maxima over each queue's lifetime, which for the sequential
+/// scheduler's pending set spans every earlier leg it served.
 pub(crate) struct QueueTelemetry {
     pub(crate) kind: QueueKind,
     pub(crate) ops: u64,

@@ -190,7 +190,6 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
         // next mailbox drain.
         w.wait(&rounds.barrier);
     }
-    w.lane.retire();
 }
 
 impl<L: Lp> Simulation<L> {
@@ -218,8 +217,7 @@ impl<L: Lp> Simulation<L> {
         let n_threads = plan.locals.len();
         let window = window.max(self.lookahead);
         let run = Run::open(self, "conservative-parallel", n_threads, window, start);
-        let initial = self.take_pending();
-        let (workers, home) = run.scatter(self, &plan, initial);
+        let (workers, home) = run.scatter(self, &plan);
         let rounds = Rounds::new(n_threads, n_threads);
         let body = |w: &mut Worker<'_, L>| {
             let delivery = Mailboxes { owner_of: &plan.owner_of, t: w.t };
@@ -346,6 +344,70 @@ pub(crate) mod tests {
         // Finish with a different scheduler — state must be seamless.
         b.run_sequential(SimTime::MAX);
         assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
+    /// Every leg boundary adopts, merges or re-scatters queues: a worker
+    /// queue becomes the pending set (par, async), a sequential leg runs
+    /// on an adopted queue, and the next parallel leg streams it out
+    /// again onto a different worker count. None of it may lose, duplicate
+    /// or reorder an event.
+    #[test]
+    fn mixed_scheduler_legs_match_one_sequential_run() {
+        use crate::queue::QueueKind;
+        let window = SimDuration::from_ns(50);
+        for qk in [QueueKind::Heap, QueueKind::Ladder] {
+            let sim = || {
+                let mut s = phold_sim(16, 41);
+                s.set_queue(qk);
+                s
+            };
+            let mut whole = sim();
+            let total = whole.run_sequential(SimTime::MAX).committed;
+            let (mut mixed, mut stepped) = (sim(), sim());
+            let mut committed = 0;
+            let bounds = [SimTime::from_us(10), SimTime::from_us(25), SimTime::from_us(40)];
+            for (leg, until) in bounds.into_iter().chain([SimTime::MAX]).enumerate() {
+                committed += match leg {
+                    0 => mixed.run_conservative_parallel(2, window, until),
+                    1 => mixed.run_conservative_async(2, window, until),
+                    2 => mixed.run_sequential(until),
+                    _ => mixed.run_conservative_parallel(3, window, until),
+                }
+                .committed;
+                stepped.run_sequential(until);
+                assert_eq!(mixed.pending_events(), stepped.pending_events(), "{qk:?} leg {leg}");
+                assert_eq!(mixed.pending_events() > 0, leg < 3, "{qk:?} leg {leg}");
+            }
+            assert_eq!(committed, total, "{qk:?}");
+            assert_eq!(fingerprint(&mixed), fingerprint(&whole), "{qk:?}");
+        }
+    }
+
+    /// The `sequential` telemetry record counts its own run, not the
+    /// queue's lifetime: two legs sum to one leg's ops plus the boundary
+    /// event's pop and push-back (and that push reuses the popped slot).
+    #[test]
+    fn sequential_record_counts_only_its_own_leg() {
+        fn field(line: &str, name: &str) -> u64 {
+            let at = line.find(&format!("\"{name}\":")).expect(name) + name.len() + 3;
+            line[at..].split(|c: char| !c.is_ascii_digit()).next().unwrap().parse().unwrap()
+        }
+        let run = |untils: &[SimTime]| {
+            let rec = std::sync::Arc::new(telemetry::Recorder::new());
+            let mut sim = phold_sim(8, 13);
+            sim.set_telemetry(Some(rec.clone()));
+            for &until in untils {
+                sim.run_sequential(until);
+            }
+            let lines = rec.lines();
+            assert_eq!(lines.len(), untils.len());
+            let sum = |name| lines.iter().map(|l| field(l, name)).sum::<u64>();
+            (sum("queue_ops"), sum("pool_recycled"))
+        };
+        let (ops, recycled) = run(&[SimTime::MAX]);
+        let (ops2, recycled2) = run(&[SimTime::from_us(40), SimTime::MAX]);
+        assert_eq!(ops2, ops + 2);
+        assert_eq!(recycled2, recycled + 1);
     }
 
     #[test]

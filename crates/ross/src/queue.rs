@@ -93,8 +93,16 @@ pub trait EventQueue<E> {
     fn peek(&mut self) -> Option<Head>;
     /// Number of queued events.
     fn len(&self) -> usize;
+    /// Hand every queued event to `each`, one at a time, and reset. The
+    /// order is unspecified but latest-first at bucket granularity, so a
+    /// ladder fed this stream inserts its stragglers largest-first: each
+    /// shifts only entries of its own bucket, not all the ones before it.
+    fn drain_each(&mut self, each: impl FnMut(Envelope<E>));
     /// Move every queued event into `out` (order unspecified) and reset.
-    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>);
+    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
+        out.reserve(self.len());
+        self.drain_each(|env| out.push(env));
+    }
     /// Total push + pop operations performed (telemetry).
     fn ops(&self) -> u64;
     /// Length high-water mark (telemetry).
@@ -198,8 +206,8 @@ impl<E> EventQueue<E> for PendingQueue<E> {
         dispatch!(self, q => q.len())
     }
 
-    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
-        dispatch!(self, q => q.drain_to(out))
+    fn drain_each(&mut self, each: impl FnMut(Envelope<E>)) {
+        dispatch!(self, q => q.drain_each(each))
     }
 
     fn ops(&self) -> u64 {
@@ -290,10 +298,9 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
         self.heap.len()
     }
 
-    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
-        out.reserve(self.heap.len());
+    fn drain_each(&mut self, mut each: impl FnMut(Envelope<E>)) {
         for Reverse(e) in self.heap.drain() {
-            out.push(self.pool.take(e.slot, e.recv, e.send, e.src));
+            each(self.pool.take(e.slot, e.recv, e.send, e.src));
         }
     }
 
@@ -792,16 +799,19 @@ impl<E> EventQueue<E> for LadderQueue<E> {
         self.len
     }
 
-    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
-        out.reserve(self.len);
+    fn drain_each(&mut self, mut each: impl FnMut(Envelope<E>)) {
         let (arena, pool) = (&mut self.arena, &mut self.pool);
-        out.extend(self.bottom.drain(..).map(|e| pool.take(e.slot, e.recv, e.send, e.src)));
-        let tiers = self.rungs.iter_mut().flat_map(|r| r.buckets.iter_mut());
-        for bucket in tiers.chain(std::iter::once(&mut self.top)) {
+        let mut take = |e: &HotEntry| each(pool.take(e.slot, e.recv, e.send, e.src));
+        // Latest first: top, then each rung's buckets from the far end
+        // (a deeper rung subdivides time its parent already passed), then
+        // bottom, which is sorted descending.
+        let rungs = self.rungs.iter_mut().flat_map(|r| r.buckets.iter_mut().rev());
+        for bucket in std::iter::once(&mut self.top).chain(rungs) {
             while let Some((entries, n)) = arena.pop_chunk(bucket) {
-                out.extend(entries[..n].iter().map(|e| pool.take(e.slot, e.recv, e.send, e.src)));
+                entries[..n].iter().for_each(&mut take);
             }
         }
+        self.bottom.drain(..).for_each(|e| take(&e));
         self.len = 0;
         self.reset_era();
     }

@@ -162,13 +162,10 @@ impl<L: Lp> Simulation<L> {
         }
         let worker_of = &plan.owner_of;
 
-        // Every process built the full initial event set identically;
-        // keep only the owned destinations.
-        let mut initial = self.take_pending();
-        initial.retain(|env| worker_of[env.dst as usize] != u32::MAX);
-
+        // Every process built the full initial event set identically; the
+        // scatter keeps only the owned destinations.
         let run = Run::open(self, "sharded-conservative", n_threads, window, start);
-        let (workers, home) = run.scatter(self, &plan, initial);
+        let (workers, home) = run.scatter(self, &plan);
         let rounds = Rounds::new(n_threads, n_threads + 1); // workers + leader
         let outboxes: Vec<Mutex<Vec<Envelope<L::Event>>>> =
             (0..n_shards).map(|_| Mutex::new(Vec::new())).collect();

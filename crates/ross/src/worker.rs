@@ -115,10 +115,6 @@ pub(crate) struct Lane<'r, E> {
     chunks: Vec<Chunk<E>>,
     spare: Vec<Chunk<E>>,
     inbox: Vec<Chunk<E>>,
-    /// Unprocessed events emptied out of `queue` by [`Lane::retire`], and
-    /// the counters of the queue(s) it replaced.
-    retired: Vec<Envelope<E>>,
-    spent: QueueTelemetry,
     /// Events sent to a peer worker of this process.
     pub(crate) remote: u64,
     /// Events sent to another OS-process shard.
@@ -180,19 +176,6 @@ impl<E> Lane<'_, E> {
         self.inbox = inbox;
         self.mailbox_high_water = self.mailbox_high_water.max(drained);
         drained
-    }
-
-    /// A worker's last act on its own thread: unload the events beyond
-    /// `until` and free the queue. A bounded run leaves most of the
-    /// pending set behind; the workers unload theirs in parallel, and give
-    /// their envelope pools back before the gathering thread starts
-    /// growing the simulation's own.
-    pub(crate) fn retire(&mut self) {
-        self.queue.drain_to(&mut self.retired);
-        self.spent.ops += self.queue.ops();
-        self.spent.max_len = self.spent.max_len.max(self.queue.max_len());
-        self.spent.pool.merge(self.queue.pool_stats());
-        self.queue = self.spent.kind.new_queue();
     }
 
     /// [`drain`](Lane::drain) straight into the local queue.
@@ -396,16 +379,19 @@ impl<E: Clone + Send + 'static> Run<E> {
         }
     }
 
-    /// Move the LPs `plan` assigns (plus a copy of their meta) and the
-    /// `initial` events into one [`Worker`] each. Partitions are not
+    /// Move the LPs `plan` assigns (plus a copy of their meta) and their
+    /// pending events into one [`Worker`] each. Partitions are not
     /// contiguous in general, so LP state leaves the simulation for the
     /// duration of the run; the second return value holds the slots
     /// [`Run::gather`] refills (LPs `plan` leaves unowned stay in it).
+    /// Events stream straight from the pending set into their owners'
+    /// queues; one for an LP `plan` leaves unowned (another shard's) is
+    /// dropped, because every shard built the same initial set. The
+    /// pending set is left empty and its slab released for the leg.
     pub(crate) fn scatter<'r, L: Lp<Event = E>>(
         &'r self,
         sim: &mut Simulation<L>,
         plan: &Assignment,
-        initial: Vec<Envelope<E>>,
     ) -> (Vec<Worker<'r, L>>, Vec<Option<L>>) {
         let n_workers = plan.locals.len();
         let mut home: Vec<Option<L>> = std::mem::take(&mut sim.lps).into_iter().map(Some).collect();
@@ -425,8 +411,6 @@ impl<E: Clone + Send + 'static> Run<E> {
                     chunks: (0..n_workers).map(|_| Vec::new()).collect(),
                     spare: Vec::new(),
                     inbox: Vec::new(),
-                    retired: Vec::new(),
-                    spent: QueueTelemetry::empty(sim.queue),
                     remote: 0,
                     cross: 0,
                     mailbox_high_water: 0,
@@ -444,9 +428,12 @@ impl<E: Clone + Send + 'static> Run<E> {
                 lag_max: 0,
             })
             .collect();
-        for env in initial {
-            workers[plan.owner_of[env.dst as usize] as usize].lane.queue.push(env);
-        }
+        let mut pending = std::mem::replace(&mut sim.pending, sim.queue.new_queue());
+        pending.drain_each(|env| {
+            if let Some(w) = workers.get_mut(plan.owner_of[env.dst as usize] as usize) {
+                w.lane.queue.push(env);
+            }
+        });
         (workers, home)
     }
 
@@ -455,6 +442,8 @@ impl<E: Clone + Send + 'static> Run<E> {
     /// to the pending set for a later leg; a latched violation or model
     /// panic is re-raised; otherwise the workers' counters fold into one
     /// [`RunStats`], one telemetry record and the trace run's footer.
+    /// Events move as queues: the fullest worker queue becomes the pending
+    /// set and the others stream into it ([`EventQueue::drain_each`]).
     pub(crate) fn gather<L: Lp<Event = E>>(
         &self,
         sim: &mut Simulation<L>,
@@ -465,6 +454,7 @@ impl<E: Clone + Send + 'static> Run<E> {
         let mut stats = RunStats::default();
         let mut queue = QueueTelemetry::empty(sim.queue);
         let mut per_thread = Vec::new();
+        let mut queues = Vec::with_capacity(n_workers);
         for mut w in workers {
             stats.committed += w.committed;
             stats.remote_events += w.lane.remote;
@@ -474,15 +464,13 @@ impl<E: Clone + Send + 'static> Run<E> {
             stats.horizon_stall_ns += w.stall_ns;
             stats.horizon_lag_max = stats.horizon_lag_max.max(w.lag_max);
             stats.end_time = stats.end_time.max(SimTime(w.clock));
-            // Whatever was queued after the worker retired (async rehomes
-            // stray migration batches) joins what it unloaded itself.
-            w.lane.retire();
-            queue.ops += w.lane.spent.ops;
-            queue.max_len = queue.max_len.max(w.lane.spent.max_len);
-            queue.pool.merge(w.lane.spent.pool);
+            let pool = w.lane.queue.pool_stats();
+            queue.ops += w.lane.queue.ops();
+            queue.max_len = queue.max_len.max(w.lane.queue.max_len());
+            queue.pool.merge(pool);
             w.live_flush(None);
             if let Some(tp) = w.tap.as_ref() {
-                tp.pool_high_water(w.lane.spent.pool.high_water);
+                tp.pool_high_water(pool.high_water);
             }
             if let (Some((tr, _)), Some(buf)) = (self.trace.as_ref(), w.tbuf.take()) {
                 tr.submit(buf);
@@ -506,9 +494,14 @@ impl<E: Clone + Send + 'static> Run<E> {
                     sim.meta[gid as usize] = meta;
                 }
             }
-            for env in w.lane.retired {
-                sim.pending.push(env);
-            }
+            queues.push(w.lane.queue);
+        }
+        debug_assert!(sim.pending.is_empty(), "events queued on the simulation mid-leg");
+        if let Some(fullest) = (0..queues.len()).max_by_key(|&i| queues[i].len()) {
+            sim.pending = queues.swap_remove(fullest);
+        }
+        for mut q in queues {
+            q.drain_each(|env| sim.pending.push(env));
         }
         // Mailboxes are drained before every processing phase and a clean
         // run performs no sends after its last drain, but a latched

@@ -271,4 +271,57 @@ proptest! {
             prop_assert!(pushed.is_empty() && q.is_empty());
         }
     }
+
+    /// The parallel gather's merge: a worker's ladder, popped partway to
+    /// `t` as a bounded leg leaves it, takes in a second worker's queue —
+    /// itself popped to `t`, so everything it still holds is at or after
+    /// `t` — streamed through `drain_each`. From then on the ladder must
+    /// pop exactly what a heap holding both remainders pops, field for
+    /// field. The second queue's events land in every tier of the first,
+    /// below its bottom frontier included.
+    #[test]
+    fn streaming_a_queue_into_a_popped_ladder_keeps_its_order(
+        seed in 0u64..u64::MAX,
+        n_a in 1usize..400,
+        n_b in 1usize..400,
+        time_span in 1u64..2000,
+        skew in 0u64..64,
+        b_ladder in 0u64..2,
+    ) {
+        let far_one_in = if skew < 32 { 0 } else { skew };
+        let mut rng = Mix(seed);
+        let mut sends = [0u64; 8];
+        let t = rng.below(time_span);
+        let mut heap = BinaryHeapQueue::new();
+        let mut ladder = LadderQueue::new();
+        for _ in 0..n_a {
+            let e = env(&mut rng, &mut sends, 0, time_span, far_one_in);
+            heap.push(e.clone());
+            ladder.push(e);
+        }
+        let kind = if b_ladder == 1 { QueueKind::Ladder } else { QueueKind::Heap };
+        let mut other = kind.new_queue();
+        for _ in 0..n_b {
+            let e = env(&mut rng, &mut sends, 0, time_span, far_one_in);
+            if e.recv_time.0 >= t {
+                heap.push(e.clone());
+            }
+            other.push(e);
+        }
+        while other.peek_time().is_some_and(|ts| ts.0 < t) {
+            other.pop();
+        }
+        while ladder.peek_time().is_some_and(|ts| ts.0 < t) {
+            let (h, l) = (heap.pop(), ladder.pop());
+            prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+        }
+        other.drain_each(|e| ladder.push(e));
+        prop_assert!(other.is_empty());
+        prop_assert_eq!(heap.len(), ladder.len());
+        loop {
+            let (h, l) = (heap.pop(), ladder.pop());
+            prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+            if h.is_none() { break; }
+        }
+    }
 }

@@ -345,16 +345,20 @@ pub struct SchedulerRecord {
     pub threads: usize,
     /// Pending-event queue implementation: `heap` or `ladder`.
     pub queue: String,
-    /// Total push + pop operations across every queue the run used
-    /// (summed over per-thread queues for the parallel schedulers).
+    /// Push + pop operations this run performed (summed over per-thread
+    /// queues for the parallel schedulers).
     pub queue_ops: u64,
-    /// Queue length high-water mark (max over per-thread queues).
+    /// Queue length high-water mark (max over per-thread queues). A
+    /// lifetime maximum: the sequential scheduler's pending queue may have
+    /// served earlier legs, or a parallel worker whose queue it adopted.
     pub queue_max_len: u64,
     /// Envelope-pool population high-water mark (max over per-thread
-    /// queues): the slab never grows past this many live events.
+    /// queues): the slab never grows past this many live events. A
+    /// lifetime maximum, like `queue_max_len`.
     pub pool_high_water: u64,
-    /// Envelope-pool slot reuses (summed over per-thread queues): pushes
-    /// served from the free list instead of fresh allocation.
+    /// Envelope-pool slot reuses this run (summed over per-thread
+    /// queues): pushes served from the free list instead of fresh
+    /// allocation.
     pub pool_recycled: u64,
     /// Bytes per envelope-pool slot: `pool_high_water × pool_slot_bytes`
     /// is the pending set's slab size.

@@ -165,6 +165,43 @@ fn parallel_run_survives_rescheduling_midway() {
     assert_eq!(seq, fp, "async pause/resume diverged");
 }
 
+/// Legs that mix schedulers — `par:2` → `async:2` → `seq` → `par:3` —
+/// hand the pending set back and forth between the simulation and the
+/// workers' queues at every bound. Each leg must leave exactly the events
+/// a sequential run stopped at the same bound leaves, and the legs
+/// together must equal one sequential run, under either queue.
+#[test]
+fn mixed_scheduler_legs_match_one_sequential_run() {
+    let window = SimDuration::from_ns(100);
+    let legs = [
+        Scheduler::ConservativeParallel { threads: 2, lookahead: window },
+        Scheduler::ConservativeAsync { threads: 2, lookahead: window },
+        Scheduler::Sequential,
+        Scheduler::ConservativeParallel { threads: 3, lookahead: window },
+    ];
+    let bounds = [SimTime::from_us(8), SimTime::from_us(16), SimTime::from_us(28), SimTime::MAX];
+    for queue in [QueueKind::Heap, QueueKind::Ladder] {
+        let seq = run_q(Scheduler::Sequential, queue);
+        let (mut mixed, mut stepped) = (build_mix(queue), build_mix(queue));
+        let mut committed = 0;
+        let mut last = None;
+        for (leg, (sched, until)) in legs.into_iter().zip(bounds).enumerate() {
+            let r = mixed.run(sched, until);
+            committed += r.stats.committed;
+            stepped.run(Scheduler::Sequential, until);
+            assert!(r.stats.committed > 0, "{queue:?} leg {leg} ({sched:?}) ran nothing");
+            let pending = mixed.pending_events();
+            assert_eq!(pending, stepped.pending_events(), "{queue:?} leg {leg} ({sched:?})");
+            assert_eq!(pending > 0, leg < 3, "{queue:?} leg {leg} ({sched:?})");
+            last = Some(r);
+        }
+        let mut fp = fingerprint(&last.unwrap());
+        // Committed counts are per leg; their sum is the whole run's.
+        fp.committed = committed;
+        assert_eq!(seq, fp, "{queue:?}: mixed legs diverged from sequential");
+    }
+}
+
 /// The shard dimension of the matrix: the same mix run as one
 /// simulation split across {1, 2, 4} shard transports (in-process
 /// loopback standing in for the launcher's worker processes) × both
