@@ -398,10 +398,11 @@ mod tests {
 
     /// The engine parks a pending event's tiebreak, destination and
     /// payload in its pool; at paper scale that slab is most of the
-    /// pending set's memory (136 B a slot when it held whole envelopes).
+    /// pending set's memory, so its size is pinned exactly (the packed
+    /// 68 B `Pkt` plus the slot's `u64` tiebreak and `u32` destination).
     #[test]
-    fn pending_event_pool_slot_is_at_most_104_bytes() {
-        assert!(ross::pool_slot_bytes::<Event>() <= 104, "{}", ross::pool_slot_bytes::<Event>());
+    fn pending_event_pool_slot_is_80_bytes() {
+        assert_eq!(ross::pool_slot_bytes::<Event>(), 80);
     }
 
     #[test]

@@ -6,35 +6,13 @@
 //! outstanding packets, which matters when a rank pushes a 20 MiB
 //! allreduce round into the network.
 
-use crate::event::Event;
+use crate::event::{code_kind, kind_code, Event, Pkt};
 use crate::shared::Shared;
 use dragonfly::Packet;
-use mpi_sim::{Action, MpiMsg, MpiRank, MsgKind};
+use mpi_sim::{Action, MpiMsg, MpiRank};
 use ross::{Ctx, SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-
-/// Encode/decode the message kind into the packet's opaque byte.
-fn kind_code(k: MsgKind) -> u8 {
-    match k {
-        MsgKind::Eager => 0,
-        MsgKind::Rts => 1,
-        MsgKind::Cts => 2,
-        MsgKind::Data => 3,
-        MsgKind::Synthetic => 4,
-    }
-}
-
-fn code_kind(c: u8) -> MsgKind {
-    match c {
-        0 => MsgKind::Eager,
-        1 => MsgKind::Rts,
-        2 => MsgKind::Cts,
-        3 => MsgKind::Data,
-        4 => MsgKind::Synthetic,
-        other => panic!("bad message kind code {other}"),
-    }
-}
 
 /// A rank process bound to this node.
 #[derive(Clone)]
@@ -47,7 +25,7 @@ pub struct Proc {
 /// One message queued at the NIC.
 #[derive(Clone, Debug)]
 struct NicMsg {
-    template: Packet,
+    template: Pkt,
     wire: u64,
     emitted: u64,
     mpi_seq: u64,
@@ -111,8 +89,8 @@ impl NodeLp {
         let app = p.app as u16;
         match ev {
             Event::ComputeDone => 2 + 2 * app,
-            Event::Start | Event::NodePkt(_) | Event::LocalMsg(_) => 1 + 2 * app,
-            Event::NicPulse | Event::RouterPkt(_) | Event::Credit { .. } => 0,
+            Event::Start | Event::Pkt(_) => 1 + 2 * app,
+            Event::NicPulse | Event::Credit { .. } => 0,
         }
     }
 
@@ -131,11 +109,8 @@ impl NodeLp {
                 self.apply(now, ctx);
             }
             Event::NicPulse => self.pulse(now, ctx),
-            Event::NodePkt(pkt) => self.receive_packet(now, ctx, pkt),
-            Event::RouterPkt(_) | Event::Credit { .. } => {
-                unreachable!("router event at node LP")
-            }
-            Event::LocalMsg(pkt) => self.receive_packet(now, ctx, pkt),
+            Event::Pkt(pkt) => self.receive_packet(now, ctx, pkt),
+            Event::Credit { .. } => unreachable!("credit event at node LP"),
         }
     }
 
@@ -176,7 +151,8 @@ impl NodeLp {
             up_router: u32::MAX,
             up_port: 0,
             vc: 0,
-        };
+        }
+        .into();
         self.nic.queue.push_back(NicMsg { template, wire, emitted: 0, mpi_seq: msg.seq });
         if !self.nic.pulsing {
             // NIC idle: start emitting now.
@@ -208,7 +184,7 @@ impl NodeLp {
             self.shared.lpmap.router_lp(router),
             ser + SimDuration::from_ns(cfg.terminal_latency_ns)
                 + SimDuration::from_ns(cfg.router_delay_ns),
-            Event::RouterPkt(pkt),
+            Event::Pkt(pkt),
         );
         // Wake up when this packet has left the NIC.
         ctx.send_self(ser, Event::NicPulse);
@@ -236,7 +212,8 @@ impl NodeLp {
         }
     }
 
-    fn receive_packet(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>, pkt: &Packet) {
+    fn receive_packet(&mut self, now: SimTime, ctx: &mut Ctx<'_, Event>, pkt: &Pkt) {
+        debug_assert_eq!({ pkt.dst_node }, self.node, "packet delivered to the wrong node");
         self.delivered_packets += 1;
         // A one-packet message has nothing to reassemble.
         if (pkt.bytes as u64) < pkt.msg_bytes {
@@ -250,11 +227,11 @@ impl NodeLp {
         }
         // Whole message arrived: hand it to the rank process.
         let Some((src_app, src_rank)) = self.shared.owner(pkt.src_node) else {
-            panic!("message from unowned node {}", pkt.src_node)
+            panic!("message from unowned node {}", { pkt.src_node })
         };
         let p = self.proc.as_mut().expect("message delivered to empty node");
         debug_assert_eq!(src_app, p.app, "cross-application message");
-        let kind = code_kind(pkt.kind);
+        let kind = code_kind(pkt.kind).expect("kind byte written by kind_code");
         let msg = MpiMsg {
             src: src_rank,
             dst: p.mpi.rank(),
@@ -263,7 +240,7 @@ impl NodeLp {
             kind,
             payload: pkt.aux,
             wire: pkt.msg_bytes,
-            created_ns: pkt.created.as_ns(),
+            created_ns: pkt.created_ns,
         };
         p.mpi.on_delivery(now.as_ns(), &msg, &mut self.actions);
         self.apply(now, ctx);

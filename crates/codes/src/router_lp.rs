@@ -4,7 +4,7 @@
 use crate::event::Event;
 use crate::shared::Shared;
 use dragonfly::{
-    credit_arrived, forward_vc, CreditState, FlowControl, Forward, RouterState, VcAction,
+    credit_arrived, forward_vc, CreditState, FlowControl, Forward, Packet, RouterState, VcAction,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -15,12 +15,19 @@ use std::sync::Arc;
 /// decisions (gateway selection, Valiant intermediate groups). In
 /// credit-VC mode it additionally tracks downstream buffer credits and
 /// queued packets.
+///
+/// Packets travel as the packed [`crate::event::Pkt`]; the router unpacks
+/// one onto the stack for the frozen `dragonfly` routing calls and packs
+/// it again when it sends.
 #[derive(Clone)]
 pub struct RouterLp {
     pub state: RouterState,
     pub credit: Option<CreditState>,
     shared: Arc<Shared>,
     rng: SmallRng,
+    /// Scratch for the credit-mode actions one event produces; empty
+    /// between events, kept for its capacity.
+    actions: Vec<VcAction>,
 }
 
 impl RouterLp {
@@ -38,13 +45,15 @@ impl RouterLp {
             credit,
             shared,
             rng: SmallRng::seed_from_u64(seed ^ ((router as u64) << 24)),
+            actions: Vec::new(),
         }
     }
 
     pub fn handle_event(&mut self, now: SimTime, ev: &Event, ctx: &mut Ctx<'_, Event>) {
+        let mut actions = std::mem::take(&mut self.actions);
         match (ev, &mut self.credit) {
-            (Event::RouterPkt(pkt), None) => {
-                let mut pkt = *pkt;
+            (Event::Pkt(pkt), None) => {
+                let mut pkt = Packet::from(*pkt);
                 let fwd = self.state.forward(
                     now,
                     &mut pkt,
@@ -54,23 +63,19 @@ impl RouterLp {
                 );
                 self.emit_forward(now, ctx, fwd, pkt);
             }
-            (Event::RouterPkt(pkt), Some(credit)) => {
-                let mut actions = Vec::new();
+            (Event::Pkt(pkt), Some(credit)) => {
                 forward_vc(
                     &mut self.state,
                     credit,
                     now,
-                    *pkt,
+                    Packet::from(*pkt),
                     &self.shared.topo,
                     self.shared.routing,
                     &mut self.rng,
                     &mut actions,
                 );
-                self.emit_actions(now, ctx, actions);
             }
-            (Event::Credit { port, vc }, Some(_)) => {
-                let mut actions = Vec::new();
-                let credit = self.credit.as_mut().unwrap();
+            (Event::Credit { port, vc }, Some(credit)) => {
                 credit_arrived(
                     &mut self.state,
                     credit,
@@ -80,14 +85,10 @@ impl RouterLp {
                     &self.shared.topo,
                     &mut actions,
                 );
-                self.emit_actions(now, ctx, actions);
             }
             (ev, _) => unreachable!("unexpected event at router LP: {ev:?}"),
         }
-    }
-
-    fn emit_actions(&self, now: SimTime, ctx: &mut Ctx<'_, Event>, actions: Vec<VcAction>) {
-        for a in actions {
+        for a in actions.drain(..) {
             match a {
                 VcAction::Deliver { fwd, pkt } => self.emit_forward(now, ctx, fwd, pkt),
                 VcAction::Credit { router, port, vc, at } => {
@@ -99,22 +100,14 @@ impl RouterLp {
                 }
             }
         }
+        self.actions = actions;
     }
 
-    fn emit_forward(
-        &self,
-        now: SimTime,
-        ctx: &mut Ctx<'_, Event>,
-        fwd: Forward,
-        pkt: dragonfly::Packet,
-    ) {
-        match fwd {
-            Forward::ToRouter { router, arrive } => {
-                ctx.send(self.shared.lpmap.router_lp(router), arrive - now, Event::RouterPkt(pkt));
-            }
-            Forward::ToNode { node, arrive } => {
-                ctx.send(self.shared.lpmap.node_lp(node), arrive - now, Event::NodePkt(pkt));
-            }
-        }
+    fn emit_forward(&self, now: SimTime, ctx: &mut Ctx<'_, Event>, fwd: Forward, pkt: Packet) {
+        let (lp, arrive) = match fwd {
+            Forward::ToRouter { router, arrive } => (self.shared.lpmap.router_lp(router), arrive),
+            Forward::ToNode { node, arrive } => (self.shared.lpmap.node_lp(node), arrive),
+        };
+        ctx.send(lp, arrive - now, Event::Pkt(pkt.into()));
     }
 }

@@ -6,42 +6,40 @@
 //! always the same binary, re-exec'd by the launcher — agrees on it.
 //! It is a transport format, not an archive format.
 
-use crate::event::Event;
-use dragonfly::Packet;
+use crate::event::{code_kind, Event, Pkt, NO_ID};
 use ross::shard::wire::{put_u32, put_u64, put_u8, ByteReader};
 use ross::shard::{EventCodec, ShardError};
-use ross::SimTime;
 
 const TAG_START: u8 = 0;
-const TAG_ROUTER_PKT: u8 = 1;
-const TAG_NODE_PKT: u8 = 2;
-const TAG_NIC_PULSE: u8 = 3;
-const TAG_COMPUTE_DONE: u8 = 4;
-const TAG_LOCAL_MSG: u8 = 5;
-const TAG_CREDIT: u8 = 6;
+const TAG_PKT: u8 = 1;
+const TAG_NIC_PULSE: u8 = 2;
+const TAG_COMPUTE_DONE: u8 = 3;
+const TAG_CREDIT: u8 = 4;
 
-/// `Option<u32>` on the wire: a presence byte, then the value (packet
-/// fields like `up_router` legitimately use `u32::MAX`, so a sentinel
-/// encoding is not available).
-fn put_opt_u32(out: &mut Vec<u8>, v: Option<u32>) {
-    match v {
-        Some(x) => {
-            put_u8(out, 1);
-            put_u32(out, x);
-        }
-        None => put_u8(out, 0),
+/// A group id on the wire: a presence byte, then the value. In flight
+/// [`NO_ID`] means none, so a present `NO_ID` is refused: it would
+/// re-encode as absent.
+fn put_opt_u32(out: &mut Vec<u8>, v: u32) {
+    if v == NO_ID {
+        put_u8(out, 0);
+    } else {
+        put_u8(out, 1);
+        put_u32(out, v);
     }
 }
 
-fn read_opt_u32(r: &mut ByteReader<'_>) -> Result<Option<u32>, ShardError> {
+fn read_opt_u32(r: &mut ByteReader<'_>) -> Result<u32, ShardError> {
     match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u32()?)),
+        0 => Ok(NO_ID),
+        1 => match r.u32()? {
+            NO_ID => Err(ShardError::Format(format!("present group id {NO_ID}"))),
+            x => Ok(x),
+        },
         b => Err(ShardError::Format(format!("bad Option<u32> presence byte {b}"))),
     }
 }
 
-fn put_packet(out: &mut Vec<u8>, p: &Packet) {
+fn put_packet(out: &mut Vec<u8>, p: &Pkt) {
     put_u8(out, p.app);
     put_u8(out, p.kind);
     put_u32(out, p.tag);
@@ -51,7 +49,7 @@ fn put_packet(out: &mut Vec<u8>, p: &Packet) {
     put_u32(out, p.bytes);
     put_u64(out, p.msg_id);
     put_u64(out, p.msg_bytes);
-    put_u64(out, p.created.as_ns());
+    put_u64(out, p.created_ns);
     put_opt_u32(out, p.intermediate);
     put_opt_u32(out, p.gateway);
     put_u8(out, p.routed as u8);
@@ -61,10 +59,13 @@ fn put_packet(out: &mut Vec<u8>, p: &Packet) {
     put_u8(out, p.vc);
 }
 
-fn read_packet(r: &mut ByteReader<'_>) -> Result<Packet, ShardError> {
-    Ok(Packet {
+fn read_packet(r: &mut ByteReader<'_>) -> Result<Pkt, ShardError> {
+    Ok(Pkt {
         app: r.u8()?,
-        kind: r.u8()?,
+        kind: match r.u8()? {
+            k if code_kind(k).is_some() => k,
+            k => return Err(ShardError::Format(format!("unknown message kind code {k}"))),
+        },
         tag: r.u32()?,
         aux: r.u64()?,
         src_node: r.u32()?,
@@ -72,7 +73,7 @@ fn read_packet(r: &mut ByteReader<'_>) -> Result<Packet, ShardError> {
         bytes: r.u32()?,
         msg_id: r.u64()?,
         msg_bytes: r.u64()?,
-        created: SimTime::from_ns(r.u64()?),
+        created_ns: r.u64()?,
         intermediate: read_opt_u32(r)?,
         gateway: read_opt_u32(r)?,
         routed: match r.u8()? {
@@ -98,20 +99,12 @@ impl EventCodec<Event> for CodesEventCodec {
     fn encode(&self, ev: &Event, out: &mut Vec<u8>) {
         match ev {
             Event::Start => put_u8(out, TAG_START),
-            Event::RouterPkt(p) => {
-                put_u8(out, TAG_ROUTER_PKT);
-                put_packet(out, p);
-            }
-            Event::NodePkt(p) => {
-                put_u8(out, TAG_NODE_PKT);
+            Event::Pkt(p) => {
+                put_u8(out, TAG_PKT);
                 put_packet(out, p);
             }
             Event::NicPulse => put_u8(out, TAG_NIC_PULSE),
             Event::ComputeDone => put_u8(out, TAG_COMPUTE_DONE),
-            Event::LocalMsg(p) => {
-                put_u8(out, TAG_LOCAL_MSG);
-                put_packet(out, p);
-            }
             Event::Credit { port, vc } => {
                 put_u8(out, TAG_CREDIT);
                 put_u32(out, *port as u32);
@@ -123,11 +116,9 @@ impl EventCodec<Event> for CodesEventCodec {
     fn decode(&self, r: &mut ByteReader<'_>) -> Result<Event, ShardError> {
         Ok(match r.u8()? {
             TAG_START => Event::Start,
-            TAG_ROUTER_PKT => Event::RouterPkt(read_packet(r)?),
-            TAG_NODE_PKT => Event::NodePkt(read_packet(r)?),
+            TAG_PKT => Event::Pkt(read_packet(r)?),
             TAG_NIC_PULSE => Event::NicPulse,
             TAG_COMPUTE_DONE => Event::ComputeDone,
-            TAG_LOCAL_MSG => Event::LocalMsg(read_packet(r)?),
             TAG_CREDIT => {
                 let port = r.u32()?;
                 let port = u16::try_from(port)
@@ -140,8 +131,10 @@ impl EventCodec<Event> for CodesEventCodec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use dragonfly::Packet;
+    use ross::SimTime;
 
     fn roundtrip(ev: &Event) -> Event {
         let codec = CodesEventCodec;
@@ -153,7 +146,7 @@ mod tests {
         out
     }
 
-    fn sample_packet() -> Packet {
+    pub(crate) fn sample_packet() -> Packet {
         Packet {
             app: 2,
             kind: 1,
@@ -165,7 +158,7 @@ mod tests {
             msg_id: 123_456_789,
             msg_bytes: 1 << 33,
             created: SimTime::from_ns(987_654_321),
-            intermediate: Some(u32::MAX),
+            intermediate: Some(u32::MAX - 1),
             gateway: None,
             routed: true,
             hops: 3,
@@ -179,11 +172,9 @@ mod tests {
     fn every_variant_round_trips() {
         let events = [
             Event::Start,
-            Event::RouterPkt(sample_packet()),
-            Event::NodePkt(sample_packet()),
+            Event::Pkt(sample_packet().into()),
             Event::NicPulse,
             Event::ComputeDone,
-            Event::LocalMsg(sample_packet()),
             Event::Credit { port: 65_535, vc: 255 },
         ];
         for ev in &events {
@@ -194,15 +185,54 @@ mod tests {
         }
     }
 
+    /// The byte layout of a packet event: the tag, then `Packet`'s fields
+    /// in declaration order with each group id as presence byte + value.
+    #[test]
+    fn packet_layout_is_pinned() {
+        let mut buf = Vec::new();
+        CodesEventCodec.encode(&Event::Pkt(sample_packet().into()), &mut buf);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 3 * 4 + 3 * 8 + 5 + 1 + 2 + 4 + 4 + 1);
+        assert_eq!(buf[..3], [TAG_PKT, 2, 1]);
+        // `intermediate` present, `gateway` absent.
+        let at = 1 + 2 + 4 + 8 + 3 * 4 + 3 * 8;
+        assert_eq!(buf[at..at + 6], [1, 0xFE, 0xFF, 0xFF, 0xFF, 0]);
+    }
+
     #[test]
     fn truncated_packet_is_an_error_not_a_panic() {
         let codec = CodesEventCodec;
         let mut buf = Vec::new();
-        codec.encode(&Event::RouterPkt(sample_packet()), &mut buf);
+        codec.encode(&Event::Pkt(sample_packet().into()), &mut buf);
         for cut in 0..buf.len() {
             let mut r = ByteReader::new(&buf[..cut]);
             assert!(codec.decode(&mut r).is_err(), "cut at {cut} decoded");
         }
+    }
+
+    /// A peer shard's corrupt `kind` byte fails the frame here instead of
+    /// panicking the node LP that would receive the packet.
+    #[test]
+    fn unknown_message_kind_is_an_error() {
+        let codec = CodesEventCodec;
+        let mut good = Vec::new();
+        codec.encode(&Event::Pkt(sample_packet().into()), &mut good);
+        for kind in 5..=u8::MAX {
+            let mut buf = good.clone();
+            buf[2] = kind;
+            let err = codec.decode(&mut ByteReader::new(&buf)).unwrap_err();
+            assert!(matches!(err, ShardError::Format(_)), "kind {kind}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn present_u32_max_group_id_is_refused() {
+        let codec = CodesEventCodec;
+        let mut buf = Vec::new();
+        codec.encode(&Event::Pkt(sample_packet().into()), &mut buf);
+        let at = 1 + 2 + 4 + 8 + 3 * 4 + 3 * 8 + 1;
+        buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = codec.decode(&mut ByteReader::new(&buf)).unwrap_err();
+        assert!(matches!(err, ShardError::Format(_)), "{err:?}");
     }
 
     /// xorshift64: the fuzz inputs come from a seed, since the proptest
@@ -214,11 +244,14 @@ mod tests {
         *s
     }
 
-    fn random_packet(s: &mut u64) -> Packet {
-        let opt = |s: &mut u64| next(s).is_multiple_of(2).then(|| next(s) as u32);
+    /// A packet with a valid message kind and group ids below `u32::MAX`
+    /// (the in-flight `None`); every other field is arbitrary.
+    pub(crate) fn random_packet(s: &mut u64) -> Packet {
+        let opt =
+            |s: &mut u64| next(s).is_multiple_of(2).then(|| (next(s) % u32::MAX as u64) as u32);
         Packet {
             app: next(s) as u8,
-            kind: next(s) as u8,
+            kind: (next(s) % 5) as u8,
             tag: next(s) as u32,
             aux: next(s),
             src_node: next(s) as u32,
@@ -238,13 +271,11 @@ mod tests {
     }
 
     fn random_event(s: &mut u64) -> Event {
-        match next(s) % 7 {
+        match next(s) % 5 {
             0 => Event::Start,
-            1 => Event::RouterPkt(random_packet(s)),
-            2 => Event::NodePkt(random_packet(s)),
-            3 => Event::NicPulse,
-            4 => Event::ComputeDone,
-            5 => Event::LocalMsg(random_packet(s)),
+            1 => Event::Pkt(random_packet(s).into()),
+            2 => Event::NicPulse,
+            3 => Event::ComputeDone,
             _ => Event::Credit { port: next(s) as u16, vc: next(s) as u8 },
         }
     }
