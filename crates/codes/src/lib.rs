@@ -33,6 +33,7 @@
 //! ```
 
 pub mod event;
+pub mod model;
 pub mod node;
 pub mod router_lp;
 pub mod shared;
@@ -40,23 +41,30 @@ pub mod sim;
 pub mod wire;
 
 pub use event::Event;
-pub use sim::{
-    lp_delay_edges, lp_names, partition_blocks, AppResult, CodesSim, JobSpec, LpDelayEdge,
-    SimResults, SimulationBuilder,
-};
+pub use model::{Window, Windows};
+pub use sim::{AppResult, CodesSim, JobSpec, SimResults, SimulationBuilder};
 pub use wire::CodesEventCodec;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{lp_delay_edges, partition_blocks, LpDelayEdge};
     use dragonfly::{DragonflyConfig, Routing};
     use placement::Placement;
     use ross::{Scheduler, SimDuration, SimTime};
     use union_core::{translate_source, RankVm, SkeletonInstance};
 
-    /// `par:T:0`: the window clamps to the engine lookahead (YAWNS).
-    fn yawns(threads: usize) -> Scheduler {
-        Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
+    /// A lookahead far beyond every delay edge of the model: were it
+    /// used, a conservative run would trip the lookahead panic.
+    const TOO_WIDE: SimDuration = SimDuration::from_ns(1_000_000);
+
+    /// `par:T` and `async:T`: CODES runs each at the model's own window,
+    /// whatever lookahead the scheduler carries.
+    fn parallel(threads: usize) -> [Scheduler; 2] {
+        [
+            Scheduler::ConservativeParallel { threads, lookahead: TOO_WIDE },
+            Scheduler::ConservativeAsync { threads, lookahead: TOO_WIDE },
+        ]
     }
 
     fn vms(src: &str, n: u32) -> Vec<RankVm> {
@@ -101,7 +109,7 @@ mod tests {
                    message to task (t+1) mod num_tasks then all tasks await completions } \
                    then all tasks reduce a 100000 byte message to all tasks.";
         let mut fingerprints = Vec::new();
-        for sched in [Scheduler::Sequential, yawns(4)] {
+        for sched in std::iter::once(Scheduler::Sequential).chain(parallel(4)) {
             let mut sim = SimulationBuilder::new(DragonflyConfig::tiny_1d())
                 .routing(Routing::Adaptive)
                 .placement(Placement::RandomNodes)
@@ -119,7 +127,7 @@ mod tests {
                 .collect();
             fingerprints.push((fp, r.link_load));
         }
-        assert_eq!(fingerprints[0], fingerprints[1], "conservative != sequential");
+        assert!(fingerprints.iter().all(|f| *f == fingerprints[0]), "conservative != sequential");
     }
 
     #[test]
@@ -267,7 +275,9 @@ mod tests {
             (lat, r.link_load)
         };
         let seq = fp(Scheduler::Sequential);
-        assert_eq!(seq, fp(yawns(4)));
+        for sched in parallel(4) {
+            assert_eq!(seq, fp(sched), "{sched:?}");
+        }
     }
 
     #[test]
@@ -345,55 +355,61 @@ mod tests {
         let n_nodes = topo.cfg.total_nodes();
         assert_eq!(blocks.len(), (n_nodes + topo.cfg.total_routers()) as usize);
         for n in 0..n_nodes {
-            // A node shares its block with its attached router.
-            assert_eq!(blocks[n as usize], topo.node_router(n));
-            assert_eq!(blocks[n as usize], blocks[(n_nodes + topo.node_router(n)) as usize]);
+            // A node shares its block with its attached router, and a
+            // block is a whole dragonfly group.
+            let router = topo.node_router(n);
+            assert_eq!(blocks[n as usize], blocks[(n_nodes + router) as usize]);
+            assert_eq!(blocks[n as usize], topo.router_group(router));
         }
+        let mut groups = blocks.clone();
+        groups.sort_unstable();
+        groups.dedup();
+        assert_eq!(groups.len() as u32, topo.cfg.groups);
     }
 
     #[test]
     fn delay_edges_match_runtime_delay_composition() {
-        use dragonfly::{FlowControl, Topology};
+        use dragonfly::{FlowControl, LinkClass, Topology};
         let topo = Topology::build(DragonflyConfig::tiny_1d());
         let cfg = &topo.cfg;
         let blocks = partition_blocks(&topo);
-        let min_cross = |edges: &[LpDelayEdge]| {
-            edges
-                .iter()
-                .filter(|e| blocks[e.src_lp as usize] != blocks[e.dst_lp as usize])
-                .map(|e| e.delay_ns)
-                .min()
-                .unwrap()
-        };
+        let crosses = |e: &LpDelayEdge| blocks[e.src_lp as usize] != blocks[e.dst_lp as usize];
         // BusyUntil: only packets cross routers, each paying link latency
-        // plus the router traversal delay (local links are the cheapest).
-        let edges = lp_delay_edges(&topo);
-        assert!(edges.iter().all(|e| e.kind != "credit"));
-        assert_eq!(min_cross(&edges), cfg.local_latency_ns + cfg.router_delay_ns);
-        // Terminal edges never cross partitions.
-        assert!(edges
-            .iter()
-            .filter(|e| e.kind == "terminal")
-            .all(|e| blocks[e.src_lp as usize] == blocks[e.dst_lp as usize]));
+        // plus the router traversal delay. Only global links leave a
+        // group; local links are the cheapest hop.
+        assert!(lp_delay_edges(&topo).all(|e| e.kind != "credit"));
+        assert!(lp_delay_edges(&topo).filter(|e| e.kind == "terminal").all(|e| !crosses(&e)));
+        let global = cfg.latency_ns(LinkClass::Global);
+        assert!(lp_delay_edges(&topo).filter(crosses).all(|e| e.delay_ns >= global));
+        let w = Windows::of(&topo).unwrap();
+        assert_eq!(w.block.ns, cfg.global_latency_ns + cfg.router_delay_ns);
+        assert_eq!(w.lp.ns, cfg.local_latency_ns + cfg.router_delay_ns);
+        assert_eq!((w.block.ns, w.lp.ns), (550, 150));
+        assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
 
         // Credit/VC: upstream credits pay exactly the link latency — the
         // tighter constraint (matches `credit_arrived`'s `at = now + latency`).
         let mut cfg2 = DragonflyConfig::tiny_1d();
         cfg2.flow = FlowControl::credit_default();
         let topo2 = Topology::build(cfg2);
-        let edges2 = lp_delay_edges(&topo2);
-        assert!(edges2.iter().any(|e| e.kind == "credit"));
-        assert_eq!(min_cross(&edges2), topo2.cfg.local_latency_ns);
+        assert!(lp_delay_edges(&topo2).any(|e| e.kind == "credit"));
+        let w = Windows::of(&topo2).unwrap();
+        assert_eq!(
+            (w.block.ns, w.lp.ns),
+            (topo2.cfg.global_latency_ns, topo2.cfg.local_latency_ns)
+        );
+        assert_eq!((w.block.ns, w.lp.ns), (500, 100));
+        assert!(w.lp.edge.starts_with("credit edge router "), "{w:?}");
     }
 
     #[test]
-    fn lp_names_cover_every_lp() {
+    fn one_block_window_falls_back_to_the_lp_window() {
+        // Nothing crosses a single block; the block window stays finite.
         let topo = dragonfly::Topology::build(DragonflyConfig::tiny_1d());
-        let names = lp_names(&topo);
-        let n_nodes = topo.cfg.total_nodes();
-        assert_eq!(names.len(), (n_nodes + topo.cfg.total_routers()) as usize);
-        assert_eq!(names[0], "node 0");
-        assert_eq!(names[n_nodes as usize], "router 0");
+        let one = vec![0; partition_blocks(&topo).len()];
+        let w = Windows::derive(&topo, &one).unwrap();
+        assert_eq!(w.block, w.lp);
+        assert_eq!(w.lp, Windows::of(&topo).unwrap().lp);
     }
 
     /// The engine parks a pending event's tiebreak, destination and

@@ -1,10 +1,11 @@
 //! The simulation assembly: builder, the composed LP, and result harvest.
 
 use crate::event::{Event, LpMap};
+use crate::model::{partition_blocks, Windows};
 use crate::node::{NodeLp, Proc};
 use crate::router_lp::RouterLp;
 use crate::shared::Shared;
-use dragonfly::{DragonflyConfig, FlowControl, LinkClass, Peer, Routing, Topology};
+use dragonfly::{DragonflyConfig, LinkClass, Routing, Topology};
 use metrics::{CommTimer, LatencyRecorder, LinkLoad, TimeSeries};
 use mpi_sim::MpiRank;
 use placement::{JobRequest, Layout, Placement};
@@ -162,13 +163,17 @@ impl SimulationBuilder {
         self
     }
 
-    /// Place the jobs and wire up all LPs.
+    /// Place the jobs, wire up all LPs, install one scheduler block per
+    /// dragonfly group and derive the model's lookahead [`Windows`].
+    /// `Err` when the model cannot be built or no positive window is safe.
     pub fn build(self) -> Result<CodesSim, String> {
         self.cfg.check()?;
         if self.jobs.is_empty() {
             return Err("no jobs".into());
         }
         let topo = Topology::build(self.cfg);
+        let blocks = partition_blocks(&topo);
+        let windows = Windows::derive(&topo, &blocks)?;
         let requests: Vec<JobRequest> =
             self.jobs.iter().map(|j| JobRequest::new(&j.name, j.sources.len() as u32)).collect();
         let layout = Layout::place(&topo, &requests, self.placement, self.seed)?;
@@ -210,7 +215,7 @@ impl SimulationBuilder {
         }
 
         let mut sim = Simulation::with_queue(lps, shared.lookahead, self.queue);
-        sim.set_partition(Partition::from_blocks(partition_blocks(&shared.topo)));
+        sim.set_partition(Partition::from_blocks(blocks));
         sim.set_telemetry(self.telemetry.clone());
         sim.set_tracer(self.tracer.clone());
         sim.set_live(self.live.clone());
@@ -220,6 +225,7 @@ impl SimulationBuilder {
         let codes = CodesSim {
             sim,
             shared,
+            windows,
             telemetry: self.telemetry,
             tracer: self.tracer,
             live: self.live,
@@ -241,116 +247,11 @@ pub fn trace_kind_names(job_names: &[String]) -> Vec<String> {
     names
 }
 
-/// Scheduler block assignment for a topology — the topology-aware
-/// partition used by `SimulationBuilder::build()` for the
-/// conservative-parallel scheduler: each router forms one block together
-/// with its attached nodes, so terminal-link traffic (node↔router) stays
-/// on one worker thread and only router↔router events cross partitions.
-///
-/// Exported so `union-lint` can derive a parallel run's lookahead window
-/// from the exact partition the run would use.
-pub fn partition_blocks(topo: &Topology) -> Vec<u32> {
-    let n_nodes = topo.cfg.total_nodes();
-    let n_routers = topo.cfg.total_routers();
-    let mut blocks: Vec<u32> = Vec::with_capacity((n_nodes + n_routers) as usize);
-    for node in 0..n_nodes {
-        blocks.push(topo.node_router(node));
-    }
-    blocks.extend(0..n_routers);
-    blocks
-}
-
-/// One static LP-to-LP scheduling edge of the assembled model: `src_lp`
-/// may schedule an event on `dst_lp` no sooner than `delay_ns` after the
-/// current time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LpDelayEdge {
-    pub src_lp: u32,
-    pub dst_lp: u32,
-    pub delay_ns: u64,
-    /// `"terminal"`, `"packet"`, or `"credit"`.
-    pub kind: &'static str,
-}
-
-/// Every static cross-LP delay edge of the model built from `topo`,
-/// using the same delay composition as the runtime paths:
-///
-/// * node↔router packets add the link propagation latency plus the
-///   router traversal delay (serialization only increases the delay, so
-///   the edge records the guaranteed minimum);
-/// * router→router packets add link latency plus router delay
-///   (`Router::occupy`);
-/// * router→router credits (credit/VC flow control only) are sent after
-///   exactly the upstream link latency (`credit_arrived`) — typically
-///   the binding constraint for conservative lookahead.
-pub fn lp_delay_edges(topo: &Topology) -> Vec<LpDelayEdge> {
-    let cfg = &topo.cfg;
-    let lpmap = LpMap { n_nodes: cfg.total_nodes() };
-    let credits = matches!(cfg.flow, FlowControl::CreditVc { .. });
-    let mut edges = Vec::new();
-    for r in 0..cfg.total_routers() {
-        let r_lp = lpmap.router_lp(r);
-        for info in topo.ports(r) {
-            let latency = cfg.latency_ns(info.class);
-            match info.peer {
-                Peer::Node(node) => {
-                    let n_lp = lpmap.node_lp(node);
-                    let delay = latency + cfg.router_delay_ns;
-                    edges.push(LpDelayEdge {
-                        src_lp: n_lp,
-                        dst_lp: r_lp,
-                        delay_ns: delay,
-                        kind: "terminal",
-                    });
-                    edges.push(LpDelayEdge {
-                        src_lp: r_lp,
-                        dst_lp: n_lp,
-                        delay_ns: delay,
-                        kind: "terminal",
-                    });
-                }
-                Peer::Router { router, .. } => {
-                    edges.push(LpDelayEdge {
-                        src_lp: r_lp,
-                        dst_lp: lpmap.router_lp(router),
-                        delay_ns: latency + cfg.router_delay_ns,
-                        kind: "packet",
-                    });
-                    if credits {
-                        // Credits flow upstream: the peer acknowledges
-                        // packets it received from us over this link.
-                        edges.push(LpDelayEdge {
-                            src_lp: lpmap.router_lp(router),
-                            dst_lp: r_lp,
-                            delay_ns: latency,
-                            kind: "credit",
-                        });
-                    }
-                }
-            }
-        }
-    }
-    edges
-}
-
-/// Human-readable LP names for diagnostics, indexed by LP id.
-pub fn lp_names(topo: &Topology) -> Vec<String> {
-    let n_nodes = topo.cfg.total_nodes();
-    let n_routers = topo.cfg.total_routers();
-    let mut names = Vec::with_capacity((n_nodes + n_routers) as usize);
-    for n in 0..n_nodes {
-        names.push(format!("node {n}"));
-    }
-    for r in 0..n_routers {
-        names.push(format!("router {r}"));
-    }
-    names
-}
-
 /// A runnable hybrid-workload simulation.
 pub struct CodesSim {
     sim: Simulation<CodesLp>,
     shared: Arc<Shared>,
+    windows: Windows,
     telemetry: Option<Arc<telemetry::Recorder>>,
     tracer: Option<Arc<ross::Tracer>>,
     live: Option<Arc<telemetry::live::MetricsRegistry>>,
@@ -420,8 +321,21 @@ impl SimResults {
 
 impl CodesSim {
     /// Run to completion (or `until`) with the chosen scheduler and
-    /// harvest results.
+    /// harvest results. A conservative scheduler runs at the model's own
+    /// window, whatever `lookahead` it carries: the round loop keeps each
+    /// block on one thread and runs at the block window, the async
+    /// scheduler's steals split blocks so it runs at the LP window.
     pub fn run(&mut self, sched: Scheduler, until: SimTime) -> SimResults {
+        let ns = SimDuration::from_ns;
+        let sched = match sched {
+            Scheduler::Sequential => Scheduler::Sequential,
+            Scheduler::ConservativeParallel { threads, .. } => {
+                Scheduler::ConservativeParallel { threads, lookahead: ns(self.windows.block.ns) }
+            }
+            Scheduler::ConservativeAsync { threads, .. } => {
+                Scheduler::ConservativeAsync { threads, lookahead: ns(self.windows.lp.ns) }
+            }
+        };
         let stats = sched.run(&mut self.sim, until);
         self.harvest(stats)
     }
@@ -432,14 +346,15 @@ impl CodesSim {
     /// by re-exec'ing the same argv. Returns engine stats only: after a
     /// sharded run only the owned LPs hold meaningful state, so results
     /// are merged across processes via [`CodesSim::shard_fingerprint`],
-    /// not harvested per-shard.
+    /// not harvested per-shard. Shards and their threads own whole
+    /// blocks, so the run uses the block window.
     pub fn run_sharded(
         &mut self,
         transport: &mut dyn ross::shard::ShardTransport<Event>,
         threads: usize,
-        window: SimDuration,
         until: SimTime,
     ) -> Result<RunStats, ross::shard::ShardError> {
+        let window = SimDuration::from_ns(self.windows.block.ns);
         self.sim.run_sharded(transport, threads, window, until)
     }
 

@@ -1,84 +1,27 @@
-//! Glue between `union-lint` and the assembled experiment: extract the LP
-//! delay graph from a built topology and derive from it the lookahead
-//! window a parallel schedule runs with (DESIGN.md §7).
+//! What `union-exp lint` says about the assembled model: the lookahead
+//! windows `codes` derives on each network of a sweep (DESIGN.md §7).
 
-use crate::run::Sched;
 use crate::sweep::SweepConfig;
 use dragonfly::Topology;
-use union_lint::model::{DelayEdge, ModelGraph, Shape};
 use union_lint::{Diagnostic, Report};
 
-/// The static LP delay graph of a built topology, with the partition
-/// assignment the conservative-parallel scheduler would use.
-pub fn model_graph(topo: &Topology) -> ModelGraph {
-    let edges = codes::lp_delay_edges(topo)
-        .into_iter()
-        .map(|e| DelayEdge {
-            src_lp: e.src_lp,
-            dst_lp: e.dst_lp,
-            delay_ns: e.delay_ns,
-            kind: e.kind,
-        })
-        .collect();
-    ModelGraph::new(codes::partition_blocks(topo), edges).with_names(codes::lp_names(topo))
-}
-
-/// A derived lookahead window and the edge that sets it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Window {
-    pub ns: u64,
-    /// `<kind> edge <src> -> <dst>`.
-    pub edge: String,
-}
-
-/// The lookahead window `sched` runs the model built on `topo` with: the
-/// minimum delay over the edges the schedule synchronizes. `par:T` and
-/// `async:T` make the same per-partition promise, so both synchronize
-/// every cross-block edge (so does `seq`, were it asked: the window any
-/// in-process parallel run of the model would get). `shard:N:T` mirrors
-/// `run_sharded`: shards own whole partition blocks (dealt by the same
-/// deterministic bin-packer), so cross-shard edges bind the window, plus
-/// intra-shard cross-block edges when `T > 1`. Every shard of a gang
-/// builds the same model and so derives the same window. `Err`: no
-/// positive window is safe.
-pub fn window(topo: &Topology, sched: &Sched) -> Result<Window, Report> {
-    let g = model_graph(topo);
-    let shard_of;
-    let shape = match *sched {
-        Sched::Shard(s) => {
-            let part = ross::Partition::from_blocks(g.block_of.clone());
-            shard_of = ross::shard::shard_owner_map(Some(&part), g.block_of.len(), s.shards);
-            Shape::Shards { shard_of: &shard_of, threads: s.threads }
-        }
-        _ => Shape::Blocks,
-    };
-    let (ns, e) = g.window(shape)?;
-    Ok(Window { ns, edge: g.describe(e) })
-}
-
-/// What `union-exp lint` says about the model: one `info` per network of
-/// `cfg` naming the window `sched` derives there and the edge that sets
-/// it, or the errors that leave no safe window.
-pub fn window_report(cfg: &SweepConfig, sched: &Sched) -> Report {
-    let label = match sched {
-        Sched::Seq => "par".to_string(),
-        s => s.to_string(),
-    };
+/// One `info` per network of `cfg` naming both windows [`codes::Windows`]
+/// derives there and the edges that set them, or the `zero-delay` error
+/// that leaves no safe window.
+pub fn window_report(cfg: &SweepConfig) -> Report {
     let mut out = Report::new();
     for &net in &cfg.nets {
         let at = net.label();
-        match window(&Topology::build(cfg.net_config(net)), sched) {
+        match codes::Windows::of(&Topology::build(cfg.net_config(net))) {
             Ok(w) => out.push(Diagnostic::info(
                 "window",
-                format!("{at} network: {label} window {} ns ({})", w.ns, w.edge),
+                format!(
+                    "{at} network: block window {} ns ({}) for par:T and shard:N:T; \
+                     LP window {} ns ({}) for async:T",
+                    w.block.ns, w.block.edge, w.lp.ns, w.lp.edge
+                ),
             )),
-            Err(errors) => {
-                for d in errors.iter() {
-                    let mut d = d.clone();
-                    d.message = format!("{at} network: {}", d.message);
-                    out.push(d);
-                }
-            }
+            Err(e) => out.push(Diagnostic::error("zero-delay", format!("{at} network: {e}"))),
         }
     }
     out
@@ -87,101 +30,87 @@ pub fn window_report(cfg: &SweepConfig, sched: &Sched) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardSpec;
     use crate::sweep::Net;
-    use dragonfly::{DragonflyConfig, FlowControl};
+    use dragonfly::{DragonflyConfig, FlowControl, Peer};
     use union_lint::Severity;
 
-    fn shard(shards: usize, threads: usize) -> Sched {
-        Sched::Shard(ShardSpec { shards, threads })
-    }
-
-    fn on(cfg: &SweepConfig, net: Net, sched: Sched) -> Window {
-        window(&Topology::build(cfg.net_config(net)), &sched)
-            .unwrap_or_else(|r| panic!("{sched}: {r}"))
-    }
-
-    fn ns(cfg: &SweepConfig, net: Net, sched: Sched) -> u64 {
-        on(cfg, net, sched).ns
-    }
-
-    #[test]
-    fn tiny_model_par_window_is_the_min_cross_partition_delay() {
-        let topo = Topology::build(DragonflyConfig::tiny_1d());
-        let g = model_graph(&topo);
-        let (min, e) = g.min_cross_partition_delay().expect("multi-router model");
-        // Partitions are router-rooted, so node<->router edges are
-        // internal and the binding edge is router-to-router.
-        assert!(e.kind == "packet" || e.kind == "credit");
-        assert_eq!(g.window(Shape::Blocks).unwrap(), (min, e));
+    fn windows(cfg: &SweepConfig, net: Net) -> codes::Windows {
+        codes::Windows::of(&Topology::build(cfg.net_config(net))).unwrap()
     }
 
     #[test]
     fn sweep_par_window_is_derived_per_net_and_flow() {
         let mut cfg = SweepConfig::smoke();
-        let par = Sched::Par { threads: 2 };
-        let w = on(&cfg, Net::OneD, par);
-        // Busy-until flow: router-to-router packets, link latency plus
-        // router delay.
-        assert_eq!(w.ns, 150, "{w:?}");
-        assert!(w.edge.starts_with("packet edge router ") && w.edge.contains(" -> router "));
-        assert_eq!(ns(&cfg, Net::TwoD, par), 150);
-        // Credit flow adds latency-only credit edges: a smaller window.
+        for net in [Net::OneD, Net::TwoD] {
+            // Busy-until flow: blocks are groups, so only global packets
+            // cross them (global latency plus router delay); the LP
+            // window is the cheapest hop, a terminal or local link.
+            let w = windows(&cfg, net);
+            assert_eq!((w.block.ns, w.lp.ns), (550, 150), "{net:?}: {w:?}");
+            assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
+            assert!(w.lp.edge.starts_with("terminal edge node "), "{w:?}");
+        }
+        // Credit flow adds latency-only credit edges: smaller windows.
         cfg.flow = FlowControl::credit_default();
-        let credit = on(&cfg, Net::OneD, par);
-        assert!(credit.ns < w.ns && credit.edge.starts_with("credit edge"), "{credit:?}");
+        let w = windows(&cfg, Net::OneD);
+        assert_eq!((w.block.ns, w.lp.ns), (500, 100), "{w:?}");
+        assert!(w.block.edge.starts_with("credit edge") && w.lp.edge.starts_with("credit edge"));
     }
 
+    #[test]
+    fn tiny_model_par_window_is_the_min_cross_partition_delay() {
+        // Recomputed from the topology alone: blocks are dragonfly
+        // groups, a node shares its router's group, and a router-to-router
+        // packet pays link latency plus the router delay.
+        let topo = Topology::build(DragonflyConfig::tiny_1d());
+        let cfg = &topo.cfg;
+        let min = (0..cfg.total_routers())
+            .flat_map(|r| topo.ports(r).iter().map(move |p| (r, p)))
+            .filter_map(|(r, p)| match p.peer {
+                Peer::Router { router, .. }
+                    if topo.router_group(router) != topo.router_group(r) =>
+                {
+                    Some(cfg.latency_ns(p.class) + cfg.router_delay_ns)
+                }
+                _ => None,
+            })
+            .min()
+            .expect("multi-group model");
+        let w = codes::Windows::of(&topo).unwrap();
+        assert_eq!(w.block.ns, min, "{w:?}");
+        assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
+    }
+
+    /// `async:T` steals split blocks, so it runs at the LP window, which
+    /// never exceeds the block window `par:T` runs at.
     #[test]
     fn sweep_async_lookahead_shares_the_par_bound() {
-        let cfg = SweepConfig::smoke();
-        for net in [Net::OneD, Net::TwoD] {
-            let par = ns(&cfg, net, Sched::Par { threads: 2 });
-            assert_eq!(ns(&cfg, net, Sched::Async { threads: 2 }), par);
-            assert_eq!(ns(&cfg, net, Sched::Seq), par);
-        }
-    }
-
-    #[test]
-    fn sweep_shard_window_binds_blocks_only_with_threads() {
-        let cfg = SweepConfig::smoke();
-        let par = ns(&cfg, Net::OneD, Sched::Par { threads: 2 });
-        // Threads inside a shard synchronize cross-block edges too.
-        assert_eq!(ns(&cfg, Net::OneD, shard(2, 2)), par);
-        assert_eq!(ns(&cfg, Net::OneD, shard(1, 4)), par);
-        // One shard of one thread synchronizes nothing: the window is the
-        // model's minimum edge, still finite.
-        let g = model_graph(&Topology::build(Net::OneD.config(cfg.profile)));
-        let min = g.edges.iter().map(|e| e.delay_ns).min().unwrap();
-        assert_eq!(ns(&cfg, Net::OneD, shard(1, 1)), min);
-    }
-
-    #[test]
-    fn shard_map_is_coarser_than_blocks() {
-        // Shards own whole blocks, so shard:2:1 can only relax the window
-        // par gets on the same model.
-        let cfg = SweepConfig::smoke();
-        for net in [Net::OneD, Net::TwoD] {
-            let par = ns(&cfg, net, Sched::Par { threads: 2 });
-            let w = on(&cfg, net, shard(2, 1));
-            assert!(w.ns >= par, "{net:?}: {w:?} < {par}");
+        let mut cfg = SweepConfig::smoke();
+        for flow in [FlowControl::BusyUntil, FlowControl::credit_default()] {
+            cfg.flow = flow;
+            for net in [Net::OneD, Net::TwoD] {
+                let w = windows(&cfg, net);
+                assert!(0 < w.lp.ns && w.lp.ns <= w.block.ns, "{net:?}: {w:?}");
+            }
         }
     }
 
     #[test]
     fn lint_reports_the_window_of_each_net() {
         let cfg = SweepConfig { nets: vec![Net::OneD, Net::TwoD], ..SweepConfig::smoke() };
-        let r = window_report(&cfg, &Sched::Seq);
+        let r = window_report(&cfg);
         assert_eq!(r.len(), 2, "{r}");
         assert_eq!(r.max_severity(), Some(Severity::Info), "{r}");
         let first = &r.iter().next().unwrap().message;
-        assert!(first.starts_with("1D network: par window 150 ns (packet edge router "), "{first}");
-        let r = window_report(&cfg, &Sched::Async { threads: 2 });
-        assert!(r.iter().all(|d| d.message.contains(": async:2 window ")), "{r}");
-        let r = window_report(&cfg, &shard(2, 1));
-        assert!(r.iter().all(|d| d.message.contains(": shard:2:1 window ")), "{r}");
+        assert!(
+            first.starts_with("1D network: block window 550 ns (packet edge router "),
+            "{first}"
+        );
+        assert!(first.contains("; LP window 150 ns (terminal edge node "), "{first}");
     }
 
+    /// A zero LP window is the builder's error, and lint reports it as
+    /// the finding `union-exp lint` exits 1 on.
     #[test]
     fn zero_delay_edge_leaves_no_window_and_names_the_pair() {
         let net_cfg = DragonflyConfig {
@@ -189,12 +118,13 @@ mod tests {
             router_delay_ns: 0,
             ..DragonflyConfig::tiny_1d()
         };
-        let r = window(&Topology::build(net_cfg), &Sched::Par { threads: 2 }).unwrap_err();
-        // The severity `union-exp lint` exits 1 on.
-        assert!(r.max_severity() >= Some(Severity::Warning), "{r}");
-        let d = r.iter().next().unwrap();
-        assert_eq!(d.code, "zero-delay");
-        assert!(d.message.starts_with("zero-delay packet edge router "), "{r}");
-        assert!(d.message.contains(" -> router "), "{r}");
+        let e = codes::SimulationBuilder::new(net_cfg.clone())
+            .job_sources("app", Vec::new())
+            .build()
+            .err()
+            .expect("a zero-delay model builds no simulation");
+        assert!(e.starts_with("zero-delay packet edge router "), "{e}");
+        assert!(e.contains(" -> router "), "{e}");
+        assert_eq!(codes::Windows::of(&Topology::build(net_cfg)), Err(e));
     }
 }

@@ -92,18 +92,18 @@ fn table1(rest: &[String]) -> Outcome {
     let skeleton_size = serde_json::to_vec(&cfg.skeleton).unwrap().len() as u64;
     let trace_size = trace.jsonl_size();
 
-    let run = |b: codes::SimulationBuilder| -> Result<(codes::SimResults, f64), RunError> {
+    // A run's identity: its final-state fingerprint and committed events.
+    let run = |b: codes::SimulationBuilder| -> Result<((u64, u64), f64), RunError> {
         let mut sim = b.build().map_err(RunError::Input)?;
         let t = std::time::Instant::now();
         let r = sim.run(ross::Scheduler::Sequential, ross::SimTime::MAX);
-        Ok((r, t.elapsed().as_secs_f64()))
+        Ok(((sim.state_fingerprint(), r.stats.committed), t.elapsed().as_secs_f64()))
     };
     let mk = || codes::SimulationBuilder::new(dragonfly::DragonflyConfig::small_1d()).seed(2);
-    let (r_skel, t_skel) =
+    let (skel, t_skel) =
         run(mk().job(cfg.name(), (0..ranks).map(|r| RankVm::new(inst.clone(), r, 1)).collect()))?;
-    let (r_trace, t_trace) = run(mk().job_trace(cfg.name(), &trace))?;
+    let (replay, t_trace) = run(mk().job_trace(cfg.name(), &trace))?;
 
-    let lat = |r: &codes::SimResults| r.apps[0].latency.iter().map(|l| l.sum_ns).sum::<u64>();
     println!("Table I — workload mechanisms compared on NN ({ranks} ranks, {iters} iters)");
     println!("| Feature | Trace Replay | Union |");
     println!("|---|---|---|");
@@ -118,10 +118,15 @@ fn table1(rest: &[String]) -> Outcome {
     println!("| Automatic skeletonization | n/a | Yes (translator) |");
     println!("| Integration to CODES | file ingest | automated registry |");
     println!("| Simulation wall time | {t_trace:.2}s | {t_skel:.2}s |");
-    println!(
-        "| Identical simulation results | {} |  |",
-        if lat(&r_skel) == lat(&r_trace) { "yes (verified)" } else { "NO (bug!)" }
-    );
+    let show = |(fp, committed): (u64, u64)| format!("fingerprint {fp:016x}, {committed} events");
+    if skel != replay {
+        return Err(RunError::Failed(format!(
+            "trace replay diverged from the skeleton run: {} vs {}",
+            show(replay),
+            show(skel)
+        )));
+    }
+    println!("| Identical simulation results | yes (verified: {}) |  |", show(skel));
     Ok(0)
 }
 
@@ -321,8 +326,8 @@ fn skeleton(rest: &[String]) -> Outcome {
 
 /// `union-exp lint` — run `union-lint`'s static analysis without
 /// simulating anything. Default: every bundled workload skeleton at the
-/// configuration a sweep would instantiate, plus the lookahead window the
-/// `--sched` given derives on each network (`seq`: the `par` window).
+/// configuration a sweep would instantiate, plus the lookahead windows
+/// the model derives on each network.
 /// `--fixture NAME` lints a seeded-bug fixture; `--file PROG.ncptl` lints
 /// a DSL program.
 /// Exit codes: 0 = clean (infos allowed), 1 = findings at Warning or
@@ -353,7 +358,7 @@ fn lint_cmd(rest: &[String]) -> Outcome {
             let r = union_lint::lint_skeleton(&app.skeleton, app.ranks, &args, &opts);
             reports.push((format!("{} ({} ranks)", app.name(), app.ranks), r));
         }
-        let windows = harness::lint::window_report(cfg, &spec.sched);
+        let windows = harness::lint::window_report(cfg);
         reports.push(("model/lookahead".to_string(), windows));
     }
     let mut worst = None;

@@ -18,7 +18,7 @@ use crate::trace_analysis::RunAnalysis;
 use dragonfly::{FlowControl, Routing};
 use placement::Placement;
 use ross::shard::ShardError;
-use ross::{QueueKind, SimDuration, SimTime};
+use ross::{SimDuration, SimTime};
 use serde::Value;
 use std::fmt;
 use std::str::FromStr;
@@ -48,7 +48,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--scale", value: "N", cmds: "sweep mix", help: "payload divisor (default 16; 1 under --profile paper)" },
     Flag { name: "--seed", value: "N", cmds: "sweep mix phold", help: "placement/model seed (default 42)" },
     Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T|async:T (not phold) or shard:N:T (mix, phold; default seq): T threads, N processes; the model sets the lookahead window" },
-    Flag { name: "--queue", value: "heap|ladder", cmds: "sweep mix phold", help: "pending-event queue (default ladder)" },
     Flag { name: "--flow", value: "busy|credit", cmds: "sweep", help: "router flow control (default busy)" },
     Flag { name: "--nets", value: "1d,2d", cmds: "sweep", help: "networks to sweep (default both)" },
     Flag { name: "--placements", value: "RN,RR,RG", cmds: "sweep", help: "placement policies to sweep (default all)" },
@@ -203,7 +202,8 @@ fn profile_label(p: Profile) -> &'static str {
 
 /// How a run is scheduled: sequentially, by in-process worker threads,
 /// or as a gang of shard processes. No variant carries a lookahead
-/// window: the model derives it ([`crate::lint::window`]).
+/// window: a CODES model derives its own ([`codes::Windows`]), PHOLD
+/// runs at its minimum event delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sched {
     Seq,
@@ -348,8 +348,6 @@ impl RunSpec {
     pub fn parse(cmd: &str, args: &[String]) -> Result<RunSpec, UsageError> {
         let a = Args::parse(cmd, args)?;
         let seed = a.value("--seed", "42", num)?;
-        let queue =
-            a.value("--queue", QueueKind::default().label(), |v| QueueKind::parse(v).ok())?;
         let until = match a.value("--until-us", "0", num)? {
             0 => SimTime::MAX,
             us => SimTime::from_us(us),
@@ -361,7 +359,7 @@ impl RunSpec {
             }
             let horizon_us: u64 = a.value("--horizon-us", "30", num)?;
             let horizon_ns = horizon_us.saturating_mul(1_000);
-            Model::Phold { params: PholdParams { lps, horizon_ns, seed, queue }, until }
+            Model::Phold { params: PholdParams { lps, horizon_ns, seed }, until }
         } else {
             let profile = a.value("--profile", "quick", by_label(&PROFILES, profile_label))?;
             let scale = if profile == Profile::Paper { "1" } else { "16" };
@@ -375,7 +373,6 @@ impl RunSpec {
                 iters: a.value("--iters", "2", num)?,
                 scale: a.value("--scale", scale, num)?,
                 seed,
-                queue,
                 until,
                 flow: a.value("--flow", "busy", flow)?,
                 baselines: !a.has("--no-baselines"),
@@ -493,14 +490,12 @@ impl RunSpec {
                 ("model", text("phold")),
                 ("lps", Value::UInt(params.lps as u64)),
                 ("horizon_ns", Value::UInt(params.horizon_ns)),
-                ("queue", text(params.queue.label())),
             ]),
             Model::Codes(cfg) => o.extend([
                 ("model", text("codes")),
                 ("profile", text(profile_label(cfg.profile))),
                 ("iters", Value::Int(cfg.iters)),
                 ("scale", Value::Int(cfg.scale)),
-                ("queue", text(cfg.queue.label())),
                 ("credit_flow", Value::Bool(cfg.flow != FlowControl::BusyUntil)),
                 ("nets", labels(cfg.nets.iter().map(|n| n.label()).collect())),
                 ("placements", labels(cfg.placements.iter().map(|p| p.label()).collect())),
@@ -680,10 +675,9 @@ fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
     report.close(spec)
 }
 
-/// One worker process of a `shard:N:T` gang: rebuild the model, derive
-/// its window, run this process's shard of it, report over the control
-/// socket. The returned report is empty — the results are the launcher's
-/// to print.
+/// One worker process of a `shard:N:T` gang: rebuild the model, run
+/// this process's shard of it, report over the control socket. The
+/// returned report is empty — the results are the launcher's to print.
 fn worker(
     spec: &RunSpec,
     shards: &ShardSpec,
@@ -715,10 +709,7 @@ fn worker(
                 let cfg = SweepConfig { telemetry: Some(rec), ..cfg.clone() };
                 let mut sim =
                     sweep::build(&cfg, sweep::keys(&cfg)[0], live).map_err(ShardError::Protocol)?;
-                let window = crate::lint::window(&sim.shared().topo, &spec.sched)
-                    .map_err(|r| ShardError::Protocol(r.render().trim_end().to_string()))?;
-                let window = SimDuration::from_ns(window.ns);
-                let stats = sim.run_sharded(transport, shards.threads, window, cfg.until)?;
+                let stats = sim.run_sharded(transport, shards.threads, cfg.until)?;
                 Ok((sim.shard_fingerprint(me, n), stats))
             },
         ),

@@ -27,7 +27,7 @@
 use crate::run::RunSpec;
 use ross::shard::wire::{fnv1a, put_u64, ByteReader};
 use ross::shard::{shard_owner_map, EventCodec, ShardError, ShardTransport, TcpTransport};
-use ross::{Ctx, Envelope, Lp, QueueKind, RunStats, SimDuration, SimTime, Simulation};
+use ross::{Ctx, Envelope, Lp, RunStats, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -489,7 +489,6 @@ pub struct PholdParams {
     pub lps: u32,
     pub horizon_ns: u64,
     pub seed: u64,
-    pub queue: QueueKind,
 }
 
 pub fn build_phold(p: &PholdParams) -> Simulation<PholdLp> {
@@ -502,7 +501,7 @@ pub fn build_phold(p: &PholdParams) -> Simulation<PholdLp> {
             horizon_ns: p.horizon_ns,
         })
         .collect();
-    let mut sim = Simulation::with_queue(lps, SimDuration::from_ns(1), p.queue);
+    let mut sim = Simulation::new(lps, SimDuration::from_ns(1));
     for i in 0..p.lps {
         sim.schedule(i, SimTime::from_ns(i as u64 % 7), i as u64);
     }
@@ -552,7 +551,7 @@ mod tests {
 
     #[test]
     fn phold_shard_fingerprints_sum_to_the_whole() {
-        let p = PholdParams { lps: 16, horizon_ns: 0, seed: 9, queue: QueueKind::Ladder };
+        let p = PholdParams { lps: 16, horizon_ns: 0, seed: 9 };
         let mut sim = build_phold(&p);
         sim.run_sequential(SimTime::MAX);
         let whole = phold_fingerprint(&sim, 0, 1);

@@ -9,7 +9,7 @@ use codes::{CodesSim, SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, FlowControl, Routing};
 use metrics::{AppLatencySummary, Boxplot, LinkLoad};
 use placement::Placement;
-use ross::{QueueKind, RunStats, Scheduler, SimDuration, SimTime};
+use ross::{RunStats, Scheduler, SimDuration, SimTime};
 use serde::Serialize;
 use workloads::{AppConfig, AppKind, Profile};
 
@@ -138,11 +138,9 @@ pub struct SweepConfig {
     pub workloads: Vec<u8>,
     /// Also run each involved application alone (the paper's baselines).
     pub baselines: bool,
-    /// In-process scheduler; each cell derives its window from its own
-    /// model (a `shard:N:T` gang runs its cell in worker processes).
+    /// In-process scheduler; each cell runs at its own model's window
+    /// (a `shard:N:T` gang runs its cell in worker processes).
     pub sched: Sched,
-    /// Pending-event queue implementation for the engine.
-    pub queue: QueueKind,
     /// Router counter window (0 = off).
     pub window_ns: u64,
     /// Virtual-time bound per run.
@@ -174,7 +172,6 @@ impl SweepConfig {
             workloads: vec![1, 2, 3],
             baselines: true,
             sched: Sched::Seq,
-            queue: QueueKind::default(),
             window_ns: 0,
             until: SimTime::MAX,
             keep_results: false,
@@ -227,8 +224,7 @@ pub(crate) fn build(
         .routing(key.routing)
         .placement(key.placement)
         .seed(cfg.seed)
-        .window_ns(cfg.window_ns)
-        .queue(cfg.queue);
+        .window_ns(cfg.window_ns);
     if let Some(rec) = &cfg.telemetry {
         b = b.telemetry(rec.clone());
     }
@@ -258,14 +254,12 @@ pub(crate) fn run_cell(
     live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
 ) -> Result<(RunRecord, CodesSim), String> {
     let mut sim = build(cfg, key, live)?;
-    let window = || match crate::lint::window(&sim.shared().topo, &cfg.sched) {
-        Ok(w) => Ok(SimDuration::from_ns(w.ns)),
-        Err(r) => Err(format!("{}: {}", key.label(), r.render().trim_end())),
-    };
+    // The model runs at its own window; the lookahead given here is unused.
+    let lookahead = SimDuration::ZERO;
     let sched = match cfg.sched {
         Sched::Seq => Scheduler::Sequential,
-        Sched::Par { threads } => Scheduler::ConservativeParallel { threads, lookahead: window()? },
-        Sched::Async { threads } => Scheduler::ConservativeAsync { threads, lookahead: window()? },
+        Sched::Par { threads } => Scheduler::ConservativeParallel { threads, lookahead },
+        Sched::Async { threads } => Scheduler::ConservativeAsync { threads, lookahead },
         Sched::Shard(_) => return Err("a shard:N:T gang runs in worker processes".to_string()),
     };
     let t0 = std::time::Instant::now();

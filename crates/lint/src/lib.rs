@@ -3,22 +3,17 @@
 //! Static analysis for the Union workload pipeline, run *before* any
 //! simulation time is spent (the paper's workflow burns hours of PDES
 //! time per configuration — a skeleton that deadlocks should be rejected
-//! up front, and a parallel schedule's window follows from the model).
+//! up front).
 //!
-//! Two tiers:
-//!
-//! * **Skeleton analysis** ([`lint_skeleton`], [`lint_trace`]): expand
-//!   each rank's op stream symbolically (bounded loop unrolling — see
-//!   [`LintOptions`]), then check cross-rank properties: communication
-//!   deadlocks (wait-for cycles among blocking sends/receives/collectives),
-//!   collective-sequence divergence, out-of-range or self-blocking
-//!   targets, and dead code. Anything data- or RNG-dependent degrades
-//!   conservatively (truncated expansion is reported as an `info`, not
-//!   guessed at).
-//! * **Model analysis** ([`model::ModelGraph`]): given the LP-level delay
-//!   edges of an assembled CODES model, derive the lookahead window of a
-//!   `par:T`/`async:T`/`shard:N:T` schedule — the minimum delay over the
-//!   edges it synchronizes — before the run starts.
+//! Skeleton analysis ([`lint_skeleton`], [`lint_trace`]): expand each
+//! rank's op stream symbolically (bounded loop unrolling — see
+//! [`LintOptions`]), then check cross-rank properties: communication
+//! deadlocks (wait-for cycles among blocking sends/receives/collectives),
+//! collective-sequence divergence, out-of-range or self-blocking targets,
+//! and dead code. Anything data- or RNG-dependent degrades conservatively
+//! (truncated expansion is reported as an `info`, not guessed at). The
+//! lookahead window of a parallel schedule is the model's to derive
+//! (`codes::Windows`), not this crate's.
 //!
 //! Findings use [`conceptual::Diagnostic`] / [`conceptual::Report`], the
 //! same types the compiler front end reports through, so parse errors and
@@ -26,7 +21,6 @@
 
 pub mod expand;
 pub mod fixtures;
-pub mod model;
 mod skeleton;
 
 pub use conceptual::{Diagnostic, Report, Severity};

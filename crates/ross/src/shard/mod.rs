@@ -125,11 +125,12 @@ impl<L: Lp> Simulation<L> {
         let window = window.max(self.lookahead);
         // A single shard has no cross-process protocol to run, so the
         // in-process thread pool IS the whole simulation — delegate to
-        // the barrier-free async scheduler (bit-identical results, no
-        // token fences, work stealing; see DESIGN.md §15) instead of
-        // spinning the shard rounds against zero peers.
+        // the round loop (bit-identical results, no token fences)
+        // instead of spinning the shard rounds against zero peers. Like
+        // the shard rounds, it keeps every partition block on one
+        // thread, so a window taken over cross-block edges stays safe.
         if n_shards == 1 {
-            return Ok(self.run_conservative_async(threads, window, until));
+            return Ok(self.run_conservative_parallel(threads, window, until));
         }
 
         // Shard-level ownership, then worker-level ownership within the

@@ -131,8 +131,8 @@ fn rich_program_runs_on_the_network() {
     let skel = translate_source(src, "rich").unwrap();
     let inst = SkeletonInstance::new(&skel, 9, &[]).unwrap();
     let mut fingerprints = Vec::new();
-    // par:3:0 — the window clamps to the engine lookahead (YAWNS).
-    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) };
+    // par:3 — CODES runs it at the model's block window.
+    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::ZERO };
     for sched in [Scheduler::Sequential, par] {
         let vms: Vec<RankVm> = (0..9).map(|r| RankVm::new(inst.clone(), r, 2)).collect();
         let mut sim = SimulationBuilder::new(DragonflyConfig::tiny_1d())

@@ -132,9 +132,9 @@ fn schedulers_agree_on_hybrid_workload() {
         (fp, r.link_load)
     };
     let seq = fingerprint(Scheduler::Sequential);
-    // par:3:0 — the window clamps to the engine lookahead (YAWNS).
-    let yawns = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) };
-    assert_eq!(seq, fingerprint(yawns));
+    // par:3 — CODES runs it at the model's block window.
+    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::ZERO };
+    assert_eq!(seq, fingerprint(par));
 }
 
 /// The sweep machinery produces baselines and mixes with sane structure.

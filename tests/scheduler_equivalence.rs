@@ -1,8 +1,8 @@
 //! Cross-scheduler determinism: every PDES scheduler — sequential,
-//! barrier windows (YAWNS included), barrier-free horizons and process
-//! shards — must produce bit-identical `SimResults` for the same model and seed, under either
-//! pending-event queue (binary heap or ladder). This is the contract
-//! that lets the harness sweep schedulers and queues freely — a parallel
+//! barrier windows, barrier-free horizons and process shards — must
+//! produce bit-identical `SimResults` for the same model and seed, under
+//! either pending-event queue (binary heap or ladder). This is the
+//! contract that lets the harness sweep schedulers freely — a parallel
 //! run is a faster sequential run, never a different experiment.
 
 use codes::{SimResults, SimulationBuilder};
@@ -83,10 +83,15 @@ fn run_q(sched: Scheduler, queue: QueueKind) -> Fingerprint {
     fingerprint(&r)
 }
 
-/// `par:T:0`: the window clamps up to the engine lookahead — the YAWNS
-/// protocol the retired `Scheduler::Conservative` ran.
-fn yawns(threads: usize) -> Scheduler {
-    Scheduler::ConservativeParallel { threads, lookahead: SimDuration::from_ns(0) }
+/// `par:T`: CODES runs it at the model's block window, whatever the
+/// lookahead field says.
+fn par(threads: usize) -> Scheduler {
+    Scheduler::ConservativeParallel { threads, lookahead: SimDuration::ZERO }
+}
+
+/// `async:T`, at the model's LP window.
+fn asy(threads: usize) -> Scheduler {
+    Scheduler::ConservativeAsync { threads, lookahead: SimDuration::ZERO }
 }
 
 fn run(sched: Scheduler) -> Fingerprint {
@@ -97,21 +102,10 @@ fn run(sched: Scheduler) -> Fingerprint {
 fn all_schedulers_agree_bit_for_bit() {
     let seq = run(Scheduler::Sequential);
     assert!(seq.committed > 0);
-    assert_eq!(seq, run(yawns(3)), "par:3:0 (YAWNS) != sequential");
-    // 100 ns is the minimum cross-partition delay on the default config
-    // (local link latency); wider windows would violate causality, a
-    // 1 ns window is always legal. Both must match.
-    for (threads, lookahead_ns) in [(2usize, 100u64), (3, 100), (4, 1)] {
-        let par = run(Scheduler::ConservativeParallel {
-            threads,
-            lookahead: SimDuration::from_ns(lookahead_ns),
-        });
-        assert_eq!(seq, par, "par:{threads}:{lookahead_ns} != sequential");
-        let asy = run(Scheduler::ConservativeAsync {
-            threads,
-            lookahead: SimDuration::from_ns(lookahead_ns),
-        });
-        assert_eq!(seq, asy, "async:{threads}:{lookahead_ns} != sequential");
+    // Each thread count deals the nine group blocks differently.
+    for threads in [2, 3, 4] {
+        assert_eq!(seq, run(par(threads)), "par:{threads} != sequential");
+        assert_eq!(seq, run(asy(threads)), "async:{threads} != sequential");
     }
 }
 
@@ -122,13 +116,7 @@ fn all_schedulers_agree_bit_for_bit() {
 fn queue_choice_never_changes_results() {
     let reference = run_q(Scheduler::Sequential, QueueKind::Heap);
     assert!(reference.committed > 0);
-    let scheds = [
-        Scheduler::Sequential,
-        yawns(3),
-        Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) },
-        Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) },
-    ];
-    for sched in scheds {
+    for sched in [Scheduler::Sequential, par(3), asy(3)] {
         for queue in [QueueKind::Heap, QueueKind::Ladder] {
             // The reference cell is `reference` itself; skip re-running it.
             if sched == Scheduler::Sequential && queue == QueueKind::Heap {
@@ -146,8 +134,7 @@ fn queue_choice_never_changes_results() {
 fn parallel_run_survives_rescheduling_midway() {
     let seq = run(Scheduler::Sequential);
     let mut sim = build_mix(QueueKind::default());
-    let par = Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) };
-    sim.run(par, SimTime::from_us(50));
+    sim.run(par(3), SimTime::from_us(50));
     let r = sim.run(Scheduler::Sequential, SimTime::MAX);
     let mut fp = fingerprint(&r);
     // Committed counts are per-leg; compare everything else.
@@ -157,8 +144,7 @@ fn parallel_run_survives_rescheduling_midway() {
     // Same contract for the barrier-free scheduler: pause at a bound,
     // finish sequentially, and the observables must be untouched.
     let mut sim = build_mix(QueueKind::default());
-    let asy = Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) };
-    sim.run(asy, SimTime::from_us(50));
+    sim.run(asy(3), SimTime::from_us(50));
     let r = sim.run(Scheduler::Sequential, SimTime::MAX);
     let mut fp = fingerprint(&r);
     fp.committed = seq.committed;
@@ -172,13 +158,7 @@ fn parallel_run_survives_rescheduling_midway() {
 /// together must equal one sequential run, under either queue.
 #[test]
 fn mixed_scheduler_legs_match_one_sequential_run() {
-    let window = SimDuration::from_ns(100);
-    let legs = [
-        Scheduler::ConservativeParallel { threads: 2, lookahead: window },
-        Scheduler::ConservativeAsync { threads: 2, lookahead: window },
-        Scheduler::Sequential,
-        Scheduler::ConservativeParallel { threads: 3, lookahead: window },
-    ];
+    let legs = [par(2), asy(2), Scheduler::Sequential, par(3)];
     let bounds = [SimTime::from_us(8), SimTime::from_us(16), SimTime::from_us(28), SimTime::MAX];
     for queue in [QueueKind::Heap, QueueKind::Ladder] {
         let seq = run_q(Scheduler::Sequential, queue);
@@ -224,9 +204,7 @@ fn sharded_runs_merge_to_the_sequential_fingerprint() {
                 .map(|mut t| {
                     std::thread::spawn(move || {
                         let mut sim = build_mix(queue);
-                        let stats = sim
-                            .run_sharded(&mut t, 2, SimDuration::from_ns(100), SimTime::MAX)
-                            .unwrap();
+                        let stats = sim.run_sharded(&mut t, 2, SimTime::MAX).unwrap();
                         (sim, stats)
                     })
                 })

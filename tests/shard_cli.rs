@@ -69,8 +69,9 @@ fn bad_input_is_a_message_and_an_exit_code_never_a_panic() {
     }
 }
 
-/// `mix` runs under every in-process scheduler the sweeps accept, with
-/// the sequential result.
+/// `mix` runs under every in-process scheduler the sweeps accept, and as
+/// one shard of two threads, with the sequential result. `par:2` and
+/// `shard:1:2` run at the block window, `async:2` at the LP window.
 #[test]
 fn mix_under_par_matches_sequential() {
     let mix = |sched: &str| {
@@ -82,8 +83,14 @@ fn mix_under_par_matches_sequential() {
         assert!(lines[1].starts_with("mix committed "), "{lines:?}");
         lines
     };
-    assert_eq!(mix("par:2"), mix("seq"));
-    assert_eq!(mix("async:2"), mix("seq"));
+    let seq = mix("seq");
+    assert_eq!(mix("par:2"), seq);
+    assert_eq!(mix("async:2"), seq);
+    // A one-shard gang runs the round loop; its launcher prints the
+    // merged fingerprint, then verifies it against `seq`.
+    let shard = mix("shard:1:2");
+    assert_eq!(shard[..2], seq[..2]);
+    assert!(shard.iter().any(|l| l == "mix verify sequential match"), "{shard:?}");
 }
 
 /// Single-process `phold --telemetry` writes the manifest (whose config

@@ -37,17 +37,15 @@ fn traced_run(sched: Scheduler, rate: u32) -> (Vec<TraceRun>, String) {
     (runs, json)
 }
 
-/// `par:3:0`: the window clamps to the engine lookahead (YAWNS).
-fn yawns3() -> Scheduler {
-    Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(0) }
-}
-
+/// `par:3`: CODES runs it at the model's block window (the lookahead
+/// field is unused).
 fn par3() -> Scheduler {
-    Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::from_ns(100) }
+    Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::ZERO }
 }
 
+/// `async:3`, at the model's LP window.
 fn async3() -> Scheduler {
-    Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::from_ns(100) }
+    Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::ZERO }
 }
 
 /// Same seed + same scheduler ⇒ byte-identical causal structure, and the
@@ -63,7 +61,7 @@ fn causality_fingerprint_is_deterministic_and_scheduler_independent() {
     let (sampled, _) = traced_run(Scheduler::Sequential, 64);
     assert_eq!(reference, causality_fingerprint(&sampled[0]), "sample rate changed causality");
 
-    for sched in [yawns3(), par3(), async3()] {
+    for sched in [par3(), async3()] {
         let (runs, _) = traced_run(sched, 1);
         assert_eq!(
             reference,
@@ -108,7 +106,7 @@ fn chrome_export_is_valid_json_with_monotonic_tracks() {
 /// committed work, and the speedup bound is at least 1.
 #[test]
 fn critical_path_invariants_hold_on_real_traces() {
-    for sched in [Scheduler::Sequential, yawns3(), par3(), async3()] {
+    for sched in [Scheduler::Sequential, par3(), async3()] {
         let (runs, _) = traced_run(sched, 1);
         let a = analyze(&runs[0]);
         let violations = a.check_invariants();
