@@ -10,6 +10,14 @@
 //! The executor contract: call [`RankVm::next_op`] to obtain the next
 //! operation. For a blocking op, do not call `next_op` again until the op
 //! completes in virtual time; nonblocking ops may be followed immediately.
+//! `next_op` panics on a runtime evaluation error;
+//! [`RankVm::try_next_op`] returns it as a [`VmError`].
+//!
+//! This is the only interpreter of [`Instr`]. `union-lint` drives it one
+//! instruction at a time ([`RankVm::step`]) and reads each instruction's
+//! output as `(op, copies)` runs ([`RankVm::drain_runs`]): the pending
+//! queue holds runs, so a repeat count costs one entry, and a synthetic
+//! send's destination is drawn only when the op is taken.
 
 use crate::ir::{Instr, LeafOp, MsgMode, ReduceTarget, Sel, Skeleton};
 use crate::ops::MpiOp;
@@ -194,13 +202,10 @@ fn cond_vars(c: &Cond, out: &mut HashSet<String>) {
 
 /// Enumerate (src, dst, bytes, copies) pairs of a Message leaf, calling
 /// `emit` for each. `only_src` restricts enumeration to one source rank
-/// (used on the dynamic path for the send side).
-///
-/// Public so `union-lint`'s symbolic expander shares the exact pair
-/// semantics of the simulator — including the deliberate silent skip of
-/// out-of-range `Single` destinations (mesh edges).
+/// (used on the dynamic path for the send side). Out-of-range `Single`
+/// destinations (mesh edges) are skipped silently.
 #[allow(clippy::too_many_arguments)]
-pub fn enumerate_pairs(
+fn enumerate_pairs(
     src: &Sel,
     dst: &Sel,
     count: &Expr,
@@ -291,6 +296,26 @@ pub fn enumerate_pairs(
     Ok(())
 }
 
+/// A runtime evaluation error: the program counter of the instruction
+/// being executed and what went wrong there (division by zero, a root or
+/// source task out of range, an invalid selector).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VmError {
+    pub pc: usize,
+    pub message: String,
+}
+
+/// What one pending queue entry yields, `copies` times over (the queue
+/// holds `(Queued, copies)` runs, so a repeat count costs one entry).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Queued {
+    /// An op taken as is.
+    Op(MpiOp),
+    /// A synthetic send of `bytes` whose destination is drawn from the
+    /// rank's RNG as the op is taken.
+    Synthetic { bytes: u64 },
+}
+
 #[derive(Clone, Debug)]
 struct LoopFrame {
     start: usize,
@@ -314,7 +339,7 @@ pub struct RankVm {
     env: Env,
     pc: usize,
     loops: Vec<LoopFrame>,
-    queue: VecDeque<MpiOp>,
+    queue: VecDeque<(Queued, u32)>,
     stage: Stage,
     rng: SmallRng,
 }
@@ -338,7 +363,11 @@ impl RankVm {
             env,
             pc: 0,
             loops: Vec::new(),
-            queue: VecDeque::new(),
+            // Every rank queues ops, so allocate the run buffer (the 4
+            // entries its first push would) with the VM, at set-up:
+            // 32-byte runs first allocated mid-run fragment the heap, and
+            // repeated runs in one process then peak higher.
+            queue: VecDeque::with_capacity(4),
             stage: Stage::NotStarted,
             rng: SmallRng::seed_from_u64(seed ^ ((rank as u64) << 32)),
         }
@@ -356,139 +385,181 @@ impl RankVm {
         self.stage == Stage::Done
     }
 
+    /// The program counter of the next instruction [`step`](Self::step)
+    /// executes; the program has ended once it reaches the code length.
+    pub fn pc(&self) -> usize {
+        self.pc
+    }
+
     /// Advance to the next MPI operation; `None` once the program (and its
     /// final `Finalize`) has been fully emitted.
     ///
-    /// Panics on runtime evaluation errors (division by zero, out-of-range
-    /// explicit task ids) with rank/pc context; static errors are caught
-    /// earlier by `conceptual::sema` and `SkeletonInstance::new`.
+    /// Panics on a runtime evaluation error with `name[rank r pc p]:`
+    /// context; [`try_next_op`](Self::try_next_op) returns it instead.
+    /// Static errors are caught earlier by `conceptual::sema` and
+    /// `SkeletonInstance::new`.
     pub fn next_op(&mut self) -> Option<MpiOp> {
+        self.try_next_op().unwrap_or_else(|e| {
+            panic!("{}[rank {} pc {}]: {}", self.inst.name, self.rank, e.pc, e.message)
+        })
+    }
+
+    /// [`next_op`](Self::next_op), with an evaluation error as a value.
+    pub fn try_next_op(&mut self) -> Result<Option<MpiOp>, VmError> {
         if self.stage == Stage::NotStarted {
             self.stage = Stage::Running;
-            return Some(MpiOp::Init);
+            return Ok(Some(MpiOp::Init));
         }
         loop {
-            if let Some(op) = self.queue.pop_front() {
-                return Some(op);
+            if let Some(op) = self.take() {
+                return Ok(Some(op));
             }
             if self.stage == Stage::Done {
-                return None;
+                return Ok(None);
             }
             if self.pc >= self.inst.code.len() {
                 self.stage = Stage::Done;
-                return Some(MpiOp::Finalize);
+                return Ok(Some(MpiOp::Finalize));
             }
-            let pc = self.pc;
-            // Clone of one instruction per step keeps the borrow checker
-            // happy; instructions are small (Expr trees are shared Boxes
-            // only in the Arc'd program — this clones the Expr, which is
-            // shallow for typical leaves).
-            let instr = self.inst.code[pc].clone();
-            match instr {
-                Instr::Leaf(op) => {
-                    self.pc += 1;
-                    self.emit_leaf(pc, &op);
-                }
-                Instr::LoopStart { reps, var, first, end } => {
-                    let reps = self.eval(&reps);
-                    if reps <= 0 {
-                        self.pc = end + 1;
-                    } else {
-                        let first = self.eval(&first);
-                        if let Some(v) = &var {
-                            self.env.bind(v, first);
-                        }
-                        self.loops.push(LoopFrame {
-                            start: pc,
-                            remaining: reps - 1,
-                            var,
-                            next_value: first + 1,
-                        });
-                        self.pc += 1;
-                    }
-                }
-                Instr::LoopEnd { start } => {
-                    let frame = self.loops.last_mut().expect("LoopEnd without matching LoopStart");
-                    debug_assert_eq!(frame.start, start);
-                    if frame.remaining > 0 {
-                        frame.remaining -= 1;
-                        let next = frame.next_value;
-                        frame.next_value += 1;
-                        if let Some(v) = frame.var.clone() {
-                            self.env.unbind(&v);
-                            self.env.bind(&v, next);
-                        }
-                        self.pc = start + 1;
-                    } else {
-                        if let Some(v) = self.loops.last().unwrap().var.clone() {
-                            self.env.unbind(&v);
-                        }
-                        self.loops.pop();
-                        self.pc += 1;
-                    }
-                }
-                Instr::Branch { cond, else_pc } => {
-                    if self.eval_cond(&cond) {
-                        self.pc += 1;
-                    } else {
-                        self.pc = else_pc;
-                    }
-                }
-                Instr::Jump { pc } => {
-                    self.pc = pc;
-                }
-                Instr::Bind { var, value } => {
-                    let v = self.eval(&value);
-                    self.env.bind(&var, v);
-                    self.pc += 1;
-                }
-                Instr::Unbind { var } => {
-                    self.env.unbind(&var);
-                    self.pc += 1;
-                }
-            }
+            self.step()?;
         }
     }
 
-    fn eval(&self, e: &Expr) -> i64 {
-        eval(e, &self.env).unwrap_or_else(|err| {
-            panic!("{}[rank {} pc {}]: {err}", self.inst.name, self.rank, self.pc)
-        })
+    /// Execute the one instruction at [`pc`](Self::pc), appending what it
+    /// emits to the pending runs. For a driver that inspects each
+    /// instruction's output through [`drain_runs`](Self::drain_runs)
+    /// instead of taking ops; panics if the program has ended.
+    pub fn step(&mut self) -> Result<(), VmError> {
+        let pc = self.pc;
+        self.exec(pc).map_err(|message| VmError { pc, message })
     }
 
-    fn eval_cond(&self, c: &Cond) -> bool {
-        eval_cond(c, &self.env).unwrap_or_else(|err| {
-            panic!("{}[rank {} pc {}]: {err}", self.inst.name, self.rank, self.pc)
-        })
+    /// Remove every pending run, leaving synthetic destinations undrawn.
+    pub fn drain_runs(&mut self) -> impl Iterator<Item = (Queued, u32)> + '_ {
+        self.queue.drain(..)
     }
 
-    /// Does `sel` include this rank? Binds the selector variable (caller
-    /// must pass it to `with_binding` scopes via the returned name).
-    fn sel_matches(&mut self, sel: &Sel) -> Option<Option<String>> {
-        match sel {
-            Sel::All(None) => Some(None),
-            Sel::All(Some(v)) => {
-                self.env.bind(v, self.rank as i64);
-                Some(Some(v.clone()))
+    /// Take one op off the front run, drawing a synthetic destination.
+    fn take(&mut self) -> Option<MpiOp> {
+        let (queued, copies) = self.queue.front_mut()?;
+        let queued = *queued;
+        *copies -= 1;
+        if *copies == 0 {
+            self.queue.pop_front();
+        }
+        Some(match queued {
+            Queued::Op(op) => op,
+            Queued::Synthetic { bytes } => {
+                // Uniform over everyone but me.
+                let mut dst = self.rng.gen_range(0..self.inst.num_tasks - 1);
+                if dst >= self.rank {
+                    dst += 1;
+                }
+                MpiOp::SyntheticSend { dst, bytes }
             }
-            Sel::Single(e) => {
-                if self.eval(e) == self.rank as i64 {
-                    Some(None)
+        })
+    }
+
+    fn push(&mut self, queued: Queued, copies: u32) {
+        if copies > 0 {
+            self.queue.push_back((queued, copies));
+        }
+    }
+
+    fn exec(&mut self, pc: usize) -> Result<(), String> {
+        // The instance handle is cloned, not the instruction: `Expr`
+        // trees stay shared while the VM mutates its own state.
+        let inst = Arc::clone(&self.inst);
+        match &inst.code[pc] {
+            Instr::Leaf(op) => {
+                self.pc += 1;
+                self.emit_leaf(pc, op)?;
+            }
+            Instr::LoopStart { reps, var, first, end } => {
+                let reps = self.eval(reps)?;
+                if reps <= 0 {
+                    self.pc = end + 1;
                 } else {
-                    None
+                    let first = self.eval(first)?;
+                    if let Some(v) = var {
+                        self.env.bind(v, first);
+                    }
+                    self.loops.push(LoopFrame {
+                        start: pc,
+                        remaining: reps - 1,
+                        var: var.clone(),
+                        next_value: first + 1,
+                    });
+                    self.pc += 1;
                 }
             }
+            Instr::LoopEnd { start } => {
+                let frame = self.loops.last_mut().ok_or("LoopEnd without LoopStart")?;
+                debug_assert_eq!(frame.start, *start);
+                if frame.remaining > 0 {
+                    frame.remaining -= 1;
+                    let next = frame.next_value;
+                    frame.next_value += 1;
+                    if let Some(v) = &frame.var {
+                        self.env.unbind(v);
+                        self.env.bind(v, next);
+                    }
+                    self.pc = start + 1;
+                } else {
+                    if let Some(v) = self.loops.pop().and_then(|f| f.var) {
+                        self.env.unbind(&v);
+                    }
+                    self.pc += 1;
+                }
+            }
+            Instr::Branch { cond, else_pc } => {
+                self.pc = if self.eval_cond(cond)? { pc + 1 } else { *else_pc };
+            }
+            Instr::Jump { pc: target } => {
+                self.pc = *target;
+            }
+            Instr::Bind { var, value } => {
+                let v = self.eval(value)?;
+                self.env.bind(var, v);
+                self.pc += 1;
+            }
+            Instr::Unbind { var } => {
+                self.env.unbind(var);
+                self.pc += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn eval(&self, e: &Expr) -> Result<i64, String> {
+        eval(e, &self.env).map_err(|err| err.to_string())
+    }
+
+    fn eval_cond(&self, c: &Cond) -> Result<bool, String> {
+        eval_cond(c, &self.env).map_err(|err| err.to_string())
+    }
+
+    /// Does `sel` include this rank? Binds the selector variable; pass
+    /// the returned name to `unbind_sel` once the leaf is evaluated.
+    fn sel_matches(&mut self, sel: &Sel) -> Result<Option<Option<String>>, String> {
+        match sel {
+            Sel::All(None) => Ok(Some(None)),
+            Sel::All(Some(v)) => {
+                self.env.bind(v, self.rank as i64);
+                Ok(Some(Some(v.clone())))
+            }
+            Sel::Single(e) => Ok((self.eval(e)? == self.rank as i64).then_some(None)),
             Sel::SuchThat(v, c) => {
                 self.env.bind(v, self.rank as i64);
-                if self.eval_cond(c) {
-                    Some(Some(v.clone()))
+                if self.eval_cond(c)? {
+                    Ok(Some(Some(v.clone())))
                 } else {
                     self.env.unbind(v);
-                    None
+                    Ok(None)
                 }
             }
             Sel::AllOthers | Sel::RandomOther => {
-                panic!("invalid task selector for this operation")
+                Err("invalid task selector for this operation".into())
             }
         }
     }
@@ -499,69 +570,55 @@ impl RankVm {
         }
     }
 
-    fn emit_leaf(&mut self, pc: usize, op: &LeafOp) {
-        match op {
+    /// Does `tasks` include this rank? Leaves no selector variable bound.
+    fn selects(&mut self, tasks: &Sel) -> Result<bool, String> {
+        let binding = self.sel_matches(tasks)?;
+        let hit = binding.is_some();
+        self.unbind_sel(binding.flatten());
+        Ok(hit)
+    }
+
+    fn emit_leaf(&mut self, pc: usize, op: &LeafOp) -> Result<(), String> {
+        let n = self.inst.num_tasks;
+        let op = match op {
             LeafOp::Message { src, dst, count, bytes, mode } => {
-                self.emit_message(pc, src, dst, count, bytes, *mode);
+                return self.emit_message(pc, src, dst, count, bytes, *mode);
             }
             LeafOp::Multicast { root, bytes } => {
-                let root = self.eval(root);
-                let bytes = self.eval(bytes).max(0) as u64;
-                assert!(
-                    root >= 0 && root < self.inst.num_tasks as i64,
-                    "multicast root {root} out of range"
-                );
-                self.queue.push_back(MpiOp::Bcast { root: root as u32, bytes });
+                let root = self.eval(root)?;
+                let bytes = self.eval(bytes)?.max(0) as u64;
+                Some(MpiOp::Bcast { root: root_in_range("multicast", root, n)?, bytes })
             }
             LeafOp::Reduce { bytes, target } => {
-                let bytes = self.eval(bytes).max(0) as u64;
-                match target {
-                    ReduceTarget::AllTasks => {
-                        self.queue.push_back(MpiOp::Allreduce { bytes });
-                    }
+                let bytes = self.eval(bytes)?.max(0) as u64;
+                Some(match target {
+                    ReduceTarget::AllTasks => MpiOp::Allreduce { bytes },
                     ReduceTarget::Root(e) => {
-                        let root = self.eval(e);
-                        assert!(
-                            root >= 0 && root < self.inst.num_tasks as i64,
-                            "reduce root {root} out of range"
-                        );
-                        self.queue.push_back(MpiOp::Reduce { root: root as u32, bytes });
+                        let root = self.eval(e)?;
+                        MpiOp::Reduce { root: root_in_range("reduce", root, n)?, bytes }
                     }
-                }
+                })
             }
-            LeafOp::Barrier => self.queue.push_back(MpiOp::Barrier),
+            LeafOp::Barrier => Some(MpiOp::Barrier),
             LeafOp::Compute { tasks, ns } | LeafOp::Sleep { tasks, ns } => {
-                if let Some(binding) = self.sel_matches(&tasks.clone()) {
-                    let ns = self.eval(ns).max(0) as u64;
-                    self.unbind_sel(binding);
-                    self.queue.push_back(MpiOp::Compute { ns });
+                match self.sel_matches(tasks)? {
+                    Some(binding) => {
+                        let ns = self.eval(ns)?.max(0) as u64;
+                        self.unbind_sel(binding);
+                        Some(MpiOp::Compute { ns })
+                    }
+                    None => None,
                 }
             }
-            LeafOp::Await { tasks } => {
-                if let Some(binding) = self.sel_matches(&tasks.clone()) {
-                    self.unbind_sel(binding);
-                    self.queue.push_back(MpiOp::WaitAll);
-                }
-            }
-            LeafOp::ResetCounters { tasks } => {
-                if let Some(binding) = self.sel_matches(&tasks.clone()) {
-                    self.unbind_sel(binding);
-                    self.queue.push_back(MpiOp::ResetCounters);
-                }
-            }
-            LeafOp::LogCounters { tasks } => {
-                if let Some(binding) = self.sel_matches(&tasks.clone()) {
-                    self.unbind_sel(binding);
-                    self.queue.push_back(MpiOp::LogCounters);
-                }
-            }
-            LeafOp::Aggregates { tasks } => {
-                if let Some(binding) = self.sel_matches(&tasks.clone()) {
-                    self.unbind_sel(binding);
-                    self.queue.push_back(MpiOp::Aggregates);
-                }
-            }
+            LeafOp::Await { tasks } => self.selects(tasks)?.then_some(MpiOp::WaitAll),
+            LeafOp::ResetCounters { tasks } => self.selects(tasks)?.then_some(MpiOp::ResetCounters),
+            LeafOp::LogCounters { tasks } => self.selects(tasks)?.then_some(MpiOp::LogCounters),
+            LeafOp::Aggregates { tasks } => self.selects(tasks)?.then_some(MpiOp::Aggregates),
+        };
+        if let Some(op) = op {
+            self.push(Queued::Op(op), 1);
         }
+        Ok(())
     }
 
     fn emit_message(
@@ -572,116 +629,92 @@ impl RankVm {
         count: &Expr,
         bytes: &Expr,
         mode: MsgMode,
-    ) {
-        let tag = pc as u32;
+    ) -> Result<(), String> {
         let n = self.inst.num_tasks;
         let rank = self.rank;
 
-        // Synthetic random-destination traffic: one-sided, send only.
+        // Synthetic random-destination traffic: one-sided, send only. A
+        // one-rank job has no one else to send to.
         if matches!(dst, Sel::RandomOther) {
-            let binding = match self.sel_matches(&src.clone()) {
-                Some(b) => b,
-                None => return,
-            };
-            let copies = self.eval(count).max(0) as u32;
-            let b = self.eval(bytes).max(0) as u64;
+            let Some(binding) = self.sel_matches(src)? else { return Ok(()) };
+            let copies = self.eval(count)?.max(0) as u32;
+            let bytes = self.eval(bytes)?.max(0) as u64;
             self.unbind_sel(binding);
-            for _ in 0..copies {
-                let mut d = self.rng.gen_range(0..n.max(2) - 1);
-                if d >= rank {
-                    d += 1; // uniform over everyone but me
-                }
-                if d < n {
-                    self.queue.push_back(MpiOp::SyntheticSend { dst: d, bytes: b });
-                }
+            if n > 1 {
+                self.push(Queued::Synthetic { bytes }, copies);
             }
-            return;
+            return Ok(());
         }
 
-        let mut sends: Vec<(u32, u64, u32)> = Vec::new();
-        let mut recvs: Vec<(u32, u64, u32)> = Vec::new();
-        if let Some(plans) = &self.inst.resolved[pc] {
-            let plan = &plans[rank as usize];
-            sends.extend_from_slice(&plan.sends);
-            recvs.extend_from_slice(&plan.recvs);
-        } else {
-            // Dynamic path: my sends cost O(my destinations); my receives
-            // require scanning all potential sources.
-            let mut env = self.env.clone();
-            let rank_u = rank;
-            enumerate_pairs(
-                src,
-                dst,
-                count,
-                bytes,
-                n,
-                &mut env,
-                Some(rank_u),
-                &mut |s, d, b, c| {
-                    if s == rank_u {
-                        sends.push((d, b, c));
+        let inst = Arc::clone(&self.inst);
+        let mut dynamic = RankPlan::default();
+        let plan = match &inst.resolved[pc] {
+            Some(plans) => &plans[rank as usize],
+            None => {
+                // Dynamic path: my sends cost O(my destinations); my
+                // receives require scanning all potential sources.
+                let mut env = self.env.clone();
+                enumerate_pairs(
+                    src,
+                    dst,
+                    count,
+                    bytes,
+                    n,
+                    &mut env,
+                    Some(rank),
+                    &mut |s, d, b, c| {
+                        if s == rank {
+                            dynamic.sends.push((d, b, c));
+                        }
+                    },
+                )?;
+                let mut env = self.env.clone();
+                enumerate_pairs(src, dst, count, bytes, n, &mut env, None, &mut |s, d, b, c| {
+                    if d == rank {
+                        dynamic.recvs.push((s, b, c));
                     }
-                },
-            )
-            .unwrap_or_else(|e| panic!("{}[rank {rank} pc {pc}]: {e}", self.inst.name));
-            // Receive side: enumerate every source unless src is Single.
-            let mut env = self.env.clone();
-            enumerate_pairs(src, dst, count, bytes, n, &mut env, None, &mut |s, d, b, c| {
-                if d == rank_u {
-                    recvs.push((s, b, c));
-                }
-            })
-            .unwrap_or_else(|e| panic!("{}[rank {rank} pc {pc}]: {e}", self.inst.name));
-        }
+                })?;
+                &dynamic
+            }
+        };
 
         // Emission order per mode (coNCePTuaL's generated-code convention
         // posts receives first for nonblocking traffic):
+        let tag = pc as u32;
+        let irecvs =
+            plan.recvs.iter().map(|&(src, bytes, c)| (MpiOp::Irecv { src, bytes, tag }, c));
+        let recvs = plan.recvs.iter().map(|&(src, bytes, c)| (MpiOp::Recv { src, bytes, tag }, c));
+        let isends =
+            plan.sends.iter().map(|&(dst, bytes, c)| (MpiOp::Isend { dst, bytes, tag }, c));
+        let sends = plan.sends.iter().map(|&(dst, bytes, c)| (MpiOp::Send { dst, bytes, tag }, c));
         match mode {
-            MsgMode::Async => {
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Irecv { src: s, bytes: b, tag });
-                    }
-                }
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Isend { dst: d, bytes: b, tag });
-                    }
-                }
-            }
-            MsgMode::Sync => {
-                // Blocking send first, blocking receive after: the
-                // one-directional (ping-pong) idiom.
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Send { dst: d, bytes: b, tag });
-                    }
-                }
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Recv { src: s, bytes: b, tag });
-                    }
-                }
-            }
+            MsgMode::Async => self.push_ops(irecvs.chain(isends)),
+            // Blocking send first, blocking receive after: the
+            // one-directional (ping-pong) idiom.
+            MsgMode::Sync => self.push_ops(sends.chain(recvs)),
+            // Deadlock-free exchange: post all receives, then blocking
+            // sends, then drain.
             MsgMode::SendIrecv => {
-                // Deadlock-free exchange: post all receives, then blocking
-                // sends, then drain.
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Irecv { src: s, bytes: b, tag });
-                    }
-                }
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.queue.push_back(MpiOp::Send { dst: d, bytes: b, tag });
-                    }
-                }
-                if !recvs.is_empty() {
-                    self.queue.push_back(MpiOp::WaitAll);
-                }
+                let wait = (!plan.recvs.is_empty()).then_some((MpiOp::WaitAll, 1));
+                self.push_ops(irecvs.chain(sends).chain(wait));
             }
         }
+        Ok(())
     }
+
+    fn push_ops(&mut self, runs: impl Iterator<Item = (MpiOp, u32)>) {
+        for (op, copies) in runs {
+            self.push(Queued::Op(op), copies);
+        }
+    }
+}
+
+/// A root task id, range-checked against the job size.
+fn root_in_range(what: &str, root: i64, n: u32) -> Result<u32, String> {
+    if root < 0 || root >= n as i64 {
+        return Err(format!("{what} root {root} out of range 0..{n}"));
+    }
+    Ok(root as u32)
 }
 
 /// Iterator over the op stream assuming instantaneous completion — the
@@ -891,5 +924,40 @@ mod tests {
         let r1 = ops(RankVm::new(inst.clone(), 1, 1));
         assert!(r1.contains(&MpiOp::Recv { src: 0, bytes: 4, tag: 0 }));
         assert!(!r1.iter().any(|o| matches!(o, MpiOp::Send { .. })));
+    }
+
+    #[test]
+    fn a_repeat_count_is_one_queue_entry() {
+        let skel =
+            translate_source("task 0 sends 1000000000 8 byte messages to task 1.", "t").unwrap();
+        let inst = SkeletonInstance::new(&skel, 2, &[]).unwrap();
+        let mut vm = RankVm::new(inst, 0, 1);
+        for _ in 0..4 {
+            vm.next_op().unwrap();
+        }
+        assert_eq!(vm.queue.len(), 1);
+        assert_eq!(vm.queue[0].1, 1_000_000_000 - 3);
+    }
+
+    const LEAF_ERROR: &str = "task 0 sends a 8 byte message to task 1 then \
+        for each i in {0, ..., 1} task 0 computes for 8/i microseconds.";
+
+    #[test]
+    fn an_evaluation_error_is_a_value_at_the_leaf_pc() {
+        let inst =
+            SkeletonInstance::new(&translate_source(LEAF_ERROR, "t").unwrap(), 2, &[]).unwrap();
+        let mut vm = RankVm::new(inst, 0, 1);
+        assert_eq!(vm.try_next_op(), Ok(Some(MpiOp::Init)));
+        assert!(matches!(vm.try_next_op(), Ok(Some(MpiOp::Send { .. }))));
+        let err = vm.try_next_op().unwrap_err();
+        assert_eq!(err.pc, 2, "the Compute leaf, not the LoopEnd after it: {err:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "t[rank 0 pc 2]: ")]
+    fn next_op_panics_with_rank_and_pc() {
+        let inst =
+            SkeletonInstance::new(&translate_source(LEAF_ERROR, "t").unwrap(), 2, &[]).unwrap();
+        RankVm::new(inst, 0, 1).for_each(drop);
     }
 }

@@ -70,6 +70,24 @@ fn opt<T: FromStr>(rest: &[String], flag: &str, default: T) -> Result<T, RunErro
     }
 }
 
+/// `--ranks`, or `default` when absent. A job has at most one rank per
+/// node of the largest modelled system (the paper's 8,448-node
+/// dragonflies), so a larger value is a usage error before anything is
+/// read or built.
+fn ranks_opt(rest: &[String], default: u32) -> Result<u32, RunError> {
+    use dragonfly::DragonflyConfig;
+    let ranks: u32 = opt(rest, "--ranks", default)?;
+    let max = DragonflyConfig::dragonfly_1d()
+        .total_nodes()
+        .max(DragonflyConfig::dragonfly_2d().total_nodes());
+    if ranks > max {
+        return Err(RunError::Input(format!(
+            "--ranks {ranks} exceeds {max}, the node count of the largest modelled system"
+        )));
+    }
+    Ok(ranks)
+}
+
 fn flag_value<'a>(rest: &'a [String], flag: &str) -> Result<Option<&'a String>, RunError> {
     let Some(i) = rest.iter().position(|a| a == flag) else { return Ok(None) };
     rest.get(i + 1).map(Some).ok_or_else(|| RunError::Input(format!("flag {flag} needs a value")))
@@ -80,7 +98,7 @@ fn flag_value<'a>(rest: &'a [String], flag: &str) -> Result<Option<&'a String>, 
 fn table1(rest: &[String]) -> Outcome {
     use std::sync::Arc;
     use union_core::Trace;
-    let ranks: u32 = opt(rest, "--ranks", 64)?;
+    let ranks = ranks_opt(rest, 64)?;
     let iters: i64 = opt(rest, "--iters", 5)?;
     let cfg = workloads::app(workloads::AppKind::NearestNeighbor, Profile::Quick, iters, 16);
     let args: Vec<&str> = cfg.args.iter().map(|s| s.as_str()).collect();
@@ -132,7 +150,7 @@ fn table1(rest: &[String]) -> Outcome {
 
 /// Tables IV & V and Fig 6: AlexNet application vs Union skeleton.
 fn validate(cmd: &str, rest: &[String]) -> Outcome {
-    let ranks: u32 = opt(rest, "--ranks", 512)?;
+    let ranks = ranks_opt(rest, 512)?;
     let skel = workloads::alexnet();
     let inst = SkeletonInstance::new(&skel, ranks, &[]).map_err(RunError::Input)?;
     eprintln!("collecting AlexNet skeleton + reference streams at {ranks} ranks…");
@@ -342,7 +360,7 @@ fn lint_cmd(rest: &[String]) -> Outcome {
         })?;
         reports.push((format!("fixture {name}"), r));
     } else if let Some(path) = flag_value(rest, "--file")? {
-        let ranks: u32 = opt(rest, "--ranks", 4)?;
+        let ranks = ranks_opt(rest, 4)?;
         let src = std::fs::read_to_string(path)
             .map_err(|e| RunError::Input(format!("cannot read `{path}`: {e}")))?;
         reports.push((

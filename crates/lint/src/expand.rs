@@ -1,27 +1,22 @@
-//! Symbolic per-rank expansion of a skeleton into finite op streams.
+//! Per-rank expansion of a skeleton into finite op streams, by stepping
+//! the simulator's own interpreter, `union_core::vm::RankVm`, one
+//! instruction at a time. Expansion adds only what analysis needs:
 //!
-//! This is the lint-side twin of `union_core::vm::RankVm`: the same
-//! instruction semantics (loop frames, branches, bindings, per-mode
-//! message emission order, silent skip of out-of-range `Single`
-//! destinations) but with three deliberate differences:
+//! * a budget (instruction steps and emitted ops per rank), so a huge or
+//!   non-terminating configuration degrades to a truncated prefix instead
+//!   of hanging the linter;
+//! * the pc of every executed instruction, so the analysis can report
+//!   instructions no rank ever executes at the linted configuration.
 //!
-//! * every evaluation error is a `Result`, never a panic — a bad root or
-//!   source index becomes a diagnostic, not an aborted process;
-//! * expansion is budgeted (instruction steps and emitted ops per rank)
-//!   so a huge or non-terminating configuration degrades to a truncated
-//!   prefix instead of hanging the linter;
-//! * RNG-driven traffic (`Sel::RandomOther`) is skipped: synthetic sends
-//!   are one-sided fire-and-forget, so they cannot participate in a
-//!   deadlock and their destinations are irrelevant to the analysis.
-//!
-//! Visited program counters are recorded so the analysis can report
-//! instructions no rank ever executes at the linted configuration.
+//! An evaluation error is the VM's [`VmError`], reported as a failed
+//! expansion. Synthetic (random-destination) sends are dropped undrawn:
+//! they are one-sided and unmatched, so they cannot take part in a
+//! deadlock and their destinations are irrelevant to the analysis.
 
-use conceptual::{eval, eval_cond, Cond, Env, Expr};
 use std::collections::BTreeSet;
-use union_core::ir::{Instr, LeafOp, MsgMode, ReduceTarget, Sel};
-use union_core::vm::{enumerate_pairs, SkeletonInstance};
-use union_core::MpiOp;
+use std::sync::Arc;
+use union_core::vm::{Queued, VmError};
+use union_core::{MpiOp, RankVm, SkeletonInstance};
 
 use crate::LintOptions;
 
@@ -48,332 +43,33 @@ pub struct ExpandedRank {
 }
 
 /// Expand `rank`'s stream from an instantiated skeleton.
-pub fn expand_rank(inst: &SkeletonInstance, rank: u32, opts: &LintOptions) -> ExpandedRank {
-    let mut ex = Expander {
-        inst,
-        rank,
-        env: inst.base_env().clone(),
-        pc: 0,
-        loops: Vec::new(),
-        ops: Vec::new(),
-        visited: BTreeSet::new(),
-        steps: 0,
-        opts,
+pub fn expand_rank(inst: &Arc<SkeletonInstance>, rank: u32, opts: &LintOptions) -> ExpandedRank {
+    let mut vm = RankVm::new(inst.clone(), rank, 0);
+    let mut ops = Vec::new();
+    let mut visited = BTreeSet::new();
+    let mut steps = 0;
+    let status = 'run: loop {
+        let pc = vm.pc();
+        if pc >= inst.code().len() {
+            break ExpandStatus::Complete;
+        }
+        if steps >= opts.max_steps_per_rank {
+            break ExpandStatus::Truncated;
+        }
+        steps += 1;
+        visited.insert(pc);
+        if let Err(VmError { pc, message }) = vm.step() {
+            break ExpandStatus::Failed { pc, message };
+        }
+        for (queued, copies) in vm.drain_runs() {
+            let Queued::Op(op) = queued else { continue };
+            for _ in 0..copies {
+                if ops.len() >= opts.max_ops_per_rank {
+                    break 'run ExpandStatus::Truncated;
+                }
+                ops.push((pc, op));
+            }
+        }
     };
-    let status = match ex.exec() {
-        Ok(()) => ExpandStatus::Complete,
-        Err(Stop::Budget) => ExpandStatus::Truncated,
-        Err(Stop::Fail(pc, message)) => ExpandStatus::Failed { pc, message },
-    };
-    ExpandedRank { rank, ops: ex.ops, visited: ex.visited, status }
-}
-
-enum Stop {
-    Budget,
-    Fail(usize, String),
-}
-
-struct LoopFrame {
-    start: usize,
-    remaining: i64,
-    var: Option<String>,
-    next_value: i64,
-}
-
-struct Expander<'a> {
-    inst: &'a SkeletonInstance,
-    rank: u32,
-    env: Env,
-    pc: usize,
-    loops: Vec<LoopFrame>,
-    ops: Vec<(usize, MpiOp)>,
-    visited: BTreeSet<usize>,
-    steps: usize,
-    opts: &'a LintOptions,
-}
-
-impl Expander<'_> {
-    fn exec(&mut self) -> Result<(), Stop> {
-        while self.pc < self.inst.code().len() {
-            if self.steps >= self.opts.max_steps_per_rank {
-                return Err(Stop::Budget);
-            }
-            self.steps += 1;
-            let pc = self.pc;
-            self.visited.insert(pc);
-            let instr = self.inst.code()[pc].clone();
-            match instr {
-                Instr::Leaf(op) => {
-                    self.pc += 1;
-                    self.emit_leaf(pc, &op)?;
-                }
-                Instr::LoopStart { reps, var, first, end } => {
-                    let reps = self.eval(&reps)?;
-                    if reps <= 0 {
-                        self.pc = end + 1;
-                    } else {
-                        let first = self.eval(&first)?;
-                        if let Some(v) = &var {
-                            self.env.bind(v, first);
-                        }
-                        self.loops.push(LoopFrame {
-                            start: pc,
-                            remaining: reps - 1,
-                            var,
-                            next_value: first + 1,
-                        });
-                        self.pc += 1;
-                    }
-                }
-                Instr::LoopEnd { start } => {
-                    let frame = self
-                        .loops
-                        .last_mut()
-                        .ok_or_else(|| Stop::Fail(pc, "LoopEnd without LoopStart".into()))?;
-                    debug_assert_eq!(frame.start, start);
-                    if frame.remaining > 0 {
-                        frame.remaining -= 1;
-                        let next = frame.next_value;
-                        frame.next_value += 1;
-                        if let Some(v) = frame.var.clone() {
-                            self.env.unbind(&v);
-                            self.env.bind(&v, next);
-                        }
-                        self.pc = start + 1;
-                    } else {
-                        if let Some(v) = self.loops.last().unwrap().var.clone() {
-                            self.env.unbind(&v);
-                        }
-                        self.loops.pop();
-                        self.pc += 1;
-                    }
-                }
-                Instr::Branch { cond, else_pc } => {
-                    if self.eval_cond(&cond)? {
-                        self.pc += 1;
-                    } else {
-                        self.pc = else_pc;
-                    }
-                }
-                Instr::Jump { pc } => {
-                    self.pc = pc;
-                }
-                Instr::Bind { var, value } => {
-                    let v = self.eval(&value)?;
-                    self.env.bind(&var, v);
-                    self.pc += 1;
-                }
-                Instr::Unbind { var } => {
-                    self.env.unbind(&var);
-                    self.pc += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn eval(&self, e: &Expr) -> Result<i64, Stop> {
-        eval(e, &self.env).map_err(|err| Stop::Fail(self.pc, err.to_string()))
-    }
-
-    fn eval_cond(&self, c: &Cond) -> Result<bool, Stop> {
-        eval_cond(c, &self.env).map_err(|err| Stop::Fail(self.pc, err.to_string()))
-    }
-
-    fn push(&mut self, pc: usize, op: MpiOp) -> Result<(), Stop> {
-        if self.ops.len() >= self.opts.max_ops_per_rank {
-            return Err(Stop::Budget);
-        }
-        self.ops.push((pc, op));
-        Ok(())
-    }
-
-    /// Does `sel` include this rank? Mirrors `RankVm::sel_matches` but
-    /// fails instead of panicking on invalid selectors.
-    fn sel_matches(&mut self, pc: usize, sel: &Sel) -> Result<Option<Option<String>>, Stop> {
-        match sel {
-            Sel::All(None) => Ok(Some(None)),
-            Sel::All(Some(v)) => {
-                self.env.bind(v, self.rank as i64);
-                Ok(Some(Some(v.clone())))
-            }
-            Sel::Single(e) => {
-                if self.eval(e)? == self.rank as i64 {
-                    Ok(Some(None))
-                } else {
-                    Ok(None)
-                }
-            }
-            Sel::SuchThat(v, c) => {
-                self.env.bind(v, self.rank as i64);
-                if self.eval_cond(c)? {
-                    Ok(Some(Some(v.clone())))
-                } else {
-                    self.env.unbind(v);
-                    Ok(None)
-                }
-            }
-            Sel::AllOthers | Sel::RandomOther => {
-                Err(Stop::Fail(pc, "invalid task selector for this operation".into()))
-            }
-        }
-    }
-
-    fn unbind_sel(&mut self, binding: Option<String>) {
-        if let Some(v) = binding {
-            self.env.unbind(&v);
-        }
-    }
-
-    fn emit_leaf(&mut self, pc: usize, op: &LeafOp) -> Result<(), Stop> {
-        let n = self.inst.num_tasks;
-        match op {
-            LeafOp::Message { src, dst, count, bytes, mode } => {
-                self.emit_message(pc, src, dst, count, bytes, *mode)
-            }
-            LeafOp::Multicast { root, bytes } => {
-                let root = self.eval(root)?;
-                let bytes = self.eval(bytes)?.max(0) as u64;
-                if root < 0 || root >= n as i64 {
-                    return Err(Stop::Fail(
-                        pc,
-                        format!("multicast root {root} out of range 0..{n}"),
-                    ));
-                }
-                self.push(pc, MpiOp::Bcast { root: root as u32, bytes })
-            }
-            LeafOp::Reduce { bytes, target } => {
-                let bytes = self.eval(bytes)?.max(0) as u64;
-                match target {
-                    ReduceTarget::AllTasks => self.push(pc, MpiOp::Allreduce { bytes }),
-                    ReduceTarget::Root(e) => {
-                        let root = self.eval(e)?;
-                        if root < 0 || root >= n as i64 {
-                            return Err(Stop::Fail(
-                                pc,
-                                format!("reduce root {root} out of range 0..{n}"),
-                            ));
-                        }
-                        self.push(pc, MpiOp::Reduce { root: root as u32, bytes })
-                    }
-                }
-            }
-            LeafOp::Barrier => self.push(pc, MpiOp::Barrier),
-            LeafOp::Compute { tasks, ns } | LeafOp::Sleep { tasks, ns } => {
-                if let Some(binding) = self.sel_matches(pc, &tasks.clone())? {
-                    let ns = self.eval(ns)?.max(0) as u64;
-                    self.unbind_sel(binding);
-                    self.push(pc, MpiOp::Compute { ns })?;
-                }
-                Ok(())
-            }
-            LeafOp::Await { tasks } => {
-                if let Some(binding) = self.sel_matches(pc, &tasks.clone())? {
-                    self.unbind_sel(binding);
-                    self.push(pc, MpiOp::WaitAll)?;
-                }
-                Ok(())
-            }
-            LeafOp::ResetCounters { tasks } => {
-                if let Some(binding) = self.sel_matches(pc, &tasks.clone())? {
-                    self.unbind_sel(binding);
-                    self.push(pc, MpiOp::ResetCounters)?;
-                }
-                Ok(())
-            }
-            LeafOp::LogCounters { tasks } => {
-                if let Some(binding) = self.sel_matches(pc, &tasks.clone())? {
-                    self.unbind_sel(binding);
-                    self.push(pc, MpiOp::LogCounters)?;
-                }
-                Ok(())
-            }
-            LeafOp::Aggregates { tasks } => {
-                if let Some(binding) = self.sel_matches(pc, &tasks.clone())? {
-                    self.unbind_sel(binding);
-                    self.push(pc, MpiOp::Aggregates)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn emit_message(
-        &mut self,
-        pc: usize,
-        src: &Sel,
-        dst: &Sel,
-        count: &Expr,
-        bytes: &Expr,
-        mode: MsgMode,
-    ) -> Result<(), Stop> {
-        // Synthetic random traffic is one-sided and unmatched: no deadlock
-        // potential, destination irrelevant — nothing to analyze.
-        if matches!(dst, Sel::RandomOther) {
-            return Ok(());
-        }
-        let tag = pc as u32;
-        let n = self.inst.num_tasks;
-        let rank = self.rank;
-
-        let mut sends: Vec<(u32, u64, u32)> = Vec::new();
-        let mut recvs: Vec<(u32, u64, u32)> = Vec::new();
-        let mut env = self.env.clone();
-        enumerate_pairs(src, dst, count, bytes, n, &mut env, Some(rank), &mut |s, d, b, c| {
-            if s == rank {
-                sends.push((d, b, c));
-            }
-        })
-        .map_err(|e| Stop::Fail(pc, e))?;
-        let mut env = self.env.clone();
-        enumerate_pairs(src, dst, count, bytes, n, &mut env, None, &mut |s, d, b, c| {
-            if d == rank {
-                recvs.push((s, b, c));
-            }
-        })
-        .map_err(|e| Stop::Fail(pc, e))?;
-
-        match mode {
-            MsgMode::Async => {
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Irecv { src: s, bytes: b, tag })?;
-                    }
-                }
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Isend { dst: d, bytes: b, tag })?;
-                    }
-                }
-            }
-            MsgMode::Sync => {
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Send { dst: d, bytes: b, tag })?;
-                    }
-                }
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Recv { src: s, bytes: b, tag })?;
-                    }
-                }
-            }
-            MsgMode::SendIrecv => {
-                for &(s, b, c) in &recvs {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Irecv { src: s, bytes: b, tag })?;
-                    }
-                }
-                for &(d, b, c) in &sends {
-                    for _ in 0..c {
-                        self.push(pc, MpiOp::Send { dst: d, bytes: b, tag })?;
-                    }
-                }
-                if !recvs.is_empty() {
-                    self.push(pc, MpiOp::WaitAll)?;
-                }
-            }
-        }
-        Ok(())
-    }
+    ExpandedRank { rank, ops, visited, status }
 }

@@ -6,14 +6,14 @@
 //! up front).
 //!
 //! Skeleton analysis ([`lint_skeleton`], [`lint_trace`]): expand each
-//! rank's op stream symbolically (bounded loop unrolling — see
-//! [`LintOptions`]), then check cross-rank properties: communication
-//! deadlocks (wait-for cycles among blocking sends/receives/collectives),
-//! collective-sequence divergence, out-of-range or self-blocking targets,
-//! and dead code. Anything data- or RNG-dependent degrades conservatively
-//! (truncated expansion is reported as an `info`, not guessed at). The
-//! lookahead window of a parallel schedule is the model's to derive
-//! (`codes::Windows`), not this crate's.
+//! rank's op stream by stepping the simulator's own interpreter,
+//! `union_core::RankVm`, under a budget (see [`LintOptions`]), then check
+//! cross-rank properties: communication deadlocks (wait-for cycles among
+//! blocking sends/receives/collectives), collective-sequence divergence,
+//! out-of-range or self-blocking targets, and dead code. Anything data- or
+//! RNG-dependent degrades conservatively (truncated expansion is reported
+//! as an `info`, not guessed at). The lookahead window of a parallel
+//! schedule is the model's to derive (`codes::Windows`), not this crate's.
 //!
 //! Findings use [`conceptual::Diagnostic`] / [`conceptual::Report`], the
 //! same types the compiler front end reports through, so parse errors and
@@ -26,6 +26,7 @@ mod skeleton;
 pub use conceptual::{Diagnostic, Report, Severity};
 pub use expand::{expand_rank, ExpandStatus, ExpandedRank};
 
+use std::sync::Arc;
 use union_core::{Skeleton, SkeletonInstance, Trace};
 
 /// Budgets and thresholds for the skeleton analysis.
@@ -60,7 +61,7 @@ pub fn lint_skeleton(skel: &Skeleton, num_tasks: u32, args: &[&str], opts: &Lint
 }
 
 /// Lint an already-instantiated skeleton.
-pub fn lint_instance(inst: &SkeletonInstance, opts: &LintOptions) -> Report {
+pub fn lint_instance(inst: &Arc<SkeletonInstance>, opts: &LintOptions) -> Report {
     let streams: Vec<ExpandedRank> =
         (0..inst.num_tasks).map(|r| expand_rank(inst, r, opts)).collect();
     skeleton::analyze(&streams, Some(inst.code().len()), opts)
@@ -233,6 +234,64 @@ mod tests {
         let d = r.iter().next().unwrap();
         assert_eq!(d.code, "dead-code");
         assert_eq!(d.severity, Severity::Warning);
+    }
+
+    #[test]
+    fn leaf_evaluation_error_names_the_leaf_pc() {
+        let r = lint_skeleton(
+            &skel(
+                "task 0 sends a 8 byte message to task 1 then \
+                 for each i in {0, ..., 1} task 0 computes for 8/i microseconds.",
+            ),
+            2,
+            &[],
+            &LintOptions::default(),
+        );
+        assert_eq!(r.len(), 1, "{r}");
+        let d = r.iter().next().unwrap();
+        assert_eq!(d.code, "eval");
+        assert_eq!(d.pc, Some(2), "the Compute leaf, not the LoopEnd after it: {r}");
+    }
+
+    #[test]
+    fn synthetic_leaf_evaluation_error_is_reported() {
+        let skel = union_core::Builder::new("ur")
+            .send_random(conceptual::parser::parse_expr("8/0").unwrap(), true)
+            .build()
+            .unwrap();
+        let r = lint_skeleton(&skel, 4, &[], &LintOptions::default());
+        assert_eq!(r.len(), 1, "{r}");
+        let d = r.iter().next().unwrap();
+        assert_eq!((d.code, d.severity), ("eval", Severity::Error), "{r}");
+    }
+
+    #[test]
+    fn huge_repeat_count_is_bounded_by_the_op_budget() {
+        let r = lint_skeleton(
+            &skel("task 0 sends 100000000 8 byte messages to task 1."),
+            2,
+            &[],
+            &LintOptions::default(),
+        );
+        assert_eq!(r.max_severity(), Some(Severity::Info), "{r}");
+        assert!(r.iter().any(|d| d.code == "budget"), "{r}");
+    }
+
+    #[test]
+    fn untaken_branch_is_dead_code() {
+        let r = lint_skeleton(
+            &skel(
+                "if num_tasks > 4 then task 0 sends a 8 byte message to task 1 \
+                 otherwise all tasks synchronize.",
+            ),
+            2,
+            &[],
+            &LintOptions::default(),
+        );
+        assert_eq!(r.len(), 1, "{r}");
+        let d = r.iter().next().unwrap();
+        assert_eq!((d.code, d.pc), ("dead-code", Some(1)), "{r}");
+        assert!(d.message.starts_with("instructions 1..=2 "), "{r}");
     }
 
     #[test]
