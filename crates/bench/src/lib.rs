@@ -45,122 +45,97 @@ pub fn phold(n_lps: u32) -> Simulation<Phold> {
 
 #[cfg(test)]
 mod tests {
-    use super::phold;
-    use ross::SimTime;
-    use std::sync::Arc;
+    use super::{phold, Phold};
+    use ross::{SimTime, Simulation};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
-    /// The telemetry acceptance guard: counters and timing scopes must cost
-    /// under 2% of PHOLD wall time when a recorder is attached. Ignored by
-    /// default because it needs quiet, repeated timing runs; CI and local
-    /// checks run it explicitly with
-    /// `cargo test -p union-bench --release -- --ignored telemetry_overhead`.
+    /// Guards running side by side would time each other: they take turns.
+    static TURN: Mutex<()> = Mutex::new(());
+
+    /// PHOLD LPs per timed sample: about 0.9M events, 65-150 ms of
+    /// sequential run on a shared 2-core x86 host — long enough that timer
+    /// resolution and per-run setup vanish below 2%.
+    const SAMPLE_LPS: u32 = 1024;
+    /// Paired samples per guard.
+    const PAIRS: usize = 120;
+
+    /// The acceptance guard of every instrumentation plane: the sequential
+    /// PHOLD run with `attach` applied must cost under 2% more wall time
+    /// than without it. Runs with and without alternate (which goes first
+    /// alternates too), and the estimate is the interquartile mean of the
+    /// paired on/off log-ratios. On a shared host, identical runs spread by
+    /// ±25% and drift over seconds: the minimum of 40 runs per side still
+    /// differed by up to 13% between two identical configurations, while
+    /// this estimate stayed within 1%. Ignored by default because it needs
+    /// about 20 s of repeated timing runs; CI runs all three with
+    /// `cargo test -p union-bench --release -- --ignored overhead`.
+    fn assert_overhead_under_two_percent(what: &str, attach: impl Fn(&mut Simulation<Phold>)) {
+        let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let time_one = |on: bool| {
+            let mut sim = phold(SAMPLE_LPS);
+            if on {
+                attach(&mut sim);
+            }
+            let t0 = Instant::now();
+            let stats = sim.run_sequential(SimTime::MAX);
+            (t0.elapsed().as_secs_f64(), stats.committed)
+        };
+        time_one(false);
+        time_one(true);
+        let mut log_ratios: Vec<f64> = (0..PAIRS)
+            .map(|i| {
+                let ((off, c_off), (on, c_on)) = if i % 2 == 0 {
+                    (time_one(false), time_one(true))
+                } else {
+                    let on = time_one(true);
+                    (time_one(false), on)
+                };
+                assert_eq!(c_off, c_on, "{what} changed the event count");
+                (on / off).ln()
+            })
+            .collect();
+        log_ratios.sort_by(f64::total_cmp);
+        let mid = &log_ratios[PAIRS / 4..PAIRS - PAIRS / 4];
+        let overhead = (mid.iter().sum::<f64>() / mid.len() as f64).exp() - 1.0;
+        assert!(
+            overhead < 0.02,
+            "{what} overhead {:.2}% exceeds 2% (interquartile mean of {PAIRS} paired ratios)",
+            overhead * 100.0
+        );
+    }
+
+    /// Counters and timing scopes, with a recorder attached.
     #[test]
     #[ignore = "timing-sensitive; run explicitly in release"]
     fn telemetry_overhead_under_two_percent() {
-        let time_one = |telemetry: bool| {
-            let mut sim = phold(64);
-            if telemetry {
-                sim.set_telemetry(Some(Arc::new(telemetry::Recorder::new())));
-            }
-            let t0 = Instant::now();
-            let stats = sim.run_sequential(SimTime::MAX);
-            let dt = t0.elapsed();
-            (dt, stats.committed)
-        };
-        // Warm up, then interleave paired runs and compare the *minimum*
-        // times: scheduler noise only ever adds time, so the minima are
-        // the cleanest estimate of each configuration's true cost.
-        time_one(false);
-        time_one(true);
-        let (mut off, mut on) = (std::time::Duration::MAX, std::time::Duration::MAX);
-        for _ in 0..20 {
-            let (d_off, c_off) = time_one(false);
-            let (d_on, c_on) = time_one(true);
-            assert_eq!(c_off, c_on, "telemetry changed the event count");
-            off = off.min(d_off);
-            on = on.min(d_on);
-        }
-        let ratio = on.as_secs_f64() / off.as_secs_f64();
-        assert!(
-            ratio < 1.02,
-            "telemetry overhead {:.2}% exceeds 2% (on={on:?}, off={off:?})",
-            (ratio - 1.0) * 100.0
-        );
+        assert_overhead_under_two_percent("telemetry", |sim| {
+            sim.set_telemetry(Some(Arc::new(telemetry::Recorder::new())))
+        });
     }
 
-    /// The tracing acceptance guard: with tracing disabled the scheduler
-    /// hot path must stay within 2% of baseline. The disabled path is a
-    /// single `Option` test per event, which cannot be A/B-measured
-    /// inside one binary, so this compares against a tracer attached
-    /// with a zero event budget: that path (kind lookup, dry check,
-    /// drop counter) is a strict superset of the disabled path, making
-    /// the measured ratio a conservative upper bound. Run explicitly
-    /// with `cargo test -p union-bench --release -- --ignored overhead`.
+    /// Tracing disabled is a single `Option` test per event, which cannot
+    /// be A/B-measured inside one binary, so this attaches a tracer with a
+    /// zero event budget: that path (kind lookup, dry check, drop counter)
+    /// is a strict superset of the disabled one, making the ratio a
+    /// conservative upper bound.
     #[test]
     #[ignore = "timing-sensitive; run explicitly in release"]
     fn tracing_overhead_when_disabled_under_two_percent() {
-        let time_one = |traced: bool| {
-            let mut sim = phold(64);
-            if traced {
-                sim.set_tracer(Some(Arc::new(ross::Tracer::with_caps(1, 0, 0))));
-            }
-            let t0 = Instant::now();
-            let stats = sim.run_sequential(SimTime::MAX);
-            (t0.elapsed(), stats.committed)
-        };
-        time_one(false);
-        time_one(true);
-        let (mut off, mut on) = (std::time::Duration::MAX, std::time::Duration::MAX);
-        for _ in 0..20 {
-            let (d_off, c_off) = time_one(false);
-            let (d_on, c_on) = time_one(true);
-            assert_eq!(c_off, c_on, "tracing changed the event count");
-            off = off.min(d_off);
-            on = on.min(d_on);
-        }
-        let ratio = on.as_secs_f64() / off.as_secs_f64();
-        assert!(
-            ratio < 1.02,
-            "tracing-disabled overhead bound {:.2}% exceeds 2% (on={on:?}, off={off:?})",
-            (ratio - 1.0) * 100.0
-        );
+        assert_overhead_under_two_percent("tracing-disabled bound", |sim| {
+            sim.set_tracer(Some(Arc::new(ross::Tracer::with_caps(1, 0, 0))))
+        });
     }
 
-    /// The live metrics acceptance guard: the scheduler hot path pays a
-    /// single `Option` branch when no registry is attached, and batched
-    /// sharded-handle flushes every 8192 commits when one is. The
-    /// attached configuration is a strict superset of the detached one,
-    /// so bounding attached-vs-baseline under 2% bounds the detached
-    /// branch too. Run explicitly with
-    /// `cargo test -p union-bench --release -- --ignored overhead`.
+    /// Live metrics: one `Option` branch per event when no registry is
+    /// attached, batched sharded-handle flushes every 8192 commits when one
+    /// is. Attached is a strict superset of detached, so this bounds the
+    /// detached branch too.
     #[test]
     #[ignore = "timing-sensitive; run explicitly in release"]
     fn live_metrics_overhead_under_two_percent() {
-        let time_one = |live: bool| {
-            let mut sim = phold(64);
-            if live {
-                sim.set_live(Some(Arc::new(telemetry::live::MetricsRegistry::new())));
-            }
-            let t0 = Instant::now();
-            let stats = sim.run_sequential(SimTime::MAX);
-            (t0.elapsed(), stats.committed)
-        };
-        time_one(false);
-        time_one(true);
-        let (mut off, mut on) = (std::time::Duration::MAX, std::time::Duration::MAX);
-        for _ in 0..20 {
-            let (d_off, c_off) = time_one(false);
-            let (d_on, c_on) = time_one(true);
-            assert_eq!(c_off, c_on, "live metrics changed the event count");
-            off = off.min(d_off);
-            on = on.min(d_on);
-        }
-        let ratio = on.as_secs_f64() / off.as_secs_f64();
-        assert!(
-            ratio < 1.02,
-            "live metrics overhead {:.2}% exceeds 2% (on={on:?}, off={off:?})",
-            (ratio - 1.0) * 100.0
-        );
+        assert_overhead_under_two_percent("live metrics", |sim| {
+            sim.set_live(Some(Arc::new(telemetry::live::MetricsRegistry::new())))
+        });
     }
 }

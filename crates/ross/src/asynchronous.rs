@@ -153,9 +153,8 @@ impl<L: Lp> Simulation<L> {
         let la = lookahead.max(self.lookahead).as_ns().max(1);
         let (owner_of, local_of) = (&plan.owner_of, &plan.local_of);
         // The shared scaffold scatters LP state into per-worker slabs as
-        // for `crate::parallel`; the slots are `Option`s because
-        // migration takes an LP out of its home worker's slab mid-run
-        // (and appends it to the thief's).
+        // for `crate::parallel`; migration splits the tail off a victim's
+        // slab mid-run and appends it to the thief's.
         let run = Run::open(self, "conservative-async", n_threads, SimDuration::from_ns(la), start);
         let (mut workers, home) = run.scatter(self, &plan);
 
@@ -200,7 +199,6 @@ impl<L: Lp> Simulation<L> {
             let Seat { w, rx, wake_tx } = seat;
             let t = w.t;
             let leader = t == 0;
-            let n_home = w.lps.len();
             // Dekker wake: the parker stores its flag and then re-checks;
             // we make our change, then swap the flag — whichever side
             // acted second sees the other. The load before the swap keeps
@@ -230,7 +228,6 @@ impl<L: Lp> Simulation<L> {
             let mut away: HashMap<u32, usize> = HashMap::new();
             // gid -> slab slot for blocks hosted here.
             let mut hosted: HashMap<u32, usize> = HashMap::new();
-            let mut own_resident = n_home;
             // Fresh sends accumulate S here and flush to the shared counter
             // immediately before any mailbox push (and at the end of every
             // processing burst), so an envelope is never R-countable before
@@ -351,10 +348,11 @@ impl<L: Lp> Simulation<L> {
                 // (freezing the horizon); decline anything this worker
                 // cannot serve so the thief unfreezes.
                 if !migrate_pending && steal_req[t].load(Ordering::SeqCst) != 0 {
+                    // A worker that hosts nothing holds only home LPs.
                     let eligible = hosted.is_empty()
                         && stash.is_empty()
                         && awaiting.is_none()
-                        && own_resident >= 2;
+                        && w.lps.len() >= 2;
                     let av = active_victim.load(Ordering::SeqCst);
                     let granted = eligible
                         && (av == t as u64 + 1
@@ -399,24 +397,18 @@ impl<L: Lp> Simulation<L> {
                     {
                         migrate_pending = false;
                         steal_req[t].store(0, Ordering::SeqCst);
-                        // Hand off the tail half of the resident home LPs
-                        // (a victim hosts nothing, so its slab is all home).
-                        let resident: Vec<usize> =
-                            (0..n_home).filter(|&li| w.lps[li].is_some()).collect();
-                        let take = (resident.len() / 2).max(1);
+                        // Hand off the tail half of the home LPs (a victim
+                        // hosts nothing, so its slab is all home, and every
+                        // earlier handoff already took a tail).
+                        let cut = w.lps.len() - (w.lps.len() / 2).max(1);
                         let mut m = Migration {
-                            gids: Vec::with_capacity(take),
-                            lps: Vec::with_capacity(take),
-                            metas: Vec::with_capacity(take),
+                            gids: w.gids.split_off(cut),
+                            lps: w.lps.split_off(cut),
+                            metas: w.metas.split_off(cut),
                             events: Vec::new(),
                         };
-                        for &li in &resident[resident.len() - take..] {
-                            m.gids.push(w.gids[li]);
-                            m.lps.push(w.lps[li].take().expect("resident LP"));
-                            m.metas.push(w.metas[li].clone());
-                            away.insert(w.gids[li], thief);
-                            own_resident -= 1;
-                        }
+                        let take = m.gids.len();
+                        away.extend(m.gids.iter().map(|&g| (g, thief)));
                         let mut keep = Vec::with_capacity(w.lane.queue.len());
                         w.lane.queue.drain_to(&mut keep);
                         for env in keep {
@@ -458,7 +450,7 @@ impl<L: Lp> Simulation<L> {
                 // an event *at* B) and at or below `until`.
                 let limit = bound.min(until.0.saturating_add(1));
                 if head_of(&mut w.lane.queue) < limit {
-                    let t0 = run.timing.then(std::time::Instant::now);
+                    let t0 = run.report.timing.then(std::time::Instant::now);
                     // A send that leaves this worker: S-count it, and ship
                     // its chunk (S first) once full.
                     let mut post = |lane: &mut Lane<'_, L::Event>, dest: usize, new| {
@@ -515,7 +507,7 @@ impl<L: Lp> Simulation<L> {
                             }
                         }
                     });
-                    if !clean || last == Step::Violation {
+                    if !clean || run.late(last) {
                         wake_all(t);
                     }
                     // Settle the burst's S before the step-7 flush pushes

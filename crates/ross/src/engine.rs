@@ -1,9 +1,15 @@
-//! The `Simulation` container shared by every scheduler.
+//! The `Simulation` container shared by every scheduler, and the
+//! sequential scheduler: the one-worker case of the shared worker step
+//! ([`crate::worker`]), run in place.
 
 use crate::event::{Envelope, EventUid, LpId};
-use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
+use crate::live::FLUSH_EVERY;
+use crate::lp::{Lp, LpMeta};
 use crate::queue::{EventQueue, PendingQueue, QueueKind};
 use crate::time::{SimDuration, SimTime};
+use crate::worker::{Report, Step, Tally};
+use std::panic::AssertUnwindSafe;
+use std::time::Instant;
 
 /// Statistics returned by a scheduler run.
 #[derive(Clone, Debug, Default)]
@@ -225,255 +231,44 @@ impl<L: Lp> Simulation<L> {
     /// Run with the single-threaded reference scheduler until the event
     /// queue drains or the next event is after `until`. Events beyond
     /// `until` remain pending.
+    ///
+    /// This is the one-worker case of the shared worker step, run in
+    /// place: LP states, meta and the pending set move into the worker
+    /// and back (no copy), and the run builds no synchronization
+    /// primitive. A panicking LP leaves the simulation whole (the worker
+    /// hands everything back before the panic resumes).
     pub fn run_sequential(&mut self, until: SimTime) -> RunStats {
-        let start = std::time::Instant::now();
-        // The queue may have served earlier legs (or a parallel worker):
-        // this run's record counts only its own ops and slot reuses.
-        let (ops0, recycled0) = (self.pending.ops(), self.pending.pool_stats().recycled);
-        let mut stats = RunStats::default();
-        let mut out: Vec<Outgoing<L::Event>> = Vec::with_capacity(8);
-        let mut clock = SimTime::ZERO;
-        let mut flushed_committed = 0u64;
-        let mut tbuf = self.tracer.as_ref().map(|tr| {
-            let run = tr.open_run("sequential", 1);
-            tr.buf(run, 0)
-        });
-        let mut tap = crate::live::LiveHandles::from_sim(&self.live, 1).map(|h| h.tap(0));
-
-        // Pop directly instead of peek-clone-pop: the one event that lands
-        // beyond `until` is pushed back, every committed event moves once.
-        while let Some(mut env) = self.pending.pop() {
-            if env.recv_time > until {
-                self.pending.push(env);
-                break;
+        let report = Report::open(self, "sequential", 1, Instant::now());
+        let queue = std::mem::replace(&mut self.pending, self.queue.new_queue());
+        let (lps, metas) = (std::mem::take(&mut self.lps), std::mem::take(&mut self.meta));
+        let mut w = report.worker(0, Vec::new(), lps, metas, queue, &[]);
+        let limit = until.0.saturating_add(1);
+        let t0 = report.timing.then(Instant::now);
+        let last = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
+            match w.step(0, limit, &|dst| dst as usize, &mut |lane, env| lane.queue.push(env)) {
+                // Live flush every `FLUSH_EVERY` commits: one branch per
+                // event when no registry is attached.
+                Step::Ran if w.tap.is_some() && w.live_backlog().0 >= FLUSH_EVERY => {
+                    w.live_flush(Some(w.clock))
+                }
+                Step::Ran => {}
+                stop => break stop,
             }
-            let dst = env.dst as usize;
-            // Same-LP run batching: as long as the *global* minimum event
-            // stays on this LP, keep executing with its state (and meta
-            // line) resident instead of bouncing through the outer loop.
-            // Re-peeking after every handle sees the sends the handler
-            // just queued, so this is exactly sequential order.
-            loop {
-                debug_check_monotonic(&mut clock, env.recv_time);
-                debug_assert!(env.recv_time >= self.meta[dst].now, "causality violation");
-                self.meta[dst].now = env.recv_time;
-                let trace = tbuf.as_mut().map(|b| {
-                    (self.lps[dst].trace_kind(&env), b.event_start(), self.meta[dst].tiebreak)
-                });
-
-                let mut ctx = Ctx {
-                    now: env.recv_time,
-                    me: env.dst,
-                    lookahead: self.lookahead,
-                    out: &mut out,
-                };
-                self.lps[dst].handle(&env, &mut ctx);
-                stats.committed += 1;
-
-                for o in out.drain(..) {
-                    let meta = &mut self.meta[dst];
-                    let new = Envelope {
-                        recv_time: env.recv_time + o.delay,
-                        send_time: env.recv_time,
-                        src: env.dst,
-                        dst: o.dst,
-                        tiebreak: meta.tiebreak,
-                        uid: EventUid { src: env.dst, seq: meta.tiebreak },
-                        payload: o.payload,
-                    };
-                    meta.tiebreak += 1;
-                    debug_assert!(
-                        (o.dst as usize) < self.lps.len(),
-                        "send to unknown LP {}",
-                        o.dst
-                    );
-                    self.pending.push(new);
-                }
-                if let (Some(b), Some((kind, t0, uid_lo))) = (tbuf.as_mut(), trace) {
-                    let children = (self.meta[dst].tiebreak - uid_lo) as u32;
-                    b.record(&env, uid_lo, children, kind, t0);
-                }
-                match self.pending.peek() {
-                    Some(next) if next.dst as usize == dst && next.recv_time <= until => {
-                        env = self.pending.pop().expect("peeked event vanished");
-                    }
-                    Some(next) if next.recv_time <= until => {
-                        // Different LP up next: its per-LP state and model
-                        // struct are random slots in two big arrays — start
-                        // pulling them in while this batch's trace/loop
-                        // bookkeeping retires.
-                        let nd = next.dst as usize;
-                        if nd < self.lps.len() {
-                            crate::pool::prefetch_read(&self.meta[nd]);
-                            crate::pool::prefetch_read(&self.lps[nd]);
-                        }
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-            // Live flush at batch granularity, never per event: one branch
-            // per outer iteration keeps the detached cost inside the <2%
-            // overhead gate.
-            if let Some(t) = tap.as_mut() {
-                t.commit(stats.committed - flushed_committed);
-                flushed_committed = stats.committed;
-                if t.pending_committed() >= crate::live::FLUSH_EVERY {
-                    t.gvt(clock.as_ns());
-                    t.queue_depth(self.pending.len() as u64);
-                    t.flush();
-                }
-            }
+        }));
+        if let Some(t0) = t0 {
+            w.busy_ns = t0.elapsed().as_nanos() as u64;
         }
-
-        stats.rounds = 1;
-        stats.end_time = clock;
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        if let Some(t) = tap.as_mut() {
-            t.commit(stats.committed - flushed_committed);
-            t.round();
-            t.gvt(clock.as_ns());
-            t.queue_depth(self.pending.len() as u64);
-            t.pool_high_water(self.pending.pool_stats().high_water);
-            t.flush();
+        w.rounds = 1;
+        if let Some(tp) = w.tap.as_mut() {
+            tp.round();
         }
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let pool = self.pending.pool_stats();
-        if let (Some(tr), Some(buf)) = (self.tracer.as_ref(), tbuf) {
-            let run = buf.run();
-            tr.submit(buf);
-            tr.close_run(run, wall_ns, stats.end_time.as_ns());
+        let (mut tally, gvt) = (Tally::default(), Some(w.clock));
+        report.fold(&mut tally, &mut w, gvt);
+        (self.lps, self.meta, self.pending) = (w.lps, w.metas, w.lane.queue);
+        match last {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(Step::Late(what)) => panic!("causality violation: {what}"),
+            Ok(_) => report.close(self, tally),
         }
-        emit_sched_telemetry::<L::Event>(
-            self.telemetry.as_deref(),
-            "sequential",
-            1,
-            &stats,
-            QueueTelemetry {
-                kind: self.queue,
-                ops: self.pending.ops() - ops0,
-                max_len: self.pending.max_len(),
-                pool: crate::pool::PoolStats { recycled: pool.recycled - recycled0, ..pool },
-            },
-            vec![telemetry::ThreadRecord {
-                thread: 0,
-                events: stats.committed,
-                busy_ns: wall_ns,
-                ..Default::default()
-            }],
-        );
-        stats
-    }
-}
-
-/// Queue counters folded into a run's scheduler record. `ops` and
-/// `pool.recycled` count this run only (summed over the parallel
-/// schedulers' per-thread queues); `max_len` and `pool.high_water` are
-/// the maxima over each queue's lifetime, which for the sequential
-/// scheduler's pending set spans every earlier leg it served.
-pub(crate) struct QueueTelemetry {
-    pub(crate) kind: QueueKind,
-    pub(crate) ops: u64,
-    pub(crate) max_len: u64,
-    pub(crate) pool: crate::pool::PoolStats,
-}
-
-impl QueueTelemetry {
-    /// Identity for folding per-thread queues.
-    pub(crate) fn empty(kind: QueueKind) -> Self {
-        QueueTelemetry { kind, ops: 0, max_len: 0, pool: crate::pool::PoolStats::default() }
-    }
-}
-
-/// Shared tail of every scheduler: fold the run counters and the workers'
-/// thread records into one `scheduler` telemetry record for events of
-/// type `E`. No-op when no recorder is attached.
-pub(crate) fn emit_sched_telemetry<E>(
-    telem: Option<&telemetry::Recorder>,
-    name: &str,
-    threads: usize,
-    stats: &RunStats,
-    queue: QueueTelemetry,
-    mut per_thread: Vec<telemetry::ThreadRecord>,
-) {
-    let Some(rec) = telem else { return };
-    let wall_ns = (stats.wall_seconds * 1e9) as u64;
-    per_thread.sort_by_key(|t| t.thread);
-    for t in per_thread.iter_mut() {
-        t.idle_ns = wall_ns.saturating_sub(t.busy_ns + t.blocked_ns);
-    }
-    let mut r = telemetry::SchedulerRecord::new(name, threads);
-    r.queue = queue.kind.label().to_string();
-    r.queue_ops = queue.ops;
-    r.queue_max_len = queue.max_len;
-    r.pool_high_water = queue.pool.high_water;
-    r.pool_recycled = queue.pool.recycled;
-    r.pool_slot_bytes = crate::pool::pool_slot_bytes::<E>();
-    r.committed = stats.committed;
-    r.remote_events = stats.remote_events;
-    r.cross_shard_events = stats.cross_shard_events;
-    r.rounds = stats.rounds;
-    r.steals = stats.steals;
-    r.horizon_stall_ns = stats.horizon_stall_ns;
-    r.horizon_lag_max = stats.horizon_lag_max;
-    r.end_time_ns = stats.end_time.as_ns();
-    r.wall_ns = wall_ns;
-    r.per_thread = per_thread;
-    rec.emit(&r);
-}
-
-/// Debug guard on dequeue order: timestamps pulled off an in-order event
-/// queue must be non-decreasing, and a violation means the `Ord` on
-/// [`Envelope`] (or a scheduler's merge of queues) regressed. Advances
-/// `last` to `t` so callers can use it as their running clock.
-#[inline]
-pub(crate) fn debug_check_monotonic(last: &mut SimTime, t: SimTime) {
-    debug_assert!(t >= *last, "non-monotonic dequeue: {} ns after {} ns", t.as_ns(), last.as_ns());
-    *last = t;
-}
-
-/// Helper shared by the parallel schedulers: turn buffered outgoing sends
-/// into envelopes, updating the sender's meta counters.
-pub(crate) fn seal_outgoing<E>(
-    src: LpId,
-    send_time: SimTime,
-    meta: &mut LpMeta,
-    out: &mut Vec<Outgoing<E>>,
-    mut push: impl FnMut(Envelope<E>),
-) {
-    for o in out.drain(..) {
-        let env = Envelope {
-            recv_time: send_time + o.delay,
-            send_time,
-            src,
-            dst: o.dst,
-            tiebreak: meta.tiebreak,
-            uid: EventUid { src, seq: meta.tiebreak },
-            payload: o.payload,
-        };
-        meta.tiebreak += 1;
-        push(env);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn monotonic_dequeue_advances_the_clock() {
-        let mut clock = SimTime::ZERO;
-        debug_check_monotonic(&mut clock, SimTime::from_ns(5));
-        debug_check_monotonic(&mut clock, SimTime::from_ns(5));
-        debug_check_monotonic(&mut clock, SimTime::from_ns(9));
-        assert_eq!(clock, SimTime::from_ns(9));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "non-monotonic")]
-    fn decreasing_dequeue_timestamp_is_caught() {
-        let mut clock = SimTime::from_ns(10);
-        debug_check_monotonic(&mut clock, SimTime::from_ns(9));
     }
 }

@@ -17,11 +17,13 @@
 //!   guarantee without barriers: published safe horizons and LP-block
 //!   work stealing.
 //!
-//! The parallel schedulers share one worker core (the private `worker`
-//! module: per-event step, worker state, run scaffold). All three
-//! produce **bit-identical** model states: events are totally
-//! ordered by `(recv_time, send_time, src, tiebreak)` where the tiebreak
-//! counter is per-LP engine state that travels with the LP. The
+//! All three run one worker core (the private `worker` module: the
+//! per-event step, worker state, run report and scaffold); the sequential
+//! scheduler is its one-worker case, run in place, so `Lp::handle` has
+//! one call site. All three produce **bit-identical** model states:
+//! events are totally ordered by `(recv_time, send_time, src, tiebreak)`
+//! where the tiebreak counter is per-LP engine state that travels with
+//! the LP. The
 //! pending-event set behind every scheduler is pluggable ([`queue`]): a
 //! reference binary heap or the default O(1)-amortized ladder queue,
 //! selected with [`Simulation::with_queue`] / [`Simulation::set_queue`] —

@@ -115,13 +115,6 @@ impl LiveTap {
         self.d.committed += n;
     }
 
-    /// Committed events accumulated since the last flush (the sequential
-    /// scheduler's flush trigger).
-    #[inline]
-    pub(crate) fn pending_committed(&self) -> u64 {
-        self.d.committed
-    }
-
     pub(crate) fn remote(&mut self, n: u64) {
         self.d.remote_events += n;
     }

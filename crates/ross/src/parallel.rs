@@ -119,14 +119,13 @@ impl<E> Delivery<E> for Mailboxes<'_> {
 /// holds no branch on which one is in use.
 pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
     w: &mut Worker<'_, L>,
+    run: &Run<L::Event>,
     rounds: &Rounds,
     bound: &B,
     mut delivery: D,
     local_of: &[u32],
-    window: SimDuration,
     until: SimTime,
 ) {
-    let run = w.run;
     let t = w.t;
     loop {
         // (1) Ingest cross-partition events from the previous round.
@@ -154,7 +153,7 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
             break;
         }
         w.rounds += 1;
-        let wend = gvt.saturating_add(window.0).min(until.0.saturating_add(1));
+        let wend = gvt.saturating_add(run.window_ns).min(until.0.saturating_add(1));
 
         // (3) Process local events in [gvt, wend). Model code
         // (`Lp::handle`) runs in here; the latch catches its panics so
@@ -162,11 +161,15 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
         // stays in lockstep — everyone winds down at the next quiescent
         // interval and the payload resurfaces on the main thread.
         if !halted {
-            let t0 = run.timing.then(std::time::Instant::now);
+            let t0 = run.report.timing.then(std::time::Instant::now);
             run.latch.guard(|| {
                 let slot = |dst: u32| local_of[dst as usize] as usize;
                 let mut route = |lane: &mut Lane<'_, L::Event>, new| delivery.route(lane, new);
-                while w.step(gvt, wend, &slot, &mut route) == Step::Ran {}
+                let mut last = Step::Ran;
+                while last == Step::Ran {
+                    last = w.step(gvt, wend, &slot, &mut route);
+                }
+                run.late(last);
             });
             if let Some(t0) = t0 {
                 w.busy_ns += t0.elapsed().as_nanos() as u64;
@@ -221,7 +224,7 @@ impl<L: Lp> Simulation<L> {
         let rounds = Rounds::new(n_threads, n_threads);
         let body = |w: &mut Worker<'_, L>| {
             let delivery = Mailboxes { owner_of: &plan.owner_of, t: w.t };
-            round_loop(w, &rounds, &LocalMin, delivery, &plan.local_of, window, until);
+            round_loop(w, &run, &rounds, &LocalMin, delivery, &plan.local_of, until);
         };
         let (workers, ()) = drive(workers, body, || ());
         run.gather(self, workers, home)
@@ -384,8 +387,8 @@ pub(crate) mod tests {
     }
 
     /// The `sequential` telemetry record counts its own run, not the
-    /// queue's lifetime: two legs sum to one leg's ops plus the boundary
-    /// event's pop and push-back (and that push reuses the popped slot).
+    /// queue's lifetime: two legs sum to exactly one leg's ops and slot
+    /// reuses (the step peeks at the boundary event, it never pops it).
     #[test]
     fn sequential_record_counts_only_its_own_leg() {
         fn field(line: &str, name: &str) -> u64 {
@@ -406,8 +409,8 @@ pub(crate) mod tests {
         };
         let (ops, recycled) = run(&[SimTime::MAX]);
         let (ops2, recycled2) = run(&[SimTime::from_us(40), SimTime::MAX]);
-        assert_eq!(ops2, ops + 2);
-        assert_eq!(recycled2, recycled + 1);
+        assert_eq!(ops2, ops);
+        assert_eq!(recycled2, recycled);
     }
 
     #[test]
@@ -452,13 +455,58 @@ pub(crate) mod tests {
     }
 
     /// Regression for the worker-panic → barrier-deadlock hazard: a panic
-    /// in model code must resurface on the caller (original payload, so
-    /// `expected` below matches) instead of leaving the sibling workers
-    /// parked on the round barrier forever.
+    /// in model code must resurface on the caller with its original
+    /// payload instead of leaving the sibling workers parked on the round
+    /// barrier forever — and under every scheduler the simulation gets
+    /// its LPs back before the panic resumes.
     #[test]
-    #[should_panic(expected = "model LP blew up")]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        panicky_ring_sim().run_conservative_parallel(4, SimDuration::from_ns(50), SimTime::MAX);
+        let la = SimDuration::from_ns(50);
+        for sched in [
+            Scheduler::Sequential,
+            Scheduler::ConservativeParallel { threads: 4, lookahead: la },
+            Scheduler::ConservativeAsync { threads: 4, lookahead: la },
+        ] {
+            let mut sim = panicky_ring_sim();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sched.run(&mut sim, SimTime::MAX)
+            }))
+            .expect_err("the model panic must resurface");
+            let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert!(msg.starts_with("model LP blew up"), "{sched:?}: payload {msg:?}");
+            assert_eq!(sim.lps().len(), 8, "{sched:?}");
+        }
+    }
+
+    /// 8 LPs whose every event sends to LP 99.
+    #[derive(Clone)]
+    struct Stray;
+
+    impl Lp for Stray {
+        type Event = ();
+        fn handle(&mut self, _ev: &Envelope<()>, ctx: &mut Ctx<'_, ()>) {
+            ctx.send(99, SimDuration::from_ns(50), ());
+        }
+    }
+
+    fn stray_sim() -> Simulation<Stray> {
+        let mut sim = Simulation::new(vec![Stray; 8], SimDuration::from_ns(1));
+        sim.schedule(3, SimTime::ZERO, ());
+        sim
+    }
+
+    /// A send to an LP the simulation does not have panics where it is
+    /// sealed, naming the sender, the target and the LP count.
+    #[test]
+    #[should_panic(expected = "unknown LP 99")]
+    fn send_to_unknown_lp_is_named_under_seq() {
+        stray_sim().run_sequential(SimTime::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown LP 99")]
+    fn send_to_unknown_lp_is_named_under_par() {
+        stray_sim().run_conservative_parallel(2, SimDuration::from_ns(50), SimTime::MAX);
     }
 
     /// 8-LP ring of 50 ns hops whose LPs panic from 10 us on.

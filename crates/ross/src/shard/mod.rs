@@ -179,7 +179,7 @@ impl<L: Lp> Simulation<L> {
                 xchunks: (0..n_shards).map(|_| Vec::new()).collect(),
                 outboxes: &outboxes,
             };
-            round_loop(w, &rounds, &fence, delivery, &plan.local_of, window, until);
+            round_loop(w, &run, &rounds, &fence, delivery, &plan.local_of, until);
         };
 
         // The leader's side of each round, between the workers' barriers:

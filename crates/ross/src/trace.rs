@@ -521,6 +521,18 @@ impl TraceBuf {
         }
     }
 
+    /// The shared event budget ran out: no further event is recorded.
+    #[inline]
+    pub(crate) fn is_dry(&self) -> bool {
+        self.dry
+    }
+
+    /// Count every one of the `offered` executed events that was not
+    /// recorded as dropped: a worker stops offering events to a dry buffer.
+    pub(crate) fn settle(&mut self, offered: u64) {
+        self.dropped_events = offered.saturating_sub(self.events.len() as u64);
+    }
+
     /// Record one executed event. `uid_lo` is the destination LP's
     /// tiebreak counter before the handler ran, `children` the number of sends
     /// it sealed, `t0` the instant from [`TraceBuf::event_start`].

@@ -1,27 +1,35 @@
-//! The one conservative worker core (DESIGN.md §6).
+//! The one worker core (DESIGN.md §6).
 //!
-//! Every threaded conservative scheduler — the barrier rounds of
-//! [`crate::parallel`] (in-process and, through [`crate::shard`], across
-//! processes) and the barrier-free horizons of [`crate::asynchronous`] —
-//! is the same machine: drain the mailbox, agree on a bound, run every
-//! local event below the bound, deliver what those events sent. This
-//! module holds the parts that do not depend on *how* the bound is agreed:
+//! Every scheduler is the same machine: run every queued event below a
+//! bound, deliver what those events sent. The threaded conservative
+//! schedulers — the barrier rounds of [`crate::parallel`] (in-process
+//! and, through [`crate::shard`], across processes) and the barrier-free
+//! horizons of [`crate::asynchronous`] — add a mailbox drain and an
+//! agreement on the bound; [`Simulation::run_sequential`] is the
+//! one-worker case with no bound but `until`, run in place. This module
+//! holds the parts that do not depend on *how* the bound is agreed:
 //!
-//! * [`Worker::step`], the per-event path (pop → hard causality check →
-//!   meta update → trace → [`Lp::handle`] → seal → route);
+//! * [`Worker::step`], the per-event path (peek → hard causality check →
+//!   pop → prefetch of the next event's LP → meta update → trace →
+//!   [`Lp::handle`] → seal → route);
 //! * [`Worker`] itself: queue + envelope pool, the LP/meta slab, the
 //!   chunked mailbox [`Lane`], counters, trace buffer and live tap;
-//! * the run scaffold around the threads: [`Run::open`] /
-//!   [`Run::scatter`] / [`drive`] / [`Run::gather`], and the [`Latch`]
-//!   that turns a causality violation or a panicking LP into an orderly
-//!   shutdown instead of a hung barrier.
+//! * [`Report`], the observed side of every run: the shared worker
+//!   constructor, the counter fold and the run tail (trace footer, one
+//!   telemetry record). It builds no `crate::sync` primitive, so the
+//!   sequential run stays usable outside the model checker;
+//! * the scaffold around the threads: [`Run::open`] / [`Run::scatter`] /
+//!   [`drive`] / [`Run::gather`], and the [`Latch`] that turns a
+//!   causality violation or a panicking LP into an orderly shutdown
+//!   instead of a hung barrier.
 
-use crate::engine::{emit_sched_telemetry, seal_outgoing, QueueTelemetry, RunStats, Simulation};
-use crate::event::{Envelope, LpId};
+use crate::engine::{RunStats, Simulation};
+use crate::event::{Envelope, EventUid, LpId};
 use crate::live::{LiveHandles, LiveTap};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
 use crate::mailbox::Mailbox;
 use crate::partition::Assignment;
+use crate::pool::{prefetch_read, PoolStats};
 use crate::queue::{EventQueue, PendingQueue};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
@@ -185,24 +193,38 @@ impl<E> Lane<'_, E> {
 }
 
 /// Outcome of one [`Worker::step`].
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub(crate) enum Step {
     /// One event was executed.
     Ran,
     /// Nothing queued below the limit.
     Idle,
-    /// The head event lies in its LP's past; the latch is tripped.
-    Violation,
+    /// The head event lies in its LP's past (it stays queued): what
+    /// happened, for the caller's panic message.
+    Late(String),
 }
 
-/// One worker thread's private state.
+/// The seal's hard check failed: `src` sent to an LP the simulation does
+/// not have. Out of line, so the per-send check stays one compare (inline,
+/// the panic's formatting measured ~5% of `phold-seq` wall time).
+#[cold]
+#[inline(never)]
+fn unknown_lp(src: LpId, dst: LpId, n_lps: usize) -> ! {
+    panic!("LP {src} sent an event to unknown LP {dst} (the simulation has {n_lps} LPs)")
+}
+
+/// One worker's private state.
 pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) t: usize,
-    pub(crate) run: &'r Run<L::Event>,
-    /// LP slab: slot `i` hosts global LP `gids[i]`; `None` once the LP
-    /// migrated away (async work stealing).
+    /// Engine lookahead, for [`Ctx`].
+    lookahead: SimDuration,
+    /// The simulation's LP count: the seal refuses a send beyond it.
+    n_lps: usize,
+    /// LP slab: slot `i` hosts global LP `gids[i]` (the sequential run
+    /// leaves `gids` empty: there, slot and id coincide). Async migration
+    /// hands off a victim's tail slots, so the rest keep their index.
     pub(crate) gids: Vec<u32>,
-    pub(crate) lps: Vec<Option<L>>,
+    pub(crate) lps: Vec<L>,
     pub(crate) metas: Vec<LpMeta>,
     pub(crate) lane: Lane<'r, L::Event>,
     out: Vec<Outgoing<L::Event>>,
@@ -213,19 +235,22 @@ pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) committed: u64,
     /// Synchronization rounds (barrier) or scheduling iterations (async).
     pub(crate) rounds: u64,
-    clock: u64,
+    pub(crate) clock: u64,
     pub(crate) busy_ns: u64,
     pub(crate) stall_ns: u64,
     pub(crate) steals: u64,
     pub(crate) lag_max: u64,
+    /// The queue's (ops, recycled slots) when the run began: an adopted
+    /// queue that served earlier legs reports only this run's share.
+    queue0: (u64, u64),
 }
 
 impl<L: Lp> Worker<'_, L> {
-    /// The per-event path every conservative scheduler shares. Executes
-    /// the head of the queue if its receive time is strictly below
-    /// `limit`; `slot` maps the destination LP to its slab index and
-    /// `route` delivers each event the handler sent. `floor` is the agreed
-    /// GVT the caller derived `limit` from (0 when there is none).
+    /// The per-event path every scheduler shares. Executes the head of the
+    /// queue if its receive time is strictly below `limit`; `slot` maps the
+    /// destination LP to its slab index and `route` delivers each event the
+    /// handler sent. `floor` is the agreed GVT the caller derived `limit`
+    /// from (0 when there is none).
     #[inline]
     pub(crate) fn step(
         &mut self,
@@ -234,50 +259,73 @@ impl<L: Lp> Worker<'_, L> {
         slot: &impl Fn(LpId) -> usize,
         route: &mut impl FnMut(&mut Lane<'_, L::Event>, Envelope<L::Event>),
     ) -> Step {
-        match self.lane.queue.peek() {
-            Some(top) if top.recv_time.0 < limit => {}
+        let top = match self.lane.queue.peek() {
+            Some(top) if top.recv_time.0 < limit => top,
             _ => return Step::Idle,
-        }
-        let env = self.lane.queue.pop().expect("peeked event vanished");
+        };
         // Oracle (checked builds): the agreed GVT is a true lower bound —
         // no worker may ever commit an event from its past.
         #[cfg(union_check)]
         assert!(
-            env.recv_time.0 >= floor,
+            top.recv_time.0 >= floor,
             "GVT oracle violated: processing event at {} ns below the agreed GVT {} ns",
-            env.recv_time.0,
+            top.recv_time.0,
             floor
         );
         let _ = floor;
-        self.clock = self.clock.max(env.recv_time.0);
-        let li = slot(env.dst);
-        let meta = &mut self.metas[li];
-        // Hard check (not debug): a cross-partition event landing in this
-        // LP's past means the window exceeded the model's true minimum
-        // delay.
-        if env.recv_time < meta.now {
-            self.run.latch.trip(Abort::Violation(format!(
-                "lookahead violation: event for LP {} at {} ns arrived after the LP reached \
-                 {} ns; window {} ns exceeds the model's minimum send delay",
-                env.dst, env.recv_time.0, meta.now.0, self.run.window_ns,
-            )));
-            self.lane.queue.push(env);
-            return Step::Violation;
+        let li = slot(top.dst);
+        let reached = self.metas[li].now;
+        // Hard check (not debug): an event landing in its LP's past means a
+        // window exceeded the model's true minimum delay (or, sequentially,
+        // that one was scheduled into the LP's past between legs).
+        if top.recv_time < reached {
+            return Step::Late(format!(
+                "event for LP {} at {} ns arrived after the LP reached {} ns",
+                top.dst, top.recv_time.0, reached.0
+            ));
         }
+        let env = self.lane.queue.pop().expect("peeked event vanished");
+        // The next event's LP state and meta are random slots in two big
+        // arrays: start pulling them in now, so the handler below hides the
+        // misses (a send that lands ahead of it only wastes the hint).
+        if let Some(next) = self.lane.queue.peek() {
+            if next.recv_time.0 < limit {
+                let ni = slot(next.dst);
+                prefetch_read(self.metas.as_ptr().wrapping_add(ni));
+                prefetch_read(self.lps.as_ptr().wrapping_add(ni));
+            }
+        }
+        let meta = &mut self.metas[li];
+        self.clock = self.clock.max(env.recv_time.0);
         meta.now = env.recv_time;
-        let lp = self.lps[li].as_mut().expect("resident LP state");
-        let trace =
-            self.tbuf.as_mut().map(|b| (lp.trace_kind(&env), b.event_start(), meta.tiebreak));
-        let mut ctx = Ctx {
-            now: env.recv_time,
-            me: env.dst,
-            lookahead: self.run.lookahead,
-            out: &mut self.out,
+        let lp = &mut self.lps[li];
+        // A dry trace buffer costs what a detached one does: one branch.
+        let trace = match self.tbuf.as_mut() {
+            Some(b) if !b.is_dry() => Some((lp.trace_kind(&env), b.event_start(), meta.tiebreak)),
+            _ => None,
         };
+        let mut ctx =
+            Ctx { now: env.recv_time, me: env.dst, lookahead: self.lookahead, out: &mut self.out };
         lp.handle(&env, &mut ctx);
         self.committed += 1;
-        let lane = &mut self.lane;
-        seal_outgoing(env.dst, env.recv_time, meta, &mut self.out, |new| route(lane, new));
+        // Seal: buffered sends become envelopes, numbered by the sender.
+        let (src, n_lps) = (env.dst, self.n_lps);
+        for o in self.out.drain(..) {
+            if o.dst as usize >= n_lps {
+                unknown_lp(src, o.dst, n_lps);
+            }
+            let new = Envelope {
+                recv_time: env.recv_time + o.delay,
+                send_time: env.recv_time,
+                src,
+                dst: o.dst,
+                tiebreak: meta.tiebreak,
+                uid: EventUid { src, seq: meta.tiebreak },
+                payload: o.payload,
+            };
+            meta.tiebreak += 1;
+            route(&mut self.lane, new);
+        }
         if let (Some(b), Some((kind, t0, uid_lo))) = (self.tbuf.as_mut(), trace) {
             b.record(&env, uid_lo, (meta.tiebreak - uid_lo) as u32, kind, t0);
         }
@@ -327,22 +375,24 @@ impl<L: Lp> Worker<'_, L> {
     /// Host one more LP (async migration install); returns its slot.
     pub(crate) fn adopt(&mut self, gid: u32, lp: L, meta: LpMeta) -> usize {
         self.gids.push(gid);
-        self.lps.push(Some(lp));
+        self.lps.push(lp);
         self.metas.push(meta);
         self.lps.len() - 1
     }
 }
 
-/// State shared by the workers of one run, and the scaffold around them.
-pub(crate) struct Run<E> {
+/// The observed side of one run: its name, start and shape, and the trace
+/// run and live handles it opened. It builds every [`Worker`] and, at the
+/// end, folds their counters into one [`RunStats`], one `scheduler`
+/// telemetry record and the trace run's footer. It holds no `crate::sync`
+/// primitive: the sequential run, which the model checker's oracle runs
+/// outside `ross_check::model()` as its reference, opens one too.
+pub(crate) struct Report {
     name: &'static str,
     start: Instant,
-    pub(crate) mailboxes: Vec<Mailbox<Chunk<E>>>,
-    pub(crate) latch: Latch,
-    /// Engine lookahead, for [`Ctx`].
+    n_workers: usize,
+    n_lps: usize,
     lookahead: SimDuration,
-    /// Protocol window, for the violation message.
-    window_ns: u64,
     telem_on: bool,
     /// Read the clock around processing phases: a few reads per round when
     /// a recorder or tracer is attached, nothing at all otherwise.
@@ -351,11 +401,175 @@ pub(crate) struct Run<E> {
     live: Option<Arc<LiveHandles>>,
 }
 
+/// A run's counters, folded over its workers by [`Report::fold`].
+#[derive(Default)]
+pub(crate) struct Tally {
+    stats: RunStats,
+    /// Queue ops and slot reuses of this run only; `max_len` and the pool
+    /// high water are lifetime maxima of each queue (for an adopted queue
+    /// they span the earlier legs it served).
+    queue_ops: u64,
+    queue_max_len: u64,
+    pool: PoolStats,
+    per_thread: Vec<telemetry::ThreadRecord>,
+}
+
+impl Report {
+    /// Open a run of scheduler `name` on `n_workers` workers: the trace
+    /// run and live handles the simulation asks for. `start` is when the
+    /// scheduler was entered (wall time includes its planning).
+    pub(crate) fn open<L: Lp>(
+        sim: &Simulation<L>,
+        name: &'static str,
+        n_workers: usize,
+        start: Instant,
+    ) -> Report {
+        let trace = sim.tracer.as_ref().map(|tr| (Arc::clone(tr), tr.open_run(name, n_workers)));
+        let telem_on = sim.telemetry.is_some();
+        Report {
+            name,
+            start,
+            n_workers,
+            n_lps: sim.lps.len(),
+            lookahead: sim.lookahead,
+            telem_on,
+            timing: telem_on || trace.is_some(),
+            trace,
+            live: LiveHandles::from_sim(&sim.live, n_workers),
+        }
+    }
+
+    /// Worker `t` of this run: it hosts `lps` and `metas` (slot `i` is
+    /// global LP `gids[i]`), runs the events in `queue` and reaches its
+    /// peers through `mailboxes` (none for the sequential run).
+    pub(crate) fn worker<'r, L: Lp>(
+        &self,
+        t: usize,
+        gids: Vec<u32>,
+        lps: Vec<L>,
+        metas: Vec<LpMeta>,
+        queue: PendingQueue<L::Event>,
+        mailboxes: &'r [Mailbox<Chunk<L::Event>>],
+    ) -> Worker<'r, L> {
+        Worker {
+            t,
+            lookahead: self.lookahead,
+            n_lps: self.n_lps,
+            gids,
+            lps,
+            metas,
+            queue0: (queue.ops(), queue.pool_stats().recycled),
+            lane: Lane {
+                queue,
+                mailboxes,
+                chunks: mailboxes.iter().map(|_| Vec::new()).collect(),
+                spare: Vec::new(),
+                inbox: Vec::new(),
+                remote: 0,
+                cross: 0,
+                mailbox_high_water: 0,
+            },
+            out: Vec::with_capacity(8),
+            tbuf: self.trace.as_ref().map(|(tr, run)| tr.buf(*run, t as u32)),
+            tap: self.live.as_ref().map(|h| h.tap(t)),
+            live_flushed: (0, 0, 0),
+            committed: 0,
+            rounds: 0,
+            clock: 0,
+            busy_ns: 0,
+            stall_ns: 0,
+            steals: 0,
+            lag_max: 0,
+        }
+    }
+
+    /// Fold `w`'s counters into `tally`, push its last live deltas (with
+    /// `gvt`, from the worker that reports it) and submit its trace buffer.
+    pub(crate) fn fold<L: Lp>(&self, tally: &mut Tally, w: &mut Worker<'_, L>, gvt: Option<u64>) {
+        let stats = &mut tally.stats;
+        stats.committed += w.committed;
+        stats.remote_events += w.lane.remote;
+        stats.cross_shard_events += w.lane.cross;
+        stats.rounds = stats.rounds.max(w.rounds);
+        stats.steals += w.steals;
+        stats.horizon_stall_ns += w.stall_ns;
+        stats.horizon_lag_max = stats.horizon_lag_max.max(w.lag_max);
+        stats.end_time = stats.end_time.max(SimTime(w.clock));
+        let queue = &w.lane.queue;
+        let pool = queue.pool_stats();
+        tally.queue_ops += queue.ops() - w.queue0.0;
+        tally.queue_max_len = tally.queue_max_len.max(queue.max_len());
+        tally.pool.merge(PoolStats { recycled: pool.recycled - w.queue0.1, ..pool });
+        w.live_flush(gvt);
+        if let Some(tp) = w.tap.as_ref() {
+            tp.pool_high_water(pool.high_water);
+        }
+        if let (Some((tr, _)), Some(mut buf)) = (self.trace.as_ref(), w.tbuf.take()) {
+            buf.settle(w.committed);
+            tr.submit(buf);
+        }
+        if self.telem_on {
+            tally.per_thread.push(telemetry::ThreadRecord {
+                thread: w.t,
+                events: w.committed,
+                busy_ns: w.busy_ns,
+                blocked_ns: w.stall_ns,
+                idle_ns: 0,
+                mailbox_high_water: w.lane.mailbox_high_water,
+            });
+        }
+    }
+
+    /// The run tail every scheduler shares: stamp the wall time, close the
+    /// trace run and emit one `scheduler` record (when a recorder is
+    /// attached).
+    pub(crate) fn close<L: Lp>(&self, sim: &Simulation<L>, tally: Tally) -> RunStats {
+        let Tally { mut stats, queue_ops, queue_max_len, pool, mut per_thread } = tally;
+        stats.wall_seconds = self.start.elapsed().as_secs_f64();
+        let wall_ns = (stats.wall_seconds * 1e9) as u64;
+        if let Some((tr, run)) = &self.trace {
+            tr.close_run(*run, wall_ns, stats.end_time.as_ns());
+        }
+        let Some(rec) = sim.telemetry.as_deref() else { return stats };
+        per_thread.sort_by_key(|t| t.thread);
+        for t in per_thread.iter_mut() {
+            t.idle_ns = wall_ns.saturating_sub(t.busy_ns + t.blocked_ns);
+        }
+        let mut r = telemetry::SchedulerRecord::new(self.name, self.n_workers);
+        r.queue = sim.queue.label().to_string();
+        r.queue_ops = queue_ops;
+        r.queue_max_len = queue_max_len;
+        r.pool_high_water = pool.high_water;
+        r.pool_recycled = pool.recycled;
+        r.pool_slot_bytes = crate::pool::pool_slot_bytes::<L::Event>();
+        r.committed = stats.committed;
+        r.remote_events = stats.remote_events;
+        r.cross_shard_events = stats.cross_shard_events;
+        r.rounds = stats.rounds;
+        r.steals = stats.steals;
+        r.horizon_stall_ns = stats.horizon_stall_ns;
+        r.horizon_lag_max = stats.horizon_lag_max;
+        r.end_time_ns = stats.end_time.as_ns();
+        r.wall_ns = wall_ns;
+        r.per_thread = per_thread;
+        rec.emit(&r);
+        stats
+    }
+}
+
+/// State shared by the threads of one run, and the scaffold around them.
+pub(crate) struct Run<E> {
+    pub(crate) report: Report,
+    pub(crate) mailboxes: Vec<Mailbox<Chunk<E>>>,
+    pub(crate) latch: Latch,
+    /// Protocol window: the round loop's window width, and the violation
+    /// message names it.
+    pub(crate) window_ns: u64,
+}
+
 impl<E: Clone + Send + 'static> Run<E> {
-    /// Open a run of scheduler `name` on `n_workers` threads: mailboxes,
-    /// latch, and the trace run / live handles the simulation asks for.
-    /// `start` is when the scheduler was entered (wall time includes its
-    /// planning).
+    /// Open a run of scheduler `name` on `n_workers` threads: its
+    /// [`Report`], mailboxes and latch.
     pub(crate) fn open<L: Lp<Event = E>>(
         sim: &Simulation<L>,
         name: &'static str,
@@ -363,20 +577,23 @@ impl<E: Clone + Send + 'static> Run<E> {
         window: SimDuration,
         start: Instant,
     ) -> Run<E> {
-        let trace = sim.tracer.as_ref().map(|tr| (Arc::clone(tr), tr.open_run(name, n_workers)));
-        let telem_on = sim.telemetry.is_some();
         Run {
-            name,
-            start,
+            report: Report::open(sim, name, n_workers, start),
             mailboxes: (0..n_workers).map(|_| Mailbox::new()).collect(),
             latch: Latch::new(),
-            lookahead: sim.lookahead,
             window_ns: window.0,
-            telem_on,
-            timing: telem_on || trace.is_some(),
-            trace,
-            live: LiveHandles::from_sim(&sim.live, n_workers),
         }
+    }
+
+    /// Trip the latch if `last` is a causality violation; returns whether
+    /// it was one.
+    pub(crate) fn late(&self, last: Step) -> bool {
+        let Step::Late(what) = last else { return false };
+        self.latch.trip(Abort::Violation(format!(
+            "lookahead violation: {what}; window {} ns exceeds the model's minimum send delay",
+            self.window_ns
+        )));
+        true
     }
 
     /// Move the LPs `plan` assigns (plus a copy of their meta) and their
@@ -393,39 +610,22 @@ impl<E: Clone + Send + 'static> Run<E> {
         sim: &mut Simulation<L>,
         plan: &Assignment,
     ) -> (Vec<Worker<'r, L>>, Vec<Option<L>>) {
-        let n_workers = plan.locals.len();
         let mut home: Vec<Option<L>> = std::mem::take(&mut sim.lps).into_iter().map(Some).collect();
         let mut workers: Vec<Worker<'r, L>> = plan
             .locals
             .iter()
             .enumerate()
-            .map(|(t, gids)| Worker {
-                t,
-                run: self,
-                gids: gids.clone(),
-                lps: gids.iter().map(|&g| home[g as usize].take()).collect(),
-                metas: gids.iter().map(|&g| sim.meta[g as usize].clone()).collect(),
-                lane: Lane {
-                    queue: sim.queue.new_queue(),
-                    mailboxes: &self.mailboxes,
-                    chunks: (0..n_workers).map(|_| Vec::new()).collect(),
-                    spare: Vec::new(),
-                    inbox: Vec::new(),
-                    remote: 0,
-                    cross: 0,
-                    mailbox_high_water: 0,
-                },
-                out: Vec::with_capacity(8),
-                tbuf: self.trace.as_ref().map(|(tr, run)| tr.buf(*run, t as u32)),
-                tap: self.live.as_ref().map(|h| h.tap(t)),
-                live_flushed: (0, 0, 0),
-                committed: 0,
-                rounds: 0,
-                clock: 0,
-                busy_ns: 0,
-                stall_ns: 0,
-                steals: 0,
-                lag_max: 0,
+            .map(|(t, gids)| {
+                self.report.worker(
+                    t,
+                    gids.clone(),
+                    gids.iter()
+                        .map(|&g| home[g as usize].take().expect("LP owned twice"))
+                        .collect(),
+                    gids.iter().map(|&g| sim.meta[g as usize].clone()).collect(),
+                    sim.queue.new_queue(),
+                    &self.mailboxes,
+                )
             })
             .collect();
         let mut pending = std::mem::replace(&mut sim.pending, sim.queue.new_queue());
@@ -440,59 +640,24 @@ impl<E: Clone + Send + 'static> Run<E> {
     /// Close the run: LP state and meta go back to their global slots,
     /// unprocessed events (beyond `until`, or stranded by a shutdown) back
     /// to the pending set for a later leg; a latched violation or model
-    /// panic is re-raised; otherwise the workers' counters fold into one
-    /// [`RunStats`], one telemetry record and the trace run's footer.
-    /// Events move as queues: the fullest worker queue becomes the pending
-    /// set and the others stream into it ([`EventQueue::drain_each`]).
+    /// panic is re-raised; otherwise the workers' counters fold into the
+    /// [`Report`]'s run tail. Events move as queues: the fullest worker
+    /// queue becomes the pending set and the others stream into it
+    /// ([`EventQueue::drain_each`]).
     pub(crate) fn gather<L: Lp<Event = E>>(
         &self,
         sim: &mut Simulation<L>,
         workers: Vec<Worker<'_, L>>,
         mut home: Vec<Option<L>>,
     ) -> RunStats {
-        let n_workers = workers.len();
-        let mut stats = RunStats::default();
-        let mut queue = QueueTelemetry::empty(sim.queue);
-        let mut per_thread = Vec::new();
-        let mut queues = Vec::with_capacity(n_workers);
+        let mut tally = Tally::default();
+        let mut queues = Vec::with_capacity(workers.len());
         for mut w in workers {
-            stats.committed += w.committed;
-            stats.remote_events += w.lane.remote;
-            stats.cross_shard_events += w.lane.cross;
-            stats.rounds = stats.rounds.max(w.rounds);
-            stats.steals += w.steals;
-            stats.horizon_stall_ns += w.stall_ns;
-            stats.horizon_lag_max = stats.horizon_lag_max.max(w.lag_max);
-            stats.end_time = stats.end_time.max(SimTime(w.clock));
-            let pool = w.lane.queue.pool_stats();
-            queue.ops += w.lane.queue.ops();
-            queue.max_len = queue.max_len.max(w.lane.queue.max_len());
-            queue.pool.merge(pool);
-            w.live_flush(None);
-            if let Some(tp) = w.tap.as_ref() {
-                tp.pool_high_water(pool.high_water);
-            }
-            if let (Some((tr, _)), Some(buf)) = (self.trace.as_ref(), w.tbuf.take()) {
-                tr.submit(buf);
-            }
-            if self.telem_on {
-                per_thread.push(telemetry::ThreadRecord {
-                    thread: w.t,
-                    events: w.committed,
-                    busy_ns: w.busy_ns,
-                    blocked_ns: w.stall_ns,
-                    idle_ns: 0,
-                    mailbox_high_water: w.lane.mailbox_high_water,
-                });
-            }
+            self.report.fold(&mut tally, &mut w, None);
             for ((gid, lp), meta) in w.gids.into_iter().zip(w.lps).zip(w.metas) {
-                // An emptied slot is an LP that migrated: its new host
-                // returns it, with the meta that kept advancing.
-                if let Some(lp) = lp {
-                    assert!(home[gid as usize].is_none(), "LP {gid} returned twice");
-                    home[gid as usize] = Some(lp);
-                    sim.meta[gid as usize] = meta;
-                }
+                assert!(home[gid as usize].is_none(), "LP {gid} returned twice");
+                home[gid as usize] = Some(lp);
+                sim.meta[gid as usize] = meta;
             }
             queues.push(w.lane.queue);
         }
@@ -515,20 +680,7 @@ impl<E: Clone + Send + 'static> Run<E> {
         }
         sim.lps = home.into_iter().map(|s| s.expect("missing LP")).collect();
         self.latch.raise();
-
-        stats.wall_seconds = self.start.elapsed().as_secs_f64();
-        if let Some((tr, run)) = &self.trace {
-            tr.close_run(*run, (stats.wall_seconds * 1e9) as u64, stats.end_time.as_ns());
-        }
-        emit_sched_telemetry::<E>(
-            sim.telemetry.as_deref(),
-            self.name,
-            n_workers,
-            &stats,
-            queue,
-            per_thread,
-        );
-        stats
+        self.report.close(sim, tally)
     }
 }
 
