@@ -216,20 +216,13 @@ impl SimulationBuilder {
 
         let mut sim = Simulation::with_queue(lps, shared.lookahead, self.queue);
         sim.set_partition(Partition::from_blocks(blocks));
-        sim.set_telemetry(self.telemetry.clone());
-        sim.set_tracer(self.tracer.clone());
-        sim.set_live(self.live.clone());
+        sim.set_telemetry(self.telemetry);
+        sim.set_tracer(self.tracer);
+        sim.set_live(self.live);
         for lp in start_lps {
             sim.schedule(lp, SimTime::ZERO, Event::Start);
         }
-        let codes = CodesSim {
-            sim,
-            shared,
-            windows,
-            telemetry: self.telemetry,
-            tracer: self.tracer,
-            live: self.live,
-        };
+        let codes = CodesSim { sim, shared, windows };
         codes.stage_trace_names();
         Ok(codes)
     }
@@ -247,14 +240,13 @@ pub fn trace_kind_names(job_names: &[String]) -> Vec<String> {
     names
 }
 
-/// A runnable hybrid-workload simulation.
+/// A runnable hybrid-workload simulation. Its recorder, tracer and live
+/// registry are the engine's (`ross::Simulation::{telemetry, tracer,
+/// live}`): the harvest reports through the same sinks the schedulers do.
 pub struct CodesSim {
     sim: Simulation<CodesLp>,
     shared: Arc<Shared>,
     windows: Windows,
-    telemetry: Option<Arc<telemetry::Recorder>>,
-    tracer: Option<Arc<ross::Tracer>>,
-    live: Option<Arc<telemetry::live::MetricsRegistry>>,
 }
 
 /// Per-application outcome.
@@ -391,29 +383,10 @@ impl CodesSim {
         self.sim.n_lps() as u32
     }
 
-    /// Attach (or detach) a telemetry recorder after construction.
-    pub fn set_telemetry(&mut self, recorder: Option<Arc<telemetry::Recorder>>) {
-        self.sim.set_telemetry(recorder.clone());
-        self.telemetry = recorder;
-    }
-
-    /// Attach (or detach) a causal tracer after construction.
-    pub fn set_tracer(&mut self, tracer: Option<Arc<ross::Tracer>>) {
-        self.sim.set_tracer(tracer.clone());
-        self.tracer = tracer;
-        self.stage_trace_names();
-    }
-
-    /// Attach (or detach) a live metrics registry after construction.
-    pub fn set_live(&mut self, live: Option<Arc<telemetry::live::MetricsRegistry>>) {
-        self.sim.set_live(live.clone());
-        self.live = live;
-    }
-
     /// Stage kind names and app/rank-aware LP track names for the next
     /// trace run.
     fn stage_trace_names(&self) {
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.sim.tracer() {
             tr.stage_kind_names(trace_kind_names(&self.shared.job_names));
             tr.stage_lp_names(self.trace_lp_names());
         }
@@ -491,12 +464,11 @@ impl CodesSim {
     }
 
     fn harvest(&self, stats: RunStats) -> SimResults {
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.sim.tracer() {
             // Re-label trace tracks with the final rank states so the
             // exported names reflect how each rank ended the run.
             tr.refresh_lp_names(self.trace_lp_names());
         }
-        let napps = self.shared.job_names.len();
         let mut apps: Vec<AppResult> = self
             .shared
             .job_names
@@ -564,34 +536,33 @@ impl CodesSim {
                 }
             }
         }
-        let _ = napps;
-        if let Some(reg) = &self.live {
-            // Per-app progress for the live endpoint. Gauges, not
-            // counters: the harvest publishes final per-run values (and
-            // multi-run experiments overwrite, which is the live-view
-            // semantic we want — "where is this app now").
-            for a in &apps {
-                let label = |m: &str| format!("{m}{{app=\"{}\"}}", a.name);
-                reg.gauge(&label("app_ops")).set(a.ops_executed);
-                reg.gauge(&label("app_bytes_sent")).set(a.bytes_sent);
-                reg.gauge(&label("app_ranks")).set(a.finished_at_ns.len() as u64);
-                reg.gauge(&label("app_ranks_finished"))
-                    .set(a.finished_at_ns.iter().filter(|f| f.is_some()).count() as u64);
-                reg.gauge(&label("app_makespan_ns")).set(a.makespan_ns().unwrap_or(0));
+        // Per-app progress, rendered twice: as `app_*{app="…"}` gauges on
+        // the live endpoint and as the `network` record's `apps`. Gauges,
+        // not counters: the harvest publishes final per-run values (and
+        // multi-run experiments overwrite, which is the live-view
+        // semantic we want — "where is this app now").
+        net.apps = apps
+            .iter()
+            .map(|a| telemetry::AppProgressRecord {
+                app: a.name.clone(),
+                ranks: a.finished_at_ns.len() as u64,
+                ranks_finished: a.finished_at_ns.iter().filter(|f| f.is_some()).count() as u64,
+                bytes_sent: a.bytes_sent,
+                ops_executed: a.ops_executed,
+                makespan_ns: a.makespan_ns(),
+            })
+            .collect();
+        if let Some(reg) = self.sim.live() {
+            for p in &net.apps {
+                let label = |m: &str| format!("{m}{{app=\"{}\"}}", p.app);
+                reg.gauge(&label("app_ops")).set(p.ops_executed);
+                reg.gauge(&label("app_bytes_sent")).set(p.bytes_sent);
+                reg.gauge(&label("app_ranks")).set(p.ranks);
+                reg.gauge(&label("app_ranks_finished")).set(p.ranks_finished);
+                reg.gauge(&label("app_makespan_ns")).set(p.makespan_ns.unwrap_or(0));
             }
         }
-        if let Some(rec) = &self.telemetry {
-            net.apps = apps
-                .iter()
-                .map(|a| telemetry::AppProgressRecord {
-                    app: a.name.clone(),
-                    ranks: a.finished_at_ns.len() as u64,
-                    ranks_finished: a.finished_at_ns.iter().filter(|f| f.is_some()).count() as u64,
-                    bytes_sent: a.bytes_sent,
-                    ops_executed: a.ops_executed,
-                    makespan_ns: a.makespan_ns(),
-                })
-                .collect();
+        if let Some(rec) = self.sim.telemetry() {
             rec.emit(&net);
         }
         SimResults { apps, link_load, router_windows, stats }

@@ -185,7 +185,7 @@ mod tests {
     use telemetry::live::MetricsRegistry;
 
     fn sample_snapshot() -> SnapshotRecord {
-        let reg = Arc::new(MetricsRegistry::with_shards(2));
+        let reg = Arc::new(MetricsRegistry::new());
         reg.counter("events_committed").add(5000);
         reg.gauge("gvt_ns").set(123_456);
         let h = reg.histogram("commit_batch");

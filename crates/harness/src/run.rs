@@ -659,12 +659,13 @@ fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
                 sched,
                 telemetry: report.telemetry.clone(),
                 tracer: report.tracer.clone(),
+                live,
                 ..cfg.clone()
             };
             // One run has one final state to fingerprint; a grid has none.
             let single = sweep::keys(&cfg).len() == 1;
             let progress = |label: &str| eprintln!("running {label}…");
-            sweep::for_each_cell(&cfg, live, progress, |record, sim| {
+            sweep::for_each_cell(&cfg, progress, |record, sim| {
                 report.fingerprint = single.then(|| sim.state_fingerprint());
                 report.committed += record.stats.committed;
                 report.records.push(record);
@@ -706,9 +707,9 @@ fn worker(
             spec,
             Arc::new(codes::CodesEventCodec),
             |rec, live, transport| {
-                let cfg = SweepConfig { telemetry: Some(rec), ..cfg.clone() };
+                let cfg = SweepConfig { telemetry: Some(rec), live, ..cfg.clone() };
                 let mut sim =
-                    sweep::build(&cfg, sweep::keys(&cfg)[0], live).map_err(ShardError::Protocol)?;
+                    sweep::build(&cfg, sweep::keys(&cfg)[0]).map_err(ShardError::Protocol)?;
                 let stats = sim.run_sharded(transport, shards.threads, cfg.until)?;
                 Ok((sim.shard_fingerprint(me, n), stats))
             },

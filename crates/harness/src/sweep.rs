@@ -154,6 +154,9 @@ pub struct SweepConfig {
     /// Causal tracer: every run records executed events and scheduler
     /// phases, labelled with the run key, for Chrome-trace export.
     pub tracer: Option<std::sync::Arc<ross::Tracer>>,
+    /// Live metrics registry: every run streams engine counters into it
+    /// while in flight and publishes per-app gauges at harvest.
+    pub live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
 }
 
 impl SweepConfig {
@@ -178,6 +181,7 @@ impl SweepConfig {
             flow: FlowControl::BusyUntil,
             telemetry: None,
             tracer: None,
+            live: None,
         }
     }
 
@@ -209,11 +213,7 @@ fn apps_of(workload: u8) -> Vec<AppKind> {
 
 /// Build the simulation of one sweep cell: the model every run of `key`
 /// (in-process, shard worker, verification reference) starts from.
-pub(crate) fn build(
-    cfg: &SweepConfig,
-    key: RunKey,
-    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
-) -> Result<CodesSim, String> {
+pub(crate) fn build(cfg: &SweepConfig, key: RunKey) -> Result<CodesSim, String> {
     let apps: Vec<AppConfig> = match key.workload {
         Workload::Mix(w) => workloads::workload(w, cfg.profile, cfg.iters, cfg.scale),
         Workload::Baseline(kind) => {
@@ -232,8 +232,8 @@ pub(crate) fn build(
         tr.label_next_run(&key.label());
         b = b.tracer(tr.clone());
     }
-    if let Some(reg) = live {
-        b = b.live(reg);
+    if let Some(reg) = &cfg.live {
+        b = b.live(reg.clone());
     }
     for a in &apps {
         b = b.job(a.name(), a.vms(cfg.seed)?);
@@ -243,17 +243,13 @@ pub(crate) fn build(
 
 /// Run one configuration and summarize it.
 pub fn run_one(cfg: &SweepConfig, key: RunKey) -> Result<RunRecord, String> {
-    run_cell(cfg, key, None).map(|(record, _)| record)
+    run_cell(cfg, key).map(|(record, _)| record)
 }
 
 /// [`run_one`] that also hands back the finished simulation, so a
 /// single-cell run (`union-exp mix`) can fingerprint its final state.
-pub(crate) fn run_cell(
-    cfg: &SweepConfig,
-    key: RunKey,
-    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
-) -> Result<(RunRecord, CodesSim), String> {
-    let mut sim = build(cfg, key, live)?;
+pub(crate) fn run_cell(cfg: &SweepConfig, key: RunKey) -> Result<(RunRecord, CodesSim), String> {
+    let mut sim = build(cfg, key)?;
     // The model runs at its own window; the lookahead given here is unused.
     let lookahead = SimDuration::ZERO;
     let sched = match cfg.sched {
@@ -331,14 +327,12 @@ pub(crate) fn keys(cfg: &SweepConfig) -> Vec<RunKey> {
 /// run ends the sweep with `<key>: <error>`.
 pub(crate) fn for_each_cell(
     cfg: &SweepConfig,
-    live: Option<std::sync::Arc<telemetry::live::MetricsRegistry>>,
     mut progress: impl FnMut(&str),
     mut visit: impl FnMut(RunRecord, CodesSim),
 ) -> Result<(), String> {
     for key in keys(cfg) {
         progress(&key.progress_label());
-        let (record, sim) =
-            run_cell(cfg, key, live.clone()).map_err(|e| format!("{}: {e}", key.label()))?;
+        let (record, sim) = run_cell(cfg, key).map_err(|e| format!("{}: {e}", key.label()))?;
         visit(record, sim);
     }
     Ok(())
@@ -347,7 +341,7 @@ pub(crate) fn for_each_cell(
 /// Run the full sweep and collect its records.
 pub fn run_sweep(cfg: &SweepConfig, progress: impl FnMut(&str)) -> Result<Vec<RunRecord>, String> {
     let mut records = Vec::new();
-    for_each_cell(cfg, None, progress, |record, _| records.push(record))?;
+    for_each_cell(cfg, progress, |record, _| records.push(record))?;
     Ok(records)
 }
 

@@ -422,9 +422,6 @@ impl<L: Lp> Simulation<L> {
                             sent.fetch_add(m.events.len() as u64, Ordering::SeqCst);
                         }
                         w.steals += take as u64;
-                        if let Some(tp) = w.tap.as_mut() {
-                            tp.steal(take as u64);
-                        }
                         migrations[thief].push(m);
                         wake(thief);
                         h_eff = head_of(&mut w.lane.queue);
@@ -579,7 +576,7 @@ impl<L: Lp> Simulation<L> {
                 // Live flush: barrier-free, so cadence is committed volume
                 // rather than rounds. One branch per outer iteration when
                 // detached.
-                if w.tap.is_some() && w.live_backlog().0 >= crate::live::FLUSH_EVERY {
+                if w.live.is_some() && w.live_backlog().0 >= crate::live::FLUSH_EVERY {
                     w.live_flush(leader.then_some(published.min(bound)));
                 }
 
@@ -643,9 +640,11 @@ impl<L: Lp> Simulation<L> {
                 }
                 // About to go quiet: flush whatever the volume cadence has
                 // not pushed yet, so a parked gang still exposes exact
-                // cumulative counts.
-                if w.tap.is_some() && w.live_backlog() != (0, 0) {
-                    w.live_flush(None);
+                // cumulative counts. The leader parks far more often than
+                // every `FLUSH_EVERY` commits, so this flush, too, must
+                // carry its horizon, or the gauge never moves.
+                if w.live.is_some() && w.live_backlog() != (0, 0) {
+                    w.live_flush(leader.then_some(published.min(bound)));
                 }
                 // Park. Flag first, then re-check every wake condition
                 // (Dekker handshake with the wakers). Idle non-leaders

@@ -131,6 +131,11 @@ impl<L: Lp> Simulation<L> {
         self.telemetry = recorder;
     }
 
+    /// The attached telemetry recorder, if any.
+    pub fn telemetry(&self) -> Option<&std::sync::Arc<telemetry::Recorder>> {
+        self.telemetry.as_ref()
+    }
+
     /// Attach (or detach) a causal tracer ([`crate::trace`]). When set,
     /// every scheduler run opens a trace run, records each executed
     /// event (plus barrier spans on the parallel schedulers) and closes
@@ -248,7 +253,7 @@ impl<L: Lp> Simulation<L> {
             match w.step(0, limit, &|dst| dst as usize, &mut |lane, env| lane.queue.push(env)) {
                 // Live flush every `FLUSH_EVERY` commits: one branch per
                 // event when no registry is attached.
-                Step::Ran if w.tap.is_some() && w.live_backlog().0 >= FLUSH_EVERY => {
+                Step::Ran if w.live.is_some() && w.live_backlog().0 >= FLUSH_EVERY => {
                     w.live_flush(Some(w.clock))
                 }
                 Step::Ran => {}
@@ -259,11 +264,8 @@ impl<L: Lp> Simulation<L> {
             w.busy_ns = t0.elapsed().as_nanos() as u64;
         }
         w.rounds = 1;
-        if let Some(tp) = w.tap.as_mut() {
-            tp.round();
-        }
-        let (mut tally, gvt) = (Tally::default(), Some(w.clock));
-        report.fold(&mut tally, &mut w, gvt);
+        let mut tally = Tally::default();
+        report.fold(&mut tally, &mut w);
         (self.lps, self.meta, self.pending) = (w.lps, w.metas, w.lane.queue);
         match last {
             Err(payload) => std::panic::resume_unwind(payload),

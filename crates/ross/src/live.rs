@@ -1,33 +1,49 @@
 //! Wiring between the schedulers and the live metrics plane
 //! ([`telemetry::live`]).
 //!
-//! Schedulers never touch the registry on per-event hot paths: each worker
-//! thread owns a [`LiveTap`] — plain local counters plus shard-private
-//! handles — and flushes it at the scheduler's natural synchronization
-//! cadence (per window/round/shard fence, or every
-//! [`FLUSH_EVERY`] committed events on the sequential path). A detached
-//! registry costs one `Option` branch at those same coarse points, which
-//! is what keeps the <2% overhead guard honest.
+//! The live plane keeps no counts of its own. A worker's run counters —
+//! the same fields that fold into [`RunStats`](crate::RunStats) and the
+//! `scheduler` telemetry record — are the only accumulators:
+//! `Worker::live_flush` adds their growth since its previous flush
+//! ([`Counts`]) to the run's [`LiveHandles`] at the scheduler's
+//! synchronization cadence (per round on the barrier schedulers, every
+//! [`FLUSH_EVERY`] commits on the sequential and async paths), and the
+//! run's counter fold flushes the remainder, so end-of-run totals are
+//! exact on every exit path. Nothing touches the registry per event: a
+//! detached registry costs one `Option` branch at those same coarse
+//! points, which is what keeps the <2% overhead guard honest.
 
 use std::sync::Arc;
 use telemetry::live::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
 
-/// Sequential-scheduler flush cadence in committed events. Parallel
-/// schedulers flush at their own sync points instead.
+/// Flush cadence in committed events on the sequential and async paths.
+/// The barrier schedulers flush once per round instead.
 pub(crate) const FLUSH_EVERY: u64 = 8192;
 
-/// Sharded handles for every engine metric the schedulers feed. One per
-/// run; [`LiveHandles::tap`] clones it onto a worker's shard.
+/// A worker's cumulative run counters, as the live plane reads them.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Counts {
+    pub(crate) committed: u64,
+    pub(crate) remote: u64,
+    pub(crate) cross: u64,
+    pub(crate) rounds: u64,
+    pub(crate) steals: u64,
+}
+
+/// The registry cells of every engine metric the schedulers feed. One per
+/// run, shared by its workers.
 pub(crate) struct LiveHandles {
     committed: CounterHandle,
     remote_events: CounterHandle,
     cross_shard_events: CounterHandle,
     rounds: CounterHandle,
     steals: CounterHandle,
-    gvt_ns: GaugeHandle,
-    horizon_lag_ns: GaugeHandle,
+    /// The global clock: window floor, async horizon, end time.
+    pub(crate) gvt_ns: GaugeHandle,
+    /// High-water of (max published horizon − min published horizon).
+    pub(crate) horizon_lag_ns: GaugeHandle,
     queue_depth: GaugeHandle,
-    pool_high_water: GaugeHandle,
+    pub(crate) pool_high_water: GaugeHandle,
     workers: GaugeHandle,
     commit_batch: HistogramHandle,
     queue_depth_hist: HistogramHandle,
@@ -62,149 +78,148 @@ impl LiveHandles {
         reg.as_ref().map(|r| LiveHandles::new(r, threads))
     }
 
-    /// A worker-private tap recording through shard `shard`.
-    pub(crate) fn tap(self: &Arc<LiveHandles>, shard: usize) -> LiveTap {
-        LiveTap {
-            committed: self.committed.for_shard(shard),
-            remote_events: self.remote_events.for_shard(shard),
-            cross_shard_events: self.cross_shard_events.for_shard(shard),
-            rounds: self.rounds.for_shard(shard),
-            steals: self.steals.for_shard(shard),
-            gvt_ns: self.gvt_ns.clone(),
-            horizon_lag_ns: self.horizon_lag_ns.clone(),
-            queue_depth: self.queue_depth.clone(),
-            pool_high_water: self.pool_high_water.clone(),
-            commit_batch: self.commit_batch.for_shard(shard),
-            queue_depth_hist: self.queue_depth_hist.for_shard(shard),
-            d: PendingDeltas::default(),
+    /// Add one worker's counter growth from `then` to `now`. The committed
+    /// growth also lands in the `commit_batch` histogram — the
+    /// distribution of work per flush.
+    pub(crate) fn add(&self, now: Counts, then: Counts) {
+        let committed = now.committed - then.committed;
+        if committed > 0 {
+            self.committed.add(committed);
+            self.commit_batch.record(committed);
         }
-    }
-}
-
-/// Local deltas accumulated between flushes — plain integers, no atomics.
-#[derive(Default)]
-struct PendingDeltas {
-    committed: u64,
-    remote_events: u64,
-    cross_shard_events: u64,
-    rounds: u64,
-    steals: u64,
-}
-
-/// One worker thread's view of the live registry. All mutation lands in
-/// [`PendingDeltas`]; [`LiveTap::flush`] pushes the deltas through the
-/// shard-private wait-free handles.
-pub(crate) struct LiveTap {
-    committed: CounterHandle,
-    remote_events: CounterHandle,
-    cross_shard_events: CounterHandle,
-    rounds: CounterHandle,
-    steals: CounterHandle,
-    gvt_ns: GaugeHandle,
-    horizon_lag_ns: GaugeHandle,
-    queue_depth: GaugeHandle,
-    pool_high_water: GaugeHandle,
-    commit_batch: HistogramHandle,
-    queue_depth_hist: HistogramHandle,
-    d: PendingDeltas,
-}
-
-impl LiveTap {
-    #[inline]
-    pub(crate) fn commit(&mut self, n: u64) {
-        self.d.committed += n;
-    }
-
-    pub(crate) fn remote(&mut self, n: u64) {
-        self.d.remote_events += n;
-    }
-
-    pub(crate) fn cross_shard(&mut self, n: u64) {
-        self.d.cross_shard_events += n;
-    }
-
-    pub(crate) fn round(&mut self) {
-        self.d.rounds += 1;
-    }
-
-    pub(crate) fn steal(&mut self, n: u64) {
-        self.d.steals += n;
-    }
-
-    /// Latest global clock (window floor / horizon) — leader only.
-    pub(crate) fn gvt(&self, ns: u64) {
-        self.gvt_ns.set(ns);
-    }
-
-    /// High-water of (max published horizon − min published horizon).
-    pub(crate) fn lag(&self, ns: u64) {
-        self.horizon_lag_ns.observe_max(ns);
+        for (cell, n) in [
+            (&self.remote_events, now.remote - then.remote),
+            (&self.cross_shard_events, now.cross - then.cross),
+            (&self.rounds, now.rounds - then.rounds),
+            (&self.steals, now.steals - then.steals),
+        ] {
+            if n > 0 {
+                cell.add(n);
+            }
+        }
     }
 
     /// Current pending-queue depth: latest-value gauge plus distribution.
-    pub(crate) fn queue_depth(&mut self, len: u64) {
+    pub(crate) fn queue_depth(&self, len: u64) {
         self.queue_depth.set(len);
         self.queue_depth_hist.record(len);
-    }
-
-    pub(crate) fn pool_high_water(&self, v: u64) {
-        self.pool_high_water.observe_max(v);
-    }
-
-    /// Push accumulated deltas through the handles and reset them. The
-    /// committed delta also lands in the `commit_batch` histogram — the
-    /// distribution of work per flush window.
-    pub(crate) fn flush(&mut self) {
-        let d = std::mem::take(&mut self.d);
-        if d.committed > 0 {
-            self.committed.add(d.committed);
-            self.commit_batch.record(d.committed);
-        }
-        if d.remote_events > 0 {
-            self.remote_events.add(d.remote_events);
-        }
-        if d.cross_shard_events > 0 {
-            self.cross_shard_events.add(d.cross_shard_events);
-        }
-        if d.rounds > 0 {
-            self.rounds.add(d.rounds);
-        }
-        if d.steals > 0 {
-            self.steals.add(d.steals);
-        }
-    }
-}
-
-impl Drop for LiveTap {
-    /// A tap that goes out of scope flushes its remainder, so end-of-run
-    /// totals are exact on every exit path.
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ctx, Envelope, Lp, SimDuration, Simulation};
 
+    /// An LP that ignores its events.
+    struct Quiet;
+
+    impl Lp for Quiet {
+        type Event = ();
+        fn handle(&mut self, _ev: &Envelope<()>, _ctx: &mut Ctx<'_, ()>) {}
+    }
+
+    /// A worker's flush adds the growth since its previous one; the run's
+    /// counter fold adds what no flush has pushed yet.
     #[test]
     fn tap_flushes_deltas_and_drop_flushes_remainder() {
-        let reg = Arc::new(MetricsRegistry::with_shards(2));
-        let handles = LiveHandles::from_sim(&Some(Arc::clone(&reg)), 2).unwrap();
-        let mut a = handles.tap(0);
-        let mut b = handles.tap(1);
-        a.commit(10);
-        a.round();
-        a.flush();
-        b.commit(32);
-        drop(b); // drop must flush the un-flushed 32
-        drop(a);
+        let reg = Arc::new(MetricsRegistry::new());
+        let mut sim = Simulation::new(vec![Quiet, Quiet], SimDuration::from_ns(1));
+        sim.set_live(Some(Arc::clone(&reg)));
+        let report = crate::worker::Report::open(&sim, "test", 2, std::time::Instant::now());
+        let queue = || sim.queue_kind().new_queue();
+        let mut a = report.worker(0, vec![0], vec![Quiet], Vec::new(), queue(), &[]);
+        let mut b = report.worker(1, vec![1], vec![Quiet], Vec::new(), queue(), &[]);
+        (a.committed, a.rounds) = (10, 1);
+        a.live_flush(Some(5));
+        (b.committed, b.rounds, b.steals) = (32, 1, 3);
+        let mut tally = crate::worker::Tally::default();
+        report.fold(&mut tally, &mut b); // must flush the un-flushed 32
+        a.committed += 7;
+        report.fold(&mut tally, &mut a);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("events_committed"), Some(42));
+        assert_eq!(snap.counter_total("events_committed"), Some(49));
+        // The run's round count is worker 0's, not the sum over workers.
         assert_eq!(snap.counter_total("rounds"), Some(1));
+        assert_eq!(snap.counter_total("steals"), Some(3));
+        assert_eq!(snap.gauge("gvt_ns"), Some(5));
         assert_eq!(snap.gauge("workers"), Some(2));
         let h = snap.histogram("commit_batch").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 42);
+        assert_eq!(h.count, 3);
+        assert_eq!(h.sum, 49);
+    }
+
+    // The runs below are multi-threaded; under `union_check` the shimmed
+    // primitives need a model-checking context.
+    #[cfg(not(union_check))]
+    const SCHEDS: [crate::Scheduler; 3] = [
+        crate::Scheduler::Sequential,
+        crate::Scheduler::ConservativeParallel { threads: 2, lookahead: SimDuration(50) },
+        crate::Scheduler::ConservativeAsync { threads: 2, lookahead: SimDuration(50) },
+    ];
+
+    /// PHOLD under `sched` with a recorder and a registry attached: the
+    /// final snapshot, and the run's `scheduler` records.
+    #[cfg(not(union_check))]
+    fn both_renderings(
+        sched: crate::Scheduler,
+    ) -> (telemetry::live::SnapshotRecord, Vec<serde::Value>) {
+        let (rec, reg) = (Arc::new(telemetry::Recorder::new()), Arc::new(MetricsRegistry::new()));
+        let mut sim = crate::parallel::tests::phold_sim(64, 9);
+        sim.set_telemetry(Some(Arc::clone(&rec)));
+        sim.set_live(Some(Arc::clone(&reg)));
+        sched.run(&mut sim, crate::SimTime::MAX);
+        let records = rec
+            .lines()
+            .iter()
+            .map(|l| serde_json::from_str::<serde::Value>(l).unwrap())
+            .filter(|v| v.get("record").and_then(|r| r.as_str()) == Some("scheduler"))
+            .collect();
+        (reg.snapshot(), records)
+    }
+
+    /// `field` summed over `records`.
+    #[cfg(not(union_check))]
+    fn sum(records: &[serde::Value], field: &str) -> u64 {
+        records.iter().map(|r| r.get(field).and_then(|v| v.as_u64()).unwrap()).sum()
+    }
+
+    /// Every scheduler leaves a round count and a global clock in the live
+    /// plane, the clock within the run's virtual time.
+    #[cfg(not(union_check))]
+    #[test]
+    fn final_snapshot_reports_rounds_and_gvt() {
+        for sched in SCHEDS {
+            let (snap, records) = both_renderings(sched);
+            let end = sum(&records, "end_time_ns");
+            assert!(snap.counter_total("rounds").unwrap() > 0, "{sched:?}");
+            let gvt = snap.gauge("gvt_ns").unwrap();
+            assert!(0 < gvt && gvt <= end, "{sched:?}: gvt_ns {gvt}, end_time_ns {end}");
+        }
+    }
+
+    /// The live counters and the `scheduler` records render one set of
+    /// worker counters. Async's live `rounds` is the leader's scheduling
+    /// iterations, the record's the most any worker ran.
+    #[cfg(not(union_check))]
+    #[test]
+    fn live_totals_equal_the_scheduler_records() {
+        for sched in SCHEDS {
+            let (snap, records) = both_renderings(sched);
+            assert_eq!(records.len(), 1, "{sched:?}");
+            let mut pairs = vec![
+                ("events_committed", "committed"),
+                ("remote_events", "remote_events"),
+                ("cross_shard_events", "cross_shard_events"),
+                ("steals", "steals"),
+            ];
+            if !matches!(sched, crate::Scheduler::ConservativeAsync { .. }) {
+                pairs.push(("rounds", "rounds"));
+            }
+            for (live, field) in pairs {
+                let want = sum(&records, field);
+                assert_eq!(snap.counter_total(live), Some(want), "{sched:?}: {live} vs {field}");
+            }
+        }
     }
 }

@@ -175,14 +175,8 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
                 w.busy_ns += t0.elapsed().as_nanos() as u64;
             }
         }
-        // Live flush once per window: counter deltas and local queue
-        // depth from everyone, the round count and window floor from
-        // worker 0.
-        if t == 0 {
-            if let Some(tp) = w.tap.as_mut() {
-                tp.round();
-            }
-        }
+        // Live flush once per window: counter growth and local queue depth
+        // from everyone, the window floor from worker 0.
         w.live_flush((t == 0).then_some(gvt));
         // Flush partial chunks — unconditionally, even on a violation or
         // model panic, so no buffered event is ever stranded in this

@@ -13,7 +13,9 @@
 //!   pop → prefetch of the next event's LP → meta update → trace →
 //!   [`Lp::handle`] → seal → route);
 //! * [`Worker`] itself: queue + envelope pool, the LP/meta slab, the
-//!   chunked mailbox [`Lane`], counters, trace buffer and live tap;
+//!   chunked mailbox [`Lane`], counters, trace buffer and the run's live
+//!   registry cells (the counters are the only copy: the live plane reads
+//!   them, see [`crate::live`]);
 //! * [`Report`], the observed side of every run: the shared worker
 //!   constructor, the counter fold and the run tail (trace footer, one
 //!   telemetry record). It builds no `crate::sync` primitive, so the
@@ -25,7 +27,7 @@
 
 use crate::engine::{RunStats, Simulation};
 use crate::event::{Envelope, EventUid, LpId};
-use crate::live::{LiveHandles, LiveTap};
+use crate::live::{Counts, LiveHandles};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
 use crate::mailbox::Mailbox;
 use crate::partition::Assignment;
@@ -229,9 +231,9 @@ pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) lane: Lane<'r, L::Event>,
     out: Vec<Outgoing<L::Event>>,
     tbuf: Option<TraceBuf>,
-    pub(crate) tap: Option<LiveTap>,
-    /// (committed, remote, cross) already pushed through the live tap.
-    live_flushed: (u64, u64, u64),
+    pub(crate) live: Option<Arc<LiveHandles>>,
+    /// The counters as the last live flush saw them.
+    live_flushed: Counts,
     pub(crate) committed: u64,
     /// Synchronization rounds (barrier) or scheduling iterations (async).
     pub(crate) rounds: u64,
@@ -349,27 +351,38 @@ impl<L: Lp> Worker<'_, L> {
         self.stalled(t0);
     }
 
-    /// Push the counter deltas since the last flush, the queue depth and
-    /// (from the one worker that reports it) the global clock through the
-    /// live tap. One branch when no registry is attached.
-    pub(crate) fn live_flush(&mut self, gvt: Option<u64>) {
-        let Some(tp) = self.tap.as_mut() else { return };
-        let now = (self.committed, self.lane.remote, self.lane.cross);
-        tp.commit(now.0 - self.live_flushed.0);
-        tp.remote(now.1 - self.live_flushed.1);
-        tp.cross_shard(now.2 - self.live_flushed.2);
-        self.live_flushed = now;
-        if let Some(gvt) = gvt {
-            tp.gvt(gvt);
+    /// This worker's run counters. The run's round count is worker 0's:
+    /// the barrier schedulers turn every worker through the same rounds,
+    /// so a sum over workers would count each round once per worker.
+    fn counts(&self) -> Counts {
+        Counts {
+            committed: self.committed,
+            remote: self.lane.remote,
+            cross: self.lane.cross,
+            rounds: if self.t == 0 { self.rounds } else { 0 },
+            steals: self.steals,
         }
-        tp.lag(self.lag_max);
-        tp.queue_depth(self.lane.queue.len() as u64);
-        tp.flush();
     }
 
-    /// (committed, remote) not yet pushed through the live tap.
+    /// Add the counters' growth since the last flush, the queue depth and
+    /// (from the one worker that reports it) the global clock to the live
+    /// registry. One branch when no registry is attached.
+    pub(crate) fn live_flush(&mut self, gvt: Option<u64>) {
+        let Some(live) = self.live.as_deref() else { return };
+        let now = self.counts();
+        live.add(now, self.live_flushed);
+        self.live_flushed = now;
+        if let Some(gvt) = gvt {
+            live.gvt_ns.set(gvt);
+        }
+        live.horizon_lag_ns.observe_max(self.lag_max);
+        live.queue_depth(self.lane.queue.len() as u64);
+    }
+
+    /// (committed, remote) not yet added to the live registry.
     pub(crate) fn live_backlog(&self) -> (u64, u64) {
-        (self.committed - self.live_flushed.0, self.lane.remote - self.live_flushed.1)
+        let then = &self.live_flushed;
+        (self.committed - then.committed, self.lane.remote - then.remote)
     }
 
     /// Host one more LP (async migration install); returns its slot.
@@ -471,8 +484,8 @@ impl Report {
             },
             out: Vec::with_capacity(8),
             tbuf: self.trace.as_ref().map(|(tr, run)| tr.buf(*run, t as u32)),
-            tap: self.live.as_ref().map(|h| h.tap(t)),
-            live_flushed: (0, 0, 0),
+            live: self.live.clone(),
+            live_flushed: Counts::default(),
             committed: 0,
             rounds: 0,
             clock: 0,
@@ -483,9 +496,10 @@ impl Report {
         }
     }
 
-    /// Fold `w`'s counters into `tally`, push its last live deltas (with
-    /// `gvt`, from the worker that reports it) and submit its trace buffer.
-    pub(crate) fn fold<L: Lp>(&self, tally: &mut Tally, w: &mut Worker<'_, L>, gvt: Option<u64>) {
+    /// Fold `w`'s counters into `tally`, add what its live flushes have not
+    /// yet pushed and submit its trace buffer. Every scheduler folds every
+    /// worker on every exit path, so live totals end exact.
+    pub(crate) fn fold<L: Lp>(&self, tally: &mut Tally, w: &mut Worker<'_, L>) {
         let stats = &mut tally.stats;
         stats.committed += w.committed;
         stats.remote_events += w.lane.remote;
@@ -500,9 +514,9 @@ impl Report {
         tally.queue_ops += queue.ops() - w.queue0.0;
         tally.queue_max_len = tally.queue_max_len.max(queue.max_len());
         tally.pool.merge(PoolStats { recycled: pool.recycled - w.queue0.1, ..pool });
-        w.live_flush(gvt);
-        if let Some(tp) = w.tap.as_ref() {
-            tp.pool_high_water(pool.high_water);
+        w.live_flush(None);
+        if let Some(live) = &self.live {
+            live.pool_high_water.observe_max(pool.high_water);
         }
         if let (Some((tr, _)), Some(mut buf)) = (self.trace.as_ref(), w.tbuf.take()) {
             buf.settle(w.committed);
@@ -521,14 +535,17 @@ impl Report {
     }
 
     /// The run tail every scheduler shares: stamp the wall time, close the
-    /// trace run and emit one `scheduler` record (when a recorder is
-    /// attached).
+    /// trace run, leave the live `gvt_ns` at the run's end time and emit
+    /// one `scheduler` record (when a recorder is attached).
     pub(crate) fn close<L: Lp>(&self, sim: &Simulation<L>, tally: Tally) -> RunStats {
         let Tally { mut stats, queue_ops, queue_max_len, pool, mut per_thread } = tally;
         stats.wall_seconds = self.start.elapsed().as_secs_f64();
         let wall_ns = (stats.wall_seconds * 1e9) as u64;
         if let Some((tr, run)) = &self.trace {
             tr.close_run(*run, wall_ns, stats.end_time.as_ns());
+        }
+        if let Some(live) = &self.live {
+            live.gvt_ns.set(stats.end_time.as_ns());
         }
         let Some(rec) = sim.telemetry.as_deref() else { return stats };
         per_thread.sort_by_key(|t| t.thread);
@@ -653,7 +670,7 @@ impl<E: Clone + Send + 'static> Run<E> {
         let mut tally = Tally::default();
         let mut queues = Vec::with_capacity(workers.len());
         for mut w in workers {
-            self.report.fold(&mut tally, &mut w, None);
+            self.report.fold(&mut tally, &mut w);
             for ((gid, lp), meta) in w.gids.into_iter().zip(w.lps).zip(w.metas) {
                 assert!(home[gid as usize].is_none(), "LP {gid} returned twice");
                 home[gid as usize] = Some(lp);

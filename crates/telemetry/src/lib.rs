@@ -1,20 +1,20 @@
 //! # telemetry
 //!
-//! Run-telemetry for the simulation stack: cheap atomic counters, timing
-//! scopes, and a bounded JSONL sink. The schedulers in `ross`, the network
-//! layer in `codes`, and the `harness` CLI all write into one [`Recorder`];
-//! the harness dumps it as one JSON object per line (`--telemetry <path>`).
+//! Run-telemetry for the simulation stack: a bounded JSONL sink of
+//! self-describing records, plus the live metrics plane ([`live`]). The
+//! schedulers in `ross`, the network layer in `codes`, and the `harness`
+//! CLI all write into one [`Recorder`]; the harness dumps it as one JSON
+//! object per line (`--telemetry <path>`).
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Near-zero cost when disabled.** Everything hangs off an
 //!    `Option<Arc<Recorder>>`; with `None` the schedulers skip even the
 //!    clock reads.
-//! 2. **Cheap when enabled.** Counters are plain `u64`s in thread-local or
-//!    LP-local state, flushed into records at run end; the shared atomics
-//!    ([`Counter`], [`HighWater`]) are for aggregation points that are
-//!    touched once per synchronization round, never per event. Timing uses
-//!    a handful of `Instant` reads per round ([`Scope`]).
+//! 2. **Cheap when enabled.** Counters are plain `u64`s in worker-local or
+//!    LP-local state, folded into one record per run at its end; timing
+//!    uses a handful of `Instant` reads per round. The live registry reads
+//!    the same worker counters at synchronization points, never per event.
 //! 3. **Bounded.** The sink holds at most `capacity` records; overflow is
 //!    counted in [`Recorder::dropped`] rather than growing without limit.
 //!
@@ -32,80 +32,6 @@ use std::time::Instant;
 
 /// Default bound on the number of buffered records.
 pub const DEFAULT_CAPACITY: usize = 65_536;
-
-/// A shared monotonically increasing counter. Use only at aggregation
-/// points (once per round / per run), never on per-event hot paths.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    pub fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A shared high-water mark (running maximum).
-#[derive(Debug, Default)]
-pub struct HighWater(AtomicU64);
-
-impl HighWater {
-    pub fn new() -> HighWater {
-        HighWater(AtomicU64::new(0))
-    }
-
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A timing scope: adds the wall time between construction and drop to a
-/// local nanosecond accumulator. One `Instant` read at each end.
-///
-/// ```
-/// let mut busy_ns = 0u64;
-/// {
-///     let _scope = telemetry::Scope::new(&mut busy_ns);
-///     // ... work ...
-/// }
-/// assert!(busy_ns < 1_000_000_000);
-/// ```
-pub struct Scope<'a> {
-    acc: &'a mut u64,
-    t0: Instant,
-}
-
-impl<'a> Scope<'a> {
-    #[inline]
-    pub fn new(acc: &'a mut u64) -> Scope<'a> {
-        Scope { acc, t0: Instant::now() }
-    }
-}
-
-impl Drop for Scope<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        *self.acc += self.t0.elapsed().as_nanos() as u64;
-    }
-}
 
 /// The bounded JSONL sink. Records are serialized eagerly (one compact
 /// JSON object per line) so emitting never borrows the caller's state past
@@ -482,34 +408,6 @@ impl PhaseRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_high_water() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let h = HighWater::new();
-        h.observe(3);
-        h.observe(7);
-        h.observe(2);
-        assert_eq!(h.get(), 7);
-    }
-
-    #[test]
-    fn scope_accumulates_time() {
-        let mut acc = 0u64;
-        {
-            let _s = Scope::new(&mut acc);
-            std::hint::black_box(());
-        }
-        {
-            let _s = Scope::new(&mut acc);
-            std::hint::black_box(());
-        }
-        // Monotonic clocks: two scopes cost a nonzero, finite amount.
-        assert!(acc < 10_000_000_000);
-    }
 
     #[test]
     fn recorder_emits_jsonl_with_discriminators() {

@@ -5,9 +5,12 @@
 //! long-running `union-exp serve` (ROADMAP item 5) will stream to clients:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and log-bucketed
-//!   HDR-style [`Histogram`]s, recorded through **thread-sharded handles**
-//!   ([`CounterHandle`], [`HistogramHandle`]) so concurrent recording is
-//!   wait-free (one relaxed `fetch_add` on a shard-private cache line).
+//!   HDR-style [`Histogram`]s: one `AtomicU64` per counter and gauge, one
+//!   mutex-guarded [`Histogram`] per histogram name, shared by every clone
+//!   of a handle ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`]).
+//!   The engine records at most once per scheduler round, or once per
+//!   8 192 commits, per worker — from counters the workers keep anyway
+//!   (`ross::live`) — so there is no per-event traffic to spread.
 //! * [`Sampler`] — a background thread that takes periodic **delta
 //!   snapshots** of the registry into a bounded ring of timestamped
 //!   [`SnapshotRecord`]s, and optionally forwards each snapshot to a sink
@@ -191,112 +194,24 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded live storage
+// Live storage: one cell per metric
 // ---------------------------------------------------------------------------
 
-/// One cache line holding one atomic — shards never false-share.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-impl PaddedU64 {
-    fn zero() -> PaddedU64 {
-        PaddedU64(AtomicU64::new(0))
-    }
-}
-
-struct LiveCounter {
-    shards: Box<[PaddedU64]>,
-}
-
-impl LiveCounter {
-    fn new(n: usize) -> LiveCounter {
-        LiveCounter { shards: (0..n).map(|_| PaddedU64::zero()).collect() }
-    }
-
-    fn total(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-struct LiveGauge {
-    value: AtomicU64,
-}
-
-/// Atomic histogram shard: full bucket array + count/sum/min/max. Only the
-/// owning handle writes it (relaxed), readers merge all shards.
-struct HistShard {
-    count: PaddedU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: Box<[AtomicU64]>,
-}
-
-impl HistShard {
-    fn new() -> HistShard {
-        HistShard {
-            count: PaddedU64::zero(),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-struct LiveHistogram {
-    shards: Box<[HistShard]>,
-}
-
-impl LiveHistogram {
-    fn new(n: usize) -> LiveHistogram {
-        LiveHistogram { shards: (0..n).map(|_| HistShard::new()).collect() }
-    }
-
-    fn read(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for s in &self.shards {
-            h.count += s.count.0.load(Ordering::Relaxed);
-            h.sum = h.sum.wrapping_add(s.sum.load(Ordering::Relaxed));
-            h.min = h.min.min(s.min.load(Ordering::Relaxed));
-            h.max = h.max.max(s.max.load(Ordering::Relaxed));
-            for (i, b) in s.buckets.iter().enumerate() {
-                h.buckets[i] += b.load(Ordering::Relaxed);
-            }
-        }
-        h
-    }
-}
-
-/// Wait-free counter handle: one relaxed `fetch_add` on a shard-private
-/// cache line per call. Clone is cheap; [`CounterHandle::for_shard`] moves
-/// a clone onto another shard for per-worker use.
+/// Counter handle: one relaxed `fetch_add` per call. Clones share the
+/// cell, so any number of threads may record through them.
 #[derive(Clone)]
 pub struct CounterHandle {
-    inner: Arc<LiveCounter>,
-    shard: usize,
+    inner: Arc<AtomicU64>,
 }
 
 impl CounterHandle {
     #[inline]
     pub fn add(&self, n: u64) {
-        self.inner.shards[self.shard].0.fetch_add(n, Ordering::Relaxed);
+        self.inner.fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Sum over all shards.
     pub fn total(&self) -> u64 {
-        self.inner.total()
-    }
-
-    /// The same counter recorded through shard `shard` (wrapped into the
-    /// registry's shard count) — hand one to each worker thread.
-    pub fn for_shard(&self, shard: usize) -> CounterHandle {
-        CounterHandle { inner: Arc::clone(&self.inner), shard: shard % self.inner.shards.len() }
+        self.inner.load(Ordering::Relaxed)
     }
 }
 
@@ -304,51 +219,35 @@ impl CounterHandle {
 /// `observe_max` keeps a running high-water mark — both wait-free.
 #[derive(Clone)]
 pub struct GaugeHandle {
-    inner: Arc<LiveGauge>,
+    inner: Arc<AtomicU64>,
 }
 
 impl GaugeHandle {
     #[inline]
     pub fn set(&self, v: u64) {
-        self.inner.value.store(v, Ordering::Relaxed);
+        self.inner.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn observe_max(&self, v: u64) {
-        self.inner.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.inner.value.load(Ordering::Relaxed)
+        self.inner.fetch_max(v, Ordering::Relaxed);
     }
 }
 
-/// Wait-free histogram handle: two `fetch_add`s, a `fetch_min`/`fetch_max`
-/// pair, and one bucket `fetch_add`, all relaxed on the handle's shard.
+/// Histogram handle: a [`Histogram`] behind a mutex. Clones share it.
 #[derive(Clone)]
 pub struct HistogramHandle {
-    inner: Arc<LiveHistogram>,
-    shard: usize,
+    inner: Arc<Mutex<Histogram>>,
 }
 
 impl HistogramHandle {
     #[inline]
     pub fn record(&self, v: u64) {
-        let s = &self.inner.shards[self.shard];
-        s.count.0.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
-        s.min.fetch_min(v, Ordering::Relaxed);
-        s.max.fetch_max(v, Ordering::Relaxed);
-        s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().record(v);
     }
 
-    /// Merged view across every shard.
     pub fn read(&self) -> Histogram {
-        self.inner.read()
-    }
-
-    pub fn for_shard(&self, shard: usize) -> HistogramHandle {
-        HistogramHandle { inner: Arc::clone(&self.inner), shard: shard % self.inner.shards.len() }
+        self.inner.lock().clone()
     }
 }
 
@@ -357,15 +256,15 @@ impl HistogramHandle {
 // ---------------------------------------------------------------------------
 
 /// Shared registry of named live metrics. Registration (name → metric)
-/// takes a mutex; recording through the returned handles never does. Names
-/// may carry Prometheus-style labels (`app_ops{app="AlexNet"}`) — the
-/// exposition renderer splits them out.
+/// takes a mutex; counters and gauges then record through one atomic
+/// each, histograms through their own mutex. Names may carry
+/// Prometheus-style labels (`app_ops{app="AlexNet"}`) — the exposition
+/// renderer splits them out.
 pub struct MetricsRegistry {
-    shards: usize,
     start: Instant,
-    counters: Mutex<BTreeMap<String, Arc<LiveCounter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<LiveGauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<LiveHistogram>>>,
+    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Mutex<Histogram>>>>,
 }
 
 impl Default for MetricsRegistry {
@@ -377,7 +276,6 @@ impl Default for MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("shards", &self.shards)
             .field("counters", &self.counters.lock().len())
             .field("gauges", &self.gauges.lock().len())
             .field("histograms", &self.histograms.lock().len())
@@ -386,16 +284,8 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Shard count sized to the host's parallelism (clamped to 16: shards
-    /// cost one cache line per counter and ~16 KiB per histogram).
     pub fn new() -> MetricsRegistry {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        MetricsRegistry::with_shards(n.clamp(1, 16))
-    }
-
-    pub fn with_shards(shards: usize) -> MetricsRegistry {
         MetricsRegistry {
-            shards: shards.max(1),
             start: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
@@ -403,37 +293,25 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
     /// Milliseconds since the registry was created — the snapshot clock.
     pub fn elapsed_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
 
-    /// Get-or-register a counter; the handle records through shard 0.
+    /// Get-or-register a counter.
     pub fn counter(&self, name: &str) -> CounterHandle {
         let mut map = self.counters.lock();
-        let inner =
-            map.entry(name.to_string()).or_insert_with(|| Arc::new(LiveCounter::new(self.shards)));
-        CounterHandle { inner: Arc::clone(inner), shard: 0 }
+        CounterHandle { inner: Arc::clone(map.entry(name.to_string()).or_default()) }
     }
 
     pub fn gauge(&self, name: &str) -> GaugeHandle {
         let mut map = self.gauges.lock();
-        let inner = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(LiveGauge { value: AtomicU64::new(0) }));
-        GaugeHandle { inner: Arc::clone(inner) }
+        GaugeHandle { inner: Arc::clone(map.entry(name.to_string()).or_default()) }
     }
 
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         let mut map = self.histograms.lock();
-        let inner = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(LiveHistogram::new(self.shards)));
-        HistogramHandle { inner: Arc::clone(inner), shard: 0 }
+        HistogramHandle { inner: Arc::clone(map.entry(name.to_string()).or_default()) }
     }
 
     /// Cumulative snapshot of every registered metric (deltas zero — see
@@ -441,15 +319,14 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> SnapshotRecord {
         let mut snap = SnapshotRecord::empty(self.elapsed_ms());
         for (name, c) in self.counters.lock().iter() {
-            let total = c.total();
+            let total = c.load(Ordering::Relaxed);
             snap.counters.push(CounterPoint { name: name.clone(), total, delta: total });
         }
         for (name, g) in self.gauges.lock().iter() {
-            snap.gauges.push((name.clone(), g.value.load(Ordering::Relaxed)));
+            snap.gauges.push((name.clone(), g.load(Ordering::Relaxed)));
         }
         for (name, h) in self.histograms.lock().iter() {
-            let full = h.read();
-            snap.histograms.push(HistogramSnapshot::from_histogram(name, &full));
+            snap.histograms.push(HistogramSnapshot::from_histogram(name, &h.lock()));
         }
         snap
     }
@@ -1002,25 +879,31 @@ mod tests {
 
     #[test]
     fn sharded_handles_merge_reads() {
-        let reg = MetricsRegistry::with_shards(4);
-        let c = reg.counter("events_committed");
-        for shard in 0..4 {
-            c.for_shard(shard).add(10 + shard as u64);
-        }
-        assert_eq!(c.total(), 10 + 11 + 12 + 13);
-        let h = reg.histogram("lat");
-        h.for_shard(0).record(5);
-        h.for_shard(3).record(500);
-        let merged = h.read();
-        assert_eq!(merged.count, 2);
-        assert_eq!(merged.sum, 505);
-        assert_eq!(merged.min, 5);
-        assert_eq!(merged.max, 500);
+        let reg = MetricsRegistry::new();
+        let (c, h) = (reg.counter("events_committed"), reg.histogram("lat"));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (c, h) = (c.clone(), h.clone());
+                s.spawn(move || {
+                    for i in 0..1000u64 {
+                        c.add(t + 1);
+                        h.record(t * 1000 + i);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.total(), 1000 * (1 + 2 + 3 + 4));
+        assert_eq!(reg.counter("events_committed").total(), c.total());
+        let merged = reg.histogram("lat").read();
+        assert_eq!(merged.count, 4000);
+        assert_eq!(merged.sum, (0..4000u64).sum::<u64>());
+        assert_eq!(merged.min, 0);
+        assert_eq!(merged.max, 3999);
     }
 
     #[test]
     fn registry_snapshot_round_trips_json() {
-        let reg = MetricsRegistry::with_shards(2);
+        let reg = MetricsRegistry::new();
         reg.counter("events_committed").add(42);
         reg.gauge("gvt_ns").set(777);
         reg.histogram("commit_batch").record(9);
@@ -1037,11 +920,11 @@ mod tests {
     #[test]
     fn gang_aggregation_rules() {
         let agg = GangAggregator::new();
-        let reg_a = MetricsRegistry::with_shards(1);
+        let reg_a = MetricsRegistry::new();
         reg_a.counter("events_committed").add(10);
         reg_a.gauge("gvt_ns").set(100);
         reg_a.histogram("commit_batch").record(8);
-        let reg_b = MetricsRegistry::with_shards(1);
+        let reg_b = MetricsRegistry::new();
         reg_b.counter("events_committed").add(32);
         reg_b.gauge("gvt_ns").set(70);
         reg_b.histogram("commit_batch").record(64);
@@ -1066,7 +949,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_shape() {
-        let reg = MetricsRegistry::with_shards(1);
+        let reg = MetricsRegistry::new();
         reg.counter("events_committed").add(7);
         reg.counter("app_ops{app=\"AlexNet\"}").add(3);
         reg.gauge("queue_depth").set(12);
@@ -1088,7 +971,7 @@ mod tests {
 
     #[test]
     fn endpoint_serves_metrics_and_snapshot() {
-        let reg = Arc::new(MetricsRegistry::with_shards(1));
+        let reg = Arc::new(MetricsRegistry::new());
         reg.counter("events_committed").add(99);
         let server =
             Server::bind("127.0.0.1:0", MetricsSource::Registry(Arc::clone(&reg))).unwrap();
@@ -1104,7 +987,7 @@ mod tests {
 
     #[test]
     fn sampler_ring_is_bounded_and_final_snapshot_is_exact() {
-        let reg = Arc::new(MetricsRegistry::with_shards(1));
+        let reg = Arc::new(MetricsRegistry::new());
         let c = reg.counter("events_committed");
         let sampler = Sampler::start(Arc::clone(&reg), Duration::from_millis(5), 4, None);
         for i in 0..10u64 {

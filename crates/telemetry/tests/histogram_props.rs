@@ -126,7 +126,7 @@ proptest! {
 /// relative to the recording.
 #[test]
 fn snapshot_deltas_sum_to_cumulative_counters() {
-    let reg = Arc::new(MetricsRegistry::with_shards(2));
+    let reg = Arc::new(MetricsRegistry::new());
     let c = reg.counter("events_committed");
     // Long interval: ticks are driven manually via sample_now so the
     // test is deterministic, and stop() adds the final exact tick.
