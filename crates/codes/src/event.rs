@@ -54,6 +54,10 @@ pub struct Pkt {
 const _: () = assert!(std::mem::size_of::<Pkt>() == 68);
 // One packet variant: the enum tag sits in `routed`'s niche.
 const _: () = assert!(std::mem::size_of::<Event>() <= 68);
+// The LP slab holds one `CodesLp` per node and router, and the worker
+// step prefetches the whole LP of the event after next: keep it at four
+// cache lines (a rank process sits behind a `Box`).
+const _: () = assert!(std::mem::size_of::<crate::sim::CodesLp>() <= 256);
 
 /// A `Pkt` group id's "none".
 pub(crate) const NO_ID: u32 = u32::MAX;

@@ -130,6 +130,24 @@ mod tests {
         assert!(fingerprints.iter().all(|f| *f == fingerprints[0]), "conservative != sequential");
     }
 
+    /// Three senders' multi-packet messages reach one node at once, their
+    /// packets interleaved: each message is reassembled and handed to the
+    /// rank exactly once.
+    #[test]
+    fn interleaved_multi_packet_messages_each_arrive_once() {
+        let r = run_one(
+            "for 4 repetitions { tasks t such that t > 0 asynchronously send a 40000 byte \
+             message to task 0 then all tasks await completions }.",
+            4,
+            Routing::Minimal,
+            Placement::RandomNodes,
+        );
+        let app = &r.apps[0];
+        assert!(app.all_done() && !app.failed(), "{:?}", app.errors);
+        assert_eq!(app.latency[0].count, 3 * 4);
+        assert!(app.latency[1..].iter().all(|l| l.count == 0));
+    }
+
     #[test]
     fn rendezvous_messages_cross_the_network() {
         // 1 MiB >> eager threshold: RTS/CTS/Data must still deliver.

@@ -49,7 +49,7 @@ impl LpDelayEdge {
 ///   router traversal delay (serialization only increases the delay, so
 ///   the edge records the guaranteed minimum);
 /// * router→router packets add link latency plus router delay
-///   (`Router::occupy`);
+///   (`RouterState::occupy`, both through `Topology::hop_delay`);
 /// * router→router credits (credit/VC flow control only) are sent after
 ///   exactly the upstream link latency (`credit_arrived`) — typically
 ///   the binding constraint for conservative lookahead.
@@ -60,21 +60,20 @@ pub(crate) fn lp_delay_edges(topo: &Topology) -> impl Iterator<Item = LpDelayEdg
     (0..cfg.total_routers()).flat_map(move |r| {
         let r_lp = lpmap.router_lp(r);
         topo.ports(r).iter().flat_map(move |info| {
-            let latency = cfg.latency_ns(info.class);
+            let hop = topo.hop_delay(info.class).as_ns();
             let edge =
                 |src_lp, dst_lp, delay_ns, kind| LpDelayEdge { src_lp, dst_lp, delay_ns, kind };
             let (there, back) = match info.peer {
                 Peer::Node(node) => {
                     let n_lp = lpmap.node_lp(node);
-                    let delay = latency + cfg.router_delay_ns;
-                    (edge(n_lp, r_lp, delay, "terminal"), Some(edge(r_lp, n_lp, delay, "terminal")))
+                    (edge(n_lp, r_lp, hop, "terminal"), Some(edge(r_lp, n_lp, hop, "terminal")))
                 }
                 // Credits flow upstream: the peer acknowledges packets it
                 // received from us over this link.
                 Peer::Router { router, .. } => {
                     let peer = lpmap.router_lp(router);
-                    let packet = edge(r_lp, peer, latency + cfg.router_delay_ns, "packet");
-                    (packet, credits.then(|| edge(peer, r_lp, latency, "credit")))
+                    let credit = || edge(peer, r_lp, cfg.latency_ns(info.class), "credit");
+                    (edge(r_lp, peer, hop, "packet"), credits.then(credit))
                 }
             };
             std::iter::once(there).chain(back)

@@ -8,10 +8,10 @@
 
 use crate::event::{code_kind, kind_code, Event, Pkt};
 use crate::shared::Shared;
-use dragonfly::Packet;
+use dragonfly::{LinkClass, Packet};
 use mpi_sim::{Action, MpiMsg, MpiRank};
 use ross::{Ctx, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A rank process bound to this node.
@@ -48,9 +48,13 @@ pub struct NodeLp {
     pub node: u32,
     shared: Arc<Shared>,
     nic: Nic,
-    pub proc: Option<Proc>,
-    /// Partial message reassembly: (src_node, msg_id) → bytes received.
-    assembly: HashMap<(u32, u64), u64>,
+    /// Boxed: a rank process is most of a node's bytes, and unboxed it
+    /// would size every LP of the model, routers and idle nodes included.
+    pub proc: Option<Box<Proc>>,
+    /// Partial message reassembly: ((src_node, msg_id), bytes received),
+    /// one entry per incomplete message — a handful, so a linear scan
+    /// beats hashing the key.
+    assembly: Vec<((u32, u64), u64)>,
     /// Scratch for the actions one rank call produces; empty between
     /// events, kept for its capacity.
     actions: Vec<Action>,
@@ -64,8 +68,8 @@ impl NodeLp {
             node,
             shared,
             nic: Nic::default(),
-            proc,
-            assembly: HashMap::new(),
+            proc: proc.map(Box::new),
+            assembly: Vec::new(),
             actions: Vec::new(),
             delivered_packets: 0,
         }
@@ -79,6 +83,15 @@ impl NodeLp {
     /// Packets this node's NIC pushed into the network.
     pub fn injected_packets(&self) -> u64 {
         self.nic.injected_packets
+    }
+
+    /// Hint that an event for this node is next: prefetch its rank
+    /// process, the one part of the node behind a pointer.
+    #[inline]
+    pub fn prefetch(&self) {
+        if let Some(p) = &self.proc {
+            ross::prefetch(&**p);
+        }
     }
 
     /// Causal-trace kind tag: 0 = network plumbing, then one comm/compute
@@ -166,24 +179,23 @@ impl NodeLp {
         if self.nic.sending.is_none() {
             self.nic.sending = self.nic.queue.pop_front();
         }
-        let cfg = &self.shared.topo.cfg;
+        let topo = &self.shared.topo;
         let Some(cur) = &mut self.nic.sending else {
             self.nic.pulsing = false;
             return;
         };
-        let chunk = (cur.wire - cur.emitted).min(cfg.packet_bytes as u64) as u32;
+        let chunk = (cur.wire - cur.emitted).min(topo.cfg.packet_bytes as u64) as u32;
         debug_assert!(chunk > 0, "emitting an already-finished message");
         let mut pkt = cur.template;
         pkt.bytes = chunk;
         cur.emitted += chunk as u64;
         self.nic.injected_bytes += chunk as u64;
         self.nic.injected_packets += 1;
-        let ser = SimDuration::transfer_time(chunk as u64, cfg.terminal_gib_s);
-        let router = self.shared.topo.node_router(self.node);
+        let ser = topo.serialization(LinkClass::Terminal, chunk);
+        let router = topo.node_router(self.node);
         ctx.send(
             self.shared.lpmap.router_lp(router),
-            ser + SimDuration::from_ns(cfg.terminal_latency_ns)
-                + SimDuration::from_ns(cfg.router_delay_ns),
+            ser + topo.hop_delay(LinkClass::Terminal),
             Event::Pkt(pkt),
         );
         // Wake up when this packet has left the NIC.
@@ -218,12 +230,20 @@ impl NodeLp {
         // A one-packet message has nothing to reassemble.
         if (pkt.bytes as u64) < pkt.msg_bytes {
             let key = (pkt.src_node, pkt.msg_id);
-            let acc = self.assembly.entry(key).or_insert(0);
-            *acc += pkt.bytes as u64;
-            if *acc < pkt.msg_bytes {
-                return;
+            let bytes = pkt.bytes as u64;
+            match self.assembly.iter().position(|(k, _)| *k == key) {
+                None => {
+                    self.assembly.push((key, bytes));
+                    return;
+                }
+                Some(i) if self.assembly[i].1 + bytes < pkt.msg_bytes => {
+                    self.assembly[i].1 += bytes;
+                    return;
+                }
+                Some(i) => {
+                    self.assembly.swap_remove(i);
+                }
             }
-            self.assembly.remove(&key);
         }
         // Whole message arrived: hand it to the rank process.
         let Some((src_app, src_rank)) = self.shared.owner(pkt.src_node) else {

@@ -49,6 +49,13 @@ impl RouterLp {
         }
     }
 
+    /// Hint that an event for this router is next (see
+    /// [`RouterState::prefetch`]).
+    #[inline]
+    pub fn prefetch(&self) {
+        self.state.prefetch(&self.shared.topo);
+    }
+
     pub fn handle_event(&mut self, now: SimTime, ev: &Event, ctx: &mut Ctx<'_, Event>) {
         let mut actions = std::mem::take(&mut self.actions);
         match (ev, &mut self.credit) {

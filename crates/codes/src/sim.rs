@@ -16,7 +16,6 @@ use std::sync::Arc;
 use union_core::{OpSource, RankVm};
 
 /// The composed logical process: either a node or a router.
-#[allow(clippy::large_enum_variant)] // one LP per entity; size is fine
 #[derive(Clone)]
 pub enum CodesLp {
     Node(NodeLp),
@@ -36,6 +35,14 @@ impl Lp for CodesLp {
         match self {
             CodesLp::Node(n) => n.trace_kind(&ev.payload),
             CodesLp::Router(_) => 0,
+        }
+    }
+
+    #[inline]
+    fn prefetch(&self) {
+        match self {
+            CodesLp::Node(n) => n.prefetch(),
+            CodesLp::Router(r) => r.prefetch(),
         }
     }
 }
@@ -447,7 +454,7 @@ impl CodesSim {
             }
             CodesLp::Router(r) => {
                 put_u64(&mut buf, 2);
-                for &b in &r.state.port_bytes {
+                for b in r.state.port_bytes() {
                     put_u64(&mut buf, b);
                 }
                 if let Some(c) = &r.credit {
@@ -514,8 +521,8 @@ impl CodesSim {
                     if let Some(c) = &r.credit {
                         net.credit_stalls += c.stalls;
                     }
-                    for (port, info) in self.shared.topo.ports(r.state.id).iter().enumerate() {
-                        let bytes = r.state.port_bytes[port];
+                    let ports = self.shared.topo.ports(r.state.id);
+                    for (info, bytes) in ports.iter().zip(r.state.port_bytes()) {
                         match info.class {
                             LinkClass::Terminal => {
                                 link_load.terminal_bytes += bytes;

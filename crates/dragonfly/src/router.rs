@@ -11,7 +11,7 @@ use crate::packet::Packet;
 use crate::topology::{Peer, Port, RouterId, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use ross::{SimDuration, SimTime};
+use ross::SimTime;
 
 /// Routing algorithm (paper §IV-C).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -73,15 +73,22 @@ pub enum Forward {
     ToNode { node: u32, arrive: SimTime },
 }
 
+/// One output port's mutable state: what a hop reads and writes, side by
+/// side in one record.
+#[derive(Clone, Copy, Debug, Default)]
+struct PortState {
+    /// Earliest time the port is free.
+    busy_until: SimTime,
+    /// Total bytes forwarded (Table VI link loads).
+    bytes: u64,
+}
+
 /// Mutable per-router simulation state. Embedded in a router LP, so it
 /// travels with that LP between worker threads.
 #[derive(Clone, Debug)]
 pub struct RouterState {
     pub id: RouterId,
-    /// Earliest time each output port is free.
-    busy_until: Vec<SimTime>,
-    /// Total bytes forwarded per port (Table VI link loads).
-    pub port_bytes: Vec<u64>,
+    ports: Vec<PortState>,
     /// Per-app windowed receive counters (Fig 8).
     pub windows: WindowCounters,
 }
@@ -90,16 +97,29 @@ impl RouterState {
     pub fn new(id: RouterId, n_ports: usize, window_ns: u64, max_apps: usize) -> RouterState {
         RouterState {
             id,
-            busy_until: vec![SimTime::ZERO; n_ports],
-            port_bytes: vec![0; n_ports],
+            ports: vec![PortState::default(); n_ports],
             windows: WindowCounters::new(window_ns, max_apps),
         }
+    }
+
+    /// Total bytes forwarded per port, in port order (Table VI link loads).
+    pub fn port_bytes(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.ports.iter().map(|p| p.bytes)
+    }
+
+    /// Hint that a packet is about to cross this router: prefetch every
+    /// port's record and this router's row of `topo`'s port table (which
+    /// port the packet takes is the routing decision's).
+    #[inline]
+    pub fn prefetch(&self, topo: &Topology) {
+        ross::prefetch(&self.ports[..]);
+        ross::prefetch(topo.ports(self.id));
     }
 
     /// Queue depth (ns of backlog) of an output port.
     #[inline]
     fn queue_ns(&self, now: SimTime, port: Port) -> u64 {
-        self.busy_until[port as usize].saturating_since(now).as_ns()
+        self.ports[port as usize].busy_until.saturating_since(now).as_ns()
     }
 
     /// Process a packet arriving at this router at `now`: count it, make
@@ -227,14 +247,12 @@ impl RouterState {
         bytes: u32,
         topo: &Topology,
     ) -> SimTime {
-        let info = topo.ports(self.id)[port as usize];
-        let ser = SimDuration::transfer_time(bytes as u64, topo.cfg.bandwidth(info.class));
-        let start = self.busy_until[port as usize].max(now);
-        let done = start + ser;
-        self.busy_until[port as usize] = done;
-        self.port_bytes[port as usize] += bytes as u64;
-        done + SimDuration::from_ns(topo.cfg.latency_ns(info.class))
-            + SimDuration::from_ns(topo.cfg.router_delay_ns)
+        let class = topo.ports(self.id)[port as usize].class;
+        let rec = &mut self.ports[port as usize];
+        let done = rec.busy_until.max(now) + topo.serialization(class, bytes);
+        rec.busy_until = done;
+        rec.bytes += bytes as u64;
+        done + topo.hop_delay(class)
     }
 
     /// The output port for the first hop from this router toward `target`
@@ -498,11 +516,11 @@ mod tests {
         for r in 0..topo.cfg.routers_per_group() {
             for &(gw, p) in jam.clone().iter() {
                 if gw == r {
-                    routers[r as usize].busy_until[p as usize] = SimTime::from_ms(100);
+                    routers[r as usize].ports[p as usize].busy_until = SimTime::from_ms(100);
                 }
                 if r != gw {
                     if let Some(lp) = topo.local_port_to(r, gw) {
-                        routers[r as usize].busy_until[lp as usize] = SimTime::from_ms(100);
+                        routers[r as usize].ports[lp as usize].busy_until = SimTime::from_ms(100);
                     }
                 }
             }

@@ -15,6 +15,7 @@
 //! an involution.
 
 use crate::config::{DragonflyConfig, Flavor, LinkClass};
+use ross::SimDuration;
 use serde::{Deserialize, Serialize};
 
 pub type NodeId = u32;
@@ -37,11 +38,26 @@ pub struct PortInfo {
     pub peer: Peer,
 }
 
+/// The per-hop delays of one link class, computed once at build: every
+/// router hop and NIC packet needs them, and `transfer_time` costs two
+/// dependent `f64` divisions.
+#[derive(Clone, Copy, Debug)]
+struct LinkTiming {
+    /// Serialization time of a full `packet_bytes` packet.
+    full_packet: SimDuration,
+    /// Propagation latency plus the peer router's traversal delay.
+    hop: SimDuration,
+}
+
 /// A fully wired dragonfly.
 pub struct Topology {
     pub cfg: DragonflyConfig,
-    /// `ports[router][port]` — static wiring.
-    ports: Vec<Vec<PortInfo>>,
+    /// Static wiring, one flat table: router `r`'s ports are
+    /// `ports[r * radix..][..radix]`, so a hop reads one line of it.
+    ports: Vec<PortInfo>,
+    radix: usize,
+    /// Indexed by `LinkClass as usize`.
+    timing: [LinkTiming; 3],
     /// `gateways[src_group * groups + dst_group]` — every (router, global
     /// port) in `src_group` with a direct link to `dst_group`.
     gateways: Vec<Vec<(RouterId, Port)>>,
@@ -58,14 +74,14 @@ impl Topology {
         let h = cfg.global_per_router;
         let n_routers = cfg.total_routers();
 
-        let mut ports: Vec<Vec<PortInfo>> = Vec::with_capacity(n_routers as usize);
+        let radix = cfg.radix() as usize;
+        let mut ports: Vec<PortInfo> = Vec::with_capacity(n_routers as usize * radix);
         for r in 0..n_routers {
             let group = r / rpg;
             let rl = r % rpg;
-            let mut v: Vec<PortInfo> = Vec::with_capacity(cfg.radix() as usize);
             // Terminal ports.
             for t in 0..npr {
-                v.push(PortInfo { class: LinkClass::Terminal, peer: Peer::Node(r * npr + t) });
+                ports.push(PortInfo { class: LinkClass::Terminal, peer: Peer::Node(r * npr + t) });
             }
             // Local ports.
             match cfg.flavor {
@@ -75,7 +91,7 @@ impl Topology {
                             let peer = group * rpg + peer_l;
                             let peer_port =
                                 npr as u16 + if rl < peer_l { rl } else { rl - 1 } as u16;
-                            v.push(PortInfo {
+                            ports.push(PortInfo {
                                 class: LinkClass::Local,
                                 peer: Peer::Router { router: peer, port: peer_port },
                             });
@@ -89,7 +105,7 @@ impl Topology {
                         if c != col {
                             let peer = group * rpg + row * cfg.cols + c;
                             let peer_port = npr as u16 + if col < c { col } else { col - 1 } as u16;
-                            v.push(PortInfo {
+                            ports.push(PortInfo {
                                 class: LinkClass::Local,
                                 peer: Peer::Router { router: peer, port: peer_port },
                             });
@@ -102,7 +118,7 @@ impl Topology {
                             let peer_port = npr as u16
                                 + (cfg.cols - 1) as u16
                                 + if row < rr { row } else { row - 1 } as u16;
-                            v.push(PortInfo {
+                            ports.push(PortInfo {
                                 class: LinkClass::Local,
                                 peer: Peer::Router { router: peer, port: peer_port },
                             });
@@ -122,17 +138,17 @@ impl Topology {
                 let peer_j = peer_gp % h;
                 let peer = peer_group * rpg + peer_rl;
                 let peer_port = (npr + cfg.local_ports() + peer_j) as u16;
-                v.push(PortInfo {
+                ports.push(PortInfo {
                     class: LinkClass::Global,
                     peer: Peer::Router { router: peer, port: peer_port },
                 });
             }
-            ports.push(v);
+            debug_assert_eq!(ports.len(), (r as usize + 1) * radix, "router {r} is not radix");
         }
 
         // Gateway tables.
         let mut gateways = vec![Vec::new(); (g * g) as usize];
-        for (r, pv) in ports.iter().enumerate() {
+        for (r, pv) in ports.chunks_exact(radix).enumerate() {
             let group = r as u32 / rpg;
             for (p, info) in pv.iter().enumerate() {
                 if info.class == LinkClass::Global {
@@ -143,7 +159,31 @@ impl Topology {
             }
         }
 
-        Topology { cfg, ports, gateways }
+        let timing = [LinkClass::Terminal, LinkClass::Local, LinkClass::Global].map(|class| {
+            let full = SimDuration::transfer_time(cfg.packet_bytes as u64, cfg.bandwidth(class));
+            let hop = SimDuration::from_ns(cfg.latency_ns(class) + cfg.router_delay_ns);
+            LinkTiming { full_packet: full, hop }
+        });
+        Topology { cfg, ports, radix, timing, gateways }
+    }
+
+    /// Serialization time of `bytes` over a link of `class`: the cached
+    /// full-packet value for a full packet, [`SimDuration::transfer_time`]
+    /// for anything shorter.
+    #[inline]
+    pub fn serialization(&self, class: LinkClass, bytes: u32) -> SimDuration {
+        if bytes == self.cfg.packet_bytes {
+            self.timing[class as usize].full_packet
+        } else {
+            SimDuration::transfer_time(bytes as u64, self.cfg.bandwidth(class))
+        }
+    }
+
+    /// What a packet spends after serializing onto a link of `class`
+    /// before the peer handles it: propagation plus router delay.
+    #[inline]
+    pub fn hop_delay(&self, class: LinkClass) -> SimDuration {
+        self.timing[class as usize].hop
     }
 
     #[inline]
@@ -169,7 +209,8 @@ impl Topology {
     /// Static port table of a router.
     #[inline]
     pub fn ports(&self, r: RouterId) -> &[PortInfo] {
-        &self.ports[r as usize]
+        let at = r as usize * self.radix;
+        &self.ports[at..at + self.radix]
     }
 
     /// All (router, port) pairs in `src_group` with a global link to
@@ -276,6 +317,25 @@ mod tests {
                         assert_eq!(back.class, info.class);
                     }
                 }
+            }
+        }
+    }
+
+    /// The cached per-class delays agree with computing them per packet,
+    /// for every packet length a message can be cut into.
+    #[test]
+    fn cached_link_timing_matches_transfer_time() {
+        let small = [DragonflyConfig::small_1d(), DragonflyConfig::small_2d()];
+        for cfg in all_configs().into_iter().chain(small) {
+            let topo = Topology::build(cfg);
+            let cfg = &topo.cfg;
+            for class in [LinkClass::Terminal, LinkClass::Local, LinkClass::Global] {
+                for bytes in 1..=cfg.packet_bytes {
+                    let want = SimDuration::transfer_time(bytes as u64, cfg.bandwidth(class));
+                    assert_eq!(topo.serialization(class, bytes), want, "{class:?} {bytes} B");
+                }
+                let hop = cfg.latency_ns(class) + cfg.router_delay_ns;
+                assert_eq!(topo.hop_delay(class), SimDuration::from_ns(hop), "{class:?}");
             }
         }
     }

@@ -79,7 +79,7 @@ mod worker;
 
 pub use engine::{RunStats, Simulation};
 pub use event::{Envelope, EventKey, EventUid, LpId};
-pub use lp::{Ctx, Lp};
+pub use lp::{prefetch, Ctx, Lp};
 pub use partition::Partition;
 pub use pool::{pool_slot_bytes, PoolStats};
 pub use queue::{EventQueue, QueueKind};

@@ -26,6 +26,20 @@ pub trait Lp: Send + 'static {
     fn trace_kind(&self, _ev: &Envelope<Self::Event>) -> u16 {
         0
     }
+
+    /// A hint that this LP handles the event after the one now running:
+    /// start prefetches (see [`prefetch`]) for state the LP reaches
+    /// through pointers, since the engine has already pulled in the LP's
+    /// own lines. Must not change observable state. Defaults to nothing.
+    #[inline(always)]
+    fn prefetch(&self) {}
+}
+
+/// [`Lp::prefetch`]'s tool: hint that every cache line of `v` will be
+/// read soon. Best effort; compiles to nothing off x86_64.
+#[inline(always)]
+pub fn prefetch<T: ?Sized>(v: &T) {
+    crate::pool::prefetch_bytes(v as *const T as *const u8, std::mem::size_of_val(v))
 }
 
 /// Buffered outgoing send produced during one `handle` call.

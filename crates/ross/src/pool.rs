@@ -20,7 +20,7 @@ use std::num::NonZeroU32;
 /// Best-effort read prefetch into all cache levels. A scheduling hint
 /// only — never required for correctness; compiles to nothing off
 /// x86_64. The schedulers use it to hide the slab/LP-state misses of the
-/// *next* event behind the current event's handler.
+/// next two events behind the current event's handler.
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -29,6 +29,26 @@ pub(crate) fn prefetch_read<T>(p: *const T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
+}
+
+/// [`prefetch_read`] every cache line of the `len` bytes at `p`: a value
+/// that straddles lines (an 80-byte CODES pool slot always spans two) is
+/// only resident once all of them are. `p` need not be valid.
+#[inline(always)]
+pub(crate) fn prefetch_bytes(p: *const u8, len: usize) {
+    const LINE: usize = 64;
+    let end = p as usize + len.max(1);
+    let mut line = p as usize & !(LINE - 1);
+    while line < end {
+        prefetch_read(line as *const u8);
+        line += LINE;
+    }
+}
+
+/// [`prefetch_bytes`] over the whole `T` at `p`.
+#[inline(always)]
+pub(crate) fn prefetch_value<T>(p: *const T) {
+    prefetch_bytes(p as *const u8, std::mem::size_of::<T>())
 }
 
 /// Pool counters surfaced through scheduler telemetry.
@@ -138,11 +158,13 @@ impl<E> EventPool<E> {
         self.slots[slot as usize].as_ref().expect("pool slot empty")
     }
 
-    /// Hint that `slot` will be read soon (see [`prefetch_read`]).
+    /// Hint that `slot` will be read soon: all of it, since `peek` tests
+    /// the `Option` niche and `take` moves the payload, wherever in the
+    /// slot those lie (see [`prefetch_value`]).
     #[inline(always)]
     pub(crate) fn prefetch(&self, slot: u32) {
         if let Some(s) = self.slots.get(slot as usize) {
-            prefetch_read(s);
+            prefetch_value(s);
         }
     }
 

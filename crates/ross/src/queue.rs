@@ -91,6 +91,13 @@ pub trait EventQueue<E> {
     fn pop(&mut self) -> Option<Envelope<E>>;
     /// The least event's head, without removing it.
     fn peek(&mut self) -> Option<Head>;
+    /// The head of the event after the least one, when the queue holds it
+    /// in order already (the ladder's sorted bottom tier) — never worth a
+    /// refill or a sift, because the schedulers only use it as a prefetch
+    /// hint. `None` otherwise, and always for the heap.
+    fn peek_second(&self) -> Option<Head> {
+        None
+    }
     /// Number of queued events.
     fn len(&self) -> usize;
     /// Hand every queued event to `each`, one at a time, and reset. The
@@ -199,6 +206,11 @@ impl<E> EventQueue<E> for PendingQueue<E> {
     #[inline]
     fn peek(&mut self) -> Option<Head> {
         dispatch!(self, q => q.peek())
+    }
+
+    #[inline]
+    fn peek_second(&self) -> Option<Head> {
+        dispatch!(self, q => q.peek_second())
     }
 
     #[inline]
@@ -340,6 +352,8 @@ const CHUNK: usize = 21;
 const SLAB: usize = 128;
 /// "No chunk": end of a bucket chain or of the free list.
 const NIL: u32 = u32::MAX;
+/// Pool slots `pop` prefetches ahead of the event it returns.
+const PREFETCH_SLOTS: usize = 4;
 
 /// Hot half of a queued ladder event: the leading ordering keys
 /// (`recv_time`, `send_time`, `src`) plus the pool slot of the rest.
@@ -586,10 +600,10 @@ impl<E> LadderQueue<E> {
         }
     }
 
-    /// Start a fresh era: everything (except `recv_time == 0`) routes to
-    /// `top` until the next conversion. Only legal when no events remain —
-    /// exhausted rungs may still be present (they are collapsed lazily by
-    /// `refill`) and are retired here. Telemetry (`max_len`, `ops`, pool
+    /// Start a fresh era: with no rungs and an empty bottom, every push
+    /// routes to `top` until the next conversion. Only legal when no
+    /// events remain — exhausted rungs may still be present (they are
+    /// collapsed lazily by `refill`) and are retired here. Telemetry (`max_len`, `ops`, pool
     /// counters) deliberately survives era turnover: the high-water mark
     /// is a whole-run statistic.
     fn reset_era(&mut self) {
@@ -750,7 +764,11 @@ impl<E> EventQueue<E> for LadderQueue<E> {
         let (send, src) = (env.send_time.0, env.src);
         let entry = HotEntry { recv: ts, send, src, slot: self.pool.insert(env) };
         debug_assert_eq!(self.pool.len(), self.len, "pool population out of sync");
-        if ts > self.era_end {
+        // With no rungs and an empty bottom, everything queued sits in
+        // `top`: a push there keeps a bulk load (say the model's `Start`
+        // events, all at t = 0) an unsorted bag for one sort, instead of
+        // insertion-sorting each into `bottom`.
+        if ts > self.era_end || (self.rungs.is_empty() && self.bottom.is_empty()) {
             self.top_min = self.top_min.min(ts);
             self.top_max = self.top_max.max(ts);
             self.arena.push(&mut self.top, entry);
@@ -772,15 +790,13 @@ impl<E> EventQueue<E> for LadderQueue<E> {
             self.refill();
         }
         let entry = self.bottom.pop()?;
-        // Hide the slab miss of the next one or two events behind the
-        // current event's handler (their hot entries sit at the sorted
-        // tail; their slots are scattered through the slab).
-        let n = self.bottom.len();
-        if n > 0 {
-            self.pool.prefetch(self.bottom[n - 1].slot);
-            if n > 1 {
-                self.pool.prefetch(self.bottom[n - 2].slot);
-            }
+        // Hide the slab misses of the next four events behind the current
+        // event's handler (their hot entries sit at the sorted tail; their
+        // slots are scattered through the slab). Four, not two: the
+        // worker step reads the destination of the event after next from
+        // its slot to prefetch that LP.
+        for e in self.bottom.iter().rev().take(PREFETCH_SLOTS) {
+            self.pool.prefetch(e.slot);
         }
         self.ops += 1;
         self.len -= 1;
@@ -792,6 +808,12 @@ impl<E> EventQueue<E> for LadderQueue<E> {
             self.refill();
         }
         let e = self.bottom.last()?;
+        Some(Head { recv_time: SimTime(e.recv), dst: self.pool.get(e.slot).dst() })
+    }
+
+    #[inline]
+    fn peek_second(&self) -> Option<Head> {
+        let e = self.bottom.iter().rev().nth(1)?;
         Some(Head { recv_time: SimTime(e.recv), dst: self.pool.get(e.slot).dst() })
     }
 
@@ -1084,6 +1106,43 @@ mod tests {
             assert_eq!(q.len(), 3);
             assert_eq!(q.pop().unwrap().recv_time.0, 2, "{kind:?}");
         }
+    }
+
+    /// A bulk load at t = 0 (the model's `Start` events, in ascending LP
+    /// order) stays an unsorted bag in `top` until the first pop sorts it
+    /// once; insertion-sorting it into `bottom` shifted every entry.
+    #[test]
+    fn bulk_load_at_time_zero_skips_the_bottom_tier() {
+        let (mut heap, mut ladder) = (BinaryHeapQueue::new(), LadderQueue::new());
+        for src in 0..10_000u32 {
+            let e = env(0, 0, src, 0, src as u64);
+            heap.push(e.clone());
+            ladder.push(e);
+        }
+        assert!(ladder.bottom.is_empty() && ladder.rungs.is_empty());
+        assert_eq!(ladder.top.len, 10_000);
+        assert_eq!(drain_ids(&mut heap), drain_ids(&mut ladder));
+    }
+
+    #[test]
+    fn peek_second_names_the_event_after_the_head() {
+        let mut q = LadderQueue::new();
+        // One timestamp: the first refill sorts all three into `bottom`,
+        // ordered by sender.
+        for src in [9u32, 2, 5] {
+            let mut e = env(7, 0, src, 0, 0);
+            e.dst = src;
+            q.push(e);
+        }
+        // Before the first refill the order is unknown: no hint.
+        assert_eq!(q.peek_second(), None);
+        assert_eq!(q.peek().map(|h| h.dst), Some(2));
+        assert_eq!(q.peek_second(), Some(Head { recv_time: SimTime(7), dst: 5 }));
+        q.pop();
+        assert_eq!(q.peek_second().map(|h| h.dst), Some(9));
+        q.pop();
+        assert_eq!(q.peek_second(), None);
+        assert_eq!(BinaryHeapQueue::<u64>::new().peek_second(), None);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! holds the parts that do not depend on *how* the bound is agreed:
 //!
 //! * [`Worker::step`], the per-event path (peek → hard causality check →
-//!   pop → prefetch of the next event's LP → meta update → trace →
-//!   [`Lp::handle`] → seal → route);
+//!   pop → prefetch of what the next two events touch → meta update →
+//!   trace → [`Lp::handle`] → seal → route);
 //! * [`Worker`] itself: queue + envelope pool, the LP/meta slab, the
 //!   chunked mailbox [`Lane`], counters, trace buffer and the run's live
 //!   registry cells (the counters are the only copy: the live plane reads
@@ -31,7 +31,7 @@ use crate::live::{Counts, LiveHandles};
 use crate::lp::{Ctx, Lp, LpMeta, Outgoing};
 use crate::mailbox::Mailbox;
 use crate::partition::Assignment;
-use crate::pool::{prefetch_read, PoolStats};
+use crate::pool::{prefetch_read, prefetch_value, PoolStats};
 use crate::queue::{EventQueue, PendingQueue};
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
@@ -51,6 +51,14 @@ pub(crate) const MAILBOX_CHUNK: usize = 8;
 /// here; receivers recycle drained chunks into it), bounding steady-state
 /// chunk allocation.
 const SPARE_CHUNKS_MAX: usize = 64;
+
+/// LP slab bytes from which a worker runs the two-deep prefetch pipeline
+/// of [`Worker::prefetch_ahead`]. Below it a model's hot state stays in
+/// the private caches, where the pipeline's hints cost more than the
+/// short misses they hide: on `mix-quick-seq` (680 LPs, 174 KB of slab)
+/// the pipeline lost to one-deep hints, on `mix-paper-seq` (10,560 LPs,
+/// 2.7 MB) it won.
+const DEEP_PREFETCH: usize = 512 << 10;
 
 /// What travels through a mailbox: a batch of envelopes, never split or
 /// merged in flight (the exactly-once invariant checked under
@@ -230,6 +238,11 @@ pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) metas: Vec<LpMeta>,
     pub(crate) lane: Lane<'r, L::Event>,
     out: Vec<Outgoing<L::Event>>,
+    /// Whether [`Worker::prefetch_ahead`] runs its two-deep pipeline.
+    deep: bool,
+    /// Slab index whose LP lines the last step prefetched as the event
+    /// after next (`usize::MAX`: none, and always when not `deep`).
+    primed: usize,
     tbuf: Option<TraceBuf>,
     pub(crate) live: Option<Arc<LiveHandles>>,
     /// The counters as the last live flush saw them.
@@ -287,16 +300,7 @@ impl<L: Lp> Worker<'_, L> {
             ));
         }
         let env = self.lane.queue.pop().expect("peeked event vanished");
-        // The next event's LP state and meta are random slots in two big
-        // arrays: start pulling them in now, so the handler below hides the
-        // misses (a send that lands ahead of it only wastes the hint).
-        if let Some(next) = self.lane.queue.peek() {
-            if next.recv_time.0 < limit {
-                let ni = slot(next.dst);
-                prefetch_read(self.metas.as_ptr().wrapping_add(ni));
-                prefetch_read(self.lps.as_ptr().wrapping_add(ni));
-            }
-        }
+        self.prefetch_ahead(limit, slot);
         let meta = &mut self.metas[li];
         self.clock = self.clock.max(env.recv_time.0);
         meta.now = env.recv_time;
@@ -332,6 +336,48 @@ impl<L: Lp> Worker<'_, L> {
             b.record(&env, uid_lo, (meta.tiebreak - uid_lo) as u32, kind, t0);
         }
         Step::Ran
+    }
+
+    /// Start the misses of the next events, so the handler about to run
+    /// hides them (a send that lands ahead of them only wastes the hints).
+    ///
+    /// A worker whose LP slab fits the private caches ([`DEEP_PREFETCH`])
+    /// only requests the next event's meta and first LP line. Above that,
+    /// a two-deep pipeline: for the event after next, its LP's slab lines
+    /// and meta, random slots in two big arrays, found through the
+    /// destination in its pool slot (which the queue's `pop` prefetched
+    /// ahead); for the next event, when the previous step primed its LP
+    /// that way, [`Lp::prefetch`], which chases the LP's own pointers.
+    /// A next event the previous step could not name (after a refill, or
+    /// on the heap) has its lines requested now.
+    #[inline(always)]
+    fn prefetch_ahead(&mut self, limit: u64, slot: &impl Fn(LpId) -> usize) {
+        let queue = &mut self.lane.queue;
+        if let Some(next) = queue.peek().filter(|h| h.recv_time.0 < limit) {
+            let ni = slot(next.dst);
+            match self.lps.get(ni) {
+                Some(lp) if ni == self.primed => lp.prefetch(),
+                _ => {
+                    prefetch_read(self.metas.as_ptr().wrapping_add(ni));
+                    let lp = self.lps.as_ptr().wrapping_add(ni);
+                    if self.deep {
+                        prefetch_value(lp);
+                    } else {
+                        prefetch_read(lp);
+                    }
+                }
+            }
+        }
+        if !self.deep {
+            return;
+        }
+        self.primed = usize::MAX;
+        if let Some(after) = queue.peek_second().filter(|h| h.recv_time.0 < limit) {
+            let ai = slot(after.dst);
+            prefetch_read(self.metas.as_ptr().wrapping_add(ai));
+            prefetch_value(self.lps.as_ptr().wrapping_add(ai));
+            self.primed = ai;
+        }
     }
 
     /// Account a blocking wait that began at `t0`. Waits are timed
@@ -464,6 +510,7 @@ impl Report {
         queue: PendingQueue<L::Event>,
         mailboxes: &'r [Mailbox<Chunk<L::Event>>],
     ) -> Worker<'r, L> {
+        let deep = lps.len() * std::mem::size_of::<L>() >= DEEP_PREFETCH;
         Worker {
             t,
             lookahead: self.lookahead,
@@ -483,6 +530,8 @@ impl Report {
                 mailbox_high_water: 0,
             },
             out: Vec::with_capacity(8),
+            deep,
+            primed: usize::MAX,
             tbuf: self.trace.as_ref().map(|(tr, run)| tr.buf(*run, t as u32)),
             live: self.live.clone(),
             live_flushed: Counts::default(),
@@ -559,6 +608,7 @@ impl Report {
         r.pool_high_water = pool.high_water;
         r.pool_recycled = pool.recycled;
         r.pool_slot_bytes = crate::pool::pool_slot_bytes::<L::Event>();
+        r.lp_bytes = std::mem::size_of::<L>() as u64;
         r.committed = stats.committed;
         r.remote_events = stats.remote_events;
         r.cross_shard_events = stats.cross_shard_events;

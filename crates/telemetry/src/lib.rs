@@ -289,6 +289,9 @@ pub struct SchedulerRecord {
     /// Bytes per envelope-pool slot: `pool_high_water × pool_slot_bytes`
     /// is the pending set's slab size.
     pub pool_slot_bytes: u64,
+    /// Bytes of one LP's state in the LP slab (`size_of` the model's LP
+    /// type): the step prefetches this much per upcoming event.
+    pub lp_bytes: u64,
     pub committed: u64,
     pub remote_events: u64,
     /// Events delivered across OS-process shards through a transport
@@ -322,6 +325,7 @@ impl SchedulerRecord {
             pool_high_water: 0,
             pool_recycled: 0,
             pool_slot_bytes: 0,
+            lp_bytes: 0,
             committed: 0,
             remote_events: 0,
             cross_shard_events: 0,
