@@ -41,7 +41,7 @@ pub mod sim;
 pub mod wire;
 
 pub use event::Event;
-pub use model::{Window, Windows};
+pub use model::Window;
 pub use sim::{AppResult, CodesSim, JobSpec, SimResults, SimulationBuilder};
 pub use wire::CodesEventCodec;
 
@@ -399,11 +399,10 @@ mod tests {
         assert!(lp_delay_edges(&topo).filter(|e| e.kind == "terminal").all(|e| !crosses(&e)));
         let global = cfg.latency_ns(LinkClass::Global);
         assert!(lp_delay_edges(&topo).filter(crosses).all(|e| e.delay_ns >= global));
-        let w = Windows::of(&topo).unwrap();
-        assert_eq!(w.block.ns, cfg.global_latency_ns + cfg.router_delay_ns);
-        assert_eq!(w.lp.ns, cfg.local_latency_ns + cfg.router_delay_ns);
-        assert_eq!((w.block.ns, w.lp.ns), (550, 150));
-        assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
+        let w = Window::of(&topo).unwrap();
+        assert_eq!(w.ns, cfg.global_latency_ns + cfg.router_delay_ns);
+        assert_eq!(w.ns, 550);
+        assert!(w.edge.starts_with("packet edge router "), "{w:?}");
 
         // Credit/VC: upstream credits pay exactly the link latency — the
         // tighter constraint (matches `credit_arrived`'s `at = now + latency`).
@@ -411,23 +410,23 @@ mod tests {
         cfg2.flow = FlowControl::credit_default();
         let topo2 = Topology::build(cfg2);
         assert!(lp_delay_edges(&topo2).any(|e| e.kind == "credit"));
-        let w = Windows::of(&topo2).unwrap();
-        assert_eq!(
-            (w.block.ns, w.lp.ns),
-            (topo2.cfg.global_latency_ns, topo2.cfg.local_latency_ns)
-        );
-        assert_eq!((w.block.ns, w.lp.ns), (500, 100));
-        assert!(w.lp.edge.starts_with("credit edge router "), "{w:?}");
+        let w = Window::of(&topo2).unwrap();
+        assert_eq!(w.ns, topo2.cfg.global_latency_ns);
+        assert_eq!(w.ns, 500);
+        assert!(w.edge.starts_with("credit edge router "), "{w:?}");
     }
 
     #[test]
     fn one_block_window_falls_back_to_the_lp_window() {
-        // Nothing crosses a single block; the block window stays finite.
+        // Nothing crosses a single block; the least delay over every
+        // inter-LP edge keeps the window finite.
         let topo = dragonfly::Topology::build(DragonflyConfig::tiny_1d());
         let one = vec![0; partition_blocks(&topo).len()];
-        let w = Windows::derive(&topo, &one).unwrap();
-        assert_eq!(w.block, w.lp);
-        assert_eq!(w.lp, Windows::of(&topo).unwrap().lp);
+        let w = Window::derive(&topo, &one).unwrap();
+        let cfg = &topo.cfg;
+        assert_eq!(w.ns, cfg.local_latency_ns + cfg.router_delay_ns);
+        assert_eq!(w.ns, lp_delay_edges(&topo).map(|e| e.delay_ns).min().unwrap());
+        assert_eq!(w.edge, "terminal edge node 0 -> router 0");
     }
 
     /// The engine parks a pending event's tiebreak, destination and

@@ -1,6 +1,6 @@
 //! The model's decomposition and lookahead: the scheduler blocks the
-//! builder installs, the static LP-to-LP delay edges, and the two
-//! windows derived from them (DESIGN.md §7).
+//! builder installs, the static LP-to-LP delay edges, and the one
+//! window derived from them (DESIGN.md §7).
 
 use crate::event::LpMap;
 use dragonfly::{FlowControl, Peer, Topology};
@@ -81,8 +81,11 @@ pub(crate) fn lp_delay_edges(topo: &Topology) -> impl Iterator<Item = LpDelayEdg
     })
 }
 
-/// A lookahead window of the assembled model: the minimum delay over the
-/// edges a schedule synchronizes, and the edge that sets it.
+/// The lookahead window of the assembled model, derived from its delay
+/// edges and its block map (DESIGN.md §7): the minimum delay over the
+/// edges between blocks, and the edge that sets it. Every conservative
+/// schedule keeps a block on one thread, so every CODES run uses it,
+/// whatever lookahead its scheduler carries.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Window {
     pub ns: u64,
@@ -90,32 +93,19 @@ pub struct Window {
     pub edge: String,
 }
 
-/// The two lookahead windows of a model, derived from its delay edges
-/// and its block map (DESIGN.md §7). Every CODES run uses one of them,
-/// whatever lookahead its scheduler carries.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Windows {
-    /// The minimum delay over edges between blocks: what the round loop
-    /// and the shard runner run at, since both keep a block on one
-    /// thread.
-    pub block: Window,
-    /// The minimum delay over every inter-LP edge: what the async
-    /// scheduler runs at, since its steals split blocks.
-    pub lp: Window,
-}
-
-impl Windows {
-    /// The windows of the model built on `topo`, under the partition
-    /// `build` installs. `Err` names the edge when the LP window is zero:
-    /// no positive lookahead is then safe for any parallel schedule.
-    pub fn of(topo: &Topology) -> Result<Windows, String> {
-        Windows::derive(topo, &partition_blocks(topo))
+impl Window {
+    /// The window of the model built on `topo`, under the partition
+    /// `build` installs. `Err` names the edge when any edge has zero
+    /// delay: no positive lookahead is then safe for any parallel
+    /// schedule.
+    pub fn of(topo: &Topology) -> Result<Window, String> {
+        Window::derive(topo, &partition_blocks(topo))
     }
 
     /// One pass over the delay edges, keeping the first edge of least
     /// delay overall and among those that cross `blocks`.
-    pub(crate) fn derive(topo: &Topology, blocks: &[u32]) -> Result<Windows, String> {
-        let (mut block, mut lp) = (None::<LpDelayEdge>, None::<LpDelayEdge>);
+    pub(crate) fn derive(topo: &Topology, blocks: &[u32]) -> Result<Window, String> {
+        let (mut block, mut any) = (None::<LpDelayEdge>, None::<LpDelayEdge>);
         let keep = |min: &mut Option<LpDelayEdge>, e: LpDelayEdge| {
             if min.is_none_or(|m| e.delay_ns < m.delay_ns) {
                 *min = Some(e);
@@ -125,20 +115,20 @@ impl Windows {
             if blocks[e.src_lp as usize] != blocks[e.dst_lp as usize] {
                 keep(&mut block, e);
             }
-            keep(&mut lp, e);
+            keep(&mut any, e);
         });
         let lpmap = LpMap { n_nodes: topo.cfg.total_nodes() };
-        let lp = lp.ok_or("the model has no delay edges to derive a lookahead window from")?;
-        if lp.delay_ns == 0 {
+        let any = any.ok_or("the model has no delay edges to derive a lookahead window from")?;
+        if any.delay_ns == 0 {
             return Err(format!(
                 "zero-delay {}; no positive lookahead window is safe for this model",
-                lp.describe(lpmap)
+                any.describe(lpmap)
             ));
         }
-        // One block synchronizes nothing; the LP window keeps it finite.
-        let block = block.unwrap_or(lp);
-        let window = |e: LpDelayEdge| Window { ns: e.delay_ns, edge: e.describe(lpmap) };
-        Ok(Windows { block: window(block), lp: window(lp) })
+        // One block synchronizes nothing; the least edge delay keeps the
+        // window finite.
+        let e = block.unwrap_or(any);
+        Ok(Window { ns: e.delay_ns, edge: e.describe(lpmap) })
     }
 }
 
@@ -173,40 +163,39 @@ mod tests {
         let blocks = partition_blocks(&topo);
         let crosses = |e: &LpDelayEdge| blocks[e.src_lp as usize] != blocks[e.dst_lp as usize];
         // Group blocks: the cheaper terminal and local edges stay inside
-        // a block, so only global packets bound the block window.
-        let w = Windows::derive(&topo, &blocks).unwrap();
-        assert_eq!(w.block.ns, min_edge(&topo, crosses).delay_ns);
-        assert_eq!(w.block.ns, cfg.global_latency_ns + cfg.router_delay_ns);
-        assert!(lp_delay_edges(&topo).any(|e| !crosses(&e) && e.delay_ns < w.block.ns));
+        // a block, so only global packets bound the window.
+        let w = Window::derive(&topo, &blocks).unwrap();
+        assert_eq!(w.ns, min_edge(&topo, crosses).delay_ns);
+        assert_eq!(w.ns, cfg.global_latency_ns + cfg.router_delay_ns);
+        assert!(lp_delay_edges(&topo).any(|e| !crosses(&e) && e.delay_ns < w.ns));
         // Router blocks: local packets cross too and set a smaller window.
-        let w = Windows::derive(&topo, &router_blocks(&topo)).unwrap();
-        assert_eq!(w.block.ns, cfg.local_latency_ns + cfg.router_delay_ns);
-        assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
-        // One LP per block: every edge crosses, so the two windows agree.
+        let w = Window::derive(&topo, &router_blocks(&topo)).unwrap();
+        assert_eq!(w.ns, cfg.local_latency_ns + cfg.router_delay_ns);
+        assert!(w.edge.starts_with("packet edge router "), "{w:?}");
+        // One LP per block: every edge crosses, so the cheapest edge of
+        // all, a terminal link, sets the window.
         let own: Vec<u32> = (0..blocks.len() as u32).collect();
-        let w = Windows::derive(&topo, &own).unwrap();
-        assert_eq!(w.block, w.lp);
+        let w = Window::derive(&topo, &own).unwrap();
+        assert_eq!(w.ns, min_edge(&topo, |_| true).delay_ns);
+        assert!(w.edge.starts_with("terminal edge node "), "{w:?}");
     }
 
     #[test]
     fn window_names_the_edge_that_sets_it() {
         let topo = Topology::build(DragonflyConfig::tiny_1d());
         let blocks = partition_blocks(&topo);
-        let w = Windows::derive(&topo, &blocks).unwrap();
+        let w = Window::derive(&topo, &blocks).unwrap();
         let block = min_edge(&topo, |e| blocks[e.src_lp as usize] != blocks[e.dst_lp as usize]);
-        let lp = min_edge(&topo, |_| true);
-        assert_eq!(w.block, Window { ns: block.delay_ns, edge: block.describe(lpmap(&topo)) });
-        assert_eq!(w.lp, Window { ns: lp.delay_ns, edge: lp.describe(lpmap(&topo)) });
-        assert_eq!(w.lp.edge, "terminal edge node 0 -> router 0");
+        assert_eq!(w, Window { ns: block.delay_ns, edge: block.describe(lpmap(&topo)) });
         let (src, dst) = (block.src_lp - lpmap(&topo).n_nodes, block.dst_lp - lpmap(&topo).n_nodes);
-        assert_eq!(w.block.edge, format!("packet edge router {src} -> router {dst}"));
+        assert_eq!(w.edge, format!("packet edge router {src} -> router {dst}"));
         assert_ne!(topo.router_group(src), topo.router_group(dst));
     }
 
     #[test]
     fn zero_delay_cross_edge_is_always_an_error() {
-        // A zero-delay edge leaves the LP window zero, whichever blocks
-        // it joins: global links cross groups, local links do not.
+        // A zero-delay edge is an error whichever blocks it joins: global
+        // links cross groups, local links do not.
         let global = DragonflyConfig {
             global_latency_ns: 0,
             router_delay_ns: 0,
@@ -226,7 +215,7 @@ mod tests {
             assert_eq!(topo.router_group(src) == topo.router_group(dst), same_group);
             let one = vec![0; topo.cfg.total_nodes() as usize + topo.cfg.total_routers() as usize];
             for blocks in [partition_blocks(&topo), router_blocks(&topo), one] {
-                let e = Windows::derive(&topo, &blocks).unwrap_err();
+                let e = Window::derive(&topo, &blocks).unwrap_err();
                 assert!(
                     e.starts_with(&format!("zero-delay packet edge router {src} -> router {dst};")),
                     "{e}"

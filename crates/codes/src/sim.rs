@@ -1,7 +1,7 @@
 //! The simulation assembly: builder, the composed LP, and result harvest.
 
 use crate::event::{Event, LpMap};
-use crate::model::{partition_blocks, Windows};
+use crate::model::{partition_blocks, Window};
 use crate::node::{NodeLp, Proc};
 use crate::router_lp::RouterLp;
 use crate::shared::Shared;
@@ -171,7 +171,7 @@ impl SimulationBuilder {
     }
 
     /// Place the jobs, wire up all LPs, install one scheduler block per
-    /// dragonfly group and derive the model's lookahead [`Windows`].
+    /// dragonfly group and derive the model's lookahead [`Window`].
     /// `Err` when the model cannot be built or no positive window is safe.
     pub fn build(self) -> Result<CodesSim, String> {
         self.cfg.check()?;
@@ -180,7 +180,7 @@ impl SimulationBuilder {
         }
         let topo = Topology::build(self.cfg);
         let blocks = partition_blocks(&topo);
-        let windows = Windows::derive(&topo, &blocks)?;
+        let window = Window::derive(&topo, &blocks)?;
         let requests: Vec<JobRequest> =
             self.jobs.iter().map(|j| JobRequest::new(&j.name, j.sources.len() as u32)).collect();
         let layout = Layout::place(&topo, &requests, self.placement, self.seed)?;
@@ -229,7 +229,7 @@ impl SimulationBuilder {
         for lp in start_lps {
             sim.schedule(lp, SimTime::ZERO, Event::Start);
         }
-        let codes = CodesSim { sim, shared, windows };
+        let codes = CodesSim { sim, shared, window };
         codes.stage_trace_names();
         Ok(codes)
     }
@@ -253,7 +253,7 @@ pub fn trace_kind_names(job_names: &[String]) -> Vec<String> {
 pub struct CodesSim {
     sim: Simulation<CodesLp>,
     shared: Arc<Shared>,
-    windows: Windows,
+    window: Window,
 }
 
 /// Per-application outcome.
@@ -321,18 +321,17 @@ impl SimResults {
 impl CodesSim {
     /// Run to completion (or `until`) with the chosen scheduler and
     /// harvest results. A conservative scheduler runs at the model's own
-    /// window, whatever `lookahead` it carries: the round loop keeps each
-    /// block on one thread and runs at the block window, the async
-    /// scheduler's steals split blocks so it runs at the LP window.
+    /// window, whatever `lookahead` it carries: the round loop and the
+    /// async scheduler both keep each block on one thread.
     pub fn run(&mut self, sched: Scheduler, until: SimTime) -> SimResults {
-        let ns = SimDuration::from_ns;
+        let lookahead = SimDuration::from_ns(self.window.ns);
         let sched = match sched {
             Scheduler::Sequential => Scheduler::Sequential,
             Scheduler::ConservativeParallel { threads, .. } => {
-                Scheduler::ConservativeParallel { threads, lookahead: ns(self.windows.block.ns) }
+                Scheduler::ConservativeParallel { threads, lookahead }
             }
             Scheduler::ConservativeAsync { threads, .. } => {
-                Scheduler::ConservativeAsync { threads, lookahead: ns(self.windows.lp.ns) }
+                Scheduler::ConservativeAsync { threads, lookahead }
             }
         };
         let stats = sched.run(&mut self.sim, until);
@@ -346,14 +345,14 @@ impl CodesSim {
     /// sharded run only the owned LPs hold meaningful state, so results
     /// are merged across processes via [`CodesSim::shard_fingerprint`],
     /// not harvested per-shard. Shards and their threads own whole
-    /// blocks, so the run uses the block window.
+    /// blocks, so the run uses the model's window.
     pub fn run_sharded(
         &mut self,
         transport: &mut dyn ross::shard::ShardTransport<Event>,
         threads: usize,
         until: SimTime,
     ) -> Result<RunStats, ross::shard::ShardError> {
-        let window = SimDuration::from_ns(self.windows.block.ns);
+        let window = SimDuration::from_ns(self.window.ns);
         self.sim.run_sharded(transport, threads, window, until)
     }
 

@@ -149,7 +149,7 @@ pub enum OpSource {
     Trace(TraceCursor),
 }
 
-// Both variants must remain `Send` so node LPs can migrate across the
+// Both variants must remain `Send` so node LPs can move onto the
 // parallel schedulers' worker threads.
 const _: () = {
     const fn require_send<T: Send>() {}

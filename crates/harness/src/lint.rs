@@ -1,24 +1,23 @@
 //! What `union-exp lint` says about the assembled model: the lookahead
-//! windows `codes` derives on each network of a sweep (DESIGN.md §7).
+//! window `codes` derives on each network of a sweep (DESIGN.md §7).
 
 use crate::sweep::SweepConfig;
 use dragonfly::Topology;
 use union_lint::{Diagnostic, Report};
 
-/// One `info` per network of `cfg` naming both windows [`codes::Windows`]
-/// derives there and the edges that set them, or the `zero-delay` error
+/// One `info` per network of `cfg` naming the window [`codes::Window`]
+/// derives there and the edge that sets it, or the `zero-delay` error
 /// that leaves no safe window.
 pub fn window_report(cfg: &SweepConfig) -> Report {
     let mut out = Report::new();
     for &net in &cfg.nets {
         let at = net.label();
-        match codes::Windows::of(&Topology::build(cfg.net_config(net))) {
+        match codes::Window::of(&Topology::build(cfg.net_config(net))) {
             Ok(w) => out.push(Diagnostic::info(
                 "window",
                 format!(
-                    "{at} network: block window {} ns ({}) for par:T and shard:N:T; \
-                     LP window {} ns ({}) for async:T",
-                    w.block.ns, w.block.edge, w.lp.ns, w.lp.edge
+                    "{at} network: block window {} ns ({}) for par:T, async:T and shard:N:T",
+                    w.ns, w.edge
                 ),
             )),
             Err(e) => out.push(Diagnostic::error("zero-delay", format!("{at} network: {e}"))),
@@ -34,8 +33,8 @@ mod tests {
     use dragonfly::{DragonflyConfig, FlowControl, Peer};
     use union_lint::Severity;
 
-    fn windows(cfg: &SweepConfig, net: Net) -> codes::Windows {
-        codes::Windows::of(&Topology::build(cfg.net_config(net))).unwrap()
+    fn window(cfg: &SweepConfig, net: Net) -> codes::Window {
+        codes::Window::of(&Topology::build(cfg.net_config(net))).unwrap()
     }
 
     #[test]
@@ -43,18 +42,16 @@ mod tests {
         let mut cfg = SweepConfig::smoke();
         for net in [Net::OneD, Net::TwoD] {
             // Busy-until flow: blocks are groups, so only global packets
-            // cross them (global latency plus router delay); the LP
-            // window is the cheapest hop, a terminal or local link.
-            let w = windows(&cfg, net);
-            assert_eq!((w.block.ns, w.lp.ns), (550, 150), "{net:?}: {w:?}");
-            assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
-            assert!(w.lp.edge.starts_with("terminal edge node "), "{w:?}");
+            // cross them (global latency plus router delay).
+            let w = window(&cfg, net);
+            assert_eq!(w.ns, 550, "{net:?}: {w:?}");
+            assert!(w.edge.starts_with("packet edge router "), "{w:?}");
         }
-        // Credit flow adds latency-only credit edges: smaller windows.
+        // Credit flow adds latency-only credit edges: a smaller window.
         cfg.flow = FlowControl::credit_default();
-        let w = windows(&cfg, Net::OneD);
-        assert_eq!((w.block.ns, w.lp.ns), (500, 100), "{w:?}");
-        assert!(w.block.edge.starts_with("credit edge") && w.lp.edge.starts_with("credit edge"));
+        let w = window(&cfg, Net::OneD);
+        assert_eq!(w.ns, 500, "{w:?}");
+        assert!(w.edge.starts_with("credit edge"), "{w:?}");
     }
 
     #[test]
@@ -76,21 +73,24 @@ mod tests {
             })
             .min()
             .expect("multi-group model");
-        let w = codes::Windows::of(&topo).unwrap();
-        assert_eq!(w.block.ns, min, "{w:?}");
-        assert!(w.block.edge.starts_with("packet edge router "), "{w:?}");
+        let w = codes::Window::of(&topo).unwrap();
+        assert_eq!(w.ns, min, "{w:?}");
+        assert!(w.edge.starts_with("packet edge router "), "{w:?}");
     }
 
-    /// `async:T` steals split blocks, so it runs at the LP window, which
-    /// never exceeds the block window `par:T` runs at.
+    /// `async:T` keeps every block on one worker, like `par:T`, so both
+    /// run at the one window: on both nets and both flows it is positive
+    /// and wider than the cheapest (intra-group) edge.
     #[test]
     fn sweep_async_lookahead_shares_the_par_bound() {
         let mut cfg = SweepConfig::smoke();
         for flow in [FlowControl::BusyUntil, FlowControl::credit_default()] {
             cfg.flow = flow;
             for net in [Net::OneD, Net::TwoD] {
-                let w = windows(&cfg, net);
-                assert!(0 < w.lp.ns && w.lp.ns <= w.block.ns, "{net:?}: {w:?}");
+                let w = window(&cfg, net);
+                let c = cfg.net_config(net);
+                let cheapest = c.local_latency_ns.min(c.global_latency_ns);
+                assert!(0 < cheapest && cheapest < w.ns, "{net:?}: {w:?}");
             }
         }
     }
@@ -106,10 +106,10 @@ mod tests {
             first.starts_with("1D network: block window 550 ns (packet edge router "),
             "{first}"
         );
-        assert!(first.contains("; LP window 150 ns (terminal edge node "), "{first}");
+        assert!(first.ends_with(") for par:T, async:T and shard:N:T"), "{first}");
     }
 
-    /// A zero LP window is the builder's error, and lint reports it as
+    /// A zero-delay edge is the builder's error, and lint reports it as
     /// the finding `union-exp lint` exits 1 on.
     #[test]
     fn zero_delay_edge_leaves_no_window_and_names_the_pair() {
@@ -125,6 +125,6 @@ mod tests {
             .expect("a zero-delay model builds no simulation");
         assert!(e.starts_with("zero-delay packet edge router "), "{e}");
         assert!(e.contains(" -> router "), "{e}");
-        assert_eq!(codes::Windows::of(&Topology::build(net_cfg)), Err(e));
+        assert_eq!(codes::Window::of(&Topology::build(net_cfg)), Err(e));
     }
 }

@@ -206,10 +206,10 @@ pub fn telemetry_summary(rec: &telemetry::Recorder) -> String {
     }
     let _ = writeln!(
         out,
-        "| Scheduler | Thr | Queue | Committed | Rounds | Q-ops | Q-max | Steals | Stall ms | \
-         Lag ns | Wall ms |"
+        "| Scheduler | Thr | Queue | Committed | Rounds | Q-ops | Q-max | Stall ms | Lag ns | \
+         Wall ms |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|");
     let mut nets = (0u64, 0u64, 0u64, 0u64);
     let mut phases: Vec<(String, u64)> = Vec::new();
     for line in rec.lines() {
@@ -219,7 +219,7 @@ pub fn telemetry_summary(rec: &telemetry::Recorder) -> String {
             Some("scheduler") => {
                 let _ = writeln!(
                     out,
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1} | {} | {:.1} |",
+                    "| {} | {} | {} | {} | {} | {} | {} | {:.1} | {} | {:.1} |",
                     v.get("scheduler").and_then(|s| s.as_str()).unwrap_or("?"),
                     g("threads"),
                     v.get("queue").and_then(|s| s.as_str()).unwrap_or("?"),
@@ -227,7 +227,6 @@ pub fn telemetry_summary(rec: &telemetry::Recorder) -> String {
                     g("rounds"),
                     g("queue_ops"),
                     g("queue_max_len"),
-                    g("steals"),
                     g("horizon_stall_ns") as f64 / 1e6,
                     g("horizon_lag_max"),
                     g("wall_ns") as f64 / 1e6,

@@ -202,7 +202,7 @@ fn profile_label(p: Profile) -> &'static str {
 
 /// How a run is scheduled: sequentially, by in-process worker threads,
 /// or as a gang of shard processes. No variant carries a lookahead
-/// window: a CODES model derives its own ([`codes::Windows`]), PHOLD
+/// window: a CODES model derives its own ([`codes::Window`]), PHOLD
 /// runs at its minimum event delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sched {

@@ -13,7 +13,7 @@
 //! out-of-range or self-blocking targets, and dead code. Anything data- or
 //! RNG-dependent degrades conservatively (truncated expansion is reported
 //! as an `info`, not guessed at). The lookahead window of a parallel
-//! schedule is the model's to derive (`codes::Windows`), not this crate's.
+//! schedule is the model's to derive (`codes::Window`), not this crate's.
 //!
 //! Findings use [`conceptual::Diagnostic`] / [`conceptual::Report`], the
 //! same types the compiler front end reports through, so parse errors and

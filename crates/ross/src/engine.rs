@@ -24,8 +24,9 @@ pub struct RunStats {
     pub cross_shard_events: u64,
     /// Synchronization rounds (conservative windows or shard fences).
     pub rounds: u64,
-    /// LP blocks migrated between workers by work stealing
-    /// (conservative-async scheduler only).
+    /// Always 0: no scheduler moves LP blocks between workers. Kept only
+    /// because the repo benchmark reads it (`ross.async.steals`); it goes
+    /// once the benchmark drops that metric.
     pub steals: u64,
     /// Total nanoseconds workers spent stalled waiting for peer safe
     /// horizons to advance (conservative-async scheduler only).

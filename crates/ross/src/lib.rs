@@ -14,8 +14,8 @@
 //!   classic YAWNS protocol; [`Simulation::run_sharded`] runs the same
 //!   rounds across OS processes;
 //! * [`Simulation::run_conservative_async`] — the same conservative
-//!   guarantee without barriers: published safe horizons and LP-block
-//!   work stealing.
+//!   guarantee without barriers: published safe horizons, with each
+//!   worker keeping its partition blocks for the whole run.
 //!
 //! All three run one worker core (the private `worker` module: the
 //! per-event step, worker state, run report and scaffold); the sequential
@@ -97,8 +97,9 @@ pub enum Scheduler {
     /// simulation with no partition installed is the YAWNS baseline.
     ConservativeParallel { threads: usize, lookahead: SimDuration },
     /// Barrier-free asynchronous conservative scheduler: workers publish
-    /// monotone safe horizons and steal LP blocks from backlogged peers —
-    /// see [`Simulation::run_conservative_async`].
+    /// monotone safe horizons instead of meeting at barriers, and keep
+    /// their partition blocks for the whole run — see
+    /// [`Simulation::run_conservative_async`].
     ConservativeAsync { threads: usize, lookahead: SimDuration },
 }
 

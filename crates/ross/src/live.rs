@@ -27,7 +27,6 @@ pub(crate) struct Counts {
     pub(crate) remote: u64,
     pub(crate) cross: u64,
     pub(crate) rounds: u64,
-    pub(crate) steals: u64,
 }
 
 /// The registry cells of every engine metric the schedulers feed. One per
@@ -37,7 +36,6 @@ pub(crate) struct LiveHandles {
     remote_events: CounterHandle,
     cross_shard_events: CounterHandle,
     rounds: CounterHandle,
-    steals: CounterHandle,
     /// The global clock: window floor, async horizon, end time.
     pub(crate) gvt_ns: GaugeHandle,
     /// High-water of (max published horizon − min published horizon).
@@ -56,7 +54,6 @@ impl LiveHandles {
             remote_events: reg.counter("remote_events"),
             cross_shard_events: reg.counter("cross_shard_events"),
             rounds: reg.counter("rounds"),
-            steals: reg.counter("steals"),
             gvt_ns: reg.gauge("gvt_ns"),
             horizon_lag_ns: reg.gauge("horizon_lag_ns"),
             queue_depth: reg.gauge("queue_depth"),
@@ -91,7 +88,6 @@ impl LiveHandles {
             (&self.remote_events, now.remote - then.remote),
             (&self.cross_shard_events, now.cross - then.cross),
             (&self.rounds, now.rounds - then.rounds),
-            (&self.steals, now.steals - then.steals),
         ] {
             if n > 0 {
                 cell.add(n);
@@ -132,7 +128,7 @@ mod tests {
         let mut b = report.worker(1, vec![1], vec![Quiet], Vec::new(), queue(), &[]);
         (a.committed, a.rounds) = (10, 1);
         a.live_flush(Some(5));
-        (b.committed, b.rounds, b.steals) = (32, 1, 3);
+        (b.committed, b.rounds) = (32, 1);
         let mut tally = crate::worker::Tally::default();
         report.fold(&mut tally, &mut b); // must flush the un-flushed 32
         a.committed += 7;
@@ -141,7 +137,6 @@ mod tests {
         assert_eq!(snap.counter_total("events_committed"), Some(49));
         // The run's round count is worker 0's, not the sum over workers.
         assert_eq!(snap.counter_total("rounds"), Some(1));
-        assert_eq!(snap.counter_total("steals"), Some(3));
         assert_eq!(snap.gauge("gvt_ns"), Some(5));
         assert_eq!(snap.gauge("workers"), Some(2));
         let h = snap.histogram("commit_batch").unwrap();
@@ -211,7 +206,6 @@ mod tests {
                 ("events_committed", "committed"),
                 ("remote_events", "remote_events"),
                 ("cross_shard_events", "cross_shard_events"),
-                ("steals", "steals"),
             ];
             if !matches!(sched, crate::Scheduler::ConservativeAsync { .. }) {
                 pairs.push(("rounds", "rounds"));

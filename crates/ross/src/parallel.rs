@@ -331,6 +331,29 @@ pub(crate) mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
+    /// Two blocks keep two workers busy, whatever the thread count: a
+    /// worker without a block would only join every barrier round.
+    #[test]
+    fn workers_never_outnumber_blocks() {
+        let rec = std::sync::Arc::new(telemetry::Recorder::new());
+        let mut a = phold_sim(12, 4);
+        let sa = a.run_sequential(SimTime::MAX);
+        let mut b = phold_sim(12, 4);
+        b.set_partition(Partition::from_blocks((0..12).map(|i| i % 2).collect()));
+        b.set_telemetry(Some(std::sync::Arc::clone(&rec)));
+        let sb = b.run_conservative_parallel(8, SimDuration::from_ns(50), SimTime::MAX);
+        assert_eq!(sa.committed, sb.committed);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        let threads: Vec<u64> = rec
+            .lines()
+            .iter()
+            .map(|l| serde_json::from_str::<serde::Value>(l).unwrap())
+            .filter(|v| v.get("record").and_then(|r| r.as_str()) == Some("scheduler"))
+            .map(|v| v.get("threads").and_then(|t| t.as_u64()).unwrap())
+            .collect();
+        assert_eq!(threads, [2]);
+    }
+
     #[test]
     fn until_bound_pauses_and_resumes() {
         let mut a = phold_sim(8, 13);

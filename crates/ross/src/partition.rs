@@ -41,13 +41,12 @@ impl Partition {
         self.block_of[lp as usize]
     }
 
-    /// Pack blocks onto `n_threads` workers: blocks in descending size
-    /// (ties by ascending block id) each go to the currently
-    /// least-loaded thread (ties by ascending thread id). Deterministic
-    /// by construction.
+    /// Pack blocks onto `n_threads` workers, or one per block when there
+    /// are fewer blocks: blocks in descending size (ties by ascending
+    /// block id) each go to the currently least-loaded thread (ties by
+    /// ascending thread id). Deterministic by construction.
     pub(crate) fn assign(&self, n_threads: usize) -> Assignment {
         let n_lps = self.block_of.len();
-        let n_threads = n_threads.max(1).min(n_lps.max(1));
 
         // Collect distinct blocks and their loads.
         let mut blocks: Vec<(u32, u64)> = Vec::new();
@@ -62,6 +61,9 @@ impl Partition {
             }
         }
         blocks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        // A worker without a block would only take part in the
+        // synchronization.
+        let n_threads = n_threads.max(1).min(blocks.len().max(1));
 
         let mut thread_load = vec![0u64; n_threads];
         // Sparse block ids → binary-searchable (block, thread) table.
@@ -179,9 +181,12 @@ mod tests {
     fn more_threads_than_blocks() {
         let p = Partition::from_blocks(vec![0, 0, 0, 1, 1, 1]);
         let a = p.assign(8);
-        // Only 2 distinct blocks → at most 2 threads get LPs; all LPs
+        // Only 2 distinct blocks → only 2 workers, both with LPs; all LPs
         // still covered exactly once.
+        assert_eq!(a.locals.len(), 2);
+        assert!(a.locals.iter().all(|l| !l.is_empty()));
         let total: usize = a.locals.iter().map(Vec::len).sum();
         assert_eq!(total, 6);
+        assert_eq!(Partition::from_blocks(vec![0, 0, 1, 1]).assign(4).locals.len(), 2);
     }
 }

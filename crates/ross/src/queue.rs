@@ -105,11 +105,6 @@ pub trait EventQueue<E> {
     /// ladder fed this stream inserts its stragglers largest-first: each
     /// shifts only entries of its own bucket, not all the ones before it.
     fn drain_each(&mut self, each: impl FnMut(Envelope<E>));
-    /// Move every queued event into `out` (order unspecified) and reset.
-    fn drain_to(&mut self, out: &mut Vec<Envelope<E>>) {
-        out.reserve(self.len());
-        self.drain_each(|env| out.push(env));
-    }
     /// Total push + pop operations performed (telemetry).
     fn ops(&self) -> u64;
     /// Length high-water mark (telemetry).
@@ -952,14 +947,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_to_empties_and_resets() {
+    fn drain_each_empties_and_resets() {
         let mut q = LadderQueue::new();
         for i in 0..100u64 {
             q.push(env(i * 11, 0, 0, i, i));
         }
         q.pop();
         let mut out = Vec::new();
-        q.drain_to(&mut out);
+        q.drain_each(|e| out.push(e));
         assert_eq!(out.len(), 99);
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
@@ -1007,7 +1002,7 @@ mod tests {
 
     /// Regression: the telemetry high-water mark is a whole-run statistic
     /// and must survive era turnover — both the implicit era restart when
-    /// the queue drains to empty and refills, and an explicit `drain_to`.
+    /// the queue drains to empty and refills, and an explicit `drain_each`.
     #[test]
     fn ladder_max_len_survives_era_collapse() {
         let mut q = LadderQueue::new();
@@ -1019,11 +1014,11 @@ mod tests {
         while q.pop().is_some() {}
         q.push(env(1_000_000, 0, 0, 0, 99));
         assert_eq!(q.max_len(), 50, "high-water lost across era restart");
-        // An explicit drain_to also collapses the era.
+        // An explicit drain_each also collapses the era.
         let mut out = Vec::new();
-        q.drain_to(&mut out);
+        q.drain_each(|e| out.push(e));
         q.push(env(5, 0, 0, 0, 100));
-        assert_eq!(q.max_len(), 50, "high-water lost across drain_to");
+        assert_eq!(q.max_len(), 50, "high-water lost across drain_each");
         assert!(q.pool_stats().recycled > 0);
     }
 
@@ -1083,9 +1078,9 @@ mod tests {
         skewed_eras(&mut q, 2, 5_000);
         assert!(!q.all_chunks_free());
         let mut out = Vec::new();
-        q.drain_to(&mut out);
+        q.drain_each(|e| out.push(e));
         assert_eq!(out.len(), 5_000);
-        assert!(q.all_chunks_free(), "drain_to leaked chunks");
+        assert!(q.all_chunks_free(), "drain_each leaked chunks");
         // Reload (a fresh era through `top`) and pop to empty.
         for e in out {
             q.push(e);

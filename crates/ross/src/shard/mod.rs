@@ -138,7 +138,6 @@ impl<L: Lp> Simulation<L> {
         let shard_of = shard_owner_map(self.partition.as_ref(), n_lps, n_shards);
         let owned: Vec<u32> =
             (0..n_lps as u32).filter(|&g| shard_of[g as usize] == me as u32).collect();
-        let n_threads = threads.max(1).min(owned.len().max(1));
         let sub_blocks: Vec<u32> = owned
             .iter()
             .map(|&g| match &self.partition {
@@ -146,7 +145,8 @@ impl<L: Lp> Simulation<L> {
                 None => g,
             })
             .collect();
-        let tassign = Partition::from_blocks(sub_blocks).assign(n_threads);
+        let tassign = Partition::from_blocks(sub_blocks).assign(threads);
+        let n_threads = tassign.locals.len();
         // The worker-level plan over global ids (u32::MAX = not ours).
         let mut plan = Assignment {
             owner_of: vec![u32::MAX; n_lps],

@@ -698,8 +698,8 @@ mod tests {
         let tr = Tracer::new(1);
         let run = tr.open_run("conservative-async", 1);
         let mut buf = tr.buf(run, 0);
-        // t=100µs recorded before t=50µs, as when an LP's events are split
-        // across the buffers of the workers it migrated between.
+        // t=100µs recorded before t=50µs: the track must still come out
+        // in timestamp order.
         let t0 = buf.event_start();
         buf.record(&env(0, 1, 100_000, 0, 9), 0, 0, 0, t0);
         let t0 = buf.event_start();

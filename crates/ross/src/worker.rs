@@ -231,8 +231,7 @@ pub(crate) struct Worker<'r, L: Lp> {
     /// The simulation's LP count: the seal refuses a send beyond it.
     n_lps: usize,
     /// LP slab: slot `i` hosts global LP `gids[i]` (the sequential run
-    /// leaves `gids` empty: there, slot and id coincide). Async migration
-    /// hands off a victim's tail slots, so the rest keep their index.
+    /// leaves `gids` empty: there, slot and id coincide).
     pub(crate) gids: Vec<u32>,
     pub(crate) lps: Vec<L>,
     pub(crate) metas: Vec<LpMeta>,
@@ -253,7 +252,6 @@ pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) clock: u64,
     pub(crate) busy_ns: u64,
     pub(crate) stall_ns: u64,
-    pub(crate) steals: u64,
     pub(crate) lag_max: u64,
     /// The queue's (ops, recycled slots) when the run began: an adopted
     /// queue that served earlier legs reports only this run's share.
@@ -406,7 +404,6 @@ impl<L: Lp> Worker<'_, L> {
             remote: self.lane.remote,
             cross: self.lane.cross,
             rounds: if self.t == 0 { self.rounds } else { 0 },
-            steals: self.steals,
         }
     }
 
@@ -429,14 +426,6 @@ impl<L: Lp> Worker<'_, L> {
     pub(crate) fn live_backlog(&self) -> (u64, u64) {
         let then = &self.live_flushed;
         (self.committed - then.committed, self.lane.remote - then.remote)
-    }
-
-    /// Host one more LP (async migration install); returns its slot.
-    pub(crate) fn adopt(&mut self, gid: u32, lp: L, meta: LpMeta) -> usize {
-        self.gids.push(gid);
-        self.lps.push(lp);
-        self.metas.push(meta);
-        self.lps.len() - 1
     }
 }
 
@@ -540,7 +529,6 @@ impl Report {
             clock: 0,
             busy_ns: 0,
             stall_ns: 0,
-            steals: 0,
             lag_max: 0,
         }
     }
@@ -554,7 +542,6 @@ impl Report {
         stats.remote_events += w.lane.remote;
         stats.cross_shard_events += w.lane.cross;
         stats.rounds = stats.rounds.max(w.rounds);
-        stats.steals += w.steals;
         stats.horizon_stall_ns += w.stall_ns;
         stats.horizon_lag_max = stats.horizon_lag_max.max(w.lag_max);
         stats.end_time = stats.end_time.max(SimTime(w.clock));
@@ -613,7 +600,6 @@ impl Report {
         r.remote_events = stats.remote_events;
         r.cross_shard_events = stats.cross_shard_events;
         r.rounds = stats.rounds;
-        r.steals = stats.steals;
         r.horizon_stall_ns = stats.horizon_stall_ns;
         r.horizon_lag_max = stats.horizon_lag_max;
         r.end_time_ns = stats.end_time.as_ns();
@@ -784,11 +770,14 @@ pub(crate) fn drive<S: Send, R>(
 impl<L: Lp> Simulation<L> {
     /// Worker-level placement for an in-process run on up to `n_threads`
     /// threads: the installed partition (or one block per LP) through the
-    /// deterministic bin-packer. `None` when that leaves a single worker,
-    /// which callers hand to the sequential scheduler.
+    /// deterministic bin-packer, one worker per block at most. `None` when
+    /// that leaves a single worker, which callers hand to the sequential
+    /// scheduler.
     pub(crate) fn plan_workers(&self, n_threads: usize) -> Option<Assignment> {
-        let n_lps = self.lps.len();
-        let n_threads = n_threads.max(1).min(n_lps.max(1));
-        (n_threads > 1).then(|| Assignment::of(self.partition.as_ref(), n_lps, n_threads))
+        if n_threads <= 1 {
+            return None;
+        }
+        let plan = Assignment::of(self.partition.as_ref(), self.lps.len(), n_threads);
+        (plan.locals.len() > 1).then_some(plan)
     }
 }

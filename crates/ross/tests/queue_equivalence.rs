@@ -139,7 +139,7 @@ proptest! {
 
     /// Pool-recycling hygiene: with the hot/cold split, envelope payloads
     /// live in an `EventPool` slab whose slots are recycled on pop and
-    /// `drain_to`. Stamp every payload as a pure function of its `uid`
+    /// `drain_each`. Stamp every payload as a pure function of its `uid`
     /// and check the identity on every event that comes back out — a
     /// recycled slot serving a *stale* payload (wrong take/insert pairing
     /// anywhere in the rung/bottom/top plumbing) breaks it immediately.
@@ -183,13 +183,13 @@ proptest! {
                         }
                     }
                 }
-                // Bulk eviction through `drain_to` (the `set_queue` and
-                // shard hand-off path) — recycles every slot at once,
+                // Bulk eviction through `drain_each` (the `set_queue`
+                // and leg hand-off path) — recycles every slot at once,
                 // then the queues refill into reused storage.
                 _ => {
                     let (mut hd, mut ld) = (Vec::new(), Vec::new());
-                    heap.drain_to(&mut hd);
-                    ladder.drain_to(&mut ld);
+                    heap.drain_each(|e| hd.push(e));
+                    ladder.drain_each(|e| ld.push(e));
                     prop_assert_eq!(hd.len(), live);
                     prop_assert_eq!(ld.len(), live);
                     for e in hd.iter().chain(ld.iter()) {

@@ -129,11 +129,11 @@ fn check_sharded(qk: QueueKind) {
 }
 
 /// 2-thread barrier-free asynchronous run: safe-horizon publishes, the
-/// Mattern S/R counters, the park/wake handshake and (when load allows)
-/// the steal handoff all route through the shimmed seam. The checked
-/// build additionally asserts horizon monotonicity at every publish and
-/// exactly-once delivery in `Mailbox::drop`. Full DPOR over the
-/// per-iteration SeqCst horizon traffic is intractable, so this uses CHESS-style preemption bounding
+/// Mattern S/R counters and the park/wake handshake all route through
+/// the shimmed seam. The checked build additionally asserts horizon
+/// monotonicity at every publish and exactly-once delivery in
+/// `Mailbox::drop`. Full DPOR over the per-iteration SeqCst horizon
+/// traffic is intractable, so this uses CHESS-style preemption bounding
 /// (≤ 1 preemption) with `max_paths` as a loud bound.
 fn check_async(qk: QueueKind) {
     let expect = sequential_reference(qk);
@@ -160,11 +160,9 @@ fn async_two_workers_ladder_matches_sequential_on_every_schedule() {
     check_async(QueueKind::Ladder);
 }
 
-/// Mini-ring that keeps all traffic on LPs {0, 1} while LPs {2, 3} stay
-/// silent: with partition blocks `[0, 0, 1, 1]` worker 1 owns only dead
-/// LPs, so it must go through the thief path (request, horizon cap,
-/// migration install) to ever contribute. Exercises the steal handshake
-/// under the controlled scheduler.
+/// Mini-ring that keeps all traffic on LPs {0, 1}, hopping every 20 ns,
+/// while LPs {2, 3} stay silent: with partition blocks `[0, 0, 1, 1]`
+/// worker 1 owns only dead LPs and worker 0 runs every event.
 #[derive(Clone)]
 struct LopsidedRing {
     hits: u64,
@@ -181,17 +179,19 @@ impl Lp for LopsidedRing {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(ev.payload ^ ev.recv_time.as_ns());
         if ctx.now() < self.horizon {
-            ctx.send((ev.dst + 1) % 2, SimDuration::from_ns(60), self.checksum);
+            ctx.send((ev.dst + 1) % 2, SimDuration::from_ns(20), self.checksum);
         }
     }
 }
 
-/// Steal-path oracle: on every explored schedule the lopsided model must
-/// stay bit-identical to sequential, and across the exploration the
-/// handoff must actually fire (8 seeded chains keep the victim's queue
-/// at the steal threshold, so an idle thief always finds it).
+/// Idle-peer oracle: the 60 ns window is only safe between blocks (the
+/// ring hops every 20 ns inside block 0), so on every explored schedule
+/// the lopsided model must stay bit-identical to sequential with block 0
+/// kept whole on worker 0 — no event ever reaches the idle peer, which
+/// still takes part in the horizon exchange, the parking and the
+/// termination count.
 #[test]
-fn async_work_stealing_matches_sequential_on_every_schedule() {
+fn async_idle_peer_matches_sequential_at_the_block_window_on_every_schedule() {
     let mk = || {
         let lps = (0..4)
             .map(|_| LopsidedRing { hits: 0, checksum: 0, horizon: SimTime::from_ns(HORIZON_NS) })
@@ -206,21 +206,14 @@ fn async_work_stealing_matches_sequential_on_every_schedule() {
     let mut seq = mk();
     seq.run_sequential(SimTime::MAX);
     let expect: Vec<(u64, u64)> = seq.lps().iter().map(|l| (l.hits, l.checksum)).collect();
-    // Plain std atomic on purpose: tallies across schedules without
-    // perturbing the controlled exploration.
-    let total_steals = std::sync::atomic::AtomicU64::new(0);
     let schedules = ross_check::Builder::new().fringe(1).max_paths(200_000).check(|| {
         let mut sim = mk();
         let stats = sim.run_conservative_async(2, SimDuration::from_ns(60), SimTime::MAX);
-        total_steals.fetch_add(stats.steals, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(stats.remote_events, 0, "block 0 left worker 0 on this schedule: {stats:?}");
         let got: Vec<(u64, u64)> = sim.lps().iter().map(|l| (l.hits, l.checksum)).collect();
-        assert_eq!(got, expect, "steal-path fingerprint diverged on this schedule");
+        assert_eq!(got, expect, "idle-peer fingerprint diverged on this schedule");
     });
-    assert!(schedules >= 1, "steal model explored no schedules");
-    assert!(
-        total_steals.load(std::sync::atomic::Ordering::Relaxed) > 0,
-        "no explored schedule ever exercised the steal handoff"
-    );
+    assert!(schedules >= 1, "idle-peer model explored no schedules");
 }
 
 #[test]

@@ -299,9 +299,6 @@ pub struct SchedulerRecord {
     pub cross_shard_events: u64,
     /// Synchronization rounds (conservative windows or shard fences).
     pub rounds: u64,
-    /// LP blocks migrated between workers by work stealing
-    /// (conservative-async scheduler only).
-    pub steals: u64,
     /// Total nanoseconds workers spent stalled waiting for peer horizons
     /// to advance (conservative-async scheduler only).
     pub horizon_stall_ns: u64,
@@ -330,7 +327,6 @@ impl SchedulerRecord {
             remote_events: 0,
             cross_shard_events: 0,
             rounds: 0,
-            steals: 0,
             horizon_stall_ns: 0,
             horizon_lag_max: 0,
             end_time_ns: 0,

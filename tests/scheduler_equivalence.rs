@@ -89,7 +89,7 @@ fn par(threads: usize) -> Scheduler {
     Scheduler::ConservativeParallel { threads, lookahead: SimDuration::ZERO }
 }
 
-/// `async:T`, at the model's LP window.
+/// `async:T`, at the same block window.
 fn asy(threads: usize) -> Scheduler {
     Scheduler::ConservativeAsync { threads, lookahead: SimDuration::ZERO }
 }

@@ -70,8 +70,8 @@ fn bad_input_is_a_message_and_an_exit_code_never_a_panic() {
 }
 
 /// `mix` runs under every in-process scheduler the sweeps accept, and as
-/// one shard of two threads, with the sequential result. `par:2` and
-/// `shard:1:2` run at the block window, `async:2` at the LP window.
+/// one shard of two threads, with the sequential result. All three run
+/// at the model's block window.
 #[test]
 fn mix_under_par_matches_sequential() {
     let mix = |sched: &str| {

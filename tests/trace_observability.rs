@@ -43,7 +43,7 @@ fn par3() -> Scheduler {
     Scheduler::ConservativeParallel { threads: 3, lookahead: SimDuration::ZERO }
 }
 
-/// `async:3`, at the model's LP window.
+/// `async:3`, at the same block window.
 fn async3() -> Scheduler {
     Scheduler::ConservativeAsync { threads: 3, lookahead: SimDuration::ZERO }
 }
