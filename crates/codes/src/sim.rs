@@ -84,7 +84,7 @@ impl SimulationBuilder {
             routing: Routing::Adaptive,
             placement: Placement::RandomGroups,
             seed: 1,
-            eager_max: 16 * 1024,
+            eager_max: mpi_sim::EAGER_MAX,
             window_ns: 0,
             queue: QueueKind::default(),
             jobs: Vec::new(),

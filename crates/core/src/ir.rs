@@ -227,17 +227,6 @@ impl Builder {
         })
     }
 
-    /// All-ranks blocking send to `dst` (with `t` bound to the sender).
-    pub fn send_blocking(self, dst: Expr, bytes: Expr) -> Builder {
-        self.push(LeafOp::Message {
-            src: Sel::All(Some("t".into())),
-            dst: Sel::Single(dst),
-            count: Expr::lit(1),
-            bytes,
-            mode: MsgMode::Sync,
-        })
-    }
-
     /// Every rank sends one message to a uniformly random other rank.
     pub fn send_random(self, bytes: Expr, _nonblocking: bool) -> Builder {
         self.push(LeafOp::Message {

@@ -70,21 +70,6 @@ impl MpiOp {
         }
     }
 
-    /// Whether the rank blocks until this operation completes.
-    pub fn is_blocking(&self) -> bool {
-        matches!(
-            self,
-            MpiOp::Send { .. }
-                | MpiOp::Recv { .. }
-                | MpiOp::WaitAll
-                | MpiOp::Allreduce { .. }
-                | MpiOp::Reduce { .. }
-                | MpiOp::Bcast { .. }
-                | MpiOp::Barrier
-                | MpiOp::Compute { .. }
-        )
-    }
-
     /// Whether this is a collective operation.
     pub fn is_collective(&self) -> bool {
         matches!(

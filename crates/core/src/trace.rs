@@ -132,6 +132,11 @@ impl TraceCursor {
         self.trace.num_ranks()
     }
 
+    /// How many ops [`next_op`](Self::next_op) has handed out.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
     pub fn next_op(&mut self) -> Option<MpiOp> {
         let op = self.trace.ops[self.rank as usize].get(self.pos).copied();
         if op.is_some() {

@@ -8,12 +8,14 @@
 //! Skeleton analysis ([`lint_skeleton`], [`lint_trace`]): expand each
 //! rank's op stream by stepping the simulator's own interpreter,
 //! `union_core::RankVm`, under a budget (see [`LintOptions`]), then check
-//! cross-rank properties: communication deadlocks (wait-for cycles among
-//! blocking sends/receives/collectives), collective-sequence divergence,
-//! out-of-range or self-blocking targets, and dead code. Anything data- or
-//! RNG-dependent degrades conservatively (truncated expansion is reported
-//! as an `info`, not guessed at). The lookahead window of a parallel
-//! schedule is the model's to derive (`codes::Window`), not this crate's.
+//! cross-rank properties: collective-sequence divergence, communication
+//! deadlocks (wait-for cycles among ranks left blocked when the streams run
+//! on the simulator's own MPI layer, `mpi_sim::MpiRank`, over an
+//! instantaneous loopback), out-of-range or self-blocking targets, and
+//! dead code. Anything data- or RNG-dependent degrades conservatively
+//! (truncated expansion is reported as an `info`, not guessed at). The
+//! lookahead window of a parallel schedule is the model's to derive
+//! (`codes::Window`), not this crate's.
 //!
 //! Findings use [`conceptual::Diagnostic`] / [`conceptual::Report`], the
 //! same types the compiler front end reports through, so parse errors and
@@ -36,15 +38,20 @@ pub struct LintOptions {
     pub max_steps_per_rank: usize,
     /// Max emitted ops per rank before expansion is truncated.
     pub max_ops_per_rank: usize,
-    /// Largest message sent eagerly (buffered, sender never blocks);
-    /// larger blocking sends rendezvous. Matches the simulator's MPI
-    /// layer default.
+    /// Largest message sent eagerly (the sender never waits for the
+    /// receiver); larger sends, blocking or not, rendezvous. Passed to
+    /// `mpi_sim::MpiRank` as is; defaults to the simulator's
+    /// `mpi_sim::EAGER_MAX`.
     pub eager_max: u64,
 }
 
 impl Default for LintOptions {
     fn default() -> LintOptions {
-        LintOptions { max_steps_per_rank: 200_000, max_ops_per_rank: 4096, eager_max: 16 * 1024 }
+        LintOptions {
+            max_steps_per_rank: 200_000,
+            max_ops_per_rank: 4096,
+            eager_max: mpi_sim::EAGER_MAX,
+        }
     }
 }
 
@@ -182,15 +189,50 @@ mod tests {
     }
 
     #[test]
-    fn self_send_blocks() {
+    fn self_send_completes_but_self_recv_blocks() {
+        // The MPI layer delivers a self-send locally, whatever its size,
+        // so even a rendezvous-sized one completes.
         let r = lint_skeleton(
             &skel("task 0 sends a 1048576 byte message to task 0."),
             2,
             &[],
             &LintOptions::default(),
         );
+        assert!(r.is_empty(), "{r}");
+        // A blocking receive from itself with nothing sent never can.
+        use union_core::MpiOp;
+        let t = Trace {
+            ops: vec![
+                vec![MpiOp::Init, MpiOp::Recv { src: 0, bytes: 8, tag: 0 }, MpiOp::Finalize],
+                vec![MpiOp::Init, MpiOp::Finalize],
+            ],
+        };
+        let r = lint_trace(&t, &LintOptions::default());
         assert_eq!(r.len(), 1, "{r}");
-        assert_eq!(r.iter().next().unwrap().code, "self-block");
+        let d = r.iter().next().unwrap();
+        assert_eq!((d.code, d.rank, d.pc), ("self-block", Some(0), Some(1)), "{r}");
+    }
+
+    #[test]
+    fn large_isend_exchange_deadlocks_at_waitall() {
+        // Rendezvous Isends complete only once matched: each rank waits
+        // at WaitAll for a receive its peer posts only afterwards.
+        use union_core::MpiOp;
+        let rank = |peer: u32| {
+            vec![
+                MpiOp::Init,
+                MpiOp::Isend { dst: peer, bytes: 1 << 20, tag: 0 },
+                MpiOp::WaitAll,
+                MpiOp::Recv { src: peer, bytes: 1 << 20, tag: 0 },
+                MpiOp::Finalize,
+            ]
+        };
+        let t = Trace { ops: vec![rank(1), rank(0)] };
+        let r = lint_trace(&t, &LintOptions::default());
+        assert_eq!(r.len(), 1, "{r}");
+        let d = r.iter().next().unwrap();
+        assert_eq!((d.code, d.severity, d.pc), ("deadlock", Severity::Error, Some(2)), "{r}");
+        assert!(d.message.contains("wait-for cycle 0 -> 1 -> 0"), "{r}");
     }
 
     #[test]

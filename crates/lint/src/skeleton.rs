@@ -7,23 +7,27 @@
 //! most specific check that can see it:
 //!
 //! 1. expansion failures (bad roots, bad sources, evaluation errors);
-//! 2. collective-sequence divergence (a cross-rank property the deadlock
-//!    machine would otherwise report as an opaque cycle);
-//! 3. the message-matching machine: unmatched blocking operations and
-//!    wait-for cycles;
+//! 2. collective-sequence divergence (a cross-rank property the matching
+//!    stage would otherwise report as an opaque cycle);
+//! 3. matching: the streams run on the simulator's own MPI layer
+//!    ([`mpi_sim::MpiRank`] over [`mpi_sim::loopback`]); ranks left blocked
+//!    give unmatched blocking operations and wait-for cycles;
 //! 4. dead code — only when every rank expanded completely and nothing
 //!    above fired, since a truncated or failed expansion makes "never
 //!    executed" unknowable.
 //!
-//! The matching machine models the same MPI semantics the simulator's MPI
-//! layer uses: eager sends (≤ `LintOptions::eager_max`) complete
-//! immediately, larger sends rendezvous (block until matched), receives
-//! match by source rank (tags are per-instruction and already agree when
-//! sources do), collectives park until every rank arrives.
+//! Stage 3 adds no semantics of its own, so its verdict is the
+//! simulator's: eager sends (≤ `LintOptions::eager_max`) go out at once,
+//! larger sends — `Isend`s too — complete only once a receive matches
+//! them, self-sends complete locally, receives match by source and tag,
+//! and collectives run as the point-to-point schedules
+//! `mpi_sim::collectives::expand` makes of them.
 
 use conceptual::{Diagnostic, Report};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use union_core::MpiOp;
+use mpi_sim::MpiRank;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use union_core::{MpiOp, OpSource, Trace};
 
 use crate::expand::{ExpandStatus, ExpandedRank};
 use crate::LintOptions;
@@ -80,10 +84,15 @@ pub(crate) fn analyze(
         return report;
     }
 
-    // 3. Deadlock / unmatched-operation analysis.
-    let mut machine = Machine::new(streams, opts.eager_max);
-    machine.run();
-    machine.report(&mut report);
+    // 3. Deadlock / unmatched-operation analysis: replay the streams on
+    // the simulator's own MPI layer over an instantaneous loopback.
+    let trace = Arc::new(Trace {
+        ops: streams.iter().map(|s| s.ops.iter().map(|&(_, op)| op).collect()).collect(),
+    });
+    let mut ranks: Vec<MpiRank> =
+        (0..trace.num_ranks()).map(|r| MpiRank::new(trace.cursor(r), opts.eager_max)).collect();
+    mpi_sim::loopback(&mut ranks);
+    report_matching(streams, &ranks, &mut report);
 
     // 4. Dead code, only on a fully clean, fully expanded program.
     if report.is_empty() {
@@ -197,322 +206,128 @@ fn check_collectives(streams: &[ExpandedRank], prefix_only: bool) -> Option<Diag
     None
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tok {
-    Eager,
-    Rendezvous,
-}
+/// Read the verdict off the ranks the loopback left in their final
+/// states: who is permanently blocked and why, or — when every rank
+/// terminated — what traffic was left unmatched.
+fn report_matching(streams: &[ExpandedRank], ranks: &[MpiRank], report: &mut Report) {
+    let n = ranks.len();
+    let stuck: Vec<usize> = (0..n).filter(|&r| !ranks[r].is_done()).collect();
 
-/// The message-matching machine: advances every rank as far as MPI
-/// semantics allow, then reads off who is permanently blocked and why.
-struct Machine<'a> {
-    streams: &'a [ExpandedRank],
-    eager_max: u64,
-    /// `ip[r]` = index into `streams[r].ops` of the next op to execute.
-    ip: Vec<usize>,
-    /// In-flight messages not yet matched to a receive, keyed `(src, dst)`.
-    channels: BTreeMap<(u32, u32), VecDeque<Tok>>,
-    /// Posted nonblocking receives not yet matched, keyed `(src, dst)`.
-    pending: BTreeMap<(u32, u32), u32>,
-    /// Per-rank count of posted-but-unmatched nonblocking receives.
-    outstanding: Vec<u32>,
-    /// `sent_offer[r]`: r has published a rendezvous token and is blocked.
-    sent_offer: Vec<bool>,
-    /// `offer_taken[r]`: r's published rendezvous token was consumed.
-    offer_taken: Vec<bool>,
-    /// `parked[r]`: r has arrived at its next collective.
-    parked: Vec<bool>,
-}
-
-impl<'a> Machine<'a> {
-    fn new(streams: &'a [ExpandedRank], eager_max: u64) -> Machine<'a> {
-        let n = streams.len();
-        Machine {
-            streams,
-            eager_max,
-            ip: vec![0; n],
-            channels: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            outstanding: vec![0; n],
-            sent_offer: vec![false; n],
-            offer_taken: vec![false; n],
-            parked: vec![false; n],
-        }
-    }
-
-    /// A message from `s` arrives at `d`: match a posted receive if one
-    /// exists, otherwise buffer it.
-    fn deliver(&mut self, s: u32, d: u32, tok: Tok) {
-        if let Some(p) = self.pending.get_mut(&(s, d)) {
-            if *p > 0 {
-                *p -= 1;
-                self.outstanding[d as usize] -= 1;
-                if tok == Tok::Rendezvous {
-                    self.offer_taken[s as usize] = true;
-                }
-                return;
+    if stuck.is_empty() {
+        // Everyone terminated — flag leftover unmatched traffic.
+        let mut sends: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        let mut recvs: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        for (d, rank) in ranks.iter().enumerate() {
+            for s in rank.unexpected_sources() {
+                *sends.entry((s, d as u32)).or_default() += 1;
+            }
+            for s in rank.posted_sources() {
+                *recvs.entry((s, d as u32)).or_default() += 1;
             }
         }
-        self.channels.entry((s, d)).or_default().push_back(tok);
-    }
-
-    /// Try to consume a buffered message from `s` at `d`.
-    fn pop(&mut self, s: u32, d: u32) -> bool {
-        if let Some(q) = self.channels.get_mut(&(s, d)) {
-            if let Some(tok) = q.pop_front() {
-                if tok == Tok::Rendezvous {
-                    self.offer_taken[s as usize] = true;
-                }
-                return true;
-            }
+        for ((s, d), c) in sends {
+            report.push(Diagnostic::warning(
+                "unmatched-send",
+                format!("{c} message(s) from rank {s} to rank {d} are sent but never received"),
+            ));
         }
-        false
+        for ((s, d), c) in recvs {
+            report.push(
+                Diagnostic::warning(
+                    "unmatched-recv",
+                    format!(
+                        "rank {d} posts {c} receive(s) from rank {s} that are never matched by a send"
+                    ),
+                )
+                .on_rank(d),
+            );
+        }
+        return;
     }
 
-    /// Execute one op of rank `r` if semantics allow. Returns whether the
-    /// rank made progress.
-    fn try_step(&mut self, r: usize) -> bool {
-        let ops = &self.streams[r].ops;
-        let Some((_, op)) = ops.get(self.ip[r]) else {
-            return false; // terminated
+    // Wait-for graph over ranks, from each stuck rank's open requests;
+    // terminated ranks are sinks.
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &r in &stuck {
+        adj[r] = ranks[r].blocked_on().into_iter().map(|p| p as usize).collect();
+        adj[r].sort_unstable();
+        adj[r].dedup();
+    }
+    // The op a stuck rank stopped at is the last its cursor handed out (a
+    // collective stays current while its expansion runs).
+    let at = |r: usize| -> (usize, MpiOp) {
+        let OpSource::Trace(cursor) = ranks[r].source() else {
+            unreachable!("lint ranks replay expanded streams")
         };
-        let rank = r as u32;
-        match *op {
-            // Local / one-sided ops never block the matching machine.
-            MpiOp::Init
-            | MpiOp::Finalize
-            | MpiOp::Compute { .. }
-            | MpiOp::SyntheticSend { .. }
-            | MpiOp::ResetCounters
-            | MpiOp::LogCounters
-            | MpiOp::Aggregates => {
-                self.ip[r] += 1;
-                true
-            }
-            MpiOp::Isend { dst, bytes, .. } => {
-                // Nonblocking: completes locally regardless of size.
-                let _ = bytes;
-                self.deliver(rank, dst, Tok::Eager);
-                self.ip[r] += 1;
-                true
-            }
-            MpiOp::Send { dst, bytes, .. } => {
-                if bytes <= self.eager_max {
-                    self.deliver(rank, dst, Tok::Eager);
-                    self.ip[r] += 1;
-                    true
-                } else if self.sent_offer[r] {
-                    if self.offer_taken[r] {
-                        self.sent_offer[r] = false;
-                        self.offer_taken[r] = false;
-                        self.ip[r] += 1;
-                        true
-                    } else {
-                        false
-                    }
-                } else if self.pending.get(&(rank, dst)).is_some_and(|&p| p > 0) {
-                    *self.pending.get_mut(&(rank, dst)).unwrap() -= 1;
-                    self.outstanding[dst as usize] -= 1;
-                    self.ip[r] += 1;
-                    true
-                } else {
-                    self.channels.entry((rank, dst)).or_default().push_back(Tok::Rendezvous);
-                    self.sent_offer[r] = true;
-                    false
-                }
-            }
-            MpiOp::Irecv { src, .. } => {
-                if !self.pop(src, rank) {
-                    *self.pending.entry((src, rank)).or_insert(0) += 1;
-                    self.outstanding[r] += 1;
-                }
-                self.ip[r] += 1;
-                true
-            }
-            MpiOp::Recv { src, .. } => {
-                if self.pop(src, rank) {
-                    self.ip[r] += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            MpiOp::WaitAll => {
-                if self.outstanding[r] == 0 {
-                    self.ip[r] += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            MpiOp::Barrier
-            | MpiOp::Allreduce { .. }
-            | MpiOp::Reduce { .. }
-            | MpiOp::Bcast { .. } => {
-                self.parked[r] = true;
-                false
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        let n = self.streams.len();
-        loop {
-            let mut progress = false;
-            for r in 0..n {
-                while self.try_step(r) {
-                    progress = true;
-                }
-            }
-            // Collective release: signatures were already checked equal,
-            // so arrival of every rank is the only condition.
-            if n > 0 && (0..n).all(|r| self.parked[r]) {
-                for r in 0..n {
-                    self.parked[r] = false;
-                    self.ip[r] += 1;
-                }
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
-    /// What is rank `r` (stuck at `ip[r]`) blocked on?
-    fn blocked_desc(&self, r: usize) -> String {
-        let (pc, op) = &self.streams[r].ops[self.ip[r]];
+        streams[r].ops[cursor.pos() - 1]
+    };
+    let blocked_desc = |r: usize| -> String {
+        let (pc, op) = at(r);
+        let peers: Vec<String> = adj[r].iter().map(|p| p.to_string()).collect();
+        let peers = peers.join(", ");
         match op {
             MpiOp::Send { dst, bytes, .. } => {
                 format!("blocked in a rendezvous send of {bytes} B to rank {dst} (pc {pc})")
             }
-            MpiOp::Recv { src, .. } => {
-                format!("waiting for a message from rank {src} (pc {pc})")
-            }
+            MpiOp::Recv { src, .. } => format!("waiting for a message from rank {src} (pc {pc})"),
             MpiOp::WaitAll => {
-                let srcs: Vec<String> = self
-                    .pending
-                    .iter()
-                    .filter(|(&(_, d), &c)| d == r as u32 && c > 0)
-                    .map(|(&(s, _), _)| s.to_string())
-                    .collect();
-                format!("waiting on unmatched receives from rank(s) {} (pc {pc})", srcs.join(", "))
+                format!("waiting on unmatched requests with rank(s) {peers} (pc {pc})")
             }
             op => {
-                let sig = CollSig::of(op).map(|c| c.desc()).unwrap_or_else(|| "op".into());
-                format!("waiting in {sig} (pc {pc})")
+                let sig = CollSig::of(&op).map(|c| c.desc()).unwrap_or_else(|| "op".into());
+                format!("waiting in {sig} on rank(s) {peers} (pc {pc})")
             }
         }
+    };
+
+    if let Some(cycle) = find_cycle(&adj) {
+        let (pc0, _) = at(cycle[0]);
+        if cycle.len() == 1 {
+            let r = cycle[0];
+            report.push(
+                Diagnostic::error(
+                    "self-block",
+                    format!("rank {r} waits on itself: {}", blocked_desc(r)),
+                )
+                .on_rank(r as u32)
+                .at_pc(pc0),
+            );
+        } else {
+            let chain: Vec<String> =
+                cycle.iter().chain(cycle.first()).map(|r| r.to_string()).collect();
+            let hops: Vec<String> =
+                cycle.iter().map(|&r| format!("rank {r} {}", blocked_desc(r))).collect();
+            report.push(
+                Diagnostic::error(
+                    "deadlock",
+                    format!(
+                        "communication deadlock, wait-for cycle {}: {}",
+                        chain.join(" -> "),
+                        hops.join("; ")
+                    ),
+                )
+                .on_rank(cycle[0] as u32)
+                .at_pc(pc0),
+            );
+        }
+        return;
     }
 
-    /// Ranks rank `r` is waiting on.
-    fn waits_for(&self, r: usize) -> Vec<usize> {
-        let n = self.streams.len();
-        let (_, op) = &self.streams[r].ops[self.ip[r]];
-        match op {
-            MpiOp::Send { dst, .. } => vec![*dst as usize],
-            MpiOp::Recv { src, .. } => vec![*src as usize],
-            MpiOp::WaitAll => self
-                .pending
-                .iter()
-                .filter(|(&(_, d), &c)| d == r as u32 && c > 0)
-                .map(|(&(s, _), _)| s as usize)
-                .collect(),
-            op if CollSig::of(op).is_some() => (0..n).filter(|&q| !self.parked[q]).collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    fn report(&self, report: &mut Report) {
-        let n = self.streams.len();
-        let stuck: Vec<usize> =
-            (0..n).filter(|&r| self.ip[r] < self.streams[r].ops.len()).collect();
-
-        if stuck.is_empty() {
-            // Everyone terminated — flag leftover unmatched traffic.
-            for (&(s, d), q) in &self.channels {
-                if !q.is_empty() {
-                    report.push(Diagnostic::warning(
-                        "unmatched-send",
-                        format!(
-                            "{} message(s) from rank {s} to rank {d} are sent but never received",
-                            q.len()
-                        ),
-                    ));
-                }
-            }
-            for (&(s, d), &c) in &self.pending {
-                if c > 0 {
-                    report.push(
-                        Diagnostic::warning(
-                            "unmatched-recv",
-                            format!(
-                                "rank {d} posts {c} receive(s) from rank {s} that are never \
-                                 matched by a send"
-                            ),
-                        )
-                        .on_rank(d),
-                    );
-                }
-            }
-            return;
-        }
-
-        // Wait-for graph over ranks; terminated ranks are sinks.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &r in &stuck {
-            adj[r] = self.waits_for(r);
-        }
-        if let Some(cycle) = find_cycle(&adj) {
-            let (pc0, _) = self.streams[cycle[0]].ops[self.ip[cycle[0]]];
-            if cycle.len() == 1 {
-                let r = cycle[0];
-                report.push(
-                    Diagnostic::error(
-                        "self-block",
-                        format!("rank {r} waits on itself: {}", self.blocked_desc(r)),
-                    )
-                    .on_rank(r as u32)
-                    .at_pc(pc0),
-                );
-            } else {
-                let chain: Vec<String> =
-                    cycle.iter().chain(cycle.first()).map(|r| r.to_string()).collect();
-                let hops: Vec<String> =
-                    cycle.iter().map(|&r| format!("rank {r} {}", self.blocked_desc(r))).collect();
-                report.push(
-                    Diagnostic::error(
-                        "deadlock",
-                        format!(
-                            "communication deadlock, wait-for cycle {}: {}",
-                            chain.join(" -> "),
-                            hops.join("; ")
-                        ),
-                    )
-                    .on_rank(cycle[0] as u32)
-                    .at_pc(pc0),
-                );
-            }
-            return;
-        }
-
-        // No cycle: blocked on operations that can never be matched
-        // (e.g. the peer already terminated).
-        let r0 = stuck[0];
-        let (pc0, _) = self.streams[r0].ops[self.ip[r0]];
-        report.push(
-            Diagnostic::error(
-                "unmatched",
-                format!(
-                    "{} rank(s) block forever with no matching operation: rank {r0} {}",
-                    stuck.len(),
-                    self.blocked_desc(r0)
-                ),
-            )
-            .on_rank(r0 as u32)
-            .at_pc(pc0),
-        );
-    }
+    // No cycle: blocked on operations that can never be matched
+    // (e.g. the peer already terminated).
+    let r0 = stuck[0];
+    report.push(
+        Diagnostic::error(
+            "unmatched",
+            format!(
+                "{} rank(s) block forever with no matching operation: rank {r0} {}",
+                stuck.len(),
+                blocked_desc(r0)
+            ),
+        )
+        .on_rank(r0 as u32)
+        .at_pc(at(r0).0),
+    );
 }
 
 /// First directed cycle in `adj`, as the list of nodes on it.

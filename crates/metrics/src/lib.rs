@@ -58,16 +58,6 @@ impl Boxplot {
             nan_count,
         }
     }
-
-    /// Ratio of this box's mean to a baseline mean ("slowdown" in the
-    /// paper's Fig 7/9 discussion). 1.0 when the baseline is zero.
-    pub fn slowdown_vs(&self, baseline: &Boxplot) -> f64 {
-        if baseline.mean > 0.0 {
-            self.mean / baseline.mean
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Per-rank message-latency accounting. Each process records the minimum,

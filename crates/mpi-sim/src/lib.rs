@@ -67,6 +67,10 @@ pub struct MpiMsg {
 /// Size of RTS/CTS control messages on the wire.
 pub const CTRL_WIRE_BYTES: u64 = 16;
 
+/// Default eager/rendezvous threshold in bytes (a typical MPI default):
+/// payloads up to this size go out eagerly, larger ones rendezvous.
+pub const EAGER_MAX: u64 = 16 * 1024;
+
 /// What the host must do on behalf of the rank.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Action {
@@ -162,8 +166,8 @@ const _: () = {
 
 impl MpiRank {
     /// Wrap an op source (a Union skeleton VM or a trace cursor).
-    /// `eager_max` is the eager/rendezvous threshold in bytes (16 KiB is
-    /// a typical MPI default).
+    /// `eager_max` is the eager/rendezvous threshold in bytes (see
+    /// [`EAGER_MAX`]).
     pub fn new(src: impl Into<OpSource>, eager_max: u64) -> MpiRank {
         let src = src.into();
         let n = src.num_tasks();
@@ -229,6 +233,38 @@ impl MpiRank {
     /// look when a job misses its makespan.
     pub fn describe(&self) -> String {
         format!("rank {}/{} · {}", self.rank, self.n, self.state_label())
+    }
+
+    /// The op source this rank pulls from; how far it got tells which op
+    /// the rank is at.
+    pub fn source(&self) -> &OpSource {
+        &self.src
+    }
+
+    /// Peers a blocked rank waits on, one entry per blocking request still
+    /// open: the source of an unmatched receive, the destination of a
+    /// rendezvous send no CTS has answered. A request whose messages are
+    /// already on the network names no peer. Empty unless blocked.
+    pub fn blocked_on(&self) -> Vec<u32> {
+        let State::Blocked(reqs) = &self.state else { return Vec::new() };
+        reqs.iter()
+            .filter_map(|&req| {
+                let recv = self.posted.iter().find(|p| p.req == req).map(|p| p.src);
+                let send = || self.rdv_out.iter().find(|(_, o)| o.req == req).map(|(_, o)| o.dst);
+                recv.or_else(send)
+            })
+            .collect()
+    }
+
+    /// Source of every message that arrived with no receive posted for it
+    /// and is still unclaimed (eager payloads and rendezvous RTSs).
+    pub fn unexpected_sources(&self) -> impl Iterator<Item = u32> + '_ {
+        self.unexpected.iter().map(|u| u.src)
+    }
+
+    /// Source of every posted receive no message has matched yet.
+    pub fn posted_sources(&self) -> impl Iterator<Item = u32> + '_ {
+        self.posted.iter().map(|p| p.src)
     }
 
     /// Kick the rank off (call once at simulation start).
@@ -578,45 +614,65 @@ impl MpiRank {
     }
 }
 
+/// An instantaneous loopback network: every message arrives, and every
+/// injection and compute completes, at time 0. `ranks[i]` must be rank
+/// `i` of one job. Starts every rank and drives them until nothing is in
+/// flight, leaving each in its final state: done, or blocked on requests
+/// that nothing can complete any more. The same MPI semantics the
+/// simulator runs, without a network.
+pub fn loopback(ranks: &mut [MpiRank]) {
+    let mut inflight = start_all(ranks);
+    pump(ranks, &mut inflight, |_, _| false);
+}
+
+/// Start every rank; returns their first actions, tagged with the rank.
+fn start_all(ranks: &mut [MpiRank]) -> VecDeque<(usize, Action)> {
+    let mut inflight = VecDeque::new();
+    let mut out = Vec::new();
+    for (who, r) in ranks.iter_mut().enumerate() {
+        r.start(0, &mut out);
+        inflight.extend(out.drain(..).map(|a| (who, a)));
+    }
+    inflight
+}
+
+/// Carry out `inflight` and every action it causes, loopback-style.
+/// Messages `hold(sender, msg)` keeps back are injected but not
+/// delivered; they are returned in send order.
+fn pump(
+    ranks: &mut [MpiRank],
+    inflight: &mut VecDeque<(usize, Action)>,
+    mut hold: impl FnMut(usize, &MpiMsg) -> bool,
+) -> Vec<MpiMsg> {
+    let mut out = Vec::new();
+    let mut held = Vec::new();
+    while let Some((who, action)) = inflight.pop_front() {
+        match action {
+            Action::Compute { .. } => ranks[who].on_compute_done(0, &mut out),
+            Action::Send(msg) => ranks[who].on_injected(0, msg.seq, &mut out),
+        }
+        inflight.extend(out.drain(..).map(|a| (who, a)));
+        if let Action::Send(msg) = action {
+            if hold(who, &msg) {
+                held.push(msg);
+            } else {
+                let dst = msg.dst as usize;
+                ranks[dst].on_delivery(0, &msg, &mut out);
+                inflight.extend(out.drain(..).map(|a| (dst, a)));
+            }
+        }
+    }
+    held
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use union_core::{translate_source, Builder, RankVm, SkeletonInstance};
 
-    /// An instantaneous loopback network: messages arrive immediately,
-    /// injection completes immediately, computes take zero time. Drives a
-    /// set of MpiRanks to completion and panics on deadlock.
-    fn run_loopback(mut ranks: Vec<MpiRank>) -> Vec<MpiRank> {
-        let mut actions: Vec<Action> = Vec::new();
-        let mut inflight: VecDeque<(usize, Action)> = VecDeque::new();
-        for r in ranks.iter_mut() {
-            actions.clear();
-            r.start(0, &mut actions);
-            let who = r.rank() as usize;
-            inflight.extend(actions.drain(..).map(|a| (who, a)));
-        }
-        let mut steps = 0u64;
-        while let Some((who, action)) = inflight.pop_front() {
-            steps += 1;
-            assert!(steps < 10_000_000, "loopback runaway");
-            actions.clear();
-            match action {
-                Action::Compute { .. } => {
-                    ranks[who].on_compute_done(steps, &mut actions);
-                    inflight.extend(actions.drain(..).map(|a| (who, a)));
-                }
-                Action::Send(msg) => {
-                    // Injection completes instantly…
-                    ranks[who].on_injected(steps, msg.seq, &mut actions);
-                    inflight.extend(actions.drain(..).map(|a| (who, a)));
-                    // …and the message arrives instantly.
-                    actions.clear();
-                    let dst = msg.dst as usize;
-                    ranks[dst].on_delivery(steps, &msg, &mut actions);
-                    inflight.extend(actions.drain(..).map(|a| (dst, a)));
-                }
-            }
-        }
+    /// Run `ranks` on the loopback and require every one to finish.
+    fn loopback_to_completion(mut ranks: Vec<MpiRank>) -> Vec<MpiRank> {
+        loopback(&mut ranks);
         for r in &ranks {
             assert!(r.is_done(), "rank {} deadlocked", r.rank());
         }
@@ -634,7 +690,7 @@ mod tests {
         let mut ranks = ranks_for("task 0 sends a 8 byte message to task 1.", 2, 1 << 20);
         assert_eq!(ranks[0].state_label(), "ready");
         assert_eq!(ranks[0].describe(), "rank 0/2 · ready");
-        ranks = run_loopback(ranks);
+        ranks = loopback_to_completion(ranks);
         assert_eq!(ranks[0].state_label(), "done");
         assert_eq!(ranks[1].describe(), "rank 1/2 · done");
     }
@@ -657,61 +713,22 @@ mod tests {
         for r in ranks.iter_mut() {
             r.coll_seq = collectives::SEQ_MASK - 1;
         }
-        let mut actions: Vec<Action> = Vec::new();
-        let mut inflight: VecDeque<(usize, Action)> = VecDeque::new();
-        for r in ranks.iter_mut() {
-            actions.clear();
-            r.start(0, &mut actions);
-            let who = r.rank() as usize;
-            inflight.extend(actions.drain(..).map(|a| (who, a)));
-        }
+        let mut inflight = start_all(&mut ranks);
         // Loopback, except the root's first bcast payload stays in the
         // network until everything else has drained.
-        let mut held: Option<MpiMsg> = None;
-        let mut already_held = false;
-        let mut steps = 0u64;
-        loop {
-            while let Some((who, action)) = inflight.pop_front() {
-                steps += 1;
-                assert!(steps < 100_000, "runaway");
-                actions.clear();
-                match action {
-                    Action::Compute { .. } => {
-                        ranks[who].on_compute_done(steps, &mut actions);
-                        inflight.extend(actions.drain(..).map(|a| (who, a)));
-                    }
-                    Action::Send(msg) => {
-                        ranks[who].on_injected(steps, msg.seq, &mut actions);
-                        inflight.extend(actions.drain(..).map(|a| (who, a)));
-                        if !already_held && who == 0 {
-                            already_held = true;
-                            held = Some(msg);
-                        } else {
-                            actions.clear();
-                            let dst = msg.dst as usize;
-                            ranks[dst].on_delivery(steps, &msg, &mut actions);
-                            inflight.extend(actions.drain(..).map(|a| (dst, a)));
-                        }
-                    }
-                }
-            }
-            match held.take() {
-                Some(msg) => {
-                    // Quiescent with one old-epoch message in flight: the
-                    // fence must be holding the root inside the old tag
-                    // epoch (before the fix the root finished all four
-                    // bcasts here).
-                    assert!(!ranks[0].is_done(), "root raced past the tag-epoch fence");
-                    assert!(!ranks[1].is_done());
-                    assert_eq!(ranks[0].coll_fences, 1);
-                    actions.clear();
-                    let dst = msg.dst as usize;
-                    ranks[dst].on_delivery(steps, &msg, &mut actions);
-                    inflight.extend(actions.drain(..).map(|a| (dst, a)));
-                }
-                None => break,
-            }
-        }
+        let mut first = true;
+        let held = pump(&mut ranks, &mut inflight, |who, _| who == 0 && std::mem::take(&mut first));
+        // Quiescent with one old-epoch message in flight: the fence must
+        // be holding the root inside the old tag epoch (before the fix
+        // the root finished all four bcasts here).
+        assert_eq!(held.len(), 1);
+        assert!(!ranks[0].is_done(), "root raced past the tag-epoch fence");
+        assert!(!ranks[1].is_done());
+        assert_eq!(ranks[0].coll_fences, 1);
+        let mut out = Vec::new();
+        ranks[1].on_delivery(0, &held[0], &mut out);
+        inflight.extend(out.drain(..).map(|a| (1, a)));
+        pump(&mut ranks, &mut inflight, |_, _| false);
         for r in &ranks {
             assert!(r.is_done(), "rank {} deadlocked", r.rank());
             assert_eq!(r.coll_fences, 1);
@@ -720,10 +737,26 @@ mod tests {
         assert_eq!(ranks[1].latency.count, 5);
     }
 
+    /// The loopback stops when nothing is in flight, not when every rank
+    /// is done: a deadlocked job is left blocked, with its open requests
+    /// and leftover traffic readable.
+    #[test]
+    fn loopback_leaves_a_deadlock_blocked_and_readable() {
+        let mut ranks =
+            ranks_for("all tasks t send a 1048576 byte message to task (1 - t).", 2, EAGER_MAX);
+        loopback(&mut ranks);
+        for (r, peer) in [(0, 1), (1, 0)] {
+            assert_eq!(ranks[r].state_label(), "blocked");
+            assert_eq!(ranks[r].blocked_on(), [peer], "the rendezvous send waits on its peer");
+            assert_eq!(ranks[r].unexpected_sources().collect::<Vec<_>>(), [peer], "unanswered RTS");
+            assert!(ranks[r].posted_sources().next().is_none());
+        }
+    }
+
     #[test]
     fn ping_pong_completes_eager_and_rendezvous() {
         for eager in [1 << 20, 4] {
-            let ranks = run_loopback(ranks_for(
+            let ranks = loopback_to_completion(ranks_for(
                 "for 3 repetitions { task 0 sends a 1024 byte message to task 1 then \
                  task 1 sends a 1024 byte message to task 0 }.",
                 2,
@@ -737,11 +770,11 @@ mod tests {
 
     #[test]
     fn nonblocking_ring_completes() {
-        let ranks = run_loopback(ranks_for(
+        let ranks = loopback_to_completion(ranks_for(
             "for 5 repetitions { all tasks t asynchronously send a 100000 byte message \
              to task (t+1) mod num_tasks then all tasks await completions }.",
             6,
-            16 * 1024,
+            EAGER_MAX,
         ));
         for r in &ranks {
             assert_eq!(r.latency.count, 5);
@@ -752,13 +785,13 @@ mod tests {
     #[test]
     fn collectives_complete_for_odd_sizes() {
         for n in [2u32, 3, 5, 8, 13] {
-            let ranks = run_loopback(ranks_for(
+            let ranks = loopback_to_completion(ranks_for(
                 "all tasks reduce a 1000000 byte message to all tasks then \
                  task 0 multicasts a 25 byte message to all other tasks then \
                  all tasks synchronize then \
                  all tasks reduce a 8 byte message to task 0.",
                 n,
-                16 * 1024,
+                EAGER_MAX,
             ));
             for r in &ranks {
                 assert!(r.is_done(), "n={n}");
@@ -770,11 +803,11 @@ mod tests {
     fn unexpected_messages_match_later_recvs() {
         // Rank 1 computes before receiving, so rank 0's eager send arrives
         // unexpected; the later recv must still match.
-        let ranks = run_loopback(ranks_for(
+        let ranks = loopback_to_completion(ranks_for(
             "task 0 sends a 64 byte message to task 1 then \
              task 1 computes for 1 microseconds.",
             2,
-            16 * 1024,
+            EAGER_MAX,
         ));
         assert_eq!(ranks[1].latency.count, 1);
     }
@@ -786,7 +819,7 @@ mod tests {
         let inst = SkeletonInstance::new(&skel, 2, &[]).unwrap();
         let ranks: Vec<MpiRank> =
             (0..2).map(|r| MpiRank::new(RankVm::new(inst.clone(), r, 1), 1024)).collect();
-        let ranks = run_loopback(ranks);
+        let ranks = loopback_to_completion(ranks);
         // Loopback time advances one step per action, so comm time is tiny
         // but the timer must be closed (not blocked at the end).
         for r in &ranks {
@@ -803,14 +836,14 @@ mod tests {
         let inst = SkeletonInstance::new(&skel, 4, &[]).unwrap();
         let ranks: Vec<MpiRank> =
             (0..4).map(|r| MpiRank::new(RankVm::new(inst.clone(), r, 9), 1 << 20)).collect();
-        let ranks = run_loopback(ranks);
+        let ranks = loopback_to_completion(ranks);
         let total: u64 = ranks.iter().map(|r| r.latency.count).sum();
         assert_eq!(total, 16, "every synthetic send is received somewhere");
     }
 
     #[test]
     fn bogus_cts_fails_the_rank_instead_of_panicking() {
-        let mut ranks = ranks_for("task 0 sends a 100000 byte message to task 1.", 2, 16 * 1024);
+        let mut ranks = ranks_for("task 0 sends a 100000 byte message to task 1.", 2, EAGER_MAX);
         let mut out = Vec::new();
         ranks[0].start(0, &mut out);
         // A CTS answering a rendezvous seq this rank never started —
@@ -864,10 +897,10 @@ mod tests {
 
     #[test]
     fn self_sends_complete_locally() {
-        let ranks = run_loopback(ranks_for(
+        let ranks = loopback_to_completion(ranks_for(
             "all tasks t send a 4096 byte message to task t.",
             3,
-            16 * 1024,
+            EAGER_MAX,
         ));
         for r in &ranks {
             assert!(r.is_done());
@@ -879,10 +912,10 @@ mod tests {
     fn large_collective_uses_rendezvous_and_completes() {
         // 1 MiB allreduce with a 16 KiB eager threshold forces the
         // rendezvous path inside Rabenseifner rounds.
-        let ranks = run_loopback(ranks_for(
+        let ranks = loopback_to_completion(ranks_for(
             "all tasks reduce a 1048576 byte message to all tasks.",
             8,
-            16 * 1024,
+            EAGER_MAX,
         ));
         for r in &ranks {
             assert!(r.is_done());

@@ -324,7 +324,9 @@ impl<L: Lp> Simulation<L> {
                         wake(o);
                     }
                 }
-                w.lag_max = w.lag_max.max(peer_max.saturating_sub(published));
+                // Spread of the published clocks: the most-advanced minus
+                // the least-advanced, this worker's own included.
+                w.lag_max = w.lag_max.max(peer_max.max(published) - bound.min(published));
 
                 // Live flush: barrier-free, so cadence is committed volume
                 // rather than rounds. One branch per outer iteration when
@@ -572,6 +574,7 @@ mod tests {
             assert_eq!(sa.committed, sb.committed, "t={threads}: {sb:?}");
             assert_eq!(chains(&a), chains(&b), "t={threads}");
             assert_eq!(sb.remote_events, 0, "t={threads}: block 0 left its worker: {sb:?}");
+            assert!(sb.horizon_lag_max > 0, "t={threads}: published clocks never spread: {sb:?}");
         }
     }
 

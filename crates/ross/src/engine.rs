@@ -215,11 +215,6 @@ impl<L: Lp> Simulation<L> {
         &self.lps
     }
 
-    /// Consume the simulation, returning the LPs.
-    pub fn into_lps(self) -> Vec<L> {
-        self.lps
-    }
-
     /// Number of events awaiting processing.
     pub fn pending_events(&self) -> usize {
         self.pending.len()

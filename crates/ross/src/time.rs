@@ -52,12 +52,6 @@ impl SimTime {
         self.0 as f64 / 1e3
     }
 
-    /// Time as floating-point milliseconds (for reporting only).
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating difference between two times.
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {

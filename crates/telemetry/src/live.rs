@@ -583,10 +583,6 @@ impl GangAggregator {
         }
     }
 
-    pub fn worker_count(&self) -> usize {
-        self.workers.lock().len()
-    }
-
     /// The gang-wide snapshot: counter-sum, gauge-max, histogram-merge.
     pub fn aggregate(&self) -> SnapshotRecord {
         let map = self.workers.lock();

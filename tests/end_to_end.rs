@@ -193,3 +193,42 @@ fn runs_are_reproducible() {
     };
     assert_eq!(run(), run());
 }
+
+/// `union-lint`'s verdict is the simulator's: a program lint passes runs
+/// to completion, and one it rejects as a deadlock stops with its job not
+/// done. A large self-send completes (the MPI layer delivers it locally);
+/// a rendezvous `Isend` exchange deadlocks at `WaitAll`, because each
+/// `Isend` waits for a receive its peer posts only afterwards.
+#[test]
+fn lint_verdict_matches_a_full_run() {
+    use std::sync::Arc;
+    use union_core::{MpiOp, Trace};
+    use union_lint::{lint_skeleton, lint_trace, LintOptions};
+    let opts = LintOptions::default();
+    let run = |b: SimulationBuilder| {
+        let mut sim =
+            b.routing(Routing::Minimal).placement(Placement::RandomNodes).build().unwrap();
+        sim.run(Scheduler::Sequential, SimTime::MAX).apps[0].all_done()
+    };
+
+    let skel = translate_source("task 0 sends a 1048576 byte message to task 0.", "self").unwrap();
+    let r = lint_skeleton(&skel, 2, &[], &opts);
+    assert!(r.is_empty(), "{r}");
+    let inst = SkeletonInstance::new(&skel, 2, &[]).unwrap();
+    let vms: Vec<RankVm> = (0..2).map(|r| RankVm::new(inst.clone(), r, 1)).collect();
+    assert!(run(SimulationBuilder::new(DragonflyConfig::tiny_1d()).job("self", vms)));
+
+    let rank = |peer: u32| {
+        vec![
+            MpiOp::Init,
+            MpiOp::Isend { dst: peer, bytes: 1 << 20, tag: 0 },
+            MpiOp::WaitAll,
+            MpiOp::Recv { src: peer, bytes: 1 << 20, tag: 0 },
+            MpiOp::Finalize,
+        ]
+    };
+    let trace = Arc::new(Trace { ops: vec![rank(1), rank(0)] });
+    let r = lint_trace(&trace, &opts);
+    assert_eq!(r.iter().map(|d| d.code).collect::<Vec<_>>(), ["deadlock"], "{r}");
+    assert!(!run(SimulationBuilder::new(DragonflyConfig::tiny_1d()).job_trace("xchg", &trace)));
+}
