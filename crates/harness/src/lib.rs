@@ -7,6 +7,7 @@
 
 pub mod lint;
 pub mod live;
+mod profiler;
 pub mod report;
 pub mod run;
 pub mod shard;

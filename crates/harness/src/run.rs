@@ -68,6 +68,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--live", value: "ADDR", cmds: "mix phold", help: "serve /metrics (Prometheus text) and /snapshot (JSON); a gang serves one merged endpoint" },
     Flag { name: "--live-hold", value: "MS", cmds: "mix phold", help: "keep the endpoint up MS ms after the run (default 0)" },
     Flag { name: "--live-interval", value: "MS", cmds: "mix phold", help: "sampler interval (default 250)" },
+    Flag { name: "--sample-out", value: "FILE", cmds: "mix phold", help: "write a SIGPROF CPU profile of the run (in-process schedulers; read it with scripts/samples.py)" },
     Flag { name: "--ranks", value: "N", cmds: "table1 validate lint", help: "rank count (table1: 64, validate: 512, lint --file: 4)" },
     Flag { name: "--fixture", value: "NAME", cmds: "lint", help: "lint a seeded-bug fixture instead of the bundled workloads" },
     Flag { name: "--file", value: "PROG.ncptl", cmds: "lint", help: "lint a DSL program instead of the bundled workloads" },
@@ -307,6 +308,8 @@ pub struct Outputs {
     pub json: Option<String>,
     /// `--live ADDR`: the exposition endpoint.
     pub live: Option<LiveOpts>,
+    /// `--sample-out FILE`: a sampled CPU profile of the run (`profiler.rs`).
+    pub samples: Option<String>,
 }
 
 /// Everything that determines one `union-exp` run.
@@ -449,6 +452,7 @@ impl RunSpec {
                 trace,
                 json: a.get("--json").map(str::to_string),
                 live,
+                samples: a.get("--sample-out").map(str::to_string),
             },
         })
     }
@@ -466,6 +470,11 @@ impl RunSpec {
         if !supported {
             let supported = supported_scheds(cmd);
             return Err(UsageError(format!("{cmd} supports --sched {supported}, not `{sched}`")));
+        }
+        if let (Some(_), Sched::Shard(_)) = (&self.out.samples, sched) {
+            return Err(UsageError(format!(
+                "--sample-out profiles this process only; it cannot run with --sched {sched}"
+            )));
         }
         let Model::Codes(cfg) = &self.model else { return Ok(()) };
         if let Some(w) = cfg.workloads.iter().find(|w| !(1..=3).contains(*w)) {
@@ -644,6 +653,8 @@ impl RunReport {
 /// Run in this process: sequentially or under an in-process scheduler.
 fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
     let mut report = RunReport::open(spec, false)?;
+    let profiler = spec.out.samples.as_deref().map(crate::profiler::Profiler::start);
+    let profiler = profiler.transpose().map_err(RunError::Input)?;
     let live = report.live.as_ref().map(|plane| plane.registry.clone());
     match &spec.model {
         Model::Phold { params, until } => {
@@ -672,6 +683,10 @@ fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
             })
             .map_err(RunError::Failed)?;
         }
+    }
+    if let (Some(profiler), Some(path)) = (profiler, &spec.out.samples) {
+        let n = profiler.finish().map_err(RunError::Failed)?;
+        eprintln!("wrote {path} ({n} samples)");
     }
     report.close(spec)
 }

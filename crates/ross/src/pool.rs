@@ -15,6 +15,7 @@
 
 use crate::event::{Envelope, EventUid, LpId};
 use crate::time::SimTime;
+use std::mem::MaybeUninit;
 use std::num::NonZeroU32;
 
 /// Best-effort read prefetch into all cache levels. A scheduling hint
@@ -138,10 +139,28 @@ impl<E> EventPool<E> {
     /// hot entry's `(recv, send, src)`; the uid is `(src, tiebreak)`.
     #[inline]
     pub(crate) fn take(&mut self, slot: u32, recv: u64, send: u64, src: LpId) -> Envelope<E> {
+        let mut out = MaybeUninit::uninit();
+        self.take_into(slot, recv, send, src, &mut out);
+        // SAFETY: `take_into` initializes `out` or panics.
+        unsafe { out.assume_init() }
+    }
+
+    /// [`take`](EventPool::take), building the envelope in `out` itself
+    /// (overwritten, not dropped): the payload moves from the slot to its
+    /// final place once, with no envelope-sized temporary in between.
+    #[inline]
+    pub(crate) fn take_into(
+        &mut self,
+        slot: u32,
+        recv: u64,
+        send: u64,
+        src: LpId,
+        out: &mut MaybeUninit<Envelope<E>>,
+    ) {
         let cold = self.slots[slot as usize].take().expect("pool slot already empty");
         self.live -= 1;
         self.free.push(slot);
-        Envelope {
+        out.write(Envelope {
             recv_time: SimTime(recv),
             send_time: SimTime(send),
             src,
@@ -149,7 +168,7 @@ impl<E> EventPool<E> {
             tiebreak: cold.tiebreak,
             uid: EventUid { src, seq: cold.tiebreak },
             payload: cold.payload,
-        }
+        });
     }
 
     /// Borrow the contents of `slot` (peek / tie comparisons).

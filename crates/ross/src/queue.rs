@@ -37,13 +37,19 @@
 //!
 //! ## Bucket storage: one chunk arena per ladder
 //!
-//! A rung bucket (and the top tier) is not a vector but `{ head, len }`,
-//! eight bytes, naming a chain of 512-byte chunks — 21 hot entries and a
-//! `next` index — in a per-queue arena of 64 KiB slabs with a LIFO free
-//! list. Pushing writes into the head chunk and links a fresh one in front
-//! when it is full; scattering a bucket into a child rung, or copying it
-//! into `bottom` to be sorted, walks the chain and frees each chunk as it
-//! empties it. Timestamps in a network model are skewed — packets parked
+//! A rung bucket (and the top tier) is not a vector but `{ head, tail,
+//! len }`, twelve bytes, naming a chain of 512-byte chunks — 21 hot
+//! entries and a `next` index — in a per-queue arena of 64 KiB slabs with
+//! a LIFO free list. Pushing writes into the tail chunk and links a fresh
+//! one behind it when it is full; scattering a bucket into a child rung,
+//! or copying it into `bottom` to be sorted, walks the chain from the head
+//! and frees each chunk as it empties it. Chains are FIFO, so a bucket
+//! holds its entries in push order, and the engine pushes in
+//! nondecreasing send time: reversed, a bucket whose entries share one
+//! `recv_time` (a 1 ns bucket) is nearly sorted for `bottom`'s descending
+//! order, and an insertion sort finishes it in about one pass.
+//!
+//! Timestamps in a network model are skewed — packets parked
 //! far ahead behind busy ports stretch an era, so the near band lands in
 //! a few buckets of 10^5 entries beside thousands of near-empty ones —
 //! and with the arena that costs nothing: a bucket never reallocates or
@@ -71,6 +77,7 @@ use crate::pool::{EventPool, PoolStats};
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::mem::MaybeUninit;
 
 /// The least pending event's receive time and destination: what a
 /// scheduler reads to decide whether, and on which LP, to run it next.
@@ -89,6 +96,21 @@ pub trait EventQueue<E> {
     fn push(&mut self, env: Envelope<E>);
     /// Remove and return the least event in the full envelope order.
     fn pop(&mut self) -> Option<Envelope<E>>;
+    /// [`pop`](EventQueue::pop) into a cell the caller owns: write the
+    /// least event into `out` and return `true`, or return `false`, with
+    /// `out` untouched, when the queue is empty. `out` is overwritten,
+    /// never dropped. The ladder rebuilds the envelope in `out` itself
+    /// instead of passing it back through an `Option` (the worker step's
+    /// path); the default, which the heap keeps, goes through `pop`.
+    fn pop_into(&mut self, out: &mut MaybeUninit<Envelope<E>>) -> bool {
+        match self.pop() {
+            Some(env) => {
+                out.write(env);
+                true
+            }
+            None => false,
+        }
+    }
     /// The least event's head, without removing it.
     fn peek(&mut self) -> Option<Head>;
     /// The head of the event after the least one, when the queue holds it
@@ -196,6 +218,11 @@ impl<E> EventQueue<E> for PendingQueue<E> {
     #[inline]
     fn pop(&mut self) -> Option<Envelope<E>> {
         dispatch!(self, q => q.pop())
+    }
+
+    #[inline]
+    fn pop_into(&mut self, out: &mut MaybeUninit<Envelope<E>>) -> bool {
+        dispatch!(self, q => q.pop_into(out))
     }
 
     #[inline]
@@ -379,19 +406,47 @@ fn cmp_hot<E>(pool: &EventPool<E>, a: &HotEntry, b: &HotEntry) -> Ordering {
         .then_with(|| pool.get(a.slot).tiebreak.cmp(&pool.get(b.slot).tiebreak))
 }
 
-/// An unsorted bag of hot entries: a chain of arena chunks. Every chunk
-/// behind `head` is full; `head` holds the remaining `len mod CHUNK`
-/// entries (a full `CHUNK` when that is 0 and `len > 0`). 8 bytes, so a
-/// 4,096-bucket rung is one dense 32 KiB array.
+/// Sort `v` descending by `cmp`: insertion sort, linear on the nearly
+/// descending buckets the engine produces, until it has moved entries
+/// `4 * len` times; then `sort_unstable_by` finishes the job, so an
+/// unordered bucket costs a bounded detour, not a quadratic sort.
+fn sort_descending(v: &mut [HotEntry], cmp: impl Fn(&HotEntry, &HotEntry) -> Ordering) {
+    let budget = 4 * v.len();
+    let mut moves = 0;
+    for i in 1..v.len() {
+        let x = v[i];
+        let mut j = i;
+        while j > 0 && cmp(&v[j - 1], &x) == Ordering::Less {
+            if moves == budget {
+                v[j] = x;
+                v.sort_unstable_by(|a, b| cmp(b, a));
+                return;
+            }
+            moves += 1;
+            v[j] = v[j - 1];
+            j -= 1;
+        }
+        v[j] = x;
+    }
+}
+
+/// An unsorted bag of hot entries in push order: a chain of arena chunks
+/// from `head` (the oldest) to `tail`. Every chunk before `tail` is full;
+/// `tail` holds the remaining `len mod CHUNK` entries (a full `CHUNK` when
+/// that is 0 and `len > 0`). 12 bytes, so a 4,096-bucket rung is one
+/// dense 48 KiB array. `tail` is stale while `len == 0`.
 #[derive(Clone, Copy)]
 struct Bucket {
     head: u32,
+    tail: u32,
     len: u32,
 }
 
 impl Bucket {
-    const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
+    const EMPTY: Bucket = Bucket { head: NIL, tail: NIL, len: 0 };
 }
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 12);
 
 /// `CHUNK` hot entries and the link to the next chunk of the same bucket
 /// (or of the free list).
@@ -407,11 +462,12 @@ const _: () = assert!(std::mem::size_of::<Chunk>() == 512);
 /// top tier. Chunks live in fixed 64 KiB slabs that are never moved,
 /// resized or released while the queue lives; a chunk id is
 /// `slab * SLAB + index`, and every chunk is either linked into a bucket
-/// or on the LIFO free list. A bucket grows by linking a chunk in front of
-/// its chain (nothing is copied), and draining a bucket hands its chunks
-/// back one by one, so a scatter reuses the chunk it just emptied. Slack
-/// is one partial chunk per non-empty bucket; the arena's size is the
-/// chunk high-water mark, rounded up to a slab.
+/// or on the LIFO free list. A bucket grows by linking a chunk behind its
+/// tail (nothing is copied), and draining a bucket hands its chunks back
+/// one by one from the head, oldest first, so a scatter reuses the chunk
+/// it just emptied and keeps push order. Slack is one partial chunk per
+/// non-empty bucket; the arena's size is the chunk high-water mark,
+/// rounded up to a slab.
 struct Arena {
     slabs: Vec<Box<[Chunk; SLAB]>>,
     /// Head of the free list, linked through `Chunk::next`.
@@ -458,25 +514,33 @@ impl Arena {
         self.free = base as u32;
     }
 
-    #[inline]
+    /// Append `entry` to `b`. Always inlined: `push`, `scatter` and the
+    /// bulk loads of set-up call it once per entry.
+    #[inline(always)]
     fn push(&mut self, b: &mut Bucket, entry: HotEntry) {
         let at = b.len as usize % CHUNK;
         if at == 0 {
-            b.head = self.alloc(b.head);
+            let c = self.alloc(NIL);
+            if b.len == 0 {
+                b.head = c;
+            } else {
+                self.chunk(b.tail).next = c;
+            }
+            b.tail = c;
         }
-        self.chunk(b.head).entries[at] = entry;
+        self.chunk(b.tail).entries[at] = entry;
         b.len += 1;
     }
 
-    /// Unlink the head chunk of `b` and put it on the free list. Returns
-    /// its entries, the first `n` of them live; they stay readable until
-    /// the next `alloc`, which the borrow rules out.
+    /// Unlink the head (oldest) chunk of `b` and put it on the free list.
+    /// Returns its entries, the first `n` of them live; they stay readable
+    /// until the next `alloc`, which the borrow rules out.
     #[inline]
     fn pop_chunk(&mut self, b: &mut Bucket) -> Option<(&[HotEntry; CHUNK], usize)> {
         if b.len == 0 {
             return None;
         }
-        let n = (b.len as usize - 1) % CHUNK + 1;
+        let n = (b.len as usize).min(CHUNK);
         let (c, free) = (b.head, self.free);
         self.free = c;
         self.in_use -= 1;
@@ -486,9 +550,9 @@ impl Arena {
         Some((&chunk.entries, n))
     }
 
-    /// Move every entry of `from` into `to[(recv - start) >> shift]`. Each
-    /// chunk is copied out before its entries are pushed, so the pushes
-    /// can reuse that very chunk.
+    /// Move every entry of `from` into `to[(recv - start) >> shift]`, in
+    /// push order. Each chunk is copied out before its entries are pushed,
+    /// so the pushes can reuse that very chunk.
     fn scatter(&mut self, mut from: Bucket, to: &mut [Bucket], start: u64, shift: u32) {
         while let Some((&entries, n)) = self.pop_chunk(&mut from) {
             for e in &entries[..n] {
@@ -634,14 +698,44 @@ impl<E> LadderQueue<E> {
         self.bottom.insert(pos, entry);
     }
 
-    /// Make `bucket` the new bottom tier: copy it out of the arena and
-    /// sort it descending.
-    fn sort_into_bottom(&mut self, mut bucket: Bucket) {
+    /// Make `bucket` the new bottom tier: copy it out of the arena in push
+    /// order, reverse it and sort it descending. When every entry has the
+    /// same `recv` (`one_time`: a 1 ns bucket or a single-timestamp era),
+    /// the order is decided by `send` first, and the engine pushes in
+    /// nondecreasing send time: the reversed bucket is nearly descending,
+    /// and [`sort_descending`] finishes it in about one pass. In a wider
+    /// bucket push order says nothing about `recv`, so `sort_unstable_by`
+    /// does it.
+    fn sort_into_bottom(&mut self, mut bucket: Bucket, one_time: bool) {
         while let Some((entries, n)) = self.arena.pop_chunk(&mut bucket) {
             self.bottom.extend_from_slice(&entries[..n]);
         }
+        self.bottom.reverse();
         let pool = &self.pool;
-        self.bottom.sort_unstable_by(|a, b| cmp_hot(pool, b, a));
+        let cmp = |a: &HotEntry, b: &HotEntry| cmp_hot(pool, a, b);
+        match one_time {
+            true => sort_descending(&mut self.bottom, cmp),
+            false => self.bottom.sort_unstable_by(|a, b| cmp(b, a)),
+        }
+    }
+
+    /// Unlink the least entry, counting the op, and hint the pool slots
+    /// of the next four: their hot entries sit at the sorted tail, their
+    /// slots are scattered through the slab, and the current event's
+    /// handler hides the misses. Four, not two: the worker step reads the
+    /// destination of the event after next from its slot.
+    #[inline(always)]
+    fn pop_entry(&mut self) -> Option<HotEntry> {
+        if self.bottom.is_empty() {
+            self.refill();
+        }
+        let entry = self.bottom.pop()?;
+        for e in self.bottom.iter().rev().take(PREFETCH_SLOTS) {
+            self.pool.prefetch(e.slot);
+        }
+        self.ops += 1;
+        self.len -= 1;
+        Some(entry)
     }
 
     /// Refill `bottom` from the ladder: advance the deepest rung to its
@@ -663,7 +757,7 @@ impl<E> LadderQueue<E> {
                 if start == end {
                     // Single-timestamp era (this also covers the
                     // u64::MAX corner): sort straight into bottom.
-                    self.sort_into_bottom(top);
+                    self.sort_into_bottom(top, true);
                     return;
                 }
                 let range = end - start; // ≥ 1
@@ -714,7 +808,7 @@ impl<E> LadderQueue<E> {
                 continue;
             }
             // Small enough: materialize this bucket as the new bottom.
-            self.sort_into_bottom(bucket);
+            self.sort_into_bottom(bucket, width == 1);
             return;
         }
     }
@@ -781,21 +875,15 @@ impl<E> EventQueue<E> for LadderQueue<E> {
     }
 
     fn pop(&mut self) -> Option<Envelope<E>> {
-        if self.bottom.is_empty() {
-            self.refill();
-        }
-        let entry = self.bottom.pop()?;
-        // Hide the slab misses of the next four events behind the current
-        // event's handler (their hot entries sit at the sorted tail; their
-        // slots are scattered through the slab). Four, not two: the
-        // worker step reads the destination of the event after next from
-        // its slot to prefetch that LP.
-        for e in self.bottom.iter().rev().take(PREFETCH_SLOTS) {
-            self.pool.prefetch(e.slot);
-        }
-        self.ops += 1;
-        self.len -= 1;
-        Some(self.pool.take(entry.slot, entry.recv, entry.send, entry.src))
+        let e = self.pop_entry()?;
+        Some(self.pool.take(e.slot, e.recv, e.send, e.src))
+    }
+
+    #[inline]
+    fn pop_into(&mut self, out: &mut MaybeUninit<Envelope<E>>) -> bool {
+        let Some(e) = self.pop_entry() else { return false };
+        self.pool.take_into(e.slot, e.recv, e.send, e.src, out);
+        true
     }
 
     fn peek(&mut self) -> Option<Head> {
@@ -1138,6 +1226,60 @@ mod tests {
         q.pop();
         assert_eq!(q.peek_second(), None);
         assert_eq!(BinaryHeapQueue::<u64>::new().peek_second(), None);
+    }
+
+    /// FIFO chains: a scatter hands each child bucket its entries in push
+    /// order, and `sort_into_bottom` copies a bucket out in push order and
+    /// reverses it. The entries of one child tie on every key, so the
+    /// insertion sort moves none of them and `bottom` shows the copy order.
+    #[test]
+    fn scatter_and_sort_into_bottom_keep_push_order() {
+        let mut q = LadderQueue::<u64>::new();
+        let mut bucket = Bucket::EMPTY;
+        let mut pushed = vec![Vec::new(); 4];
+        // Four timestamps of 75 entries each (four chunks apiece).
+        for i in 0..300u64 {
+            let recv = i / 75;
+            let slot = q.pool.insert(env(recv, 0, 0, 0, i));
+            q.arena.push(&mut bucket, HotEntry { recv, send: 0, src: 0, slot });
+            pushed[recv as usize].push(slot);
+        }
+        let mut children = vec![Bucket::EMPTY; 4];
+        q.arena.scatter(bucket, &mut children, 0, 0);
+        assert!(children.iter().all(|b| b.len == 75));
+        for (k, child) in children.into_iter().enumerate() {
+            q.sort_into_bottom(child, true);
+            let slots: Vec<u32> = q.bottom.drain(..).rev().map(|e| e.slot).collect();
+            assert_eq!(slots, pushed[k], "child {k} left push order");
+        }
+        assert_eq!(q.arena.in_use, 0);
+    }
+
+    /// Ascending input is the descending insertion sort's worst case: 200
+    /// entries need 19,900 moves, far past the `4 * len` budget, so
+    /// `sort_unstable_by` finishes, and a ladder whose one-timestamp bucket
+    /// was pushed in descending `send` order still pops in order.
+    #[test]
+    fn insertion_sort_gives_up_on_a_reversed_bucket_and_the_ladder_still_pops_in_order() {
+        let at = |send: u64| HotEntry { recv: 5, send, src: 0, slot: 0 };
+        let by_send = |a: &HotEntry, b: &HotEntry| a.send.cmp(&b.send);
+        let descending = |v: &[HotEntry]| v.windows(2).all(|w| w[0].send > w[1].send);
+        let mut v: Vec<HotEntry> = (0..200).map(at).collect();
+        sort_descending(&mut v, by_send);
+        assert!(descending(&v));
+        // A straggler one place off is sorted within the budget.
+        let mut v: Vec<HotEntry> = (0..200).rev().map(at).collect();
+        v.swap(10, 11);
+        sort_descending(&mut v, by_send);
+        assert!(descending(&v));
+
+        let (mut heap, mut ladder) = (BinaryHeapQueue::new(), LadderQueue::new());
+        for i in 0..500u64 {
+            let e = env(1_000, 999 - i, (i % 3) as u32, i, i);
+            heap.push(e.clone());
+            ladder.push(e);
+        }
+        assert_eq!(drain_ids(&mut heap), drain_ids(&mut ladder));
     }
 
     #[test]

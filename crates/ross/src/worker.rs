@@ -37,6 +37,7 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{thread, Barrier, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanKind, TraceBuf, Tracer};
+use std::mem::MaybeUninit;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
@@ -236,6 +237,10 @@ pub(crate) struct Worker<'r, L: Lp> {
     pub(crate) lps: Vec<L>,
     pub(crate) metas: Vec<LpMeta>,
     pub(crate) lane: Lane<'r, L::Event>,
+    /// The event being executed: [`Worker::step`] pops it in here
+    /// ([`EventQueue::pop_into`]), hands [`Lp::handle`] a reference and
+    /// drops it once sealed. Uninitialized between steps.
+    ev: MaybeUninit<Envelope<L::Event>>,
     out: Vec<Outgoing<L::Event>>,
     /// Whether [`Worker::prefetch_ahead`] runs its two-deep pipeline.
     deep: bool,
@@ -297,20 +302,23 @@ impl<L: Lp> Worker<'_, L> {
                 top.dst, top.recv_time.0, reached.0
             ));
         }
-        let env = self.lane.queue.pop().expect("peeked event vanished");
+        assert!(self.lane.queue.pop_into(&mut self.ev), "peeked event vanished");
         self.prefetch_ahead(limit, slot);
+        // SAFETY: `pop_into` returned true, so it wrote an envelope into
+        // `ev`; it is dropped below, after its last use.
+        let env = unsafe { self.ev.assume_init_ref() };
         let meta = &mut self.metas[li];
         self.clock = self.clock.max(env.recv_time.0);
         meta.now = env.recv_time;
         let lp = &mut self.lps[li];
         // A dry trace buffer costs what a detached one does: one branch.
         let trace = match self.tbuf.as_mut() {
-            Some(b) if !b.is_dry() => Some((lp.trace_kind(&env), b.event_start(), meta.tiebreak)),
+            Some(b) if !b.is_dry() => Some((lp.trace_kind(env), b.event_start(), meta.tiebreak)),
             _ => None,
         };
         let mut ctx =
             Ctx { now: env.recv_time, me: env.dst, lookahead: self.lookahead, out: &mut self.out };
-        lp.handle(&env, &mut ctx);
+        lp.handle(env, &mut ctx);
         self.committed += 1;
         // Seal: buffered sends become envelopes, numbered by the sender.
         let (src, n_lps) = (env.dst, self.n_lps);
@@ -331,8 +339,12 @@ impl<L: Lp> Worker<'_, L> {
             route(&mut self.lane, new);
         }
         if let (Some(b), Some((kind, t0, uid_lo))) = (self.tbuf.as_mut(), trace) {
-            b.record(&env, uid_lo, (meta.tiebreak - uid_lo) as u32, kind, t0);
+            b.record(env, uid_lo, (meta.tiebreak - uid_lo) as u32, kind, t0);
         }
+        // SAFETY: initialized by the `pop_into` above and not read again
+        // until the next one overwrites it. (A panicking handler skips
+        // this and leaks the envelope, which is safe.)
+        unsafe { self.ev.assume_init_drop() };
         Step::Ran
     }
 
@@ -518,6 +530,7 @@ impl Report {
                 cross: 0,
                 mailbox_high_water: 0,
             },
+            ev: MaybeUninit::uninit(),
             out: Vec::with_capacity(8),
             deep,
             primed: usize::MAX,

@@ -3,11 +3,15 @@
 //! any stream of envelopes — including equal-`recv_time` collisions that
 //! fall through to the `(send_time, src, tiebreak)` tiebreaks, and
 //! interleaved push/pop patterns that exercise the ladder's frontier
-//! (insertions below, inside, and above the current era).
+//! (insertions below, inside, and above the current era), and the two
+//! stream shapes of the ladder's bottom sort: the engine's (sends in
+//! nondecreasing time, the insertion sort's fast path) and its reverse
+//! (the fallback).
 
 use proptest::prelude::*;
 use ross::queue::{BinaryHeapQueue, LadderQueue};
 use ross::{Envelope, EventQueue, QueueKind, SimTime};
+use std::mem::MaybeUninit;
 
 /// Deterministic splitmix64 stream for building event batches.
 struct Mix(u64);
@@ -74,8 +78,155 @@ fn fields(e: &Envelope<u64>) -> (u64, u64, u32, u32, u64, u32, u64, u64) {
     (e.recv_time.0, e.send_time.0, e.src, e.dst, e.tiebreak, e.uid.src, e.uid.seq, e.payload)
 }
 
+/// [`EventQueue::pop_into`] as an `Option`, like `pop`.
+fn pop_via_cell<Q: EventQueue<u64>>(q: &mut Q) -> Option<Envelope<u64>> {
+    let mut cell = MaybeUninit::uninit();
+    // SAFETY: `pop_into` wrote the cell when it returns true.
+    q.pop_into(&mut cell).then(|| unsafe { cell.assume_init() })
+}
+
+/// An event LP `src` sends at `now`, as the engine seals it: the sender's
+/// own tiebreak counter, a delay of 1..=`max_delay` ns.
+fn engine_send(
+    rng: &mut Mix,
+    sends: &mut [u64],
+    src: u32,
+    now: u64,
+    max_delay: u64,
+) -> Envelope<u64> {
+    let tiebreak = sends[src as usize];
+    sends[src as usize] += 1;
+    Envelope {
+        recv_time: SimTime(now + 1 + rng.below(max_delay)),
+        send_time: SimTime(now),
+        src,
+        dst: rng.below(sends.len() as u64) as u32,
+        tiebreak,
+        uid: ross::EventUid { src, seq: tiebreak },
+        payload: rng.next(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's shape: every push is sent at the time of the event
+    /// just popped, by that event's destination, so sends arrive in
+    /// nondecreasing `send_time`. With up to 64 LPs and delays of a few
+    /// ns, 1 ns buckets fill with equal-`recv` entries; handlers running
+    /// at one time tie on `send`, and a handler that sends twice ties on
+    /// `(send, src)` as well. The ladder pops through `pop_into`, the heap
+    /// through `pop`; every event must agree field for field.
+    #[test]
+    fn engine_shaped_streams_dequeue_identically(
+        seed in 0u64..u64::MAX,
+        n_lps in 1u32..64,
+        max_delay in 1u64..12,
+        steps in 100usize..1500,
+    ) {
+        let mut rng = Mix(seed);
+        let (mut heap, mut ladder) = (BinaryHeapQueue::new(), LadderQueue::new());
+        let mut sends = vec![0u64; n_lps as usize];
+        for lp in 0..n_lps {
+            let e = engine_send(&mut rng, &mut sends, lp, 0, max_delay);
+            heap.push(e.clone());
+            ladder.push(e);
+        }
+        for _ in 0..steps {
+            let (h, l) = (heap.pop(), pop_via_cell(&mut ladder));
+            prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+            let Some(e) = h else { break };
+            let fanout = match rng.below(8) {
+                0 => 0,
+                1 => 2,
+                _ => 1,
+            };
+            for _ in 0..fanout {
+                let new = engine_send(&mut rng, &mut sends, e.dst, e.recv_time.0, max_delay);
+                heap.push(new.clone());
+                ladder.push(new);
+            }
+        }
+        loop {
+            let (h, l) = (heap.pop(), pop_via_cell(&mut ladder));
+            prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+            if h.is_none() { break; }
+        }
+    }
+
+    /// The reversed shape: each batch lands on a few timestamps with
+    /// `send_time` descending in push order, so a dense one-timestamp
+    /// bucket reaches the bottom tier ascending, the insertion sort's
+    /// worst case, and it hands over to `sort_unstable_by`. Half of each
+    /// batch is popped before the next one arrives.
+    #[test]
+    fn reversed_streams_take_the_sort_fallback_and_dequeue_identically(
+        seed in 0u64..u64::MAX,
+        batch in 10u64..300,
+        time_span in 1u64..4,
+        rounds in 1u64..6,
+    ) {
+        let mut rng = Mix(seed);
+        let (mut heap, mut ladder) = (BinaryHeapQueue::new(), LadderQueue::new());
+        let mut sends = [0u64; 8];
+        for round in 1..=rounds {
+            let base = 1_000 * round;
+            for i in 0..batch {
+                let mut e = env(&mut rng, &mut sends, base, time_span, 0);
+                e.send_time = SimTime(base - 1 - i);
+                heap.push(e.clone());
+                ladder.push(e);
+            }
+            for _ in 0..batch / 2 {
+                let (h, l) = (heap.pop(), pop_via_cell(&mut ladder));
+                prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+            }
+        }
+        loop {
+            let (h, l) = (heap.pop(), ladder.pop());
+            prop_assert_eq!(h.as_ref().map(fields), l.as_ref().map(fields));
+            if h.is_none() { break; }
+        }
+    }
+
+    /// `pop_into` is `pop` in place: for both queues, two copies fed the
+    /// same stream agree field for field when one pops through `pop` and
+    /// the other through `pop_into`, and on an empty queue `pop_into`
+    /// leaves the cell as it was.
+    #[test]
+    fn pop_into_writes_what_pop_returns(
+        seed in 0u64..u64::MAX,
+        n_ops in 50usize..400,
+        time_span in 1u64..500,
+    ) {
+        for kind in [QueueKind::Heap, QueueKind::Ladder] {
+            let mut rng = Mix(seed);
+            let (mut by_pop, mut by_cell) = (kind.new_queue(), kind.new_queue());
+            let mut sends = [0u64; 8];
+            let mut base = 0u64;
+            for op in 0.. {
+                if op < n_ops && rng.below(3) != 0 {
+                    let e = env(&mut rng, &mut sends, base, time_span, 0);
+                    by_pop.push(e.clone());
+                    by_cell.push(e);
+                    continue;
+                }
+                let (want, got) = (by_pop.pop(), pop_via_cell(&mut by_cell));
+                prop_assert_eq!(got.as_ref().map(fields), want.as_ref().map(fields));
+                match want {
+                    Some(e) => base = e.recv_time.0.saturating_sub(time_span / 2),
+                    None if op >= n_ops => break,
+                    None => {}
+                }
+            }
+            let sentinel = env(&mut rng, &mut sends, 0, 1, 0);
+            let mut cell = MaybeUninit::new(sentinel.clone());
+            prop_assert!(!by_cell.pop_into(&mut cell));
+            // SAFETY: the cell was initialized and `pop_into` left it be.
+            let kept = unsafe { cell.assume_init() };
+            prop_assert_eq!(fields(&kept), fields(&sentinel));
+        }
+    }
 
     /// Feed the identical random stream — mixed bulk pushes, interleaved
     /// pops, and occasional full drains — into both queues; every pop
