@@ -128,7 +128,7 @@ mod tests {
     }
 
     /// Live metrics: one `Option` branch per event when no registry is
-    /// attached, batched sharded-handle flushes every 8192 commits when one
+    /// attached, batched counter flushes every 8192 commits when one
     /// is. Attached is a strict superset of detached, so this bounds the
     /// detached branch too.
     #[test]

@@ -1,9 +1,10 @@
 //! Checked multi-producer single-consumer channel mirroring the
-//! `std::sync::mpsc` API surface used by `ross::shard`'s loopback
-//! transport. Each message carries the sender's vector clock; a receive
-//! joins it, establishing the send→recv happens-before edge. A blocking
-//! `recv` on an empty channel parks the controlled thread (it is simply
-//! not *enabled* until a send lands or all senders disconnect).
+//! `std::sync::mpsc` API surface used by the wakeup channels of `ross`'s
+//! asynchronous scheduler. Each message carries the sender's vector
+//! clock; a receive joins it, establishing the send→recv happens-before
+//! edge. A blocking `recv` on an empty channel parks the controlled
+//! thread (it is simply not *enabled* until a send lands or all senders
+//! disconnect).
 
 use crate::rt::with_rt;
 use std::collections::VecDeque;

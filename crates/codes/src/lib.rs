@@ -38,12 +38,10 @@ pub mod node;
 pub mod router_lp;
 pub mod shared;
 pub mod sim;
-pub mod wire;
 
 pub use event::Event;
 pub use model::Window;
 pub use sim::{AppResult, CodesSim, JobSpec, SimResults, SimulationBuilder};
-pub use wire::CodesEventCodec;
 
 #[cfg(test)]
 mod tests {

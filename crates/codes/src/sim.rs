@@ -338,46 +338,16 @@ impl CodesSim {
         self.harvest(stats)
     }
 
-    /// Run this process's shard of the simulation (see
-    /// [`ross::Simulation::run_sharded`]). Every shard must build an
-    /// identical simulation — the `union-exp` launcher guarantees this
-    /// by re-exec'ing the same argv. Returns engine stats only: after a
-    /// sharded run only the owned LPs hold meaningful state, so results
-    /// are merged across processes via [`CodesSim::shard_fingerprint`],
-    /// not harvested per-shard. Shards and their threads own whole
-    /// blocks, so the run uses the model's window.
-    pub fn run_sharded(
-        &mut self,
-        transport: &mut dyn ross::shard::ShardTransport<Event>,
-        threads: usize,
-        until: SimTime,
-    ) -> Result<RunStats, ross::shard::ShardError> {
-        let window = SimDuration::from_ns(self.window.ns);
-        self.sim.run_sharded(transport, threads, window, until)
-    }
-
-    /// Order-independent digest of the LPs shard `me` of `n_shards`
-    /// owns, folding every observable the harvest reads (NIC counters,
-    /// per-rank MPI results, router port bytes, windowed counters).
-    /// Per-shard values sum (`wrapping_add`) to the whole-model value,
-    /// and a 1-shard "slice" equals a sequential run's fingerprint — the
-    /// launcher's cross-process equivalence check relies on both.
-    pub fn shard_fingerprint(&self, me: usize, n_shards: usize) -> u64 {
-        let partition = Partition::from_blocks(partition_blocks(&self.shared.topo));
-        let shard_of =
-            ross::shard::shard_owner_map(Some(&partition), self.sim.lps().len(), n_shards);
+    /// Order-independent digest of the final state of every LP, folding
+    /// every observable the harvest reads (NIC counters, per-rank MPI
+    /// results, router port bytes, windowed counters): the wrapping sum of
+    /// the per-LP digests. Every scheduler must leave the same value.
+    pub fn state_fingerprint(&self) -> u64 {
         self.sim
             .lps()
             .iter()
             .enumerate()
-            .filter(|(g, _)| shard_of[*g] == me as u32)
             .fold(0u64, |acc, (g, lp)| acc.wrapping_add(Self::lp_digest_impl(g as u32, lp)))
-    }
-
-    /// Whole-model fingerprint: what the shard fingerprints of a run
-    /// must sum to (the sequential verification value).
-    pub fn state_fingerprint(&self) -> u64 {
-        self.shard_fingerprint(0, 1)
     }
 
     pub fn shared(&self) -> &Shared {
@@ -428,7 +398,7 @@ impl CodesSim {
     /// Digest of one LP's observable end-of-run state (everything
     /// [`CodesSim::harvest`] reads from it), keyed by its global id.
     fn lp_digest_impl(gid: u32, lp: &CodesLp) -> u64 {
-        use ross::shard::wire::{fnv1a, put_u64};
+        use ross::digest::{fnv1a, put_u64};
         let mut buf = Vec::with_capacity(256);
         put_u64(&mut buf, gid as u64);
         match lp {

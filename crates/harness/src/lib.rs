@@ -7,10 +7,10 @@
 
 pub mod lint;
 pub mod live;
+pub mod phold;
 mod profiler;
 pub mod report;
 pub mod run;
-pub mod shard;
 pub mod sweep;
 pub mod trace_analysis;
 

@@ -16,7 +16,7 @@ pub fn window_report(cfg: &SweepConfig) -> Report {
             Ok(w) => out.push(Diagnostic::info(
                 "window",
                 format!(
-                    "{at} network: block window {} ns ({}) for par:T, async:T and shard:N:T",
+                    "{at} network: block window {} ns ({}) for par:T and async:T",
                     w.ns, w.edge
                 ),
             )),
@@ -106,7 +106,7 @@ mod tests {
             first.starts_with("1D network: block window 550 ns (packet edge router "),
             "{first}"
         );
-        assert!(first.ends_with(") for par:T, async:T and shard:N:T"), "{first}");
+        assert!(first.ends_with(") for par:T and async:T"), "{first}");
     }
 
     /// A zero-delay edge is the builder's error, and lint reports it as

@@ -1,16 +1,15 @@
 //! `union-exp` side of the live metrics plane: the `--live ADDR` endpoint
 //! of a run and the `union-exp top` summary renderer.
 //!
-//! The heavy machinery (registry, sampler, endpoint, gang aggregation)
-//! lives in [`telemetry::live`]; this module owns what is CLI-shaped —
+//! The heavy machinery (registry, sampler, endpoint) lives in
+//! [`telemetry::live`]; this module owns what is CLI-shaped —
 //! standing the endpoint up and tearing it down around a run, fetching a
 //! snapshot from an endpoint or a JSONL file, and rendering the
 //! one-screen summary table.
 
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::live::{bucket_bounds, SnapshotRecord};
-use telemetry::live::{GangAggregator, MetricsRegistry, MetricsSource, Sampler, Server};
+use telemetry::live::{bucket_bounds, MetricsRegistry, Sampler, Server, SnapshotRecord};
 
 /// Parsed `--live ADDR [--live-hold MS] [--live-interval MS]` flags.
 #[derive(Clone, Debug)]
@@ -29,53 +28,33 @@ pub struct LiveOpts {
 /// history at the default interval without unbounded growth.
 pub const RING_CAP: usize = 512;
 
-/// Start a sampler on `registry` at the `--live-interval` cadence; `sink`
-/// sees every snapshot (a shard worker streams them to its launcher).
-pub(crate) fn start_sampler(
-    opts: &LiveOpts,
-    registry: Arc<MetricsRegistry>,
-    sink: Option<telemetry::live::SnapshotSink>,
-) -> Sampler {
-    Sampler::start(registry, Duration::from_millis(opts.interval_ms.max(1)), RING_CAP, sink)
-}
-
 /// The exposition endpoint of one `--live` run and what feeds it.
 pub(crate) struct LivePlane {
-    /// What an in-process run reports into; sampled and served.
+    /// What the run reports into; sampled and served.
     pub(crate) registry: Arc<MetricsRegistry>,
-    /// On a gang launcher, served instead: the merge of the snapshots
-    /// workers stream over their control sockets (counter-sum, gauge-max,
-    /// histogram-merge).
-    pub(crate) gang: Arc<GangAggregator>,
-    /// `None` on a gang launcher, whose workers do the sampling.
     sampler: Option<Sampler>,
     server: Server,
     hold_ms: u64,
 }
 
 impl LivePlane {
-    /// Bind the endpoint and announce its address on stderr.
-    pub(crate) fn start(opts: &LiveOpts, gang: bool) -> std::io::Result<LivePlane> {
-        let (registry, agg) = (Arc::new(MetricsRegistry::new()), Arc::new(GangAggregator::new()));
-        let (source, note) = match gang {
-            true => (MetricsSource::Gang(agg.clone()), " (gang-aggregated)"),
-            false => (MetricsSource::Registry(registry.clone()), ""),
-        };
-        let server = Server::bind(&opts.addr, source)?;
-        eprintln!("live endpoint on http://{}/metrics{note}", server.local_addr());
-        let sampler = (!gang).then(|| start_sampler(opts, registry.clone(), None));
-        Ok(LivePlane { registry, gang: agg, sampler, server, hold_ms: opts.hold_ms })
+    /// Bind the endpoint, announce its address on stderr and start
+    /// sampling at the `--live-interval` cadence.
+    pub(crate) fn start(opts: &LiveOpts) -> std::io::Result<LivePlane> {
+        let registry = Arc::new(MetricsRegistry::new());
+        let server = Server::bind(&opts.addr, registry.clone())?;
+        eprintln!("live endpoint on http://{}/metrics", server.local_addr());
+        let interval = Duration::from_millis(opts.interval_ms.max(1));
+        let sampler = Some(Sampler::start(registry.clone(), interval, RING_CAP));
+        Ok(LivePlane { registry, sampler, server, hold_ms: opts.hold_ms })
     }
 
     /// End of run: stop sampling (the stop takes one final snapshot, so
     /// the last entry has exact end-of-run totals) and append the
-    /// snapshots — the sampler ring, or the gang's final merge — to the
-    /// telemetry stream when one is attached. The endpoint keeps serving.
+    /// sampler ring to the telemetry stream when one is attached. The
+    /// endpoint keeps serving.
     pub(crate) fn finish(&mut self, telemetry: Option<&telemetry::Recorder>) {
-        let snapshots = match self.sampler.take() {
-            Some(sampler) => sampler.stop(),
-            None => vec![self.gang.aggregate()],
-        };
+        let snapshots = self.sampler.take().map(Sampler::stop).unwrap_or_default();
         if let Some(rec) = telemetry {
             snapshots.iter().for_each(|snap| rec.emit(snap));
         }

@@ -252,9 +252,8 @@ fn run_cmd(cmd: &str, rest: &[String]) -> Outcome {
     Ok(0)
 }
 
-/// `phold` / `mix`: the state fingerprint and what the gang added to it.
+/// `phold` / `mix`: per-app progress and the state fingerprint.
 fn print_single(cmd: &str, report: &RunReport) {
-    // A shard worker's results went to its launcher.
     let Some(fingerprint) = report.fingerprint else { return };
     for a in report.records.iter().flat_map(|r| &r.results).flat_map(|r| &r.apps) {
         let (ranks, done) = (a.finished_at_ns.len(), a.all_done());
@@ -262,12 +261,6 @@ fn print_single(cmd: &str, report: &RunReport) {
     }
     println!("{cmd} fingerprint {fingerprint:016x}");
     println!("{cmd} committed {}", report.committed);
-    if let Some(n) = report.cross_shard_events {
-        println!("{cmd} cross-shard events {n}");
-    }
-    if report.verified {
-        println!("{cmd} verify sequential match");
-    }
 }
 
 fn print_sweep(cmd: &str, spec: &RunSpec, report: &RunReport) -> Result<(), RunError> {

@@ -5,20 +5,19 @@
 //! the sweep commands) goes through here: [`RunSpec::parse`] checks the
 //! arguments against one flag table ([`RunSpec::usage`] renders the same
 //! table), [`RunSpec::validate`] refuses what the model cannot run before
-//! anything is built, and [`run`] owns every role a process can play —
-//! sequential, in-process parallel, shard launcher, shard worker — with
-//! the telemetry, trace and live-metrics sinks set up and torn down
-//! around it. The spec serializes into the telemetry manifest, so a
-//! recorded run carries its own description.
+//! anything is built, and [`run`] executes it — sequentially or under a
+//! parallel scheduler — with the telemetry, trace, live-metrics and
+//! profiler sinks set up and torn down around it. The spec serializes
+//! into the telemetry manifest, so a recorded run carries its own
+//! description.
 
 use crate::live::{LiveOpts, LivePlane};
-use crate::shard::{self, PholdParams, ShardSpec};
+use crate::phold::{self, PholdParams};
 use crate::sweep::{self, Net, RunRecord, SweepConfig};
 use crate::trace_analysis::RunAnalysis;
 use dragonfly::{FlowControl, Routing};
 use placement::Placement;
-use ross::shard::ShardError;
-use ross::{SimDuration, SimTime};
+use ross::SimTime;
 use serde::Value;
 use std::fmt;
 use std::str::FromStr;
@@ -38,7 +37,7 @@ struct Flag {
 
 const SWEEP_CMDS: [&str; 6] = ["fig7", "fig8", "fig9", "table6", "all", "lint"];
 
-/// The `--sched` grammar of the in-process schedulers, as documented.
+/// The `--sched` grammar, as documented.
 const SCHED_GRAMMAR: &str = "seq|par:T|async:T";
 
 #[rustfmt::skip]
@@ -47,7 +46,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--iters", value: "N", cmds: "sweep mix table1", help: "iterations per application (default 2; table1: 5)" },
     Flag { name: "--scale", value: "N", cmds: "sweep mix", help: "payload divisor (default 16; 1 under --profile paper)" },
     Flag { name: "--seed", value: "N", cmds: "sweep mix phold", help: "placement/model seed (default 42)" },
-    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T|async:T (not phold) or shard:N:T (mix, phold; default seq): T threads, N processes; the model sets the lookahead window" },
+    Flag { name: "--sched", value: "SPEC", cmds: "sweep mix phold", help: "seq|par:T|async:T (phold: seq; default seq): T threads; the model sets the lookahead window" },
     Flag { name: "--flow", value: "busy|credit", cmds: "sweep", help: "router flow control (default busy)" },
     Flag { name: "--nets", value: "1d,2d", cmds: "sweep", help: "networks to sweep (default both)" },
     Flag { name: "--placements", value: "RN,RR,RG", cmds: "sweep", help: "placement policies to sweep (default all)" },
@@ -61,14 +60,13 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--lps", value: "N", cmds: "phold", help: "PHOLD LP count (default 16)" },
     Flag { name: "--horizon-us", value: "U", cmds: "phold", help: "PHOLD stops sending at U us of virtual time (default 30)" },
     Flag { name: "--until-us", value: "U", cmds: "mix phold", help: "stop at U us of virtual time (default 0 = run to completion)" },
-    Flag { name: "--shard-no-verify", value: "", cmds: "mix phold", help: "skip the launcher's sequential re-run of a shard:N:T gang" },
     Flag { name: "--json", value: "FILE", cmds: "sweep", help: "dump the run records as JSON" },
     Flag { name: "--telemetry", value: "FILE", cmds: "sweep mix phold", help: "write run telemetry as JSONL, the run manifest first; sweeps also print a summary" },
     Flag { name: "--trace", value: "FILE[:RATE]", cmds: "sweep", help: "export a causal trace as Chrome trace-event JSON, timing every RATE-th handler (default 1)" },
-    Flag { name: "--live", value: "ADDR", cmds: "mix phold", help: "serve /metrics (Prometheus text) and /snapshot (JSON); a gang serves one merged endpoint" },
+    Flag { name: "--live", value: "ADDR", cmds: "mix phold", help: "serve /metrics (Prometheus text) and /snapshot (JSON)" },
     Flag { name: "--live-hold", value: "MS", cmds: "mix phold", help: "keep the endpoint up MS ms after the run (default 0)" },
     Flag { name: "--live-interval", value: "MS", cmds: "mix phold", help: "sampler interval (default 250)" },
-    Flag { name: "--sample-out", value: "FILE", cmds: "mix phold", help: "write a SIGPROF CPU profile of the run (in-process schedulers; read it with scripts/samples.py)" },
+    Flag { name: "--sample-out", value: "FILE", cmds: "mix phold", help: "write a SIGPROF CPU profile of the run (read it with scripts/samples.py)" },
     Flag { name: "--ranks", value: "N", cmds: "table1 validate lint", help: "rank count (table1: 64, validate: 512, lint --file: 4)" },
     Flag { name: "--fixture", value: "NAME", cmds: "lint", help: "lint a seeded-bug fixture instead of the bundled workloads" },
     Flag { name: "--file", value: "PROG.ncptl", cmds: "lint", help: "lint a DSL program instead of the bundled workloads" },
@@ -201,10 +199,9 @@ fn profile_label(p: Profile) -> &'static str {
     }
 }
 
-/// How a run is scheduled: sequentially, by in-process worker threads,
-/// or as a gang of shard processes. No variant carries a lookahead
-/// window: a CODES model derives its own ([`codes::Window`]), PHOLD
-/// runs at its minimum event delay.
+/// How a run is scheduled: sequentially or by worker threads. No variant
+/// carries a lookahead window: a CODES model derives its own
+/// ([`codes::Window`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Sched {
     Seq,
@@ -216,13 +213,12 @@ pub enum Sched {
     Async {
         threads: usize,
     },
-    Shard(ShardSpec),
 }
 
 impl Sched {
-    /// Parse a `--sched` spec: `seq`, `par:T`, `async:T` or `shard:N:T` —
-    /// `T` worker threads, `N` shard processes. Malformed specs are
-    /// reported, not defaulted; so is the retired `cons:T`.
+    /// Parse a `--sched` spec: `seq`, `par:T` or `async:T` — `T` worker
+    /// threads. Malformed specs are reported, not defaulted; so is the
+    /// retired `cons:T`.
     pub fn parse(s: &str) -> Result<Sched, String> {
         let mut fields = s.split(':');
         let kind = fields.next().unwrap_or("");
@@ -241,24 +237,17 @@ impl Sched {
             )),
             ("par", 1) => Ok(Sched::Par { threads: count(0, "thread count")? }),
             ("async", 1) => Ok(Sched::Async { threads: count(0, "thread count")? }),
-            ("shard", 2) => Ok(Sched::Shard(ShardSpec {
-                shards: count(0, "shard count")?,
-                threads: count(1, "thread count")?,
-            })),
             ("par" | "async", _) => Err(format!("scheduler spec `{s}` must be {kind}:<threads>")),
-            ("shard", _) => Err(format!("scheduler spec `{s}` must be shard:<shards>:<threads>")),
             _ => Err(format!("unknown scheduler `{s}`")),
         }
     }
 }
 
-/// The `--sched` specs `cmd` can run: PHOLD is sequential or sharded,
-/// and only the single-model commands shard across processes.
-fn supported_scheds(cmd: &str) -> String {
+/// The `--sched` specs `cmd` can run: PHOLD is sequential only.
+fn supported_scheds(cmd: &str) -> &'static str {
     match cmd {
-        "phold" => "seq or shard:N:T".to_string(),
-        "mix" => format!("{SCHED_GRAMMAR} or shard:N:T"),
-        _ => SCHED_GRAMMAR.to_string(),
+        "phold" => "seq",
+        _ => SCHED_GRAMMAR,
     }
 }
 
@@ -269,7 +258,6 @@ impl fmt::Display for Sched {
             Sched::Seq => f.write_str("seq"),
             Sched::Par { threads } => write!(f, "par:{threads}"),
             Sched::Async { threads } => write!(f, "async:{threads}"),
-            Sched::Shard(s) => write!(f, "shard:{}:{}", s.shards, s.threads),
         }
     }
 }
@@ -321,8 +309,6 @@ pub struct RunSpec {
     pub args: Vec<String>,
     pub model: Model,
     pub sched: Sched,
-    /// A gang launcher re-runs the model sequentially and compares.
-    pub verify: bool,
     pub out: Outputs,
 }
 
@@ -446,7 +432,6 @@ impl RunSpec {
             sched: Sched::parse(a.get("--sched").unwrap_or("seq")).map_err(|e| {
                 UsageError(format!("{e}; {cmd} supports --sched {}", supported_scheds(cmd)))
             })?,
-            verify: !a.has("--shard-no-verify"),
             out: Outputs {
                 telemetry: a.get("--telemetry").map(str::to_string),
                 trace,
@@ -461,20 +446,9 @@ impl RunSpec {
     /// scheduler is one the model can run, and workloads are Table III's.
     pub fn validate(&self) -> Result<(), UsageError> {
         let (cmd, sched) = (&self.cmd, &self.sched);
-        let supported = match (&self.model, sched) {
-            (Model::Phold { .. }, Sched::Shard(_)) => true,
-            (Model::Phold { .. }, _) => *sched == Sched::Seq,
-            (Model::Codes(_), Sched::Shard(_)) => cmd == "mix",
-            _ => true,
-        };
-        if !supported {
+        if matches!(self.model, Model::Phold { .. }) && *sched != Sched::Seq {
             let supported = supported_scheds(cmd);
             return Err(UsageError(format!("{cmd} supports --sched {supported}, not `{sched}`")));
-        }
-        if let (Some(_), Sched::Shard(_)) = (&self.out.samples, sched) {
-            return Err(UsageError(format!(
-                "--sample-out profiles this process only; it cannot run with --sched {sched}"
-            )));
         }
         let Model::Codes(cfg) = &self.model else { return Ok(()) };
         if let Some(w) = cfg.workloads.iter().find(|w| !(1..=3).contains(*w)) {
@@ -489,11 +463,7 @@ impl RunSpec {
         let labels = |l: Vec<&str>| Value::Array(l.into_iter().map(text).collect());
         let until = self.model.until();
         let until = if until == SimTime::MAX { Value::Null } else { Value::UInt(until.as_ns()) };
-        let mut o = vec![
-            ("sched", text(&self.sched.to_string())),
-            ("until_ns", until),
-            ("verify", Value::Bool(self.verify)),
-        ];
+        let mut o = vec![("sched", text(&self.sched.to_string())), ("until_ns", until)];
         match &self.model {
             Model::Phold { params, .. } => o.extend([
                 ("model", text("phold")),
@@ -524,16 +494,10 @@ impl RunSpec {
 /// once it has finished.
 #[derive(Default)]
 pub struct RunReport {
-    /// Final-state fingerprint of a single run (`phold`, `mix`), merged
-    /// over the gang when sharded. `None` for a grid of runs, and for a
-    /// shard worker — whose results went to its launcher, leaving this
-    /// report empty.
+    /// Final-state fingerprint of a single run (`phold`, `mix`); `None`
+    /// for a grid of runs.
     pub fingerprint: Option<u64>,
     pub committed: u64,
-    /// Events that crossed process boundaries in a gang run.
-    pub cross_shard_events: Option<u64>,
-    /// The launcher's sequential re-run matched the merged gang result.
-    pub verified: bool,
     /// One record per CODES run, in sweep order.
     pub records: Vec<RunRecord>,
     /// Critical-path analysis of each traced run (`--trace`).
@@ -542,15 +506,6 @@ pub struct RunReport {
     pub telemetry: Option<Arc<Recorder>>,
     tracer: Option<Arc<ross::Tracer>>,
     live: Option<LivePlane>,
-}
-
-/// Execute a validated spec in whatever role this process has.
-pub fn run(spec: &RunSpec) -> Result<RunReport, RunError> {
-    match (&spec.sched, shard::worker_role()) {
-        (Sched::Shard(shards), Some(role)) => worker(spec, shards, role),
-        (Sched::Shard(shards), None) => launcher(spec, shards),
-        (sched, _) => local(spec, *sched),
-    }
 }
 
 /// `git describe` of the working tree for the run manifest, or `unknown`
@@ -568,9 +523,8 @@ fn git_describe() -> String {
 
 impl RunReport {
     /// A report with the sinks `spec.out` asks for attached; the
-    /// telemetry stream starts with the run manifest. `gang`: the live
-    /// endpoint serves the workers' merged snapshots, not a local registry.
-    fn open(spec: &RunSpec, gang: bool) -> Result<RunReport, RunError> {
+    /// telemetry stream starts with the run manifest.
+    fn open(spec: &RunSpec) -> Result<RunReport, RunError> {
         let seed = match &spec.model {
             Model::Phold { params, .. } => params.seed,
             Model::Codes(cfg) => cfg.seed,
@@ -590,7 +544,7 @@ impl RunReport {
         });
         let tracer = spec.out.trace.as_ref().map(|&(_, rate)| Arc::new(ross::Tracer::new(rate)));
         let live = match &spec.out.live {
-            Some(opts) => Some(LivePlane::start(opts, gang).map_err(|e| {
+            Some(opts) => Some(LivePlane::start(opts).map_err(|e| {
                 RunError::Input(format!("cannot bind live endpoint `{}`: {e}", opts.addr))
             })?),
             None => None,
@@ -650,24 +604,24 @@ impl RunReport {
     }
 }
 
-/// Run in this process: sequentially or under an in-process scheduler.
-fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
-    let mut report = RunReport::open(spec, false)?;
+/// Execute a validated spec: sequentially or under a parallel scheduler.
+pub fn run(spec: &RunSpec) -> Result<RunReport, RunError> {
+    let mut report = RunReport::open(spec)?;
     let profiler = spec.out.samples.as_deref().map(crate::profiler::Profiler::start);
     let profiler = profiler.transpose().map_err(RunError::Input)?;
     let live = report.live.as_ref().map(|plane| plane.registry.clone());
     match &spec.model {
         Model::Phold { params, until } => {
-            let mut sim = shard::build_phold(params);
+            let mut sim = phold::build_phold(params);
             sim.set_telemetry(report.telemetry.clone());
             sim.set_live(live);
             let stats = sim.run_sequential(*until);
-            report.fingerprint = Some(shard::phold_fingerprint(&sim, 0, 1));
+            report.fingerprint = Some(phold::phold_fingerprint(&sim));
             report.committed = stats.committed;
         }
         Model::Codes(cfg) => {
             let cfg = SweepConfig {
-                sched,
+                sched: spec.sched,
                 telemetry: report.telemetry.clone(),
                 tracer: report.tracer.clone(),
                 live,
@@ -687,84 +641,6 @@ fn local(spec: &RunSpec, sched: Sched) -> Result<RunReport, RunError> {
     if let (Some(profiler), Some(path)) = (profiler, &spec.out.samples) {
         let n = profiler.finish().map_err(RunError::Failed)?;
         eprintln!("wrote {path} ({n} samples)");
-    }
-    report.close(spec)
-}
-
-/// One worker process of a `shard:N:T` gang: rebuild the model, run
-/// this process's shard of it, report over the control socket. The
-/// returned report is empty — the results are the launcher's to print.
-fn worker(
-    spec: &RunSpec,
-    shards: &ShardSpec,
-    role: (usize, usize, String),
-) -> Result<RunReport, RunError> {
-    let (me, n) = (role.0, role.1);
-    if n != shards.shards {
-        let sched = &spec.sched;
-        return Err(RunError::Failed(format!(
-            "shard {me}: worker env disagrees with --sched {sched}"
-        )));
-    }
-    let outcome = match &spec.model {
-        Model::Phold { params, until } => {
-            shard::run_worker(role, spec, Arc::new(shard::PholdCodec), |rec, live, transport| {
-                let mut sim = shard::build_phold(params);
-                sim.set_telemetry(Some(rec));
-                sim.set_live(live);
-                let window = SimDuration::from_ns(shard::PHOLD_MIN_DELAY_NS);
-                let stats = sim.run_sharded(transport, shards.threads, window, *until)?;
-                Ok((shard::phold_fingerprint(&sim, me, n), stats))
-            })
-        }
-        Model::Codes(cfg) => shard::run_worker(
-            role,
-            spec,
-            Arc::new(codes::CodesEventCodec),
-            |rec, live, transport| {
-                let cfg = SweepConfig { telemetry: Some(rec), live, ..cfg.clone() };
-                let mut sim =
-                    sweep::build(&cfg, sweep::keys(&cfg)[0]).map_err(ShardError::Protocol)?;
-                let stats = sim.run_sharded(transport, shards.threads, cfg.until)?;
-                Ok((sim.shard_fingerprint(me, n), stats))
-            },
-        ),
-    };
-    match outcome {
-        Ok(()) => Ok(RunReport::default()),
-        Err(e) => Err(RunError::Failed(format!("shard {me}: {e}"))),
-    }
-}
-
-/// The launcher of a `shard:N:T` gang: spawn the workers, merge their
-/// reports and, unless told otherwise, verify the merged result against
-/// a sequential in-process run of the same spec.
-fn launcher(spec: &RunSpec, shards: &ShardSpec) -> Result<RunReport, RunError> {
-    let mut report = RunReport::open(spec, true)?;
-    let aggregator = report.live.as_ref().map(|plane| plane.gang.as_ref());
-    let gang = shard::launch_gang(shards, report.telemetry.as_deref(), aggregator)
-        .map_err(RunError::Failed)?;
-    for r in &gang.reports {
-        let (shard, committed, cross) = (r.shard, r.committed, r.cross_shard_events);
-        eprintln!("shard {shard}: committed {committed} cross-shard {cross} rounds {}", r.rounds);
-    }
-    report.fingerprint = Some(gang.fingerprint);
-    report.committed = gang.committed;
-    report.cross_shard_events = Some(gang.cross_shard_events);
-    if spec.verify {
-        let reference = RunSpec { out: Outputs::default(), ..spec.clone() };
-        let want = local(&reference, Sched::Seq)?;
-        if want.fingerprint != report.fingerprint || want.committed != gang.committed {
-            return Err(RunError::Failed(format!(
-                "sharded run diverged from sequential (fingerprint {:016x} vs {:016x}, \
-                 committed {} vs {})",
-                gang.fingerprint,
-                want.fingerprint.unwrap_or(0),
-                gang.committed,
-                want.committed
-            )));
-        }
-        report.verified = true;
     }
     report.close(spec)
 }
@@ -806,29 +682,22 @@ mod tests {
 
     #[test]
     fn sched_grammar_parses_rejects_and_round_trips() {
-        assert_eq!(
-            Sched::parse("shard:2:4"),
-            Ok(Sched::Shard(ShardSpec { shards: 2, threads: 4 }))
-        );
         assert_eq!(Sched::parse("par:2"), Ok(Sched::Par { threads: 2 }));
         assert_eq!(Sched::parse("async:3"), Ok(Sched::Async { threads: 3 }));
         assert_eq!(Sched::parse("seq"), Ok(Sched::Seq));
-        for bad in ["shard:2", "shard:0:1", "shard:2:0", "shard:a:b", "shard:2:2:50"] {
-            assert!(Sched::parse(bad).is_err(), "{bad} accepted");
-        }
         for bad in ["par:", "par:0", "async:x", "par:2:100", "async:2:100", "seq:1", ""] {
             assert!(Sched::parse(bad).is_err(), "{bad} accepted");
         }
         // The retired window field is named as a malformed spec, with the
         // shape that replaced it.
         assert!(Sched::parse("par:2:100").unwrap_err().contains("must be par:<threads>"));
-        assert!(Sched::parse("shard:2:1:50").unwrap_err().contains("shard:<shards>:<threads>"));
         let cons = Sched::parse("cons:4").unwrap_err();
         assert!(cons.contains("use par:4") && !cons.contains("par:4:"), "{cons}");
-        for bad in ["bogus", "opt:x", "opt:2", "opt:2:64:4"] {
+        // So are the retired process-sharding specs.
+        for bad in ["bogus", "opt:x", "opt:2", "opt:2:64:4", "shard:2:1", "shard:2:1:50"] {
             assert_eq!(Sched::parse(bad), Err(format!("unknown scheduler `{bad}`")));
         }
-        for s in ["seq", "par:4", "par:1", "async:2", "shard:2:2", "shard:1:1"] {
+        for s in ["seq", "par:4", "par:1", "async:2"] {
             assert_eq!(Sched::parse(s).unwrap().to_string(), s);
         }
     }
@@ -869,10 +738,7 @@ mod tests {
             ("phold --nets 1d", ["phold", "--nets"]),
             ("table6 --live 127.0.0.1:0", ["table6", "--live"]),
             ("mix stray", ["mix", "`stray`"]),
-            (
-                "mix --sched opt:2",
-                ["`opt:2`", "mix supports --sched seq|par:T|async:T or shard:N:T"],
-            ),
+            ("mix --sched opt:2", ["`opt:2`", "mix supports --sched seq|par:T|async:T"]),
         ] {
             let e = spec(line).expect_err(line).0;
             assert!(needles.iter().all(|n| e.contains(n)), "`{line}`: {e}");
@@ -882,26 +748,20 @@ mod tests {
     #[test]
     fn validate_refuses_what_the_model_cannot_run() {
         for (line, needle) in [
-            ("phold --sched par:2", "phold supports --sched seq or shard:N:T, not `par:2`"),
+            ("phold --sched par:2", "phold supports --sched seq, not `par:2`"),
             ("phold --sched async:2", "phold supports"),
-            ("table6 --sched shard:2:1", "table6 supports"),
             ("mix --workload 7", "no workload 7"),
             ("table6 --workloads 1,9", "no workload 9"),
         ] {
             let e = spec(line).unwrap().validate().expect_err(line).0;
             assert!(e.contains(needle), "`{line}`: {e}");
         }
-        for line in [
-            "phold --sched shard:2:2",
-            "mix --sched par:2",
-            "mix --sched async:2",
-            "mix --sched shard:2:2",
-            "fig7 --sched par:2 --flow credit",
-        ] {
+        for line in ["mix --sched par:2", "mix --sched async:2", "fig7 --sched par:2 --flow credit"]
+        {
             spec(line).unwrap().validate().unwrap_or_else(|e| panic!("`{line}`: {e}"));
         }
         // The window is not the user's to give, nor to override.
-        for line in ["mix --sched par:2:100", "mix --sched shard:2:1:50", "mix --allow-lint"] {
+        for line in ["mix --sched par:2:100", "mix --allow-lint"] {
             assert!(spec(line).is_err(), "`{line}` parsed");
         }
         let unknown = spec("phold --sched optimistic").expect_err("unknown scheduler").0;
@@ -937,7 +797,7 @@ mod tests {
             "README's flag reference is stale; expected:\n{}",
             RunSpec::usage()
         );
-        for alt in SCHED_GRAMMAR.split('|').chain(["shard:N:T"]) {
+        for alt in SCHED_GRAMMAR.split('|') {
             assert!(
                 readme.contains(&format!("| `{alt}` |")),
                 "README scheduler table lacks `{alt}`"

@@ -138,8 +138,7 @@ pub struct SweepConfig {
     pub workloads: Vec<u8>,
     /// Also run each involved application alone (the paper's baselines).
     pub baselines: bool,
-    /// In-process scheduler; each cell runs at its own model's window
-    /// (a `shard:N:T` gang runs its cell in worker processes).
+    /// Scheduler; each cell runs at its own model's window.
     pub sched: Sched,
     /// Router counter window (0 = off).
     pub window_ns: u64,
@@ -211,8 +210,7 @@ fn apps_of(workload: u8) -> Vec<AppKind> {
     workloads::workload(workload, Profile::Quick, 1, 64).into_iter().map(|a| a.kind).collect()
 }
 
-/// Build the simulation of one sweep cell: the model every run of `key`
-/// (in-process, shard worker, verification reference) starts from.
+/// Build the simulation of one sweep cell.
 pub(crate) fn build(cfg: &SweepConfig, key: RunKey) -> Result<CodesSim, String> {
     let apps: Vec<AppConfig> = match key.workload {
         Workload::Mix(w) => workloads::workload(w, cfg.profile, cfg.iters, cfg.scale),
@@ -256,7 +254,6 @@ pub(crate) fn run_cell(cfg: &SweepConfig, key: RunKey) -> Result<(RunRecord, Cod
         Sched::Seq => Scheduler::Sequential,
         Sched::Par { threads } => Scheduler::ConservativeParallel { threads, lookahead },
         Sched::Async { threads } => Scheduler::ConservativeAsync { threads, lookahead },
-        Sched::Shard(_) => return Err("a shard:N:T gang runs in worker processes".to_string()),
     };
     let t0 = std::time::Instant::now();
     let results = sim.run(sched, cfg.until);

@@ -41,7 +41,7 @@
 //! ## Termination (Mattern counters, no token waves)
 //!
 //! Monotone counters `S` (envelopes pushed to any mailbox) and `R`
-//! (envelopes drained) replace the sharded token fence. Workers publish
+//! (envelopes drained) replace a token fence. Workers publish
 //! their raw queue minimum *lowering it before counting the arrivals that
 //! caused it* (fetch_min before the `R` add) and *raising it only after
 //! counting the sends that emptied it* (`S` adds before the store). The
@@ -361,7 +361,7 @@ impl<L: Lp> Simulation<L> {
                     continue 'outer;
                 }
                 // About to go quiet: flush whatever the volume cadence has
-                // not pushed yet, so a parked gang still exposes exact
+                // not pushed yet, so a parked worker still exposes exact
                 // cumulative counts. The leader parks far more often than
                 // every `FLUSH_EVERY` commits, so this flush, too, must
                 // carry its horizon, or the gauge never moves.
@@ -418,7 +418,7 @@ impl<L: Lp> Simulation<L> {
                 while rx.try_recv().is_ok() {}
             }
         };
-        let (seats, ()) = drive(seats, body, || ());
+        let seats = drive(seats, body);
         let workers: Vec<Worker<'_, L>> = seats.into_iter().map(|seat| seat.w).collect();
         run.gather(self, workers, home)
     }

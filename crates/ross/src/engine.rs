@@ -19,10 +19,7 @@ pub struct RunStats {
     /// Events delivered across partitions through mailboxes
     /// (conservative-parallel scheduler only).
     pub remote_events: u64,
-    /// Events delivered across OS-process shards through a transport
-    /// ([`crate::shard`] runs only).
-    pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or shard fences).
+    /// Synchronization rounds (conservative windows).
     pub rounds: u64,
     /// Always 0: no scheduler moves LP blocks between workers. Kept only
     /// because the repo benchmark reads it (`ross.async.steals`); it goes
@@ -56,9 +53,8 @@ impl RunStats {
 ///
 /// Construct with [`Simulation::new`], inject initial events with
 /// [`Simulation::schedule`], then drive it with one of
-/// [`Simulation::run_sequential`], [`Simulation::run_conservative_parallel`],
-/// [`Simulation::run_conservative_async`] or, across processes,
-/// [`Simulation::run_sharded`].
+/// [`Simulation::run_sequential`], [`Simulation::run_conservative_parallel`]
+/// or [`Simulation::run_conservative_async`].
 pub struct Simulation<L: Lp> {
     pub(crate) lps: Vec<L>,
     pub(crate) meta: Vec<LpMeta>,
@@ -154,7 +150,7 @@ impl<L: Lp> Simulation<L> {
     /// Attach (or detach) a live metrics registry
     /// ([`telemetry::live::MetricsRegistry`]). When set, every scheduler
     /// streams its counters/gauges/histograms into the registry at its
-    /// synchronization cadence (windows, rounds, shard fences, or every
+    /// synchronization cadence (rounds, horizon publishes, or every
     /// few thousand events on the sequential path) so an exposition
     /// endpoint can observe the run in flight. With `None` (the default) the cost
     /// is a single branch at those same coarse points.

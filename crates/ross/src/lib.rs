@@ -11,8 +11,7 @@
 //!   windows over OS threads, synchronized by barrier rounds (ROSS's
 //!   conservative mode used MPI ranks; see DESIGN.md substitution #1). A
 //!   window of 0 on a simulation with no partition installed is the
-//!   classic YAWNS protocol; [`Simulation::run_sharded`] runs the same
-//!   rounds across OS processes;
+//!   classic YAWNS protocol;
 //! * [`Simulation::run_conservative_async`] — the same conservative
 //!   guarantee without barriers: published safe horizons, with each
 //!   worker keeping its partition blocks for the whole run.
@@ -62,6 +61,7 @@
 //! ```
 
 mod asynchronous;
+pub mod digest;
 mod engine;
 mod event;
 mod live;
@@ -71,7 +71,6 @@ mod parallel;
 mod partition;
 mod pool;
 pub mod queue;
-pub mod shard;
 pub(crate) mod sync;
 mod time;
 pub mod trace;

@@ -25,7 +25,6 @@ pub(crate) const FLUSH_EVERY: u64 = 8192;
 pub(crate) struct Counts {
     pub(crate) committed: u64,
     pub(crate) remote: u64,
-    pub(crate) cross: u64,
     pub(crate) rounds: u64,
 }
 
@@ -34,7 +33,6 @@ pub(crate) struct Counts {
 pub(crate) struct LiveHandles {
     committed: CounterHandle,
     remote_events: CounterHandle,
-    cross_shard_events: CounterHandle,
     rounds: CounterHandle,
     /// The global clock: window floor, async horizon, end time.
     pub(crate) gvt_ns: GaugeHandle,
@@ -52,7 +50,6 @@ impl LiveHandles {
         let h = LiveHandles {
             committed: reg.counter("events_committed"),
             remote_events: reg.counter("remote_events"),
-            cross_shard_events: reg.counter("cross_shard_events"),
             rounds: reg.counter("rounds"),
             gvt_ns: reg.gauge("gvt_ns"),
             horizon_lag_ns: reg.gauge("horizon_lag_ns"),
@@ -86,7 +83,6 @@ impl LiveHandles {
         }
         for (cell, n) in [
             (&self.remote_events, now.remote - then.remote),
-            (&self.cross_shard_events, now.cross - then.cross),
             (&self.rounds, now.rounds - then.rounds),
         ] {
             if n > 0 {
@@ -202,11 +198,8 @@ mod tests {
         for sched in SCHEDS {
             let (snap, records) = both_renderings(sched);
             assert_eq!(records.len(), 1, "{sched:?}");
-            let mut pairs = vec![
-                ("events_committed", "committed"),
-                ("remote_events", "remote_events"),
-                ("cross_shard_events", "cross_shard_events"),
-            ];
+            let mut pairs =
+                vec![("events_committed", "committed"), ("remote_events", "remote_events")];
             if !matches!(sched, crate::Scheduler::ConservativeAsync { .. }) {
                 pairs.push(("rounds", "rounds"));
             }

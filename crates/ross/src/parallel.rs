@@ -21,17 +21,15 @@
 //!
 //! ## Protocol
 //!
-//! [`round_loop`] is the whole protocol, shared with the sharded runner
-//! ([`crate::shard`]). Per round, every worker: (1) drains its mailbox
-//! into its local queue, (2) publishes its minimum pending timestamp and
-//! barriers, (3) learns the GVT from the [`Bound`] policy — [`LocalMin`]
-//! reduces the published minima on the spot, the shard runner's token
-//! fence asks the other processes — and processes every local event in
-//! `[gvt, gvt + window)`, routing what they send through the [`Delivery`]
-//! policy, (4) barriers again so all sends are visible before the next
-//! drain. Determinism: within a partition events are processed in
-//! total-key order from its [`crate::queue`]; across partitions every event in
-//! one window is causally independent (window ≤ true minimum delay); and
+//! [`round_loop`] is the whole protocol. Per round, every worker: (1)
+//! drains its mailbox into its local queue, (2) publishes its minimum
+//! pending timestamp and barriers, (3) reduces the published minima to
+//! the GVT and processes every local event in `[gvt, gvt + window)`,
+//! pushing what it sends to its own queue or a peer's mailbox, (4)
+//! barriers again so all sends are visible before the next drain.
+//! Determinism: within a partition events are processed in total-key
+//! order from its [`crate::queue`]; across partitions every event in one
+//! window is causally independent (window ≤ true minimum delay); and
 //! mailbox arrival order is erased by the queue. For a fixed seed the
 //! results are bit-identical to [`Simulation::run_sequential`].
 
@@ -44,85 +42,36 @@ use crate::sync::Barrier;
 use crate::time::{SimDuration, SimTime};
 use crate::worker::{drive, Lane, Run, Step, Worker};
 
-/// Shared state of the round protocol: the barrier every party waits on
+/// Shared state of the round protocol: the barrier every worker waits on
 /// and one published queue minimum per worker.
-pub(crate) struct Rounds {
-    pub(crate) barrier: Barrier,
-    pub(crate) mins: Vec<AtomicU64>,
+struct Rounds {
+    barrier: Barrier,
+    mins: Vec<AtomicU64>,
 }
 
 impl Rounds {
-    /// `parties` counts the workers plus whoever else joins the barrier
-    /// (the shard runner's leader).
-    pub(crate) fn new(n_workers: usize, parties: usize) -> Rounds {
+    fn new(n_workers: usize) -> Rounds {
         Rounds {
-            barrier: Barrier::new(parties),
+            barrier: Barrier::new(n_workers),
             mins: (0..n_workers).map(|_| AtomicU64::new(u64::MAX)).collect(),
         }
     }
 
-    pub(crate) fn local_min(&self) -> u64 {
+    /// The round's GVT: the least published minimum (`u64::MAX` when
+    /// nothing is pending anywhere).
+    fn gvt(&self) -> u64 {
         self.mins.iter().map(|m| m.load(Ordering::Relaxed)).min().unwrap_or(u64::MAX)
     }
 }
 
-/// How the workers of a round agree on its GVT.
-pub(crate) trait Bound<L: Lp>: Sync {
-    /// Called by every worker right after the barrier that follows the
-    /// publication of `rounds.mins`; returns the round's GVT (`u64::MAX`
-    /// when nothing is pending anywhere). May wait on `rounds.barrier`,
-    /// the same number of times on every worker.
-    fn gvt(&self, w: &mut Worker<'_, L>, rounds: &Rounds) -> u64;
-}
-
-/// The in-process bound: every worker reduces the published minima itself
-/// — a shared-memory GVT, two barrier waits per round in total.
-pub(crate) struct LocalMin;
-
-impl<L: Lp> Bound<L> for LocalMin {
-    #[inline]
-    fn gvt(&self, _w: &mut Worker<'_, L>, rounds: &Rounds) -> u64 {
-        rounds.local_min()
-    }
-}
-
-/// Where a freshly sent event goes.
-pub(crate) trait Delivery<E> {
-    fn route(&mut self, lane: &mut Lane<'_, E>, new: Envelope<E>);
-
-    /// Called once per window, after the lane shipped its partial chunks:
-    /// nothing may linger in policy-private buffers either.
-    fn flush(&mut self) {}
-}
-
-/// In-process delivery: the local queue or a peer's mailbox.
-pub(crate) struct Mailboxes<'a> {
-    pub(crate) owner_of: &'a [u32],
-    pub(crate) t: usize,
-}
-
-impl<E> Delivery<E> for Mailboxes<'_> {
-    #[inline]
-    fn route(&mut self, lane: &mut Lane<'_, E>, new: Envelope<E>) {
-        let o = self.owner_of[new.dst as usize] as usize;
-        if o == self.t {
-            lane.queue.push(new);
-        } else {
-            lane.send(o, new);
-        }
-    }
-}
-
 /// One worker's side of the barrier round protocol (module docs), for the
-/// LPs whose slab slots `local_of` names. Monomorphised per policy pair:
-/// neither policy is consulted through a `dyn`, and the per-event path
-/// holds no branch on which one is in use.
-pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
+/// LPs whose slab slots `local_of` names; `owner_of` maps every LP to its
+/// worker.
+fn round_loop<L: Lp>(
     w: &mut Worker<'_, L>,
     run: &Run<L::Event>,
     rounds: &Rounds,
-    bound: &B,
-    mut delivery: D,
+    owner_of: &[u32],
     local_of: &[u32],
     until: SimTime,
 ) {
@@ -139,16 +88,14 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
         // the barrier counts (deadlock).
         let halted = run.latch.tripped();
         // (2) Publish the local minimum, agree on the GVT. A halted worker
-        // publishes "nothing pending": alone in its process that ends the
-        // run at once; under a shard fence it keeps the rounds turning
-        // (without processing) so the other shards can drain and finish.
+        // publishes "nothing pending", which ends the run at once.
         let local_min = match w.lane.queue.peek_time() {
             Some(ts) if !halted => ts.0,
             _ => u64::MAX,
         };
         rounds.mins[t].store(local_min, Ordering::Relaxed);
         w.wait(&rounds.barrier);
-        let gvt = bound.gvt(w, rounds);
+        let gvt = rounds.gvt();
         if gvt == u64::MAX || gvt > until.0 {
             break;
         }
@@ -164,7 +111,14 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
             let t0 = run.report.timing.then(std::time::Instant::now);
             run.latch.guard(|| {
                 let slot = |dst: u32| local_of[dst as usize] as usize;
-                let mut route = |lane: &mut Lane<'_, L::Event>, new| delivery.route(lane, new);
+                let mut route = |lane: &mut Lane<'_, L::Event>, new: Envelope<L::Event>| {
+                    let o = owner_of[new.dst as usize] as usize;
+                    if o == t {
+                        lane.queue.push(new);
+                    } else {
+                        lane.send(o, new);
+                    }
+                };
                 let mut last = Step::Ran;
                 while last == Step::Ran {
                     last = w.step(gvt, wend, &slot, &mut route);
@@ -182,7 +136,6 @@ pub(crate) fn round_loop<L: Lp, B: Bound<L>, D: Delivery<L::Event>>(
         // model panic, so no buffered event is ever stranded in this
         // worker's locals.
         w.lane.flush(|_| {});
-        delivery.flush();
         // (4) All sends of this round must be visible before anyone's
         // next mailbox drain.
         w.wait(&rounds.barrier);
@@ -215,12 +168,11 @@ impl<L: Lp> Simulation<L> {
         let window = window.max(self.lookahead);
         let run = Run::open(self, "conservative-parallel", n_threads, window, start);
         let (workers, home) = run.scatter(self, &plan);
-        let rounds = Rounds::new(n_threads, n_threads);
+        let rounds = Rounds::new(n_threads);
         let body = |w: &mut Worker<'_, L>| {
-            let delivery = Mailboxes { owner_of: &plan.owner_of, t: w.t };
-            round_loop(w, &run, &rounds, &LocalMin, delivery, &plan.local_of, until);
+            round_loop(w, &run, &rounds, &plan.owner_of, &plan.local_of, until);
         };
-        let (workers, ()) = drive(workers, body, || ());
+        let workers = drive(workers, body);
         run.gather(self, workers, home)
     }
 }

@@ -9,10 +9,9 @@
 //! Under `RUSTFLAGS="--cfg union_check"` every alias switches to the
 //! `ross-check` shim layer, which routes each operation through a
 //! controlled scheduler with vector-clock race detection (see
-//! `crates/check` and DESIGN.md §13). `ross::mailbox`, the conservative
-//! worker core and its schedulers and the sharded runner's loopback
-//! transport are written against these aliases and
-//! therefore model-checkable without further changes.
+//! `crates/check` and DESIGN.md §13). `ross::mailbox` and the
+//! conservative worker core and its schedulers are written against these
+//! aliases and therefore model-checkable without further changes.
 
 #[cfg(union_check)]
 pub(crate) use ross_check::cell::UnsafeCell;

@@ -73,7 +73,7 @@ pub struct TraceEvent {
 /// Scheduler phases recorded as wall-clock spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Barrier wait (conservative rounds, shard fences).
+    /// Barrier wait (conservative rounds, async horizon stalls).
     Barrier,
 }
 

@@ -2,10 +2,9 @@
 //!
 //! Every scheduler is the same machine: run every queued event below a
 //! bound, deliver what those events sent. The threaded conservative
-//! schedulers — the barrier rounds of [`crate::parallel`] (in-process
-//! and, through [`crate::shard`], across processes) and the barrier-free
-//! horizons of [`crate::asynchronous`] — add a mailbox drain and an
-//! agreement on the bound; [`Simulation::run_sequential`] is the
+//! schedulers — the barrier rounds of [`crate::parallel`] and the
+//! barrier-free horizons of [`crate::asynchronous`] — add a mailbox drain
+//! and an agreement on the bound; [`Simulation::run_sequential`] is the
 //! one-worker case with no bound but `until`, run in place. This module
 //! holds the parts that do not depend on *how* the bound is agreed:
 //!
@@ -47,7 +46,7 @@ use std::time::Instant;
 /// event, and the receiver ingests a cache-line-friendly contiguous run.
 /// Partial chunks are flushed before the sender's next synchronization
 /// point, so batching never delays delivery across a round boundary.
-pub(crate) const MAILBOX_CHUNK: usize = 8;
+const MAILBOX_CHUNK: usize = 8;
 /// Retained empty chunk vectors per worker (senders pull replacements from
 /// here; receivers recycle drained chunks into it), bounding steady-state
 /// chunk allocation.
@@ -64,7 +63,7 @@ const DEEP_PREFETCH: usize = 512 << 10;
 /// What travels through a mailbox: a batch of envelopes, never split or
 /// merged in flight (the exactly-once invariant checked under
 /// `union_check` therefore counts chunks).
-pub(crate) type Chunk<E> = Vec<Envelope<E>>;
+type Chunk<E> = Vec<Envelope<E>>;
 
 enum Abort {
     Violation(String),
@@ -134,10 +133,8 @@ pub(crate) struct Lane<'r, E> {
     chunks: Vec<Chunk<E>>,
     spare: Vec<Chunk<E>>,
     inbox: Vec<Chunk<E>>,
-    /// Events sent to a peer worker of this process.
+    /// Events sent to a peer worker.
     pub(crate) remote: u64,
-    /// Events sent to another OS-process shard.
-    pub(crate) cross: u64,
     mailbox_high_water: u64,
 }
 
@@ -414,7 +411,6 @@ impl<L: Lp> Worker<'_, L> {
         Counts {
             committed: self.committed,
             remote: self.lane.remote,
-            cross: self.lane.cross,
             rounds: if self.t == 0 { self.rounds } else { 0 },
         }
     }
@@ -527,7 +523,6 @@ impl Report {
                 spare: Vec::new(),
                 inbox: Vec::new(),
                 remote: 0,
-                cross: 0,
                 mailbox_high_water: 0,
             },
             ev: MaybeUninit::uninit(),
@@ -553,7 +548,6 @@ impl Report {
         let stats = &mut tally.stats;
         stats.committed += w.committed;
         stats.remote_events += w.lane.remote;
-        stats.cross_shard_events += w.lane.cross;
         stats.rounds = stats.rounds.max(w.rounds);
         stats.horizon_stall_ns += w.stall_ns;
         stats.horizon_lag_max = stats.horizon_lag_max.max(w.lag_max);
@@ -611,7 +605,6 @@ impl Report {
         r.lp_bytes = std::mem::size_of::<L>() as u64;
         r.committed = stats.committed;
         r.remote_events = stats.remote_events;
-        r.cross_shard_events = stats.cross_shard_events;
         r.rounds = stats.rounds;
         r.horizon_stall_ns = stats.horizon_stall_ns;
         r.horizon_lag_max = stats.horizon_lag_max;
@@ -666,11 +659,9 @@ impl<E: Clone + Send + 'static> Run<E> {
     /// pending events into one [`Worker`] each. Partitions are not
     /// contiguous in general, so LP state leaves the simulation for the
     /// duration of the run; the second return value holds the slots
-    /// [`Run::gather`] refills (LPs `plan` leaves unowned stay in it).
-    /// Events stream straight from the pending set into their owners'
-    /// queues; one for an LP `plan` leaves unowned (another shard's) is
-    /// dropped, because every shard built the same initial set. The
-    /// pending set is left empty and its slab released for the leg.
+    /// [`Run::gather`] refills. Events stream straight from the pending
+    /// set into their owners' queues; the pending set is left empty and
+    /// its slab released for the leg.
     pub(crate) fn scatter<'r, L: Lp<Event = E>>(
         &'r self,
         sim: &mut Simulation<L>,
@@ -696,9 +687,7 @@ impl<E: Clone + Send + 'static> Run<E> {
             .collect();
         let mut pending = std::mem::replace(&mut sim.pending, sim.queue.new_queue());
         pending.drain_each(|env| {
-            if let Some(w) = workers.get_mut(plan.owner_of[env.dst as usize] as usize) {
-                w.lane.queue.push(env);
-            }
+            workers[plan.owner_of[env.dst as usize] as usize].lane.queue.push(env)
         });
         (workers, home)
     }
@@ -751,33 +740,27 @@ impl<E: Clone + Send + 'static> Run<E> {
 }
 
 /// Run `body` on one scoped thread per seed (a [`Worker`], possibly with
-/// per-thread extras) while `leader` runs on the calling thread; returns
-/// the seeds, in order, and the leader's result.
+/// per-thread extras); returns the seeds, in order.
 ///
 /// Finished seeds come back through one shared list, not the join
 /// handles: handing in results is the only unordered cross-worker
 /// synchronization a barrier-round run has left (everything else is
 /// ordered by the round barriers), and the model checker's oracle relies
 /// on there being one to tell a real exploration from a single path.
-pub(crate) fn drive<S: Send, R>(
-    seeds: Vec<S>,
-    body: impl Fn(&mut S) + Sync,
-    leader: impl FnOnce() -> R,
-) -> (Vec<S>, R) {
+pub(crate) fn drive<S: Send>(seeds: Vec<S>, body: impl Fn(&mut S) + Sync) -> Vec<S> {
     let done: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(seeds.len()));
     let (body, done_ref) = (&body, &done);
-    let led = thread::scope(|scope| {
+    thread::scope(|scope| {
         for (i, mut seed) in seeds.into_iter().enumerate() {
             scope.spawn(move || {
                 body(&mut seed);
                 done_ref.lock().push((i, seed));
             });
         }
-        leader()
     });
     let mut done = done.into_inner();
     done.sort_unstable_by_key(|(i, _)| *i);
-    (done.into_iter().map(|(_, seed)| seed).collect(), led)
+    done.into_iter().map(|(_, seed)| seed).collect()
 }
 
 impl<L: Lp> Simulation<L> {

@@ -1,15 +1,15 @@
 //! Model-checked oracle harness for the parallel schedulers.
 //!
 //! Built (and meaningful) only under `RUSTFLAGS="--cfg union_check"`:
-//! every synchronization primitive in `ross::parallel`, `ross::mailbox`
-//! and the sharded scheduler's loopback transport then routes through
+//! every synchronization primitive in `ross::parallel`,
+//! `ross::asynchronous` and `ross::mailbox` then routes through
 //! `ross-check`'s controlled scheduler, and `ross_check::Builder::check`
 //! drives whole simulation runs through every DPOR-distinct thread
 //! interleaving.
 //!
 //! On **every explored schedule** the harness asserts:
 //!
-//! * the parallel/sharded fingerprint is bit-identical to the
+//! * the parallel/async fingerprint is bit-identical to the
 //!   sequential reference (determinism oracle);
 //! * no processed event ever precedes the agreed GVT (asserted inside
 //!   the schedulers, `cfg(union_check)` only);
@@ -22,7 +22,6 @@
 //! exploration stays exhaustive over trace-equivalence classes.
 #![cfg(union_check)]
 
-use ross::shard::{loopback_mesh, shard_owner_map};
 use ross::{Ctx, Envelope, Lp, QueueKind, SimDuration, SimTime, Simulation};
 
 /// Deterministic mini-PHOLD: every event forwards to the next LP on the
@@ -52,7 +51,7 @@ impl Lp for Ring {
 }
 
 // Four events per ring chain (t=i, i+60, i+120, i+180), several
-// processing rounds: big enough to cross partitions/shards every round,
+// processing rounds: big enough to cross partitions every round,
 // small enough that DPOR-pruned exploration finishes in seconds on one
 // core.
 const HORIZON_NS: u64 = 150;
@@ -96,36 +95,6 @@ fn check_parallel(qk: QueueKind) {
     // DPOR must actually have explored alternatives (the workers' final
     // stats merges alone conflict), not bailed after one path.
     assert!(schedules > 1, "expected >1 explored schedules, got {schedules}");
-}
-
-/// 2-shard loopback run: each shard leader + 1 worker, cross-shard
-/// events and the Mattern token fence over shimmed mpsc channels.
-fn check_sharded(qk: QueueKind) {
-    let expect = sequential_reference(qk);
-    let schedules = ross_check::Builder::new().max_paths(100_000).check(|| {
-        let mut mesh = loopback_mesh::<u64>(2);
-        let t1 = mesh.pop().unwrap();
-        let t0 = mesh.pop().unwrap();
-        let run = move |mut tr: ross::shard::LoopbackTransport<u64>| {
-            let mut sim = mk_sim(2, qk);
-            let stats = sim
-                .run_sharded(&mut tr, 1, SimDuration::from_ns(60), SimTime::MAX)
-                .expect("sharded run failed");
-            (fingerprint(&sim), stats.committed)
-        };
-        let h0 = ross_check::thread::spawn(move || run(t0));
-        let h1 = ross_check::thread::spawn(move || run(t1));
-        let (f0, c0) = h0.join().unwrap();
-        let (f1, c1) = h1.join().unwrap();
-        assert!(c0 + c1 >= 4);
-        // Merge owned slices: each shard's fingerprint is only
-        // meaningful for the LPs it owns.
-        let owner = shard_owner_map(None, 2, 2);
-        let merged: Vec<(u64, u64)> =
-            (0..2).map(|g| if owner[g] == 0 { f0[g] } else { f1[g] }).collect();
-        assert_eq!(merged, expect, "sharded fingerprint diverged from sequential on this schedule");
-    });
-    assert!(schedules >= 1, "sharded model explored no schedules");
 }
 
 /// 2-thread barrier-free asynchronous run: safe-horizon publishes, the
@@ -224,16 +193,6 @@ fn parallel_two_workers_heap_matches_sequential_on_every_schedule() {
 #[test]
 fn parallel_two_workers_ladder_matches_sequential_on_every_schedule() {
     check_parallel(QueueKind::Ladder);
-}
-
-#[test]
-fn sharded_two_shards_loopback_heap_matches_sequential_on_every_schedule() {
-    check_sharded(QueueKind::Heap);
-}
-
-#[test]
-fn sharded_two_shards_loopback_ladder_matches_sequential_on_every_schedule() {
-    check_sharded(QueueKind::Ladder);
 }
 
 /// Fringe smoke: the same parallel model under CHESS-style preemption

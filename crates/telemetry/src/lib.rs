@@ -80,8 +80,7 @@ impl Recorder {
     /// the record is counted in [`Recorder::dropped`]; a record that
     /// fails to serialize yields `Err` and buffers nothing. Use this on
     /// paths that can report the error (a bad record must not kill a
-    /// long sharded run); fire-and-forget callers use
-    /// [`Recorder::emit`].
+    /// long run); fire-and-forget callers use [`Recorder::emit`].
     pub fn try_emit<T: Serialize>(&self, rec: &T) -> std::io::Result<()> {
         let line = serde_json::to_string(rec).map_err(|e| {
             std::io::Error::new(
@@ -89,7 +88,12 @@ impl Recorder {
                 format!("telemetry record serialization: {e}"),
             )
         })?;
-        self.emit_raw(line);
+        let mut lines = self.lines.lock();
+        if lines.len() < self.capacity {
+            lines.push(line);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -101,18 +105,6 @@ impl Recorder {
     pub fn emit<T: Serialize>(&self, rec: &T) {
         if self.try_emit(rec).is_err() {
             self.ser_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Append one pre-serialized JSONL line (no trailing newline). Used
-    /// by the shard launcher to merge telemetry streamed back from
-    /// worker processes without re-parsing every record.
-    pub fn emit_raw(&self, line: String) {
-        let mut lines = self.lines.lock();
-        if lines.len() < self.capacity {
-            lines.push(line);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -218,7 +210,7 @@ pub struct ManifestRecord {
     /// Full command-line arguments as given.
     pub args: Vec<String>,
     pub seed: u64,
-    /// Scheduler spec string (`seq`, `par:T`, `async:T`, `shard:N:T`).
+    /// Scheduler spec string (`seq`, `par:T`, `async:T`).
     pub sched: String,
     /// `git describe --always --dirty` of the working tree, or `unknown`.
     pub git: String,
@@ -265,8 +257,7 @@ pub struct ThreadRecord {
 #[derive(Clone, Debug, Serialize)]
 pub struct SchedulerRecord {
     pub record: String,
-    /// `sequential`, `conservative-parallel`, `conservative-async`,
-    /// `sharded-conservative`.
+    /// `sequential`, `conservative-parallel` or `conservative-async`.
     pub scheduler: String,
     pub threads: usize,
     /// Pending-event queue implementation: `heap` or `ladder`.
@@ -294,10 +285,7 @@ pub struct SchedulerRecord {
     pub lp_bytes: u64,
     pub committed: u64,
     pub remote_events: u64,
-    /// Events delivered across OS-process shards through a transport
-    /// (sharded runs only).
-    pub cross_shard_events: u64,
-    /// Synchronization rounds (conservative windows or shard fences).
+    /// Synchronization rounds (conservative windows).
     pub rounds: u64,
     /// Total nanoseconds workers spent stalled waiting for peer horizons
     /// to advance (conservative-async scheduler only).
@@ -325,7 +313,6 @@ impl SchedulerRecord {
             lp_bytes: 0,
             committed: 0,
             remote_events: 0,
-            cross_shard_events: 0,
             rounds: 0,
             horizon_stall_ns: 0,
             horizon_lag_max: 0,

@@ -13,14 +13,12 @@
 //!   (`ross::live`) — so there is no per-event traffic to spread.
 //! * [`Sampler`] — a background thread that takes periodic **delta
 //!   snapshots** of the registry into a bounded ring of timestamped
-//!   [`SnapshotRecord`]s, and optionally forwards each snapshot to a sink
-//!   (the shard gang streams them over its JSONL control socket).
+//!   [`SnapshotRecord`]s.
 //! * [`Server`] — a tiny exposition endpoint over a std `TcpListener`
 //!   (no new deps): `GET /metrics` serves Prometheus text format,
-//!   `GET /snapshot` a JSON snapshot.
-//! * [`GangAggregator`] — merges per-worker snapshots (counter-sum,
-//!   gauge-max, histogram-merge) so one endpoint observes a whole shard
-//!   gang.
+//!   `GET /snapshot` a JSON snapshot. Each connection, and each
+//!   [`http_get`], has one overall [`REQUEST_DEADLINE`], so a slow peer
+//!   can hold neither the endpoint nor a run that waits on it.
 //!
 //! ## Delta semantics
 //!
@@ -28,14 +26,14 @@
 //! A [`SnapshotRecord`] carries both the cumulative `total` and the
 //! since-last-snapshot `delta` per counter, so consecutive deltas sum back
 //! to the cumulative value bit-exactly (property-tested). Histograms are
-//! snapshotted cumulatively with **sparse** nonzero buckets, which makes
-//! gang aggregation lossless: merging two snapshots is bucket-wise
-//! addition, the same operation as [`Histogram::merge`].
+//! snapshotted cumulatively with **sparse** nonzero buckets, which keeps
+//! them lossless to merge: bucket-wise addition, the same operation as
+//! [`Histogram::merge`].
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -433,10 +431,6 @@ impl SnapshotRecord {
 // Sampler
 // ---------------------------------------------------------------------------
 
-/// Callback invoked with every snapshot the sampler takes (shard workers
-/// use it to stream snapshots over the gang control socket).
-pub type SnapshotSink = Box<dyn Fn(&SnapshotRecord) + Send + Sync>;
-
 struct SamplerShared {
     registry: Arc<MetricsRegistry>,
     ring: Mutex<VecDeque<SnapshotRecord>>,
@@ -444,12 +438,11 @@ struct SamplerShared {
     prev: Mutex<Option<SnapshotRecord>>,
     seq: AtomicU64,
     stop: AtomicBool,
-    sink: Option<SnapshotSink>,
 }
 
 impl SamplerShared {
     /// Take one snapshot: cumulative read, delta against the previous
-    /// snapshot, push into the bounded ring, forward to the sink.
+    /// snapshot, push into the bounded ring.
     fn tick(&self) -> SnapshotRecord {
         let mut snap = self.registry.snapshot();
         snap.seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -472,9 +465,6 @@ impl SamplerShared {
             }
             ring.push_back(snap.clone());
         }
-        if let Some(sink) = &self.sink {
-            sink(&snap);
-        }
         snap
     }
 }
@@ -489,12 +479,7 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    pub fn start(
-        registry: Arc<MetricsRegistry>,
-        interval: Duration,
-        ring_cap: usize,
-        sink: Option<SnapshotSink>,
-    ) -> Sampler {
+    pub fn start(registry: Arc<MetricsRegistry>, interval: Duration, ring_cap: usize) -> Sampler {
         let shared = Arc::new(SamplerShared {
             registry,
             ring: Mutex::new(VecDeque::new()),
@@ -502,7 +487,6 @@ impl Sampler {
             prev: Mutex::new(None),
             seq: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            sink,
         });
         let s2 = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
@@ -551,70 +535,6 @@ impl Drop for Sampler {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gang aggregation
-// ---------------------------------------------------------------------------
-
-/// Merges the latest snapshot from each gang worker into one gang-wide
-/// view: counters sum, gauges take the max, histograms merge bucket-wise
-/// (lossless — the same operation as [`Histogram::merge`]).
-#[derive(Default)]
-pub struct GangAggregator {
-    workers: Mutex<BTreeMap<u64, SnapshotRecord>>,
-}
-
-impl GangAggregator {
-    pub fn new() -> GangAggregator {
-        GangAggregator::default()
-    }
-
-    /// Record `snap` as worker `worker`'s latest state (snapshots carry
-    /// cumulative values, so only the newest per worker matters).
-    pub fn ingest(&self, worker: u64, snap: SnapshotRecord) {
-        let mut map = self.workers.lock();
-        match map.get(&worker) {
-            Some(old) if old.seq > snap.seq => {} // stale reordering — keep newest
-            _ => {
-                map.insert(worker, snap);
-            }
-        }
-    }
-
-    /// The gang-wide snapshot: counter-sum, gauge-max, histogram-merge.
-    pub fn aggregate(&self) -> SnapshotRecord {
-        let map = self.workers.lock();
-        let mut counters: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, u64> = BTreeMap::new();
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-        let mut out = SnapshotRecord::empty(0);
-        for snap in map.values() {
-            out.wall_ms = out.wall_ms.max(snap.wall_ms);
-            out.interval_ms = out.interval_ms.max(snap.interval_ms);
-            out.seq += snap.seq;
-            for c in &snap.counters {
-                let e = counters.entry(c.name.clone()).or_insert((0, 0));
-                e.0 += c.total;
-                e.1 += c.delta;
-            }
-            for (name, v) in &snap.gauges {
-                let e = gauges.entry(name.clone()).or_insert(0);
-                *e = (*e).max(*v);
-            }
-            for h in &snap.histograms {
-                hists.entry(h.name.clone()).or_default().merge(&h.to_histogram());
-            }
-        }
-        out.counters = counters
-            .into_iter()
-            .map(|(name, (total, delta))| CounterPoint { name, total, delta })
-            .collect();
-        out.gauges = gauges.into_iter().collect();
-        out.histograms =
-            hists.iter().map(|(name, h)| HistogramSnapshot::from_histogram(name, h)).collect();
-        out
     }
 }
 
@@ -702,27 +622,20 @@ pub fn render_prometheus(snap: &SnapshotRecord) -> String {
 // Exposition endpoint
 // ---------------------------------------------------------------------------
 
-/// Where the endpoint reads from: a single process's registry or a gang
-/// aggregator. Both produce a fresh [`SnapshotRecord`] per request so
-/// quantiles are live, not stale.
-pub enum MetricsSource {
-    Registry(Arc<MetricsRegistry>),
-    Gang(Arc<GangAggregator>),
-}
+/// The overall time one connection to a [`Server`] may take, reading the
+/// request and writing the response, and the time one [`http_get`] may
+/// take. A peer that trickles bytes is cut off when it runs out.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(3);
 
-impl MetricsSource {
-    pub fn snapshot(&self) -> SnapshotRecord {
-        match self {
-            MetricsSource::Registry(r) => r.snapshot(),
-            MetricsSource::Gang(g) => g.aggregate(),
-        }
-    }
-}
+/// Request bytes a [`Server`] reads before it gives up on a connection:
+/// a scrape's request line and headers fit many times over.
+const MAX_REQUEST_BYTES: usize = 8 << 10;
 
 /// The in-process exposition endpoint: a std `TcpListener` accept loop on
 /// its own thread. `GET /metrics` serves Prometheus text format,
-/// `GET /snapshot` the JSON [`SnapshotRecord`]. One request per
-/// connection (`Connection: close`) — scrape-shaped, not a web server.
+/// `GET /snapshot` the JSON [`SnapshotRecord`], each rendered from a fresh
+/// registry snapshot. One request per connection (`Connection: close`),
+/// served within [`REQUEST_DEADLINE`] — scrape-shaped, not a web server.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -731,8 +644,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// serving `source`. The bound address is in [`Server::local_addr`].
-    pub fn bind(addr: &str, source: MetricsSource) -> std::io::Result<Server> {
+    /// serving `registry`. The bound address is in [`Server::local_addr`].
+    pub fn bind(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -746,7 +659,7 @@ impl Server {
                     let Ok(stream) = conn else { continue };
                     // Serve inline: requests are tiny and scrapers are
                     // few; a thread pool would be ceremony.
-                    let _ = serve_one(stream, &source);
+                    let _ = serve_one(stream, &registry);
                 }
             })?;
         Ok(Server { addr: local, stop, thread: Some(thread) })
@@ -756,7 +669,8 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting and join the accept thread.
+    /// Stop accepting and join the accept thread: at most one
+    /// [`REQUEST_DEADLINE`] behind a connection being served.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
         // Unblock the accept loop with a wake-up connection.
@@ -777,28 +691,69 @@ impl Drop for Server {
     }
 }
 
-fn serve_one(mut stream: TcpStream, source: &MetricsSource) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request = String::new();
-    reader.read_line(&mut request)?;
-    let path = request.split_whitespace().nth(1).unwrap_or("/");
-    // Drain headers so well-behaved clients see a clean close.
-    let mut line = String::new();
-    while reader.read_line(&mut line)? > 2 {
-        line.clear();
+/// Time left until `deadline`; a `TimedOut` error once it has passed.
+fn left(deadline: Instant) -> std::io::Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|d| !d.is_zero())
+        .ok_or_else(|| std::io::Error::new(ErrorKind::TimedOut, "request deadline passed"))
+}
+
+/// Read from `stream` until `done` holds for what was read, the peer
+/// closes, more than `cap` bytes arrived (an error) or `deadline` passes
+/// (an error).
+fn read_by(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    cap: usize,
+    done: impl Fn(&[u8]) -> bool,
+) -> std::io::Result<Vec<u8>> {
+    let (mut buf, mut chunk) = (Vec::new(), [0u8; 4096]);
+    while !done(&buf) {
+        stream.set_read_timeout(Some(left(deadline)?))?;
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            break;
+        }
+        buf.extend_from_slice(&chunk[..n]);
+        if buf.len() > cap {
+            return Err(std::io::Error::new(ErrorKind::InvalidData, "request too large"));
+        }
     }
+    Ok(buf)
+}
+
+/// Write all of `bytes` to `stream`, or fail once `deadline` passes.
+fn write_by(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> std::io::Result<()> {
+    while !bytes.is_empty() {
+        stream.set_write_timeout(Some(left(deadline)?))?;
+        match stream.write(bytes)? {
+            0 => return Err(ErrorKind::WriteZero.into()),
+            n => bytes = &bytes[n..],
+        }
+    }
+    Ok(())
+}
+
+fn serve_one(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    // Read the request line and headers, up to the blank line that ends
+    // them, so well-behaved clients see a clean close.
+    let ended =
+        |b: &[u8]| b.windows(4).any(|w| w == b"\r\n\r\n") || b.windows(2).any(|w| w == b"\n\n");
+    let request = read_by(&mut stream, deadline, MAX_REQUEST_BYTES, ended)?;
+    let request = String::from_utf8_lossy(&request);
+    let path = request.split_whitespace().nth(1).unwrap_or("/");
     let (status, ctype, body) = match path {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            render_prometheus(&source.snapshot()),
+            render_prometheus(&registry.snapshot()),
         ),
         "/snapshot" => (
             "200 OK",
             "application/json",
-            serde_json::to_string(&source.snapshot()).unwrap_or_else(|_| "{}".to_string()),
+            serde_json::to_string(&registry.snapshot()).unwrap_or_else(|_| "{}".to_string()),
         ),
         _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_string()),
     };
@@ -806,29 +761,26 @@ fn serve_one(mut stream: TcpStream, source: &MetricsSource) -> std::io::Result<(
         "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    write_by(&mut stream, head.as_bytes(), deadline)?;
+    write_by(&mut stream, body.as_bytes(), deadline)
 }
 
 /// One-shot client for [`Server`]: fetch `path` from `addr` and return the
-/// response body (status line checked for 200).
+/// response body (status line checked for 200), all within
+/// [`REQUEST_DEADLINE`].
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let sock = addr
         .to_socket_addrs()?
         .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, Duration::from_secs(2))?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "bad address"))?;
+    let mut stream = TcpStream::connect_timeout(&sock, left(deadline)?)?;
+    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
+    write_by(&mut stream, request.as_bytes(), deadline)?;
+    let raw = read_by(&mut stream, deadline, usize::MAX, |_| false)?;
     let text = String::from_utf8_lossy(&raw).into_owned();
     let Some((head, body)) = text.split_once("\r\n\r\n") else {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response"));
+        return Err(std::io::Error::new(ErrorKind::InvalidData, "malformed response"));
     };
     if !head.starts_with("HTTP/1.1 200") && !head.starts_with("HTTP/1.0 200") {
         let status = head.lines().next().unwrap_or("").to_string();
@@ -914,36 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn gang_aggregation_rules() {
-        let agg = GangAggregator::new();
-        let reg_a = MetricsRegistry::new();
-        reg_a.counter("events_committed").add(10);
-        reg_a.gauge("gvt_ns").set(100);
-        reg_a.histogram("commit_batch").record(8);
-        let reg_b = MetricsRegistry::new();
-        reg_b.counter("events_committed").add(32);
-        reg_b.gauge("gvt_ns").set(70);
-        reg_b.histogram("commit_batch").record(64);
-        agg.ingest(0, reg_a.snapshot());
-        agg.ingest(1, reg_b.snapshot());
-        let g = agg.aggregate();
-        assert_eq!(g.counter_total("events_committed"), Some(42)); // sum
-        assert_eq!(g.gauge("gvt_ns"), Some(100)); // max
-        let h = g.histogram("commit_batch").unwrap(); // merge
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 72);
-        // A stale (lower-seq) re-ingest must not regress the worker.
-        let mut stale = reg_b.snapshot();
-        stale.seq = 0;
-        stale.counters.clear();
-        let mut fresh = reg_b.snapshot();
-        fresh.seq = 5;
-        agg.ingest(1, fresh);
-        agg.ingest(1, stale);
-        assert_eq!(agg.aggregate().counter_total("events_committed"), Some(42));
-    }
-
-    #[test]
     fn prometheus_rendering_shape() {
         let reg = MetricsRegistry::new();
         reg.counter("events_committed").add(7);
@@ -969,8 +891,7 @@ mod tests {
     fn endpoint_serves_metrics_and_snapshot() {
         let reg = Arc::new(MetricsRegistry::new());
         reg.counter("events_committed").add(99);
-        let server =
-            Server::bind("127.0.0.1:0", MetricsSource::Registry(Arc::clone(&reg))).unwrap();
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&reg)).unwrap();
         let addr = server.local_addr().to_string();
         let metrics = http_get(&addr, "/metrics").unwrap();
         assert!(metrics.contains("union_events_committed 99"));
@@ -981,11 +902,43 @@ mod tests {
         server.shutdown();
     }
 
+    /// A client that sends one byte every 100 ms and never ends its
+    /// request is cut off at the connection's deadline: shutting the
+    /// endpoint down waits for that deadline at most.
+    #[test]
+    fn a_trickling_client_cannot_hold_shutdown_past_the_deadline() {
+        let server = Server::bind("127.0.0.1:0", Arc::new(MetricsRegistry::new())).unwrap();
+        let addr = server.local_addr();
+        let (started, cut_off) = (std::sync::mpsc::channel(), Arc::new(AtomicBool::new(false)));
+        let cut = Arc::clone(&cut_off);
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let _ = started.0.send(());
+            // Far longer than the deadline, unless the server cuts it off.
+            for _ in 0..100 {
+                if stream.write_all(b"G").is_err() {
+                    cut.store(true, Ordering::Relaxed);
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        started.1.recv().unwrap();
+        // Let the endpoint accept the connection and start reading it.
+        std::thread::sleep(Duration::from_millis(300));
+        let t0 = Instant::now();
+        server.shutdown();
+        let waited = t0.elapsed();
+        assert!(waited < REQUEST_DEADLINE + Duration::from_secs(1), "shutdown took {waited:?}");
+        trickler.join().unwrap();
+        assert!(cut_off.load(Ordering::Relaxed), "the trickling client was never cut off");
+    }
+
     #[test]
     fn sampler_ring_is_bounded_and_final_snapshot_is_exact() {
         let reg = Arc::new(MetricsRegistry::new());
         let c = reg.counter("events_committed");
-        let sampler = Sampler::start(Arc::clone(&reg), Duration::from_millis(5), 4, None);
+        let sampler = Sampler::start(Arc::clone(&reg), Duration::from_millis(5), 4);
         for i in 0..10u64 {
             c.add(i);
             std::thread::sleep(Duration::from_millis(3));

@@ -1,7 +1,7 @@
 //! Property tests for the live metrics plane's log-bucketed histogram
 //! and the sampler's delta semantics.
 //!
-//! The gang aggregation story rests on three algebraic facts about
+//! Lossless histogram merging rests on three algebraic facts about
 //! [`Histogram::merge`] — associativity, commutativity, and bit-exact
 //! count/sum preservation — plus the quantile error bound (the served
 //! quantile lands in the same log bucket as the exact order statistic).
@@ -130,7 +130,7 @@ fn snapshot_deltas_sum_to_cumulative_counters() {
     let c = reg.counter("events_committed");
     // Long interval: ticks are driven manually via sample_now so the
     // test is deterministic, and stop() adds the final exact tick.
-    let sampler = Sampler::start(Arc::clone(&reg), Duration::from_secs(3600), 64, None);
+    let sampler = Sampler::start(Arc::clone(&reg), Duration::from_secs(3600), 64);
     let mut rng = Mix(7);
     let mut total = 0u64;
     for _ in 0..10 {

@@ -1,11 +1,11 @@
 //! Cross-scheduler determinism: every PDES scheduler — sequential,
-//! barrier windows, barrier-free horizons and process shards — must
-//! produce bit-identical `SimResults` for the same model and seed, under
+//! barrier windows and barrier-free horizons — must produce bit-identical
+//! `SimResults` and final LP state for the same model and seed, under
 //! either pending-event queue (binary heap or ladder). This is the
 //! contract that lets the harness sweep schedulers freely — a parallel
 //! run is a faster sequential run, never a different experiment.
 
-use codes::{SimResults, SimulationBuilder};
+use codes::{CodesSim, SimResults, SimulationBuilder};
 use dragonfly::{DragonflyConfig, Routing};
 use placement::Placement;
 use ross::{QueueKind, Scheduler, SimDuration, SimTime};
@@ -22,9 +22,11 @@ struct Fingerprint {
     link_load: (u64, u64, u64, u64, u64),
     router_windows: Vec<(u32, Vec<Vec<u64>>)>,
     committed: u64,
+    /// [`CodesSim::state_fingerprint`]: the digest of every LP's state.
+    state: u64,
 }
 
-fn fingerprint(r: &SimResults) -> Fingerprint {
+fn fingerprint(sim: &CodesSim, r: &SimResults) -> Fingerprint {
     Fingerprint {
         apps: r
             .apps
@@ -49,12 +51,13 @@ fn fingerprint(r: &SimResults) -> Fingerprint {
         ),
         router_windows: r.router_windows.clone(),
         committed: r.stats.committed,
+        state: sim.state_fingerprint(),
     }
 }
 
 /// Two-job mix on the tiny 1D dragonfly with windowed router counters
 /// on — the shared model every cell of the equivalence matrix runs.
-fn build_mix(queue: QueueKind) -> codes::CodesSim {
+fn build_mix(queue: QueueKind) -> CodesSim {
     let mut b = SimulationBuilder::new(DragonflyConfig::tiny_1d())
         .routing(Routing::Adaptive)
         .placement(Placement::RandomGroups)
@@ -80,7 +83,7 @@ fn run_q(sched: Scheduler, queue: QueueKind) -> Fingerprint {
     for a in &r.apps {
         assert!(a.all_done(), "{} unfinished under {sched:?}/{queue:?}", a.name);
     }
-    fingerprint(&r)
+    fingerprint(&sim, &r)
 }
 
 /// `par:T`: CODES runs it at the model's block window, whatever the
@@ -136,7 +139,7 @@ fn parallel_run_survives_rescheduling_midway() {
     let mut sim = build_mix(QueueKind::default());
     sim.run(par(3), SimTime::from_us(50));
     let r = sim.run(Scheduler::Sequential, SimTime::MAX);
-    let mut fp = fingerprint(&r);
+    let mut fp = fingerprint(&sim, &r);
     // Committed counts are per-leg; compare everything else.
     fp.committed = seq.committed;
     assert_eq!(seq, fp);
@@ -146,7 +149,7 @@ fn parallel_run_survives_rescheduling_midway() {
     let mut sim = build_mix(QueueKind::default());
     sim.run(asy(3), SimTime::from_us(50));
     let r = sim.run(Scheduler::Sequential, SimTime::MAX);
-    let mut fp = fingerprint(&r);
+    let mut fp = fingerprint(&sim, &r);
     fp.committed = seq.committed;
     assert_eq!(seq, fp, "async pause/resume diverged");
 }
@@ -175,52 +178,9 @@ fn mixed_scheduler_legs_match_one_sequential_run() {
             assert_eq!(pending > 0, leg < 3, "{queue:?} leg {leg} ({sched:?})");
             last = Some(r);
         }
-        let mut fp = fingerprint(&last.unwrap());
+        let mut fp = fingerprint(&mixed, &last.unwrap());
         // Committed counts are per leg; their sum is the whole run's.
         fp.committed = committed;
         assert_eq!(seq, fp, "{queue:?}: mixed legs diverged from sequential");
-    }
-}
-
-/// The shard dimension of the matrix: the same mix run as one
-/// simulation split across {1, 2, 4} shard transports (in-process
-/// loopback standing in for the launcher's worker processes) × both
-/// queues. Each shard's owned-LP digest must `wrapping_add`-merge to
-/// exactly the sequential run's whole-model fingerprint, and the
-/// per-shard committed counts must sum to the sequential total.
-#[test]
-fn sharded_runs_merge_to_the_sequential_fingerprint() {
-    let (want_fp, want_committed) = {
-        let mut sim = build_mix(QueueKind::Heap);
-        let r = sim.run(Scheduler::Sequential, SimTime::MAX);
-        (sim.state_fingerprint(), r.stats.committed)
-    };
-    assert_ne!(want_fp, 0);
-    for n_shards in [1usize, 2, 4] {
-        for queue in [QueueKind::Heap, QueueKind::Ladder] {
-            let mesh = ross::shard::loopback_mesh::<codes::Event>(n_shards);
-            let handles: Vec<_> = mesh
-                .into_iter()
-                .map(|mut t| {
-                    std::thread::spawn(move || {
-                        let mut sim = build_mix(queue);
-                        let stats = sim.run_sharded(&mut t, 2, SimTime::MAX).unwrap();
-                        (sim, stats)
-                    })
-                })
-                .collect();
-            let mut fp = 0u64;
-            let mut committed = 0u64;
-            for (me, h) in handles.into_iter().enumerate() {
-                let (sim, stats) = h.join().unwrap();
-                fp = fp.wrapping_add(sim.shard_fingerprint(me, n_shards));
-                committed += stats.committed;
-            }
-            assert_eq!(fp, want_fp, "{n_shards} shards x {queue:?}: fingerprint diverged");
-            assert_eq!(
-                committed, want_committed,
-                "{n_shards} shards x {queue:?}: committed diverged"
-            );
-        }
     }
 }
